@@ -100,7 +100,7 @@ func run() int {
 		TripErrorRate: *brkErrRate,
 		Cooldown:      time.Duration(*brkCooldownMs) * time.Millisecond,
 	}
-	f, err := netmp.NewFetcherOrigins(video, wifi, lte, brk)
+	f, err := netmp.NewFetcherOrigins(video, brk, wifi, lte)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

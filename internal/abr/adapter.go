@@ -155,19 +155,6 @@ func (a *Adapter) Governed() int64 { return a.governed }
 // Skipped returns how many chunks bypassed MP-DASH (buffer below Ω).
 func (a *Adapter) Skipped() int64 { return a.skipped }
 
-// baseDeadline derives D from the policy (§5.1).
-func (a *Adapter) baseDeadline(meta dash.ChunkMeta) time.Duration {
-	switch a.cfg.Policy {
-	case RateBased:
-		if meta.NominalBps <= 0 {
-			return meta.Duration
-		}
-		return time.Duration(float64(meta.Size*8) / meta.NominalBps * float64(time.Second))
-	default:
-		return meta.Duration
-	}
-}
-
 // phi returns the deadline-extension threshold Φ.
 func (a *Adapter) phi(st dash.PlayerState) time.Duration {
 	switch a.cfg.Category {
@@ -235,15 +222,16 @@ func (a *Adapter) OnChunkStart(st dash.PlayerState, meta dash.ChunkMeta, tr *mpt
 			return
 		}
 	}
-	d := a.baseDeadline(meta)
+	phi := st.Buffer // no room above Φ: extension off (ablation)
 	if !a.cfg.DisableExtension {
-		if phi := a.phi(st); st.Buffer > phi {
-			d += st.Buffer - phi // §5.1 deadline extension
-			a.emit(obs.NewEvent("adapter.extend").WithChunk(meta.Index, meta.Level).
-				WithNum("extension_s", (st.Buffer-phi).Seconds()).
-				WithNum("buffer_s", st.Buffer.Seconds()).
-				WithNum("phi_s", phi.Seconds()), st)
-		}
+		phi = a.phi(st)
+	}
+	d, ext := core.ChunkDeadline(a.cfg.Policy == RateBased, meta.Size, meta.NominalBps, meta.Duration, st.Buffer, phi)
+	if ext > 0 {
+		a.emit(obs.NewEvent("adapter.extend").WithChunk(meta.Index, meta.Level).
+			WithNum("extension_s", ext.Seconds()).
+			WithNum("buffer_s", st.Buffer.Seconds()).
+			WithNum("phi_s", phi.Seconds()), st)
 	}
 	a.sched.Govern(tr)
 	if err := a.sched.Enable(meta.Size, d); err != nil {

@@ -130,22 +130,6 @@ func TestBufferOmegaDefersWhileClimbing(t *testing.T) {
 	}
 }
 
-func TestBaseDeadlinePolicies(t *testing.T) {
-	a, _ := adapterRig(t, AdapterConfig{Policy: DurationBased}, 3.8, 3.0)
-	meta := dash.ChunkMeta{Size: 2_000_000, Duration: 4 * time.Second, NominalBps: 4e6}
-	if got := a.baseDeadline(meta); got != 4*time.Second {
-		t.Errorf("duration-based = %v", got)
-	}
-	a2, _ := adapterRig(t, AdapterConfig{Policy: RateBased}, 3.8, 3.0)
-	if got := a2.baseDeadline(meta); got != 4*time.Second {
-		t.Errorf("rate-based = %v, want size*8/nominal = 4s", got)
-	}
-	meta.NominalBps = 0
-	if got := a2.baseDeadline(meta); got != meta.Duration {
-		t.Errorf("zero-bitrate fallback = %v", got)
-	}
-}
-
 func TestOnChunkStartRejectsBadChunk(t *testing.T) {
 	a, conn := adapterRig(t, AdapterConfig{DisableLowBufferGuard: true}, 3.8, 3.0)
 	st := basicState(dash.BigBuckBunny(), 30*time.Second, 3)

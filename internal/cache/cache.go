@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"mpdash/internal/obs"
+	"mpdash/internal/stats"
 )
 
 // Key identifies one cached object: a (video, rendition, chunk) triple.
@@ -149,12 +150,8 @@ func New(cfg Config) *Cache {
 
 // shardFor maps a key to its shard by FNV-1a over the key fields.
 func (c *Cache) shardFor(k Key) *shard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k.Video); i++ {
-		h = (h ^ uint64(k.Video[i])) * 1099511628211
-	}
-	h = (h ^ uint64(k.Level)) * 1099511628211
-	h = (h ^ uint64(k.Chunk)) * 1099511628211
+	h := stats.FNVString(stats.FNVOffset, k.Video)
+	h = stats.FNVMix(stats.FNVMix(h, uint64(k.Level)), uint64(k.Chunk))
 	return c.shards[h%uint64(len(c.shards))]
 }
 

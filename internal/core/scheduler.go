@@ -23,11 +23,6 @@ import (
 // price of more cellular data. The paper's headline experiments use 1.0.
 const DefaultAlpha = 1.0
 
-// DefaultHitDamp is the default ceiling on cache-hint demand shrinkage:
-// even a certain hit keeps 30% of the demand in the pressure test, so a
-// mispredicted edge eviction degrades to a late engage, not a miss.
-const DefaultHitDamp = 0.7
-
 // Scheduler is the online MP-DASH scheduler attached to one multipath
 // connection. It mirrors the kernel component of the paper: activated per
 // transfer via Enable (the MP_DASH_ENABLE socket option), deactivated when
@@ -69,9 +64,10 @@ type Scheduler struct {
 	// path, so we only signal on change.
 	desired map[string]bool
 
-	// scratch is the reusable path-ordering buffer of evaluate(), so the
-	// per-packet decision loop stays allocation-free.
+	// scratch and est are the reusable path-ordering and estimate buffers
+	// of evaluate(), so the per-packet decision loop stays allocation-free.
 	scratch []*mptcp.Path
+	est     []float64
 
 	// Obs receives the scheduler's decision events (sched.enable /
 	// sched.toggle / sched.disable / sched.miss), stamped with simulator
@@ -261,10 +257,11 @@ func (s *Scheduler) scheduleTick() {
 	})
 }
 
-// evaluate runs lines 13–21 of Algorithm 1, generalized to N paths sorted
-// by cost (§4 "Optimality"): feed data from low-cost to high-cost
-// interfaces, enabling the minimal prefix whose predicted capacity covers
-// the remaining bytes within the shrunken window α·D.
+// evaluate is the simulator's driver around Engage: it checks the two
+// deactivation conditions, gathers the window left of α·D, the (cache-
+// damped) remaining bits and the Holt-Winters estimate of every path the
+// cost ceiling allows, and applies the kernel's answer to the
+// connection's secondaries in cost order.
 func (s *Scheduler) evaluate() {
 	now := s.sim.Now()
 	if now >= s.deadlineAt {
@@ -287,58 +284,31 @@ func (s *Scheduler) evaluate() {
 	}
 	// Target window per Algorithm 1: α·D − timeSpent.
 	window := time.Duration(s.Alpha*float64(s.deadlineAt-s.enabledAt)) - (now - s.enabledAt)
-	if window <= 0 {
-		// Inside the safety margin: push everything.
-		s.setAll(true)
-		return
-	}
+	need := float64(remaining*8) * DemandFactor(s.HitProbability, s.HitDamp)
 
 	paths := s.orderedPaths()
-
-	needBits := float64(remaining * 8)
-	// Cache-aware damping: bytes the edge serves from its store arrive
-	// far faster than the origin-path estimate predicts, so the expected
-	// hit fraction is discounted from the demand before the cover walk.
-	if hp := s.HitProbability; hp > 0 {
-		if hp > 1 {
-			hp = 1
-		}
-		damp := s.HitDamp
-		if damp <= 0 || damp > 1 {
-			damp = DefaultHitDamp
-		}
-		needBits *= 1 - damp*hp
-	}
-	windowSec := window.Seconds()
-	var capacityBits float64
-	covered := false
+	est := s.est[:0]
 	for _, p := range paths {
-		if p.Primary {
-			// The preferred path always runs; it contributes its
-			// predicted throughput.
-			capacityBits += s.conn.EstimatedThroughput(p.Name) * windowSec
-			covered = capacityBits >= needBits
-			continue
+		if !s.overCeiling(p) {
+			est = append(est, s.conn.EstimatedThroughput(p.Name))
 		}
-		if s.MaxCost > 0 && p.Cost > s.MaxCost {
+	}
+	s.est = est
+	on := Engage(need, window.Seconds(), est)
+	for _, p := range paths[1:] {
+		if s.overCeiling(p) {
 			// Over the ceiling: this path is off the table entirely.
 			s.setPath(p.Name, false)
 			continue
 		}
-		want := !covered
-		s.setPath(p.Name, want)
-		if want {
-			est := s.conn.EstimatedThroughput(p.Name)
-			if est <= 0 {
-				// Never-measured path: assume it suffices so we do not
-				// cascade every remaining path on at once.
-				covered = true
-				continue
-			}
-			capacityBits += est * windowSec
-			covered = capacityBits >= needBits
-		}
+		s.setPath(p.Name, on > 0)
+		on--
 	}
+}
+
+// overCeiling reports whether p is a secondary priced above MaxCost.
+func (s *Scheduler) overCeiling(p *mptcp.Path) bool {
+	return !p.Primary && s.MaxCost > 0 && p.Cost > s.MaxCost
 }
 
 // pathLess orders the Algorithm 1 walk: primary first, then ascending
@@ -415,17 +385,11 @@ func (s *Scheduler) traceToggle(name string, on bool) {
 	}
 }
 
-// setAll enables or disables every secondary path. The MaxCost ceiling
+// enableAll returns the connection to stock MPTCP. The MaxCost ceiling
 // holds even here: a path priced over the ceiling stays off when MP-DASH
-// deactivates or panic-enables everything.
-func (s *Scheduler) setAll(on bool) {
+// deactivates.
+func (s *Scheduler) enableAll() {
 	for _, p := range s.conn.SecondaryPaths() {
-		want := on
-		if on && s.MaxCost > 0 && p.Cost > s.MaxCost {
-			want = false
-		}
-		s.setPath(p.Name, want)
+		s.setPath(p.Name, !s.overCeiling(p))
 	}
 }
-
-func (s *Scheduler) enableAll() { s.setAll(true) }

@@ -107,11 +107,10 @@ func SimulateOnline(cfg SlotSimConfig) (SlotSimResult, error) {
 			}
 		}
 		if !res.Missed {
-			// Lines 13–21 with predicted RWiFi.
-			remainingBits := (size - sent) * 8
-			windowLeft := target - now
-			rwifi := pred.Predict()
-			sufficient := windowLeft > 0 && rwifi*windowLeft >= remainingBits
+			// Lines 13–21 with predicted RWiFi; cellular is the one,
+			// never-estimated, secondary.
+			est := [2]float64{pred.Predict(), 0}
+			sufficient := Engage((size-sent)*8, target-now, est[:]) == 0
 			if sufficient && cellular {
 				cellular = false
 				res.Toggles++

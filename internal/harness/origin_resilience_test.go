@@ -52,9 +52,9 @@ func TestRealSocketOriginFailoverAndHedging(t *testing.T) {
 	defer secondary.Close()
 
 	f, err := netmp.NewFetcherOrigins(video,
+		netmp.BreakerPolicy{Window: 6, MinSamples: 2, TripErrorRate: 0.5, Cooldown: 2 * time.Second},
 		[]string{originA.Addr(), originB.Addr(), originC.Addr()},
-		[]string{secondary.Addr()},
-		netmp.BreakerPolicy{Window: 6, MinSamples: 2, TripErrorRate: 0.5, Cooldown: 2 * time.Second})
+		[]string{secondary.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,43 +92,34 @@ func doomed(rate float64, paths int, remaining int64, windowLeft time.Duration, 
 }
 
 // livePaths counts the fetcher's paths still able to carry traffic.
-func (f *Fetcher) livePaths() int {
+func (f *Fetcher) livePaths() int { return liveCount(f.paths) }
+
+func liveCount(paths []*pathConn) int {
 	n := 0
-	if !f.primary.isDown() {
-		n++
-	}
-	if !f.secondary.isDown() {
-		n++
+	for _, pc := range paths {
+		if !pc.isDown() {
+			n++
+		}
 	}
 	return n
 }
 
 // monitorDoom runs the abort controller for one chunk: every
 // controllerTick it re-evaluates the doom test and, on the first hit,
-// marks the ledger doomed and cancels both paths' in-flight transfers
+// marks the ledger doomed and cancels every path's in-flight transfer
 // through the hedge loser-cancel path. It returns when stop closes or
 // the doom fires. size is the chunk's total byte count; dlAt the α·D
 // deadline instant.
 func (f *Fetcher) monitorDoom(st *fetchState, ap AbortPolicy, size int64, segSize int64, start, dlAt time.Time, index, level int, stop <-chan struct{}) {
 	window := dlAt.Sub(start)
 	minWait := time.Duration(ap.MinProgress * float64(window))
-	// One runtime ticker per in-flight chunk does not scale to a 5k-
-	// session population; ride the shared wheel when one is wired.
-	var tickC <-chan time.Time
-	var stopTick func()
-	if f.wheel != nil {
-		wt := f.wheel.Ticker(controllerTick)
-		tickC, stopTick = wt.C, wt.Stop
-	} else {
-		tk := time.NewTicker(controllerTick)
-		tickC, stopTick = tk.C, tk.Stop
-	}
-	defer stopTick()
+	tk := SharedWheel().Ticker(controllerTick)
+	defer tk.Stop()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-tickC:
+		case <-tk.C:
 		}
 		if st.finished() || st.aborted() {
 			return
@@ -162,11 +153,10 @@ func (f *Fetcher) monitorDoom(st *fetchState, ap AbortPolicy, size int64, segSiz
 			// Cut the in-flight transfers: the loser-cancel path closes
 			// each connection mid-read and flags the supervised loop so
 			// the resulting I/O error is a cancellation, not a fault.
-			if !f.primary.isDown() {
-				f.primary.cancelForHedge()
-			}
-			if !f.secondary.isDown() {
-				f.secondary.cancelForHedge()
+			for _, pc := range f.paths {
+				if !pc.isDown() {
+					pc.cancelForHedge()
+				}
 			}
 			return
 		}
@@ -258,7 +248,7 @@ func fitLevel(video *dash.Video, sizes [][]int64, index, maxLevel int, rate floa
 // stale cancellation flag is consumed so the next fetch's first error is
 // classified honestly.
 func (f *Fetcher) restoreAfterAbort(pol RetryPolicy) {
-	for _, pc := range []*pathConn{f.primary, f.secondary} {
+	for _, pc := range f.paths {
 		if pc.isDown() {
 			continue
 		}

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"mpdash/internal/obs"
+	"mpdash/internal/stats"
 )
 
 // boardShards is the shard count; a power of two so the key hash maps
@@ -97,12 +98,7 @@ func NewCongestionBoardClocked(clk Clock) *CongestionBoard {
 // boardHash is the FNV-1a hash shared by shard selection and counter
 // striping, so one key always lands on one shard and one stripe.
 func boardHash(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
+	return stats.FNVString(stats.FNVOffset, key)
 }
 
 // shardFor hashes key to its shard (FNV-1a, masked).

@@ -26,6 +26,7 @@ package netmp
 import (
 	"sync"
 
+	"mpdash/internal/core"
 	"mpdash/internal/obs"
 )
 
@@ -36,7 +37,8 @@ type CacheHintPolicy struct {
 	// Disabled ignores X-MPDash-Cache headers entirely.
 	Disabled bool
 	// Damp is the maximum fraction by which a certain hit shrinks the
-	// engage test's remaining-byte demand. Default 0.7.
+	// engage test's remaining-byte demand (core.DemandFactor). Default
+	// core.DefaultHitDamp.
 	Damp float64
 	// HotThreshold is the hit probability at or above which hedging is
 	// suppressed for a chunk. Default 0.75.
@@ -48,7 +50,7 @@ type CacheHintPolicy struct {
 
 func (p CacheHintPolicy) withDefaults() CacheHintPolicy {
 	if p.Damp <= 0 || p.Damp > 1 {
-		p.Damp = 0.7
+		p.Damp = core.DefaultHitDamp
 	}
 	if p.HotThreshold <= 0 || p.HotThreshold > 1 {
 		p.HotThreshold = 0.75

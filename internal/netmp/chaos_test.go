@@ -443,7 +443,7 @@ func TestMultiFetchSurvivesPrimaryDeath(t *testing.T) {
 		servers = append(servers, s)
 		addrs = append(addrs, s.Addr())
 	}
-	m, err := NewMultiFetcher(video, addrs[0], addrs[1:]...)
+	m, err := NewFetcher(video, addrs[0], addrs[1:]...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestMultiFetchSurvivesExtraSecondaryDeath(t *testing.T) {
 		servers = append(servers, s)
 		addrs = append(addrs, s.Addr())
 	}
-	m, err := NewMultiFetcher(video, addrs[0], addrs[1:]...)
+	m, err := NewFetcher(video, addrs[0], addrs[1:]...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,15 +528,16 @@ func TestMultiFetchSurvivesExtraSecondaryDeath(t *testing.T) {
 	}
 
 	// The next chunk must run on the two survivors from the start.
+	before := st[2].Bytes
 	res2, err := m.FetchChunk(1, 2, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.Verified || res2.PrimaryBytes+res2.SecondaryBytes != res2.Size {
-		t.Errorf("post-death chunk incomplete: %+v", res2.FetchResult)
+		t.Errorf("post-death chunk incomplete: %+v", res2)
 	}
-	if res2.SecondaryBytesByPath[1] != 0 {
-		t.Errorf("dead secondary-2 carried %d bytes", res2.SecondaryBytesByPath[1])
+	if got := m.PathStats()[2].Bytes - before; got != 0 {
+		t.Errorf("dead secondary-2 carried %d bytes", got)
 	}
 }
 

@@ -124,7 +124,7 @@ func NewEdgeServer(video *dash.Video, name string, origins []string, store *cach
 		conns:  make(map[net.Conn]struct{}),
 	}
 	for i := 0; i < pol.FillFetchers; i++ {
-		f, err := NewFetcherOrigins(video, origins, origins, pol.Breaker)
+		f, err := NewFetcherOrigins(video, pol.Breaker, origins, origins)
 		if err != nil {
 			cancel()
 			ln.Close()

@@ -9,11 +9,13 @@ import (
 	"sync"
 	"time"
 
+	"mpdash/internal/core"
 	"mpdash/internal/dash"
 	"mpdash/internal/obs"
+	"mpdash/internal/predict"
 )
 
-// DefaultSegmentSize is the range granularity of the dual-socket fetcher.
+// DefaultSegmentSize is the range granularity of the fetcher.
 const DefaultSegmentSize = 32 * 1024
 
 // controllerTick is the cadence at which the secondary-path controller
@@ -26,16 +28,17 @@ const (
 	ledgerIdleSleep = time.Millisecond
 )
 
-// Fetcher downloads chunks over two TCP connections with MP-DASH's
-// deadline logic: the preferred connection pulls ranges from the front of
-// the chunk; the secondary connection is engaged to pull from the back
-// only while the preferred path's measured throughput cannot finish the
-// remainder within α·D, and it stands down as soon as it can (Algorithm 1
-// lines 16–21 in userspace). Both paths run under supervision (see
-// supervise.go): transient I/O faults are retried through redials with
-// backoff, failed segments are requeued to the surviving path, and the
-// fetcher keeps working in degraded single-path mode — on either path
-// alone — when one path dies for good.
+// Fetcher downloads chunks over N TCP connections (one per network path)
+// with MP-DASH's deadline logic: the preferred connection pulls ranges
+// from the front of the chunk; secondaries are engaged, cheapest first,
+// to pull from the back only while the measured throughput cannot finish
+// the remainder within α·D, and each stands down as soon as the cheaper
+// set suffices again (Algorithm 1 lines 16–21 in userspace, decided by
+// core.Engage). Every path runs under supervision (see supervise.go):
+// transient I/O faults are retried through redials with backoff, failed
+// segments are requeued to the surviving paths, and the fetcher keeps
+// working in degraded mode — on any non-empty subset of paths — when
+// paths die for good.
 type Fetcher struct {
 	Video *dash.Video
 	// Sizes optionally overrides the video's generated chunk sizes with
@@ -63,10 +66,11 @@ type Fetcher struct {
 	// exactly as before.
 	CacheHint CacheHintPolicy
 
-	primary   *pathConn
-	secondary *pathConn
-	hedge     hedgeState
-	abort     abortState
+	// paths are the supervised connections: paths[0] is the preferred
+	// path, the rest are secondaries in ascending cost order.
+	paths []*pathConn
+	hedge hedgeState
+	abort abortState
 	// board is the optional congestion-board attachment (board.go); set
 	// by JoinBoard before fetching, nil when flying solo.
 	board *boardLink
@@ -74,12 +78,6 @@ type Fetcher struct {
 	// clk supplies wall time for deadlines, durations, and telemetry
 	// timestamps (nil = time.Now); set with SetClock before fetching.
 	clk Clock
-
-	// wheel is the optional shared timer wheel (wheel.go): hedge-arm
-	// triggers and doom-monitor ticks ride it instead of per-call
-	// runtime timers. Set with SetWheel before fetching; nil (the
-	// single-session default) falls back to runtime timers.
-	wheel *TimerWheel
 
 	// obsMu guards fobs; the published *fetcherObs itself is immutable,
 	// so one lock acquisition per read suffices (see telemetry.go).
@@ -93,25 +91,19 @@ type Fetcher struct {
 	chint cacheHintState
 
 	// tref names the in-flight chunk's span trace (tracing.go); shared
-	// with both pathConns so the supervisor can attach redial spans.
+	// with every pathConn so the supervisor can attach redial spans.
 	tref traceRef
 }
 
 // SetClock injects the fetcher's wall clock (nil restores time.Now),
-// propagating it to both supervised paths. Call before fetching; see the
+// propagating it to every supervised path. Call before fetching; see the
 // Clock docs for the fixed-clock determinism pattern.
 func (f *Fetcher) SetClock(c Clock) {
 	f.clk = c
-	f.primary.setClock(c)
-	f.secondary.setClock(c)
+	for _, pc := range f.paths {
+		pc.setClock(c)
+	}
 }
-
-// SetWheel attaches a shared timer wheel so this fetcher's hedge-arm
-// and doom-monitor timers ride one population-wide structure instead
-// of allocating runtime timers per segment. Nil (the default) keeps
-// runtime timers. Call before fetching; the swarm wires every
-// session's fetcher to one wheel.
-func (f *Fetcher) SetWheel(w *TimerWheel) { f.wheel = w }
 
 // obsHandles returns the published telemetry handles (nil = off).
 func (f *Fetcher) obsHandles() *fetcherObs {
@@ -128,46 +120,70 @@ func (f *Fetcher) chunkSize(index, level int) int64 {
 	return f.Video.ChunkSize(index, level)
 }
 
-// NewFetcher dials both paths, one origin each.
-func NewFetcher(video *dash.Video, primaryAddr, secondaryAddr string) (*Fetcher, error) {
-	return NewFetcherOrigins(video, []string{primaryAddr}, []string{secondaryAddr}, BreakerPolicy{})
+// NewFetcher dials the preferred path plus any number of secondaries
+// (ascending cost order), one origin each.
+func NewFetcher(video *dash.Video, primaryAddr string, secondaryAddrs ...string) (*Fetcher, error) {
+	paths := [][]string{{primaryAddr}}
+	for _, a := range secondaryAddrs {
+		paths = append(paths, []string{a})
+	}
+	return NewFetcherOrigins(video, BreakerPolicy{}, paths...)
 }
 
-// NewFetcherOrigins dials both paths through ranked origin sets: each
-// slice lists a path's origin addresses in preference order, each gated
-// by a circuit breaker under pol (zero value = defaults). The initial
-// dial succeeds on the first reachable origin of each path.
-func NewFetcherOrigins(video *dash.Video, primaryOrigins, secondaryOrigins []string, pol BreakerPolicy) (*Fetcher, error) {
+// NewFetcherOrigins dials each path through a ranked origin set: paths[0]
+// is the preferred path, the rest secondaries in ascending cost order;
+// each slice lists a path's origin addresses in preference order, each
+// gated by a circuit breaker under pol (zero value = defaults). The
+// initial dial succeeds on the first reachable origin of each path.
+func NewFetcherOrigins(video *dash.Video, pol BreakerPolicy, paths ...[]string) (*Fetcher, error) {
 	if err := video.Validate(); err != nil {
 		return nil, err
 	}
-	p, err := dialOrigins("primary", primaryOrigins, pol)
-	if err != nil {
-		return nil, err
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("netmp: at least one path required")
 	}
-	s, err := dialOrigins("secondary", secondaryOrigins, pol)
-	if err != nil {
-		p.conn.Close()
-		return nil, err
+	f := &Fetcher{Video: video, Alpha: 1, SegmentSize: DefaultSegmentSize}
+	f.hedge.hw = predict.NewDefaultHoltWinters()
+	for i, origins := range paths {
+		name := "primary"
+		if i > 0 {
+			name = "secondary"
+		}
+		if i > 1 {
+			name += "-" + strconv.Itoa(i)
+		}
+		pc, err := dialOrigins(name, origins, pol)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		pc.tref = &f.tref
+		f.paths = append(f.paths, pc)
 	}
-	f := &Fetcher{Video: video, Alpha: 1, SegmentSize: DefaultSegmentSize, primary: p, secondary: s}
-	p.tref = &f.tref
-	s.tref = &f.tref
 	return f, nil
 }
 
-// Close tears down both connections, reporting every failure.
+// Close tears down every connection, reporting every failure.
 func (f *Fetcher) Close() error {
-	return errors.Join(f.primary.close(), f.secondary.close())
+	var errs []error
+	for _, pc := range f.paths {
+		errs = append(errs, pc.close())
+	}
+	return errors.Join(errs...)
 }
 
-// PathStats returns health snapshots for the primary then secondary path.
+// PathStats returns health snapshots for the preferred path and then
+// every secondary in cost order.
 func (f *Fetcher) PathStats() []PathStats {
-	return []PathStats{f.primary.stats(), f.secondary.stats()}
+	out := make([]PathStats, len(f.paths))
+	for i, pc := range f.paths {
+		out[i] = pc.stats()
+	}
+	return out
 }
 
 // DegradedFor returns the total time paths have spent down — the
-// session's degraded single-path interval.
+// session's degraded interval.
 func (f *Fetcher) DegradedFor() time.Duration {
 	var d time.Duration
 	for _, ps := range f.PathStats() {
@@ -176,9 +192,17 @@ func (f *Fetcher) DegradedFor() time.Duration {
 	return d
 }
 
-// failoverCount sums origin switches across the embedded pair.
-func (f *Fetcher) failoverCount() int64 {
-	return f.primary.set.Failovers() + f.secondary.set.Failovers()
+// faultCounters sums the cumulative fault counters (and origin switches)
+// across every path — the per-fetch delta basis.
+func (f *Fetcher) faultCounters() (retries, redials, wasted, failovers int64) {
+	for _, pc := range f.paths {
+		ret, red, waste := pc.counters()
+		retries += ret
+		redials += red
+		wasted += waste
+		failovers += pc.set.Failovers()
+	}
+	return
 }
 
 // FetchResult reports one chunk download.
@@ -357,6 +381,14 @@ func (st *fetchState) aborted() bool {
 	return st.failed
 }
 
+// stopped reports whether the workers should wind down: every segment
+// fetched, the requeue budget blown, or the chunk abandoned as doomed.
+func (st *fetchState) stopped() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.done == st.total || st.failed || st.doomed
+}
+
 // markDoomed flags the chunk as a predicted deadline miss: no further
 // segments will be claimed and the workers wind down.
 func (st *fetchState) markDoomed() {
@@ -400,26 +432,31 @@ func (st *fetchState) remainingSegments() int {
 	return n + len(st.requeued)
 }
 
-// underPressure is the Algorithm 1 engagement test: true when the
-// cumulative throughput cannot move the remaining bytes within what is
-// left of the α·D window. It also returns the measured rate (bytes/s,
-// zero before the warmup sample) and the remaining window — the numbers
-// that drove the decision, journalled with each engage/stand-down.
-func underPressure(elapsed time.Duration, d time.Duration, alpha float64, got int64, remaining float64) (pressure bool, rate, windowLeft float64) {
+// engageCount is the socket stack's driver around core.Engage. It gathers
+// the kernel's inputs — what is left of the α·D window and, as every
+// path's estimate, the chunk's cumulative mean rate (bytes/s; there is no
+// sample before pressureWarmup, so nothing engages on rate until then) —
+// and returns how many leading secondaries the kernel turns on, with the
+// rate and window that drove the answer (journalled with each toggle).
+func engageCount(elapsed, d time.Duration, alpha float64, got int64, need float64, paths int) (on int, rate, windowLeft float64) {
 	windowLeft = alpha*d.Seconds() - elapsed.Seconds()
-	if windowLeft <= 0 {
-		return true, 0, windowLeft
+	if windowLeft > 0 {
+		if elapsed < pressureWarmup {
+			return 0, 0, windowLeft
+		}
+		rate = float64(got) / elapsed.Seconds()
 	}
-	if elapsed < pressureWarmup {
-		return false, 0, windowLeft // no throughput sample yet
+	var buf [8]float64
+	est := buf[:0]
+	for i := 0; i < paths; i++ {
+		est = append(est, rate)
 	}
-	rate = float64(got) / elapsed.Seconds()
-	return rate*windowLeft < remaining, rate, windowLeft
+	return core.Engage(need, windowLeft, est), rate, windowLeft
 }
 
 // FetchChunk downloads chunk (index, level) with deadline window d. It
-// survives transient path faults (retry + redial + requeue) and runs
-// single-path when one path is down; it fails only when both paths die
+// survives transient path faults (retry + redial + requeue) and runs on
+// whatever subset of paths is alive; it fails only when every path dies
 // (ErrAllPathsDown) or a segment exhausts its requeue budget on every
 // live path (ErrChunkExhausted).
 func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, error) {
@@ -429,7 +466,7 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
 	}
-	if f.primary.isDown() && f.secondary.isDown() {
+	if f.livePaths() == 0 {
 		return nil, ErrAllPathsDown
 	}
 	nSegs := int((size + segSize - 1) / segSize)
@@ -454,9 +491,7 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	fsp.SetNum("size", float64(size))
 	fsp.SetNum("segs", float64(nSegs))
 	defer fsp.End()
-	pRet0, pRed0, pWaste0 := f.primary.counters()
-	sRet0, sRed0, sWaste0 := f.secondary.counters()
-	fo0 := f.failoverCount()
+	ret0, red0, waste0, fo0 := f.faultCounters()
 	hi0, hw0, hc0, hwb0 := f.hedge.snapshot()
 	var mu sync.Mutex // guards res byte counters
 	var wg sync.WaitGroup
@@ -484,7 +519,7 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 			return err
 		}
 		mu.Lock()
-		if pc == f.primary {
+		if pc == f.paths[0] {
 			res.PrimaryBytes += n
 		} else {
 			res.SecondaryBytes += n
@@ -528,7 +563,6 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 			return false
 		}
 	}
-
 	// Doom monitor: abort the chunk once even best-case all-path
 	// delivery projects a deadline miss. Only above the lowest rendition
 	// — with nothing to downgrade to, a doomed level-0 chunk rides out.
@@ -538,83 +572,80 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 		go f.monitorDoom(st, f.Abort.withDefaults(), size, segSize, start, dlAt, index, level, doomStop)
 	}
 
-	// Primary: drain from the front while the path lives.
-	if !f.primary.isDown() {
+	// Preferred path: drain from the front while the path lives.
+	if primary := f.paths[0]; !primary.isDown() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if st.finished() || st.aborted() || st.isDoomed() {
-					return
-				}
-				seg := st.claimFrontFor(f.primary)
+			for !st.stopped() {
+				seg := st.claimFrontFor(primary)
 				if seg < 0 {
-					// Nothing claimable now; a segment in flight on the
-					// other path may yet fail back into the ledger.
+					// Nothing claimable now; a segment in flight on
+					// another path may yet fail back into the ledger.
 					time.Sleep(ledgerIdleSleep)
 					continue
 				}
-				if !handle(f.primary, seg, fetchSeg(f.primary, seg)) {
+				if !handle(primary, seg, fetchSeg(primary, seg)) {
 					return
 				}
 			}
 		}()
 	}
 
-	// Controller + secondary: engage the costly path under deadline
-	// pressure, or unconditionally once the preferred path is down
-	// (degraded mode inverts the cost preference to honor the deadline).
-	// While engaged it keeps claiming back-segments — re-evaluating
-	// pressure per segment, not per tick — so a fast secondary saturates
-	// and still stands down as soon as the primary suffices again.
-	if !f.secondary.isDown() {
+	// One controller per secondary: path k joins while the kernel's
+	// minimal covering prefix over the live paths reaches it, or
+	// unconditionally once every cheaper path is down (degraded mode
+	// inverts the cost preference to honor the deadline). While engaged
+	// it keeps claiming back-segments — re-evaluating per segment, not
+	// per tick — so a fast secondary saturates and still stands down as
+	// soon as the cheaper set suffices again.
+	for k := 1; k < len(f.paths); k++ {
+		cheaper, pc := f.paths[:k], f.paths[k]
+		if pc.isDown() {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			engaged := false
-			for {
-				if st.finished() || st.aborted() || st.isDoomed() {
-					return
-				}
-				remaining := float64(st.remainingSegments()) * float64(segSize)
+			for !st.stopped() {
+				need := float64(st.remainingSegments()) * float64(segSize)
 				// Cache-aware service-time hint: a chunk the edge will
 				// serve from its store moves far faster than the path
-				// rate history suggests, so scale the demand down by the
-				// hit probability before the pressure test. A known miss
-				// (or no edge at all) leaves the demand untouched.
-				if hp := f.cacheHitProb(index); hp > 0 {
-					remaining *= 1 - f.CacheHint.withDefaults().Damp*hp
-				}
-				if !f.primary.isDown() {
+				// rate history suggests, so the demand shrinks with the
+				// hit probability. A known miss (or no edge at all)
+				// leaves it untouched.
+				need *= core.DemandFactor(f.cacheHitProb(index), f.CacheHint.Damp)
+				if rank := liveCount(cheaper); rank > 0 {
 					mu.Lock()
 					got := res.PrimaryBytes + res.SecondaryBytes
 					mu.Unlock()
-					pressure, rate, window := underPressure(f.clk.now().Sub(start), d, alpha, got, remaining)
-					if !pressure {
+					on, rate, window := engageCount(f.clk.now().Sub(start), d, alpha, got, need, f.livePaths())
+					if rank > on {
 						if engaged {
 							engaged = false
-							fo.emitToggle(false, "", f.secondary.name, index, level, rate, remaining, window)
+							fo.emitToggle(false, "", pc.name, index, level, rate, need, window)
 						}
 						time.Sleep(controllerTick)
 						continue
 					}
 					if !engaged {
 						engaged = true
-						fo.emitToggle(true, "pressure", f.secondary.name, index, level, rate, remaining, window)
+						fo.emitToggle(true, "pressure", pc.name, index, level, rate, need, window)
 					}
 				} else if !engaged {
 					engaged = true
-					fo.emitToggle(true, "primary-down", f.secondary.name, index, level, 0, remaining, 0)
+					fo.emitToggle(true, "primary-down", pc.name, index, level, 0, need, 0)
 				}
-				seg := st.claimBackFor(f.secondary)
+				seg := st.claimBackFor(pc)
 				if seg < 0 {
-					if st.finished() || st.aborted() || st.isDoomed() {
+					if st.stopped() {
 						return
 					}
 					time.Sleep(ledgerIdleSleep)
 					continue
 				}
-				if !handle(f.secondary, seg, fetchSeg(f.secondary, seg)) {
+				if !handle(pc, seg, fetchSeg(pc, seg)) {
 					return
 				}
 			}
@@ -626,12 +657,11 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 		close(doomStop)
 	}
 
-	pRet, pRed, pWaste := f.primary.counters()
-	sRet, sRed, sWaste := f.secondary.counters()
-	res.Retries = (pRet - pRet0) + (sRet - sRet0)
-	res.Redials = (pRed - pRed0) + (sRed - sRed0)
-	res.WastedBytes = (pWaste - pWaste0) + (sWaste - sWaste0)
-	res.Failovers = f.failoverCount() - fo0
+	ret, red, waste, fov := f.faultCounters()
+	res.Retries = ret - ret0
+	res.Redials = red - red0
+	res.WastedBytes = waste - waste0
+	res.Failovers = fov - fo0
 	hi, hw, hc, hwb := f.hedge.snapshot()
 	res.HedgesIssued = hi - hi0
 	res.HedgesWon = hw - hw0
@@ -640,7 +670,8 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	st.mu.Lock()
 	res.Requeued = st.requeueCount
 	st.mu.Unlock()
-	res.Degraded = f.primary.isDown() || f.secondary.isDown()
+	live := f.livePaths()
+	res.Degraded = live < len(f.paths)
 
 	// On failure the partial result still carries the fault accounting,
 	// so callers can fold retries/redials into session totals.
@@ -665,7 +696,7 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 			errMu.Lock()
 			joined := errors.Join(workerErrs...)
 			errMu.Unlock()
-			if f.primary.isDown() && f.secondary.isDown() {
+			if live == 0 {
 				ferr = errors.Join(ErrAllPathsDown, joined)
 			} else if joined == nil {
 				ferr = fmt.Errorf("netmp: chunk %d level %d incomplete", index, level)
@@ -767,30 +798,11 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 	if _, err := io.WriteString(pc.conn, "GET /manifest.mpd HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
 		return nil, nil, fmt.Errorf("netmp: manifest request: %w", err)
 	}
-	status, err := pc.r.ReadString('\n')
+	contentLength, _, err := pc.readHead("200")
 	if err != nil {
-		return nil, nil, fmt.Errorf("netmp: manifest status: %w", err)
+		return nil, nil, err
 	}
-	if !strings.Contains(status, "200") {
-		return nil, nil, fmt.Errorf("netmp: manifest status %q", strings.TrimSpace(status))
-	}
-	var contentLength int64 = -1
-	for {
-		h, err := pc.r.ReadString('\n')
-		if err != nil {
-			return nil, nil, fmt.Errorf("netmp: manifest headers: %w", err)
-		}
-		h = strings.TrimSpace(h)
-		if h == "" {
-			break
-		}
-		if v, found := headerCut(h, "Content-Length"); found {
-			if contentLength, err = strconv.ParseInt(v, 10, 64); err != nil {
-				return nil, nil, fmt.Errorf("netmp: manifest length: %w", err)
-			}
-		}
-	}
-	if contentLength < 0 || contentLength > 64<<20 {
+	if contentLength > 64<<20 {
 		return nil, nil, fmt.Errorf("netmp: manifest length %d", contentLength)
 	}
 	body := make([]byte, contentLength)
@@ -802,6 +814,50 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 		return nil, nil, err
 	}
 	return dash.VideoFromManifest(mpd, "remote")
+}
+
+// readHead reads one HTTP response head off the path's connection: the
+// status line, which must carry the wanted code (a 503 is errServerBusy,
+// any other mismatch errBadStatus), then the headers up to the blank
+// line. It returns the Content-Length (required) and the lower-cased
+// X-MPDash-Cache value ("" when the header is absent).
+func (pc *pathConn) readHead(want string) (contentLength int64, cacheState string, err error) {
+	status, err := pc.r.ReadString('\n')
+	if err != nil {
+		return 0, "", fmt.Errorf("netmp: %s status: %w", pc.name, err)
+	}
+	if !strings.Contains(status, want) {
+		if strings.Contains(status, "503") {
+			// Overload rejection: transient, and breaker fuel for a
+			// failover to a less-loaded origin.
+			return 0, "", fmt.Errorf("netmp: %s %w", pc.name, errServerBusy)
+		}
+		return 0, "", fmt.Errorf("netmp: %s %w %q", pc.name, errBadStatus, strings.TrimSpace(status))
+	}
+	contentLength = -1
+	for {
+		h, err := pc.r.ReadString('\n')
+		if err != nil {
+			return 0, "", fmt.Errorf("netmp: %s headers: %w", pc.name, err)
+		}
+		h = strings.TrimSpace(h)
+		if h == "" {
+			break
+		}
+		if v, found := headerCut(h, "Content-Length"); found {
+			contentLength, err = strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return 0, "", fmt.Errorf("netmp: %s content-length %q: %w", pc.name, v, err)
+			}
+		}
+		if v, found := headerCut(h, "X-MPDash-Cache"); found {
+			cacheState = strings.ToLower(v)
+		}
+	}
+	if contentLength < 0 {
+		return 0, "", fmt.Errorf("netmp: %s missing content length", pc.name)
+	}
+	return contentLength, cacheState, nil
 }
 
 // requestRange performs one HTTP range request on a path connection and
@@ -825,41 +881,9 @@ func (f *Fetcher) requestRange(pc *pathConn, index, level int, from, to int64) (
 	if werr != nil {
 		return 0, false, fmt.Errorf("netmp: %s write: %w", pc.name, werr)
 	}
-	status, err := pc.r.ReadString('\n')
+	contentLength, cacheState, err := pc.readHead("206")
 	if err != nil {
-		return 0, false, fmt.Errorf("netmp: %s status: %w", pc.name, err)
-	}
-	if !strings.Contains(status, "206") {
-		if strings.Contains(status, "503") {
-			// Overload rejection: transient, and breaker fuel for a
-			// failover to a less-loaded origin.
-			return 0, false, fmt.Errorf("netmp: %s %w", pc.name, errServerBusy)
-		}
-		return 0, false, fmt.Errorf("netmp: %s %w %q", pc.name, errBadStatus, strings.TrimSpace(status))
-	}
-	var contentLength int64 = -1
-	cacheState := ""
-	for {
-		h, err := pc.r.ReadString('\n')
-		if err != nil {
-			return 0, false, fmt.Errorf("netmp: %s headers: %w", pc.name, err)
-		}
-		h = strings.TrimSpace(h)
-		if h == "" {
-			break
-		}
-		if v, found := headerCut(h, "Content-Length"); found {
-			contentLength, err = strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return 0, false, fmt.Errorf("netmp: %s content-length %q: %w", pc.name, v, err)
-			}
-		}
-		if v, found := headerCut(h, "X-MPDash-Cache"); found {
-			cacheState = strings.ToLower(v)
-		}
-	}
-	if contentLength < 0 {
-		return 0, false, fmt.Errorf("netmp: %s missing content length", pc.name)
+		return 0, false, err
 	}
 	if cacheState != "" && !f.CacheHint.Disabled {
 		hit := cacheState == "hit"

@@ -54,8 +54,9 @@ func (p HedgePolicy) withDefaults() HedgePolicy {
 	return p
 }
 
-// hedgeState is the fetcher-wide hedging runtime: the pace predictor and
-// the session counters. Safe for concurrent use.
+// hedgeState is the fetcher-wide hedging runtime: the pace predictor
+// (built by NewFetcherOrigins) and the session counters. Safe for
+// concurrent use.
 type hedgeState struct {
 	mu        sync.Mutex
 	hw        *predict.HoltWinters
@@ -71,9 +72,6 @@ func (h *hedgeState) observe(bytes int64, d time.Duration) {
 		return
 	}
 	h.mu.Lock()
-	if h.hw == nil {
-		h.hw = predict.NewDefaultHoltWinters()
-	}
 	h.hw.Observe(float64(bytes) / d.Seconds())
 	h.mu.Unlock()
 }
@@ -87,9 +85,6 @@ func (h *hedgeState) seed(rate float64) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.hw == nil {
-		h.hw = predict.NewDefaultHoltWinters()
-	}
 	if h.hw.Samples() == 0 {
 		h.hw.Seed(rate)
 	}
@@ -100,9 +95,6 @@ func (h *hedgeState) seed(rate float64) {
 func (h *hedgeState) predictedRate() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.hw == nil {
-		return 0
-	}
 	return h.hw.Predict()
 }
 
@@ -111,9 +103,6 @@ func (h *hedgeState) predictedRate() float64 {
 func (h *hedgeState) predictedServiceTime(n int64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.hw == nil {
-		return 0
-	}
 	rate := h.hw.Predict()
 	if rate <= 0 {
 		return 0
@@ -226,9 +215,7 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 	}()
 
 	delay := f.hedgeDelay(hp, pol, to-from+1, dlAt)
-	// The arm trigger rides the shared timer wheel when one is wired
-	// (f.wheel.After is nil-safe and falls back to a runtime timer).
-	armCh, armTimer := f.wheel.After(delay)
+	armCh, armTimer := SharedWheel().After(delay)
 	var first segOutcome
 	select {
 	case first = <-resCh:

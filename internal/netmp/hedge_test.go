@@ -29,9 +29,9 @@ func hedgeRig(t *testing.T, plan *FaultPlan) (f *Fetcher) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err = NewFetcherOrigins(video,
+	f, err = NewFetcherOrigins(video, BreakerPolicy{Cooldown: 30 * time.Second},
 		[]string{slow.Addr(), clean.Addr()},
-		[]string{sec.Addr()}, BreakerPolicy{Cooldown: 30 * time.Second})
+		[]string{sec.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,13 @@ func TestHedgeExactlyOnceUnderRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hedge race test in -short mode")
 	}
-	// Both origins are clean and hedges arm almost immediately, so every
-	// segment is a genuine two-way race. Whichever side wins, the ledger
-	// must see each segment exactly once: byte sums equal the chunk size,
-	// every byte verifies, and no chunk double-counts a cancelled loser's
-	// partial payload.
-	f := hedgeRig(t, nil)
+	// The preferred origin pauses each response for about two timer-wheel
+	// ticks and hedges arm on the first tick, so every segment is a
+	// genuine two-way race. Whichever side wins, the ledger must see each
+	// segment exactly once: byte sums equal the chunk size, every byte
+	// verifies, and no chunk double-counts a cancelled loser's partial
+	// payload.
+	f := hedgeRig(t, &FaultPlan{StallProb: 1, StallFor: 12 * time.Millisecond, Seed: 9})
 	f.Hedge = HedgePolicy{Factor: 0.01, MinDelay: time.Nanosecond, BudgetBytes: 1 << 30}
 	f.hedge.observe(1<<20, 10*time.Millisecond)
 

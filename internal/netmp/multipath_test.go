@@ -1,16 +1,19 @@
 package netmp
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"mpdash/internal/dash"
 )
 
-// multiRig starts one server per path and a MultiFetcher across them.
+// multiRig starts one server per path and an N-path Fetcher across them
+// (rates[0] is the preferred path, the rest secondaries in cost order).
 // Full-size (Big Buck Bunny) chunks keep the workload well above the
 // shaper's burst allowance.
-func multiRig(t *testing.T, rates ...float64) (*MultiFetcher, []*ChunkServer) {
+func multiRig(t *testing.T, rates ...float64) (*Fetcher, []*ChunkServer) {
 	t.Helper()
 	v := dash.BigBuckBunny()
 	var servers []*ChunkServer
@@ -23,32 +26,42 @@ func multiRig(t *testing.T, rates ...float64) (*MultiFetcher, []*ChunkServer) {
 		servers = append(servers, s)
 		addrs = append(addrs, s.Addr())
 	}
-	m, err := NewMultiFetcher(v, addrs[0], addrs[1:]...)
+	f, err := NewFetcher(v, addrs[0], addrs[1:]...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		m.Close()
+		f.Close()
 		for _, s := range servers {
 			s.Close()
 		}
 	})
-	return m, servers
+	return f, servers
 }
 
-func TestNewMultiFetcherValidation(t *testing.T) {
-	v := dash.BigBuckBunny()
-	if _, err := NewMultiFetcher(v, "127.0.0.1:1"); err == nil {
-		t.Error("no secondaries accepted")
+// pathBytes snapshots each path's verified byte counter; per-secondary
+// shares of one fetch are the deltas around it.
+func pathBytes(f *Fetcher) []int64 {
+	var out []int64
+	for _, ps := range f.PathStats() {
+		out = append(out, ps.Bytes)
 	}
-	if _, err := NewMultiFetcher(v, "127.0.0.1:1", "127.0.0.1:1"); err == nil {
+	return out
+}
+
+func TestNewFetcherValidation(t *testing.T) {
+	v := dash.BigBuckBunny()
+	if _, err := NewFetcherOrigins(v, BreakerPolicy{}); err == nil {
+		t.Error("no paths accepted")
+	}
+	if _, err := NewFetcher(v, "127.0.0.1:1", "127.0.0.1:1"); err == nil {
 		t.Error("dead primary accepted")
 	}
 }
 
 func TestMultiFetchLooseDeadlineAllDark(t *testing.T) {
-	m, servers := multiRig(t, 16, 16, 16)
-	res, err := m.FetchChunk(0, 0, 3*time.Second)
+	f, servers := multiRig(t, 16, 16, 16)
+	res, err := f.FetchChunk(0, 0, 3*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +82,9 @@ func TestMultiFetchLooseDeadlineAllDark(t *testing.T) {
 func TestMultiFetchPressureEngagesCheapFirst(t *testing.T) {
 	// Starved primary, modest deadline: the cheap secondary must carry
 	// clearly more than the expensive one.
-	m, _ := multiRig(t, 2, 12, 12)
-	res, err := m.FetchChunk(1, 2, 1200*time.Millisecond)
+	f, _ := multiRig(t, 2, 12, 12)
+	before := pathBytes(f)
+	res, err := f.FetchChunk(1, 2, 1200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +94,46 @@ func TestMultiFetchPressureEngagesCheapFirst(t *testing.T) {
 	if res.SecondaryBytes == 0 {
 		t.Fatal("no secondary engaged under pressure")
 	}
-	cheap := res.SecondaryBytesByPath[0]
-	costly := res.SecondaryBytesByPath[1]
+	after := pathBytes(f)
+	cheap := after[1] - before[1]
+	costly := after[2] - before[2]
 	if cheap < costly {
 		t.Errorf("cost order violated: cheap %d < costly %d", cheap, costly)
 	}
+	if cheap+costly != res.SecondaryBytes {
+		t.Errorf("per-path secondary bytes %d+%d != result %d", cheap, costly, res.SecondaryBytes)
+	}
 	if res.PrimaryBytes+res.SecondaryBytes != res.Size {
 		t.Errorf("bytes %d+%d != %d", res.PrimaryBytes, res.SecondaryBytes, res.Size)
+	}
+}
+
+// N=1 is a plain supervised download: the chunk completes on the one
+// path, under deadline pressure too, and FetchChunk starts exactly one
+// goroutine — the preferred path's worker, no controller.
+func TestSinglePathFetch(t *testing.T) {
+	f, _ := multiRig(t, 8)
+	if n := len(f.PathStats()); n != 1 {
+		t.Fatalf("paths = %d, want 1", n)
+	}
+	spawned := make(chan int, 1)
+	go func() {
+		time.Sleep(60 * time.Millisecond) // mid-fetch: the chunk takes ~300ms at 8 Mbps
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		spawned <- strings.Count(string(buf), "created by mpdash/internal/netmp.(*Fetcher).FetchChunk")
+	}()
+	res, err := f.FetchChunk(0, 0, 50*time.Millisecond) // pressure from the start
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || res.PrimaryBytes != res.Size || res.SecondaryBytes != 0 {
+		t.Errorf("single-path result: %+v", res)
+	}
+	if res.MissedBy == 0 {
+		t.Error("a ~300ms chunk met a 50ms deadline: the rig is not under pressure")
+	}
+	if n := <-spawned; n != 1 {
+		t.Errorf("FetchChunk started %d goroutines mid-fetch, want 1 (no controller)", n)
 	}
 }

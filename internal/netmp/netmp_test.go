@@ -208,7 +208,7 @@ func TestServerRejectsBadRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, _, err := f.requestRange(f.primary, 0, 0, 500, 100); err == nil {
+	if _, _, err := f.requestRange(f.paths[0], 0, 0, 500, 100); err == nil {
 		t.Error("inverted range accepted")
 	}
 }

@@ -125,9 +125,9 @@ func multiOriginRig(t *testing.T, brk BreakerPolicy) (origA, origB *ChunkServer,
 		}
 		servers = append(servers, s)
 	}
-	f, err := NewFetcherOrigins(video,
+	f, err := NewFetcherOrigins(video, brk,
 		[]string{servers[0].Addr(), servers[1].Addr()},
-		[]string{servers[2].Addr()}, brk)
+		[]string{servers[2].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestCrashRestartFetcherFailover(t *testing.T) {
 	}
 	defer ss.Close()
 
-	f, err := NewFetcherOrigins(video, []string{p0.Addr(), p1.Addr()}, []string{ss.Addr()}, BreakerPolicy{})
+	f, err := NewFetcherOrigins(video, BreakerPolicy{}, []string{p0.Addr(), p1.Addr()}, []string{ss.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

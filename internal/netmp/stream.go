@@ -6,15 +6,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mpdash/internal/core"
 	"mpdash/internal/dash"
 	"mpdash/internal/obs"
 )
 
-// Streamer is a real-time DASH playback loop over the dual-socket
+// Streamer is a real-time DASH playback loop over the multi-socket
 // Fetcher: the wall clock drains the buffer, a dash.RateAdapter picks
-// levels, and each chunk gets an MP-DASH deadline (duration- or
-// rate-based with the §5.1 deadline extension) that the fetcher enforces
-// by engaging the secondary socket only under pressure. It is the
+// levels, and each chunk gets an MP-DASH deadline (core.ChunkDeadline:
+// duration- or rate-based with the §5.1 extension) that the fetcher
+// enforces by engaging secondary sockets only under pressure. It is the
 // end-to-end userspace analogue of the kernel prototype.
 //
 // The loop degrades rather than dies: a chunk that exhausts its retry
@@ -202,33 +203,15 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 		}
 
 		size := s.Fetcher.chunkSize(i, level)
-		deadline := video.ChunkDuration
-		if s.RateBased {
-			deadline = time.Duration(float64(size*8) / (video.Levels[level].AvgBitrateMbps * 1e6) * float64(time.Second))
-		}
-		if phi := time.Duration(phiFrac * float64(bufferCap)); buffer > phi {
-			deadline += buffer - phi
-			s.sobs.emitExtend(i, level, buffer-phi, buffer, phi)
+		phi := time.Duration(phiFrac * float64(bufferCap))
+		deadline, ext := core.ChunkDeadline(s.RateBased, size, video.Levels[level].AvgBitrateMbps*1e6, video.ChunkDuration, buffer, phi)
+		if ext > 0 {
+			s.sobs.emitExtend(i, level, ext, buffer, phi)
 		}
 		if !playing {
 			// Startup: no buffer cushion; fetch as fast as possible by
 			// declaring a minimal deadline so the secondary path helps.
 			deadline = time.Millisecond
-		}
-
-		// absorbFaults folds a failed fetch's fault accounting into the
-		// session totals; its partial payload counts as wasted.
-		absorbFaults := func(fr *FetchResult) {
-			if fr == nil {
-				return
-			}
-			res.Retries += fr.Retries
-			res.Redials += fr.Redials
-			res.Requeued += fr.Requeued
-			res.WastedBytes += fr.WastedBytes + fr.PrimaryBytes + fr.SecondaryBytes
-			res.WastedPrimaryBytes += fr.PrimaryBytes
-			res.WastedSecondaryBytes += fr.SecondaryBytes
-			absorbOriginStats(res, fr)
 		}
 
 		// One trace per chunk: opened with the selected rendition and the
@@ -250,13 +233,7 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 		for err != nil && errors.Is(err, ErrChunkDoomed) {
 			res.Aborts++
 			res.AbortWastedBytes += fr.PrimaryBytes + fr.SecondaryBytes
-			res.WastedBytes += fr.PrimaryBytes + fr.SecondaryBytes
-			res.WastedPrimaryBytes += fr.PrimaryBytes
-			res.WastedSecondaryBytes += fr.SecondaryBytes
-			res.Retries += fr.Retries
-			res.Redials += fr.Redials
-			res.Requeued += fr.Requeued
-			absorbOriginStats(res, fr)
+			absorbFaults(res, fr)
 			window := deadline - clk.now().Sub(dlStart)
 			if window < time.Millisecond {
 				window = time.Millisecond
@@ -278,7 +255,7 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 		if err != nil && errors.Is(err, ErrChunkExhausted) && level != 0 {
 			// Lifeline: one refetch at the lowest level before declaring
 			// the chunk lost.
-			absorbFaults(fr)
+			absorbFaults(res, fr)
 			res.Refetches++
 			s.sobs.emitRefetch(i, level)
 			rsp := ct.StartSpan(obs.CatRefetch, "refetch")
@@ -288,7 +265,7 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 			rsp.End()
 		}
 		if err != nil {
-			absorbFaults(fr)
+			absorbFaults(res, fr)
 			if errors.Is(err, ErrChunkExhausted) {
 				// Chunk lost even at the lowest level: account a stall of
 				// one chunk duration and move on.
@@ -314,11 +291,7 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 
 		res.PrimaryBytes += fr.PrimaryBytes
 		res.SecondaryBytes += fr.SecondaryBytes
-		res.Retries += fr.Retries
-		res.Redials += fr.Redials
-		res.Requeued += fr.Requeued
-		res.WastedBytes += fr.WastedBytes
-		absorbOriginStats(res, fr)
+		absorbCounters(res, fr)
 		if !fr.Verified {
 			res.AllVerified = false
 		}
@@ -375,12 +348,30 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 	return res, nil
 }
 
-// absorbOriginStats folds one fetch's origin-tier counters (failovers,
-// hedges) into the session totals.
-func absorbOriginStats(res *StreamResult, fr *FetchResult) {
+// absorbCounters folds one fetch's fault and origin-tier counters
+// (retries, redials, requeues, fault waste, failovers, hedges) into the
+// session totals — every fetch, landed or not.
+func absorbCounters(res *StreamResult, fr *FetchResult) {
+	res.Retries += fr.Retries
+	res.Redials += fr.Redials
+	res.Requeued += fr.Requeued
+	res.WastedBytes += fr.WastedBytes
 	res.Failovers += fr.Failovers
 	res.HedgesIssued += fr.HedgesIssued
 	res.HedgesWon += fr.HedgesWon
 	res.HedgesCancelled += fr.HedgesCancelled
 	res.HedgeWastedBytes += fr.HedgeWastedBytes
+}
+
+// absorbFaults folds a fetch that delivered no chunk (failed or aborted)
+// into the session totals: its counters, and its partial payload as
+// waste on the path that carried it.
+func absorbFaults(res *StreamResult, fr *FetchResult) {
+	if fr == nil {
+		return
+	}
+	absorbCounters(res, fr)
+	res.WastedBytes += fr.PrimaryBytes + fr.SecondaryBytes
+	res.WastedPrimaryBytes += fr.PrimaryBytes
+	res.WastedSecondaryBytes += fr.SecondaryBytes
 }

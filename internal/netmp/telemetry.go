@@ -48,25 +48,13 @@ func (f *Fetcher) Instrument(t *obs.Telemetry) {
 		return
 	}
 	fo := newFetcherObs(t)
-	for _, pc := range []*pathConn{f.primary, f.secondary} {
+	for _, pc := range f.paths {
 		instrumentPath(t, pc)
 	}
 	registerHedgeMetrics(t.Registry, &f.hedge)
 	f.obsMu.Lock()
 	f.fobs = fo
 	f.obsMu.Unlock()
-}
-
-// Instrument wires the multi-path fetcher to t: the embedded pair plus
-// every extra secondary.
-func (m *MultiFetcher) Instrument(t *obs.Telemetry) {
-	if t == nil {
-		return
-	}
-	m.Fetcher.Instrument(t)
-	for _, pc := range m.extra {
-		instrumentPath(t, pc)
-	}
 }
 
 func newFetcherObs(t *obs.Telemetry) *fetcherObs {

@@ -7,13 +7,13 @@ import (
 )
 
 // TimerWheel is a hashed timer wheel: a fixed ring of slots, each
-// holding the timers whose expiry lands on that coarse tick. At swarm
-// scale it replaces per-session runtime timers (time.AfterFunc kill
-// timers, per-hedge time.NewTimer, per-chunk doom tickers) with one
-// shared structure — arming a timer is an append under a slot mutex,
-// cancelling it is a slot-local removal, and one driver goroutine
-// advances the whole population — so 5k sessions stop allocating and
-// tearing down runtime timers on every chunk.
+// holding the timers whose expiry lands on that coarse tick. It is the
+// package's only timer path — session kill timers, hedge-arm triggers
+// and doom-monitor ticks all ride the process-wide SharedWheel — so
+// arming a timer is an append under a slot mutex, cancelling it is a
+// slot-local removal, and one driver goroutine advances the whole
+// population instead of 5k sessions allocating and tearing down runtime
+// timers on every chunk.
 //
 // Expiry decisions are driven by the injectable Clock: the driver
 // ticks on wall time but every "is this due" comparison reads
@@ -59,7 +59,6 @@ type wheelSlot struct {
 // most once.
 type WheelTimer struct {
 	w     *TimerWheel
-	rt    *time.Timer // runtime fallback when armed on a nil wheel
 	when  time.Time
 	fn    func()
 	slot  int32
@@ -87,6 +86,19 @@ func NewTimerWheel(clk Clock, tick time.Duration) *TimerWheel {
 	return w
 }
 
+var (
+	sharedWheelOnce sync.Once
+	sharedWheel     *TimerWheel
+)
+
+// SharedWheel returns the process-wide wall-clock wheel, started on first
+// use and never closed: every Fetcher and the swarm's kill timers share
+// its one driver goroutine.
+func SharedWheel() *TimerWheel {
+	sharedWheelOnce.Do(func() { sharedWheel = NewTimerWheel(nil, 0) })
+	return sharedWheel
+}
+
 // Close stops the driver goroutine. Armed timers never fire after
 // Close; their goroutines are already accounted for (none is running).
 func (w *TimerWheel) Close() {
@@ -110,8 +122,7 @@ func (w *TimerWheel) drive() {
 }
 
 // AfterFunc arms fn to run once d from now, in its own goroutine
-// (time.AfterFunc semantics). Nil-safe: a nil wheel falls back to the
-// runtime timer, so call sites can wire the wheel optionally.
+// (time.AfterFunc semantics).
 func (w *TimerWheel) AfterFunc(d time.Duration, fn func()) *WheelTimer {
 	return w.afterFunc(d, fn, false)
 }
@@ -126,11 +137,6 @@ func (w *TimerWheel) After(d time.Duration) (<-chan struct{}, *WheelTimer) {
 }
 
 func (w *TimerWheel) afterFunc(d time.Duration, fn func(), inline bool) *WheelTimer {
-	if w == nil {
-		// Fallback: no wheel wired (single-session CLI) — use the
-		// runtime timer; Stop proxies to it.
-		return &WheelTimer{rt: time.AfterFunc(d, fn)}
-	}
 	if d < 0 {
 		d = 0
 	}
@@ -139,16 +145,20 @@ func (w *TimerWheel) afterFunc(d time.Duration, fn func(), inline bool) *WheelTi
 	return t
 }
 
-// insert places t on the slot of its expiry tick. A deadline on or
-// before the cursor's tick lands one tick ahead so the next advance
-// catches it.
+// insert places t on the slot of the first tick at or after its expiry.
+// The index rounds up because advanceTo examines a slot when its tick
+// starts: a deadline floored into a tick it falls in the middle of would
+// still be in the future then, and wait a whole lap for the next look. A
+// deadline on or before the cursor's tick lands one tick ahead so the
+// next advance catches it. The cursor lock is held across the append so
+// an advance cannot pass the chosen slot in between.
 func (w *TimerWheel) insert(t *WheelTimer) {
-	idx := int64(t.when.Sub(w.epoch) / w.tick)
+	idx := int64((t.when.Sub(w.epoch) + w.tick - 1) / w.tick)
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if idx <= w.cursor {
 		idx = w.cursor + 1
 	}
-	w.mu.Unlock()
 	slot := &w.slots[idx&(wheelSlots-1)]
 	t.slot = int32(idx & (wheelSlots - 1))
 	slot.mu.Lock()
@@ -160,13 +170,6 @@ func (w *TimerWheel) insert(t *WheelTimer) {
 // firing (false = the callback ran or is running). Nil-safe.
 func (t *WheelTimer) Stop() bool {
 	if t == nil {
-		return false
-	}
-	if t.w == nil {
-		// Runtime-backed fallback timer.
-		if t.rt != nil {
-			return t.rt.Stop()
-		}
 		return false
 	}
 	if !t.state.CompareAndSwap(0, 2) {
@@ -254,9 +257,8 @@ type WheelTicker struct {
 	stopped  bool
 }
 
-// Ticker returns a running WheelTicker. Nil-safe on the wheel only at
-// call sites that check; callers without a wheel should use
-// time.NewTicker instead.
+// Ticker returns a running WheelTicker (interval <= 0 selects the
+// wheel's tick).
 func (w *TimerWheel) Ticker(interval time.Duration) *WheelTicker {
 	if interval <= 0 {
 		interval = w.tick

@@ -198,28 +198,66 @@ func TestWheelTicker(t *testing.T) {
 	}
 }
 
-// A nil wheel degrades to runtime timers so call sites can wire the
-// wheel optionally.
-func TestWheelNilFallback(t *testing.T) {
-	var w *TimerWheel
-	fired := make(chan struct{})
-	tm := w.AfterFunc(5*time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Fatal("fallback timer did not fire")
+// A timer due in the middle of a tick lands on the slot of the tick that
+// ends it: armed 2.5 ticks out it fires on the advance to tick 3 — not a
+// full lap (512 ticks) later, as it did while the slot index was floored
+// and the slot was examined at its tick's start.
+func TestWheelMidTickDeadlineFiresNextTick(t *testing.T) {
+	mc := newManualClock()
+	w := NewTimerWheel(mc.clock(), time.Millisecond)
+	defer w.Close()
+
+	ch, _ := w.After(2500 * time.Microsecond)
+	fired := func() bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
 	}
+	mc.advance(w, time.Millisecond)
+	mc.advance(w, time.Millisecond)
+	if fired() {
+		t.Fatal("timer fired at tick 2, before its 2.5-tick deadline")
+	}
+	mc.advance(w, time.Millisecond)
+	if !fired() {
+		t.Fatal("timer due at 2.5 ticks still armed after the advance to tick 3")
+	}
+}
+
+// A ticker whose arm instants fall mid-tick (the normal case under the
+// real driver) keeps its cadence: every re-arm is a fresh mid-tick
+// deadline, so one late lap per re-arm would stall it after a few ticks.
+func TestWheelTickerKeepsCadenceOffTickBoundary(t *testing.T) {
+	mc := newManualClock()
+	w := NewTimerWheel(mc.clock(), 5*time.Millisecond)
+	defer w.Close()
+
+	mc.advance(w, 2*time.Millisecond) // arm 2ms into a tick: first due at 22ms
+	tk := w.Ticker(20 * time.Millisecond)
+	defer tk.Stop()
+	mc.advance(w, 3*time.Millisecond) // back on the 5ms grid, as the driver runs
+	ticks := 0
+	for i := 0; i < 19; i++ { // up to 100ms of clock in driver-sized steps
+		mc.advance(w, 5*time.Millisecond)
+		select {
+		case <-tk.C:
+			ticks++
+		default:
+		}
+	}
+	if ticks < 4 {
+		t.Fatalf("Ticker(20ms) delivered %d ticks in 100ms, want >= 4", ticks)
+	}
+}
+
+// Stop on a nil timer is a no-op, so deferred Stops need no guard.
+func TestWheelTimerStopNilSafe(t *testing.T) {
+	var tm *WheelTimer
 	if tm.Stop() {
-		t.Error("Stop after fire = true on fallback timer")
-	}
-	ch, ct := w.After(time.Hour)
-	if !ct.Stop() {
-		t.Error("Stop on armed fallback timer = false")
-	}
-	select {
-	case <-ch:
-		t.Error("stopped fallback channel timer fired")
-	default:
+		t.Error("Stop on a nil timer = true")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"mpdash/internal/stats"
 )
 
 // The critical-path walker answers "where did the overrun go?" for a
@@ -168,8 +170,8 @@ func BuildMissBudget(recs []*TraceRecord) MissBudget {
 			Category:  cat,
 			OverrunUS: total,
 			Share:     share,
-			P50US:     quantileUS(samples, 0.50),
-			P95US:     quantileUS(samples, 0.95),
+			P50US:     stats.NearestRank(samples, 0.50),
+			P95US:     stats.NearestRank(samples, 0.95),
 		})
 	}
 	sort.Slice(mb.Categories, func(i, j int) bool {
@@ -179,22 +181,6 @@ func BuildMissBudget(recs []*TraceRecord) MissBudget {
 		return mb.Categories[i].Category < mb.Categories[j].Category
 	})
 	return mb
-}
-
-// quantileUS is the exact sorted-sample quantile (ceil index), matching
-// the swarm aggregator's convention.
-func quantileUS(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Render prints the miss budget as a human-readable table.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"mpdash/internal/stats"
 )
 
 // Labels is one metric series' label set. Registry keys series on the
@@ -346,12 +348,7 @@ func NewRegistry() *Registry {
 
 // shard selects name's lock domain (FNV-1a, allocation-free).
 func (r *Registry) shard(name string) *regShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return &r.shards[h&(registryShards-1)]
+	return &r.shards[stats.FNVString(stats.FNVOffset, name)&(registryShards-1)]
 }
 
 // fam returns (creating if needed) the family for name within sh, which

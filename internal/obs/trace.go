@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"mpdash/internal/stats"
 )
 
 // Span categories. The critical-path walker attributes deadline overrun
@@ -102,15 +104,10 @@ func NewTracer(cfg TraceConfig) *Tracer {
 // traceID derives the deterministic 64-bit trace ID from the tracer
 // seed, the session and the chunk index (FNV-1a over the three words).
 func traceID(seed uint64, session, chunk int) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := stats.FNVOffset
 	for _, w := range [3]uint64{seed, uint64(int64(session)), uint64(int64(chunk))} {
 		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= prime
+			h = stats.FNVMix(h, (w>>(8*i))&0xff)
 		}
 	}
 	return h

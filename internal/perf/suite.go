@@ -20,6 +20,7 @@ import (
 	"mpdash/internal/obs"
 	"mpdash/internal/predict"
 	"mpdash/internal/sim"
+	"mpdash/internal/stats"
 	"mpdash/internal/trace"
 )
 
@@ -270,14 +271,14 @@ func traceChunkOp(tr *obs.Tracer, buf []byte, chunk int) uint64 {
 	t.SetDeadline(time.Second)
 	fsp := t.StartSpan(obs.CatFetch, "fetch")
 	fsp.SetNum("size", float64(len(buf)))
-	var sum uint64 = 14695981039346656037
+	sum := stats.FNVOffset
 	segLen := len(buf) / segs
 	for s := 0; s < segs; s++ {
 		ssp := t.StartSpan(obs.CatSegment, "segment")
 		ssp.SetPath("wifi")
 		ssp.SetNum("seg", float64(s))
 		for _, c := range buf[s*segLen : (s+1)*segLen] {
-			sum = (sum ^ uint64(c)) * 1099511628211
+			sum = stats.FNVMix(sum, uint64(c))
 		}
 		ssp.End()
 	}

@@ -84,6 +84,25 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
+// NearestRank returns the q-quantile (0 <= q <= 1) of an ascending-sorted
+// sample by the nearest-rank definition — the element at index
+// ceil(q·n)−1, clamped — or 0 for an empty sample. Unlike Percentile it
+// always returns an observed value; the swarm report and the miss budget
+// gate on it.
+func NearestRank(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
+}
+
 // CDFPoint is a single (value, cumulative fraction) point of an empirical CDF.
 type CDFPoint struct {
 	Value    float64

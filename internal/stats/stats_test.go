@@ -91,6 +91,26 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// NearestRank is the ceil(q·n)−1 convention: always an observed value,
+// and the 95th percentile of 20 samples is the 19th, not the 20th.
+func TestNearestRank(t *testing.T) {
+	if got := NearestRank(nil, 0.5); got != 0 {
+		t.Errorf("empty = %v, want 0", got)
+	}
+	s := make([]float64, 20)
+	for i := range s {
+		s[i] = float64(i + 1)
+	}
+	cases := []struct{ q, want float64 }{
+		{0, 1}, {0.05, 1}, {0.5, 10}, {0.51, 11}, {0.95, 19}, {0.99, 20}, {1, 20}, {2, 20}, {-1, 1},
+	}
+	for _, c := range cases {
+		if got := NearestRank(s, c.q); got != c.want {
+			t.Errorf("NearestRank(1..20, %v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
 func TestPercentileDoesNotMutateInput(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	if _, err := Percentile(xs, 50); err != nil {

@@ -3,13 +3,13 @@ package swarm
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"mpdash/internal/audit"
+	"mpdash/internal/stats"
 )
 
 // Quantiles summarizes one population distribution. Values are exact
@@ -30,24 +30,14 @@ func quantilesOf(xs []float64) Quantiles {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	at := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(s)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
-	}
 	sum := 0.0
 	for _, v := range s {
 		sum += v
 	}
 	return Quantiles{
-		P50:  at(0.50),
-		P95:  at(0.95),
-		P99:  at(0.99),
+		P50:  stats.NearestRank(s, 0.50),
+		P95:  stats.NearestRank(s, 0.95),
+		P99:  stats.NearestRank(s, 0.99),
 		Mean: sum / float64(len(s)),
 		Max:  s[len(s)-1],
 	}

@@ -78,10 +78,6 @@ type Swarm struct {
 
 	tel  *obs.Telemetry
 	sobs *swarmObs
-	// wheel is the run-scoped shared timer wheel: every session's kill
-	// timer plus each fetcher's hedge-arm and doom-tick timers ride it
-	// instead of allocating per-session runtime timers (set by Run).
-	wheel *netmp.TimerWheel
 }
 
 // New returns a Swarm for the scenario (defaulted and validated).
@@ -158,12 +154,6 @@ func (sw *Swarm) Run(ctx context.Context) (*Report, error) {
 			board.Instrument(sw.tel)
 		}
 	}
-
-	// Shared hashed timer wheel: one driver goroutine carries the whole
-	// population's kill timers, hedge-arm triggers and doom-monitor
-	// ticks, so sessions stop churning runtime timers per chunk.
-	sw.wheel = netmp.NewTimerWheel(nil, 0)
-	defer sw.wheel.Close()
 
 	// Peak-connection sampler: the tier-wide admission gauge.
 	var peakConns atomic.Int64
@@ -399,13 +389,12 @@ func (sw *Swarm) runSession(ctx context.Context, spec SessionSpec, video *dash.V
 		primary, secondary = grp.lte, grp.wifi
 		lteIsSecondary = false
 	}
-	f, err := netmp.NewFetcherOrigins(video, primary, secondary, netmp.BreakerPolicy{})
+	f, err := netmp.NewFetcherOrigins(video, netmp.BreakerPolicy{}, primary, secondary)
 	if err != nil {
 		out.Err = err.Error()
 		return out
 	}
 	defer f.Close()
-	f.SetWheel(sw.wheel)
 	f.Retry = netmp.RetryPolicy{Seed: spec.Seed}
 	f.Hedge = netmp.HedgePolicy{Disabled: prof.NoHedge}
 	if prof.Alpha > 0 {
@@ -449,7 +438,7 @@ func (sw *Swarm) runSession(ctx context.Context, spec SessionSpec, video *dash.V
 	done := make(chan struct{})
 	defer close(done)
 	var timedOut atomic.Bool
-	kill := sw.wheel.AfterFunc(scn.SessionTimeout.D(), func() {
+	kill := netmp.SharedWheel().AfterFunc(scn.SessionTimeout.D(), func() {
 		timedOut.Store(true)
 		st.Stop()
 		t := time.NewTimer(sessionKillGrace)
