@@ -14,7 +14,8 @@
 //	    gate pre-generated BENCH_*.json files instead of running.
 //	mpdash-benchgate -baseline BENCH_baseline.json -update
 //	    run the suites and rewrite the baseline from the fresh numbers
-//	    (the documented refresh flow — commit the result).
+//	    (the documented refresh flow — commit the result). With -suites,
+//	    the suites not run keep their baseline entries.
 //	mpdash-benchgate -swarm BENCH_swarm.json -max-miss-rate 0.10
 //	    gate a swarm population report against absolute thresholds
 //	    (ledger violations, panics, deadline-miss rate).
@@ -146,6 +147,14 @@ func run() int {
 	if *update {
 		base := &perf.Baseline{Version: perf.Version, Note: *note,
 			Suites: make(map[string]*perf.SuiteResult, len(fresh))}
+		// A partial refresh (-suites core) keeps the suites it did not
+		// run. The load error is dropped: -update also creates the
+		// baseline where there is none, or one of an older schema.
+		if old, err := perf.LoadBaseline(*baselinePath); err == nil {
+			for name, s := range old.Suites {
+				base.Suites[name] = s
+			}
+		}
 		for name, s := range fresh {
 			base.Suites[name] = s
 		}

@@ -88,15 +88,50 @@ func New(s *sim.Simulator, cfg Config) (*Link, error) {
 	return l, nil
 }
 
-// Send enqueues a packet of size bytes. deliver fires at the packet's
-// arrival time at the far end. If the queue is full the packet is dropped
-// and drop fires at the time the loss becomes observable to the sender
-// (one RTT-ish later would require the reverse path; as a simplification
-// the drop signal fires after the current queueing delay, standing in for
-// duplicate-ACK detection). Either callback may be nil.
-func (l *Link) Send(size int, deliver, drop func()) {
-	if size <= 0 {
-		panic(fmt.Sprintf("link %q: packet size %d", l.Name, size))
+// Packet is a caller-owned record for one packet. The caller fills Size,
+// Deliver and Drop, hands the record to Send, and must not touch or resend
+// it until one of the two callbacks has been entered; from then on it is
+// the caller's again and may go straight back onto a link. A record that
+// is reused this way costs no allocation per packet: its two link-side
+// callbacks are bound once, on first use.
+type Packet struct {
+	Size int
+	// Deliver fires at the packet's arrival time at the far end. Drop
+	// fires, for a packet the queue refused, at the time the loss becomes
+	// observable to the sender. Either may be nil.
+	Deliver, Drop func()
+
+	link            *Link // the link that holds the record, nil when the caller does
+	arrive, dropped func()
+}
+
+func (p *Packet) onArrival() {
+	p.link.deliveredBytes += int64(p.Size)
+	p.link = nil
+	if p.Deliver != nil {
+		p.Deliver()
+	}
+}
+
+func (p *Packet) onDrop() {
+	p.link = nil
+	p.Drop()
+}
+
+// Send enqueues p. If the queue is full the packet is dropped and p.Drop
+// fires at the time the loss becomes observable to the sender (one
+// RTT-ish later would require the reverse path; as a simplification the
+// drop signal fires after the current queueing delay, standing in for
+// duplicate-ACK detection).
+func (l *Link) Send(p *Packet) {
+	if p.Size <= 0 {
+		panic(fmt.Sprintf("link %q: packet size %d", l.Name, p.Size))
+	}
+	if p.link != nil {
+		panic(fmt.Sprintf("link %q: packet record is still on link %q", l.Name, p.link.Name))
+	}
+	if p.arrive == nil {
+		p.arrive, p.dropped = p.onArrival, p.onDrop
 	}
 	now := l.sim.Now()
 	start := now
@@ -106,8 +141,9 @@ func (l *Link) Send(size int, deliver, drop func()) {
 	queueDelay := start - now
 	if queueDelay > l.maxQueueDelay {
 		l.droppedPackets++
-		if drop != nil {
-			l.sim.Schedule(queueDelay, drop)
+		if p.Drop != nil {
+			p.link = l
+			l.sim.Schedule(queueDelay, p.dropped)
 		}
 		return
 	}
@@ -115,7 +151,7 @@ func (l *Link) Send(size int, deliver, drop func()) {
 	if rate <= 0 {
 		rate = 1e3 // a dead link still drains, glacially
 	}
-	txTime := time.Duration(float64(size*8) / rate * float64(time.Second))
+	txTime := time.Duration(float64(p.Size*8) / rate * float64(time.Second))
 	if txTime <= 0 {
 		txTime = time.Nanosecond
 	}
@@ -125,13 +161,8 @@ func (l *Link) Send(size int, deliver, drop func()) {
 	if l.rng != nil {
 		prop += time.Duration((2*l.rng.Float64() - 1) * l.jitterFrac * float64(prop))
 	}
-	arrival := l.busyUntil + prop
-	l.sim.ScheduleAt(arrival, func() {
-		l.deliveredBytes += int64(size)
-		if deliver != nil {
-			deliver()
-		}
-	})
+	p.link = l
+	l.sim.ScheduleAt(l.busyUntil+prop, p.arrive)
 }
 
 // QueueDelay returns the current backlog at the transmitter.

@@ -40,7 +40,7 @@ func TestSinglePacketLatency(t *testing.T) {
 	// so arrival at 20ms.
 	s, l := newTestLink(t, 1.0, 10*time.Millisecond)
 	var arrived time.Duration = -1
-	l.Send(1250, func() { arrived = s.Now() }, nil)
+	l.Send(&Packet{Size: 1250, Deliver: func() { arrived = s.Now() }})
 	for s.Step() {
 	}
 	want := 20 * time.Millisecond
@@ -57,7 +57,7 @@ func TestSerializationQueuing(t *testing.T) {
 	s, l := newTestLink(t, 1.0, 0)
 	var times []time.Duration
 	for i := 0; i < 2; i++ {
-		l.Send(1250, func() { times = append(times, s.Now()) }, nil)
+		l.Send(&Packet{Size: 1250, Deliver: func() { times = append(times, s.Now()) }})
 	}
 	if l.QueueDelay() != 20*time.Millisecond {
 		t.Errorf("QueueDelay = %v, want 20ms", l.QueueDelay())
@@ -80,7 +80,7 @@ func TestThroughputMatchesRate(t *testing.T) {
 			return
 		}
 		if l.QueueDelay() < 50*time.Millisecond {
-			l.Send(pkt, nil, nil)
+			l.Send(&Packet{Size: pkt})
 		}
 		s.Schedule(time.Millisecond, send)
 	}
@@ -98,7 +98,7 @@ func TestDropTail(t *testing.T) {
 	drops := 0
 	// Flood far beyond the 200ms queue cap: at 1 Mbps, 200ms holds 25kB ≈ 20 packets.
 	for i := 0; i < 100; i++ {
-		l.Send(1250, nil, func() { drops++ })
+		l.Send(&Packet{Size: 1250, Drop: func() { drops++ }})
 	}
 	for s.Step() {
 	}
@@ -124,7 +124,7 @@ func TestTimeVaryingRate(t *testing.T) {
 	}
 	s.AdvanceTo(1500 * time.Millisecond)
 	var arrived time.Duration
-	l.Send(1250, func() { arrived = s.Now() }, nil)
+	l.Send(&Packet{Size: 1250, Deliver: func() { arrived = s.Now() }})
 	for s.Step() {
 	}
 	want := 1500*time.Millisecond + time.Millisecond // 1250B at 10Mbps = 1ms
@@ -146,7 +146,7 @@ func TestJitterSpreadsArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arrivals []time.Duration
-	send := func() { l.Send(100, func() { arrivals = append(arrivals, s.Now()) }, nil) }
+	send := func() { l.Send(&Packet{Size: 100, Deliver: func() { arrivals = append(arrivals, s.Now()) }}) }
 	for i := 0; i < 200; i++ {
 		send()
 		s.Advance(10 * time.Millisecond)
@@ -190,7 +190,63 @@ func TestSendZeroSizePanics(t *testing.T) {
 			t.Error("Send(0) did not panic")
 		}
 	}()
-	l.Send(0, nil, nil)
+	l.Send(&Packet{Size: 0})
+}
+
+// TestPacketRecordOwnership: a record is the link's from Send until one of
+// its callbacks is entered — resending it meanwhile panics, whether it is
+// queued or dropped — and the caller's again from then on, at no cost per
+// trip.
+func TestPacketRecordOwnership(t *testing.T) {
+	s, l := newTestLink(t, 1.0, 5*time.Millisecond)
+	resendPanics := func(p *Packet) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		l.Send(p)
+		return false
+	}
+	trips := 0
+	p := &Packet{Size: 1250}
+	p.Deliver = func() {
+		if trips++; trips < 3 {
+			l.Send(p) // the record is ours again inside its own callback
+		}
+	}
+	l.Send(p)
+	if !resendPanics(p) {
+		t.Error("a record in flight was accepted again")
+	}
+	for s.Step() {
+	}
+	if trips != 3 || l.DeliveredBytes() != 3*1250 {
+		t.Errorf("%d trips, %d bytes delivered; want 3 and 3750", trips, l.DeliveredBytes())
+	}
+
+	// Fill the queue past its bound, then offer one more: it is dropped,
+	// and stays the link's until Drop fires.
+	for l.QueueDelay() <= DefaultMaxQueueDelay {
+		l.Send(&Packet{Size: 1250})
+	}
+	dropped := false
+	d := &Packet{Size: 1250, Drop: func() { dropped = true }}
+	l.Send(d)
+	if !resendPanics(d) {
+		t.Error("a dropped record was accepted again before its drop signal")
+	}
+	for s.Step() {
+	}
+	if !dropped {
+		t.Fatal("drop signal never fired")
+	}
+	l.Send(d) // accepted: the queue has drained and the record is free
+
+	p.Deliver = nil
+	if n := testing.AllocsPerRun(100, func() {
+		l.Send(p)
+		for s.Step() {
+		}
+	}); n != 0 {
+		t.Errorf("reusing a record: %v allocs per packet, want 0", n)
+	}
 }
 
 func TestMeter(t *testing.T) {

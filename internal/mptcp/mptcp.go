@@ -103,6 +103,9 @@ func (p *Path) Enabled() bool { return p.enabled }
 // DeliveredBytes returns bytes delivered to the client over this path.
 func (p *Path) DeliveredBytes() int64 { return p.flow.DeliveredBytes() }
 
+// LossEvents returns the subflow's window-cut congestion events.
+func (p *Path) LossEvents() int64 { return p.flow.LossEvents() }
+
 // SRTT exposes the subflow's smoothed RTT.
 func (p *Path) SRTT() time.Duration { return p.flow.SRTT() }
 
@@ -128,6 +131,8 @@ type Conn struct {
 	// recorder, when set, captures every delivered segment (the paper's
 	// packet-trace input to the analysis tool).
 	recorder Recorder
+
+	sampleFn func() // c.sample, bound once
 }
 
 // Recorder observes delivered segments for offline analysis. pathIndex
@@ -183,6 +188,7 @@ func NewConn(s *sim.Simulator, cfg Config) (*Conn, error) {
 		sampleInterval: si,
 		signalDelay:    sd,
 	}
+	c.sampleFn = c.sample
 	seen := map[string]bool{}
 	primaries := 0
 	for _, ps := range cfg.Paths {
@@ -238,7 +244,8 @@ func NewConn(s *sim.Simulator, cfg Config) (*Conn, error) {
 			predictor:    predict.NewDefaultHoltWinters(),
 			appPredictor: predict.NewEWMA(0.1),
 		}
-		flow.OnDelivered = func(seg tcp.Segment) { c.onDelivered(p, seg) }
+		idx := len(c.paths)
+		flow.OnDelivered = func(seg tcp.Segment) { c.onDelivered(p, idx, seg) }
 		flow.OnAcked = c.pump
 		c.paths = append(c.paths, p)
 	}
@@ -377,32 +384,20 @@ func (c *Conn) AggregateThroughput() float64 {
 	return s
 }
 
-// onDelivered runs at the client when a segment arrives.
-func (c *Conn) onDelivered(p *Path, seg tcp.Segment) {
-	c.onDeliveredIdx(p, seg, c.pathIndex(p))
-}
-
-func (c *Conn) pathIndex(p *Path) int {
-	for i, q := range c.paths {
-		if q == p {
-			return i
-		}
-	}
-	return 0
-}
-
-func (c *Conn) onDeliveredIdx(p *Path, seg tcp.Segment, idx int) {
+// onDelivered runs at the client when a segment arrives on path p, which
+// is c.paths[idx].
+func (c *Conn) onDelivered(p *Path, idx int, seg tcp.Segment) {
 	p.meter.Add(c.sim.Now(), seg.Size)
-	m := seg.Meta.(dssMapping)
 	if c.recorder != nil {
 		c.recorder.RecordSegment(c.sim.Now(), idx, seg.Size, DSSOption{
-			DataSeq:              m.seq,
-			DataLen:              m.length,
+			DataSeq:              seg.DataSeq,
+			DataLen:              uint16(seg.Size),
 			MPDashCellularEnable: c.secondariesEnabled(),
 		})
 	}
-	if c.active != nil && m.transfer == c.active {
-		c.active.noteDelivered(seg.Size)
+	// seg.Meta is the transfer the bytes belong to (see pump).
+	if t, _ := seg.Meta.(*Transfer); t != nil && t == c.active {
+		t.noteDelivered(seg.Size)
 	}
 }
 
@@ -417,35 +412,36 @@ func (c *Conn) secondariesEnabled() bool {
 	return false
 }
 
-// scheduleSample runs the periodic per-path goodput sampler.
-func (c *Conn) scheduleSample() {
-	c.sim.Schedule(c.sampleInterval, func() {
-		for _, p := range c.paths {
-			cur := p.flow.DeliveredBytes()
-			delta := cur - p.lastSampled
-			p.lastSampled = cur
-			// Only observe while the path is actively carrying a
-			// transfer; idle zeros would destroy the estimate. Windows
-			// that only partially overlap the transfer (before the
-			// first byte landed, or less than one full interval after
-			// it) would bias the sample low, so they are skipped too.
-			fullyActive := c.active != nil && !c.active.done &&
-				c.active.firstByteAt > 0 &&
-				c.sim.Now()-c.active.firstByteAt >= c.sampleInterval
-			if fullyActive && p.enabled {
-				bps := float64(delta*8) / c.sampleInterval.Seconds()
-				p.predictor.Observe(bps)
-				p.lastEstimate = p.predictor.Predict()
-				p.appPredictor.Observe(bps)
-				p.lastAppEstimate = p.appPredictor.Predict()
-				p.everEstimated = true
-			}
+// scheduleSample arms the periodic per-path goodput sampler.
+func (c *Conn) scheduleSample() { c.sim.Schedule(c.sampleInterval, c.sampleFn) }
+
+// sample observes one interval of per-path goodput and re-arms itself.
+func (c *Conn) sample() {
+	for _, p := range c.paths {
+		cur := p.flow.DeliveredBytes()
+		delta := cur - p.lastSampled
+		p.lastSampled = cur
+		// Only observe while the path is actively carrying a
+		// transfer; idle zeros would destroy the estimate. Windows
+		// that only partially overlap the transfer (before the
+		// first byte landed, or less than one full interval after
+		// it) would bias the sample low, so they are skipped too.
+		fullyActive := c.active != nil && !c.active.done &&
+			c.active.firstByteAt > 0 &&
+			c.sim.Now()-c.active.firstByteAt >= c.sampleInterval
+		if fullyActive && p.enabled {
+			bps := float64(delta*8) / c.sampleInterval.Seconds()
+			p.predictor.Observe(bps)
+			p.lastEstimate = p.predictor.Predict()
+			p.appPredictor.Observe(bps)
+			p.lastAppEstimate = p.appPredictor.Predict()
+			p.everEstimated = true
 		}
-		if c.active != nil {
-			c.pump()
-		}
-		c.scheduleSample()
-	})
+	}
+	if c.active != nil {
+		c.pump()
+	}
+	c.scheduleSample()
 }
 
 // pump hands segments to subflows while the active transfer has unsent
@@ -468,16 +464,10 @@ func (c *Conn) pump() {
 			n = int(t.unsent)
 		}
 		t.unsent -= int64(n)
-		m := dssMapping{seq: c.dataSeq, length: uint16(n), transfer: t}
+		// The data-sequence mapping (the in-simulator analogue of the DSS
+		// option; the wire codec lives in wire.go) rides in the segment:
+		// sequence number, length = Size, and the owning transfer.
+		p.flow.Send(tcp.Segment{Size: n, DataSeq: c.dataSeq, Meta: t})
 		c.dataSeq += uint64(n)
-		p.flow.Send(tcp.Segment{Size: n, Meta: m})
 	}
-}
-
-// dssMapping is the per-segment data-sequence mapping (the in-simulator
-// analogue of the DSS option; the wire codec lives in wire.go).
-type dssMapping struct {
-	seq      uint64
-	length   uint16
-	transfer *Transfer
 }

@@ -384,3 +384,26 @@ func TestMetersRecordTraffic(t *testing.T) {
 		}
 	}
 }
+
+// TestTransferAllocationsIndependentOfSize: with no recorder, once a first
+// transfer has sized the subflows' free lists and the event queue, a
+// transfer costs a handful of allocations (the Transfer, its start
+// closure, now and then a doubling of a meter's bucket slice) whether it is 180 segments or 2,900 — nothing is allocated per segment.
+func TestTransferAllocationsIndependentOfSize(t *testing.T) {
+	s, c := twoPath(t, 4, 4, MinRTT)
+	run := func(size int64) {
+		tr, err := c.StartTransfer(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.RunUntilComplete(s.Now() + time.Minute) {
+			t.Fatalf("%d-byte transfer did not complete", size)
+		}
+	}
+	run(8 << 20) // warm-up: slow-start overshoot on both paths
+	for _, size := range []int64{256 << 10, 4 << 20} {
+		if n := testing.AllocsPerRun(3, func() { run(size) }); n > 4 {
+			t.Errorf("%d-byte transfer: %v allocs, want at most 4", size, n)
+		}
+	}
+}

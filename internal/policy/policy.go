@@ -175,6 +175,7 @@ type Manager struct {
 
 	updates int64
 	stopped bool
+	tickFn  func() // m.onTick, bound once
 }
 
 // NewManager wires a policy to a connection and starts the update loop.
@@ -183,6 +184,7 @@ func NewManager(s *sim.Simulator, conn *mptcp.Conn, p Policy) (*Manager, error) 
 		return nil, fmt.Errorf("policy: nil simulator, connection or policy")
 	}
 	m := &Manager{sim: s, conn: conn, policy: p, Interval: time.Second}
+	m.tickFn = m.onTick
 	m.apply()
 	m.tick()
 	return m, nil
@@ -194,14 +196,14 @@ func (m *Manager) Updates() int64 { return m.updates }
 // Stop halts the update loop.
 func (m *Manager) Stop() { m.stopped = true }
 
-func (m *Manager) tick() {
-	m.sim.Schedule(m.Interval, func() {
-		if m.stopped {
-			return
-		}
-		m.apply()
-		m.tick()
-	})
+func (m *Manager) tick() { m.sim.Schedule(m.Interval, m.tickFn) }
+
+func (m *Manager) onTick() {
+	if m.stopped {
+		return
+	}
+	m.apply()
+	m.tick()
 }
 
 func (m *Manager) apply() {

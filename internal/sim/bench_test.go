@@ -18,27 +18,28 @@ func BenchmarkScheduleAndStep(b *testing.B) {
 	}
 }
 
-func BenchmarkDeepQueue(b *testing.B) {
-	// 10k pending events, repeatedly push/pop.
+// deepQueue is BenchmarkDeepQueue's rig: 10k pending events, one per
+// millisecond.
+func deepQueue(fn func()) *Simulator {
 	s := New()
 	for i := 0; i < 10_000; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		s.Schedule(time.Duration(i)*time.Millisecond, fn)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Duration(i%10_000)*time.Millisecond, func() {})
-		s.Step()
-	}
+	return s
 }
 
-func BenchmarkCancel(b *testing.B) {
-	s := New()
-	evs := make([]*Event, 0, b.N)
-	for i := 0; i < b.N; i++ {
-		evs = append(evs, s.Schedule(time.Hour, func() {}))
-	}
+// deepQueueOp is its body: one push somewhere into the 10k, one pop.
+func deepQueueOp(s *Simulator, i int, fn func()) {
+	s.Schedule(time.Duration(i%10_000)*time.Millisecond, fn)
+	s.Step()
+}
+
+func BenchmarkDeepQueue(b *testing.B) {
+	fn := func() {}
+	s := deepQueue(fn)
+	b.ReportAllocs()
 	b.ResetTimer()
-	for _, ev := range evs {
-		ev.Cancel()
+	for i := 0; i < b.N; i++ {
+		deepQueueOp(s, i, fn)
 	}
 }

@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -17,7 +16,19 @@ import (
 type Simulator struct {
 	now   time.Duration
 	seq   uint64
-	queue eventQueue
+	queue []event // binary min-heap on (at, seq)
+}
+
+// event is one pending callback, kept by value in the heap: scheduling
+// allocates nothing once the queue has grown to its working depth.
+type event struct {
+	at  time.Duration
+	seq uint64
+	fn  func()
+}
+
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // New returns a Simulator starting at virtual time zero.
@@ -28,45 +39,86 @@ func (s *Simulator) Now() time.Duration { return s.now }
 
 // Schedule enqueues fn to run after delay. A negative delay is treated as
 // zero (fires at the current time, after already-queued events at that
-// time). It returns a handle that can cancel the event.
-func (s *Simulator) Schedule(delay time.Duration, fn func()) *Event {
+// time). A scheduled event cannot be withdrawn, so no handle is returned:
+// a callback that may have become stale checks its owner's state when it
+// fires.
+func (s *Simulator) Schedule(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	return s.ScheduleAt(s.now+delay, fn)
+	s.ScheduleAt(s.now+delay, fn)
 }
 
 // ScheduleAt enqueues fn to run at absolute virtual time at. Times in the
 // past are clamped to now.
-func (s *Simulator) ScheduleAt(at time.Duration, fn func()) *Event {
+func (s *Simulator) ScheduleAt(at time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil function")
 	}
 	if at < s.now {
 		at = s.now
 	}
-	ev := &Event{at: at, seq: s.seq, fn: fn}
+	ev := event{at: at, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return ev
+	// Sift up: move parents down into the hole until ev fits.
+	q := append(s.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	s.queue = q
+}
+
+// pop removes and returns the earliest event. The queue must not be empty.
+func (s *Simulator) pop() event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the callback reference
+	q = q[:n]
+	s.queue = q
+	// Sift down: move the smaller child up into the hole until last fits.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	return top
 }
 
 // Step runs the single earliest pending event. It reports whether an event
 // was run (false means the queue is empty).
 func (s *Simulator) Step() bool {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
-		if ev.cancelled {
-			continue
-		}
-		if ev.at < s.now {
-			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", ev.at, s.now))
-		}
-		s.now = ev.at
-		ev.fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	ev := s.pop()
+	if ev.at < s.now {
+		panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", ev.at, s.now))
+	}
+	s.now = ev.at
+	ev.fn()
+	return true
 }
 
 // RunUntil processes events until the predicate returns true, the queue
@@ -77,8 +129,7 @@ func (s *Simulator) RunUntil(limit time.Duration, done func() bool) bool {
 		if done != nil && done() {
 			return true
 		}
-		next, ok := s.peekTime()
-		if !ok || next > limit {
+		if len(s.queue) == 0 || s.queue[0].at > limit {
 			return done != nil && done()
 		}
 		s.Step()
@@ -89,11 +140,7 @@ func (s *Simulator) RunUntil(limit time.Duration, done func() bool) bool {
 // the way. Events scheduled exactly at `at` fire too. If at is in the past
 // it is a no-op.
 func (s *Simulator) AdvanceTo(at time.Duration) {
-	for {
-		next, ok := s.peekTime()
-		if !ok || next > at {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= at {
 		s.Step()
 	}
 	if at > s.now {
@@ -104,70 +151,5 @@ func (s *Simulator) AdvanceTo(at time.Duration) {
 // Advance moves the clock forward by d, firing due events. See AdvanceTo.
 func (s *Simulator) Advance(d time.Duration) { s.AdvanceTo(s.now + d) }
 
-// Pending returns the number of live (non-cancelled) queued events.
-func (s *Simulator) Pending() int {
-	n := 0
-	for _, ev := range s.queue {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Simulator) peekTime() (time.Duration, bool) {
-	for s.queue.Len() > 0 {
-		ev := s.queue[0]
-		if ev.cancelled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return ev.at, true
-	}
-	return 0, false
-}
-
-// Event is a handle to a scheduled callback.
-type Event struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
-
-// Time returns the virtual time the event is (or was) due.
-func (e *Event) Time() time.Duration { return e.at }
-
-// eventQueue is a min-heap on (at, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
+// Pending returns the number of queued events.
+func (s *Simulator) Pending() int { return len(s.queue) }

@@ -62,18 +62,84 @@ func TestScheduleAtPastClamped(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
+// TestOrderIsStableSortOnClampedTime is the queue's whole contract: a few
+// thousand events, most of them sharing a timestamp with others, some
+// scheduled from inside handlers and some aimed at the past, fire in
+// exactly the order a stable sort on (clamped time, insertion order)
+// gives.
+func TestOrderIsStableSortOnClampedTime(t *testing.T) {
+	type rec struct {
+		at time.Duration // after clamping to the clock at insertion
+		id int           // insertion order
+	}
 	s := New()
-	fired := false
-	ev := s.Schedule(time.Second, func() { fired = true })
-	ev.Cancel()
+	rng := rand.New(rand.NewSource(7))
+	var inserted, fired []rec
+	past := 0
+	var add func(depth int)
+	add = func(depth int) {
+		// 40 distinct timestamps over 3000+ events; requests made from
+		// inside a handler often lie behind the clock.
+		at := time.Duration(rng.Intn(40)) * time.Millisecond
+		if at < s.Now() {
+			past++
+		}
+		r := rec{at: max(at, s.Now()), id: len(inserted)}
+		inserted = append(inserted, r)
+		s.ScheduleAt(at, func() {
+			if s.Now() != r.at {
+				t.Fatalf("event %d fired at %v, want %v", r.id, s.Now(), r.at)
+			}
+			fired = append(fired, r)
+			if depth < 2 && rng.Intn(3) == 0 {
+				add(depth + 1)
+				add(depth + 1)
+			}
+		})
+	}
+	for i := 0; i < 2000; i++ {
+		add(0)
+	}
 	for s.Step() {
 	}
-	if fired {
-		t.Error("cancelled event fired")
+	if len(inserted) < 3000 || past < 100 {
+		t.Fatalf("%d events, %d aimed at the past: the handlers scheduled too few", len(inserted), past)
+	}
+	want := append([]rec(nil), inserted...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(fired) != len(want) {
+		t.Fatalf("%d events fired, %d scheduled", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("position %d: fired %+v, stable sort gives %+v", i, fired[i], want[i])
+		}
 	}
 	if s.Pending() != 0 {
-		t.Errorf("Pending = %d", s.Pending())
+		t.Errorf("Pending = %d after draining", s.Pending())
+	}
+}
+
+// TestScheduleStepAllocatesNothing: with a func bound beforehand and a
+// queue that has reached its depth, scheduling and firing are free.
+func TestScheduleStepAllocatesNothing(t *testing.T) {
+	s := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		s.Schedule(time.Duration(i)*time.Millisecond, fn)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		s.Schedule(time.Millisecond, fn)
+		s.Step()
+	}); n != 0 {
+		t.Errorf("Schedule+Step on a warm queue: %v allocs, want 0", n)
+	}
+	deep, i := deepQueue(fn), 0
+	if n := testing.AllocsPerRun(1000, func() {
+		deepQueueOp(deep, i, fn)
+		i++
+	}); n != 0 {
+		t.Errorf("deep-queue push/pop: %v allocs, want 0", n)
 	}
 }
 

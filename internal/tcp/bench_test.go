@@ -9,31 +9,58 @@ import (
 	"mpdash/internal/trace"
 )
 
+// saturatedSubflow is one greedy subflow on a 10 Mbps, 50 ms RTT path,
+// window full and ready to run.
+func saturatedSubflow(tb testing.TB) (*sim.Simulator, *Subflow) {
+	s := sim.New()
+	fwd, err := link.New(s, link.Config{Name: "fwd", Rate: trace.Constant("f", 10, time.Second, 1), PropDelay: 25 * time.Millisecond})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rev, err := link.New(s, link.Config{Name: "rev", Rate: trace.Constant("r", 100, time.Second, 1), PropDelay: 25 * time.Millisecond})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := New(s, Config{Name: "bench", Fwd: fwd, Rev: rev})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pump := func() {
+		for f.HasSpace() {
+			f.Send(Segment{Size: f.MSS()})
+		}
+	}
+	f.OnAcked = pump
+	pump()
+	return s, f
+}
+
 // BenchmarkSaturatedSubflow measures simulator throughput: how fast one
 // greedy subflow simulates 10 seconds of a 10 Mbps path.
 func BenchmarkSaturatedSubflow(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := sim.New()
-		fwd, err := link.New(s, link.Config{Name: "fwd", Rate: trace.Constant("f", 10, time.Second, 1), PropDelay: 25 * time.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rev, err := link.New(s, link.Config{Name: "rev", Rate: trace.Constant("r", 100, time.Second, 1), PropDelay: 25 * time.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := New(s, Config{Name: "bench", Fwd: fwd, Rev: rev})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pump := func() {
-			for f.HasSpace() {
-				f.Send(Segment{Size: f.MSS()})
-			}
-		}
-		f.OnAcked = pump
-		pump()
+		s, f := saturatedSubflow(b)
 		s.AdvanceTo(10 * time.Second)
 		b.ReportMetric(float64(f.DeliveredBytes())*8/10/1e6, "sim-mbps")
+	}
+}
+
+// TestSaturatedSubflowAllocatesNothing: once slow start's overshoot has
+// sized the free list and the event queue (the first virtual second, loss
+// episode included), a further second of the benchmark's body — some 850
+// segments sent, delivered and ACKed — allocates nothing.
+func TestSaturatedSubflowAllocatesNothing(t *testing.T) {
+	s, f := saturatedSubflow(t)
+	s.AdvanceTo(time.Second)
+	if f.LossEvents() == 0 {
+		t.Fatal("warm-up second saw no loss; the rig no longer overshoots")
+	}
+	before := f.DeliveredBytes()
+	if n := testing.AllocsPerRun(1, func() { s.Advance(time.Second) }); n != 0 {
+		t.Errorf("one saturated second: %v allocs, want 0", n)
+	}
+	if got := f.DeliveredBytes() - before; got < 2*1_000_000 {
+		t.Errorf("only %d bytes delivered in the two measured seconds", got)
 	}
 }

@@ -22,14 +22,31 @@ const DefaultMSS = 1460
 // RFC 6928, which Linux MPTCP v0.90 used).
 const InitialWindow = 10
 
-// Segment is one unit of data in flight. Meta carries multipath-layer
-// bookkeeping (the data-sequence mapping) opaquely through the subflow.
+// Segment is one unit of data in flight. DataSeq and Meta carry
+// multipath-layer bookkeeping (the data-sequence number and the owner of
+// the bytes) opaquely through the subflow; Meta should hold a pointer, so
+// that filling it does not allocate.
 type Segment struct {
-	Size int
-	Meta any
+	Size    int
+	DataSeq uint64
+	Meta    any
 
 	sentAt  time.Duration
 	retrans bool
+}
+
+// flight is the record of one segment between Send and its ACK. It owns
+// the segment's data and ACK packet records and the callbacks they fire,
+// all bound once when the record is made; a subflow keeps its idle records
+// on a free list, so the steady-state packet path allocates nothing. At
+// most one event is pending per record at any time (data on fwd, or its
+// drop signal, or the ACK on rev, or the late ACK), which is why one
+// record and one copy of the segment suffice.
+type flight struct {
+	f         *Subflow
+	seg       Segment
+	data, ack link.Packet
+	next      *flight // free list
 }
 
 // Subflow is a single-path TCP sender model.
@@ -44,6 +61,8 @@ type Subflow struct {
 	cwnd     float64 // segments
 	ssthresh float64
 	inflight int
+
+	free *flight // idle flight records
 
 	srtt   time.Duration
 	rttvar time.Duration
@@ -148,39 +167,47 @@ func (f *Subflow) Send(seg Segment) {
 	if seg.Size <= 0 {
 		panic(fmt.Sprintf("tcp %q: segment size %d", f.Name, seg.Size))
 	}
+	fl := f.free
+	if fl == nil {
+		fl = f.newFlight()
+	} else {
+		f.free = fl.next
+	}
 	f.inflight++
 	seg.sentAt = f.sim.Now()
-	f.lastSend = f.sim.Now()
-	f.transmit(seg)
+	f.lastSend = seg.sentAt
+	fl.seg = seg
+	fl.data.Size = seg.Size
+	f.fwd.Send(&fl.data)
 }
 
-// transmit pushes one segment onto the forward link; re-used verbatim for
-// retransmissions.
-func (f *Subflow) transmit(seg Segment) {
-	f.fwd.Send(seg.Size,
-		func() { f.onDataArrival(seg) },
-		func() { f.onLoss(seg) },
-	)
-}
-
-func (f *Subflow) onDataArrival(seg Segment) {
-	f.deliveredBytes += int64(seg.Size)
-	if f.OnDelivered != nil {
-		f.OnDelivered(seg)
-	}
+func (f *Subflow) newFlight() *flight {
+	fl := &flight{f: f}
+	fl.data.Deliver, fl.data.Drop = fl.onDataArrival, fl.onLoss
 	// Pure ACK, 40 bytes.
-	f.rev.Send(40, func() { f.onAck(seg) }, func() {
-		// A lost ACK: in real TCP a later cumulative ACK covers it.
-		// Model that as the ACK arriving one SRTT later.
-		f.sim.Schedule(f.SRTT(), func() { f.onAck(seg) })
-	})
+	fl.ack.Size, fl.ack.Deliver, fl.ack.Drop = 40, fl.onAck, fl.onAckLost
+	return fl
 }
 
-func (f *Subflow) onAck(seg Segment) {
+func (fl *flight) onDataArrival() {
+	f := fl.f
+	f.deliveredBytes += int64(fl.seg.Size)
+	if f.OnDelivered != nil {
+		f.OnDelivered(fl.seg)
+	}
+	f.rev.Send(&fl.ack)
+}
+
+// onAckLost: in real TCP a later cumulative ACK covers a lost ACK. Model
+// that as the ACK arriving one SRTT later.
+func (fl *flight) onAckLost() { fl.f.sim.Schedule(fl.f.SRTT(), fl.ack.Deliver) }
+
+func (fl *flight) onAck() {
+	f := fl.f
 	f.inflight--
-	f.ackedBytes += int64(seg.Size)
-	if !seg.retrans { // Karn's rule: no RTT samples from retransmits
-		f.addRTTSample(f.sim.Now() - seg.sentAt)
+	f.ackedBytes += int64(fl.seg.Size)
+	if !fl.seg.retrans { // Karn's rule: no RTT samples from retransmits
+		f.addRTTSample(f.sim.Now() - fl.seg.sentAt)
 	}
 	if f.cwnd < f.ssthresh {
 		f.cwnd++ // slow start
@@ -189,12 +216,17 @@ func (f *Subflow) onAck(seg Segment) {
 	} else {
 		f.cwnd += 1 / f.cwnd // Reno congestion avoidance
 	}
+	// The record is idle from here: recycle it before OnAcked pumps, so
+	// the segment that fills the freed window slot reuses it.
+	fl.seg = Segment{}
+	fl.next, f.free = f.free, fl
 	if f.OnAcked != nil {
 		f.OnAcked()
 	}
 }
 
-func (f *Subflow) onLoss(seg Segment) {
+func (fl *flight) onLoss() {
+	f := fl.f
 	// Multiplicative decrease at most once per RTT (NewReno-style: one
 	// window cut per loss episode).
 	now := f.sim.Now()
@@ -207,10 +239,11 @@ func (f *Subflow) onLoss(seg Segment) {
 		}
 		f.cwnd = f.ssthresh
 	}
-	// Retransmit the segment; it occupies the same window slot.
-	seg.retrans = true
-	seg.sentAt = now
-	f.transmit(seg)
+	// Retransmit the segment; it occupies the same window slot and the
+	// same record.
+	fl.seg.retrans = true
+	fl.seg.sentAt = now
+	f.fwd.Send(&fl.data)
 }
 
 func (f *Subflow) addRTTSample(sample time.Duration) {

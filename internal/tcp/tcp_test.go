@@ -152,13 +152,75 @@ func TestMetaRoundTrip(t *testing.T) {
 	h := newHarness(t, 10, time.Millisecond)
 	type meta struct{ seq int }
 	var got []int
-	h.f.OnDelivered = func(seg Segment) { got = append(got, seg.Meta.(meta).seq) }
+	h.f.OnDelivered = func(seg Segment) {
+		if seg.DataSeq != uint64(1000+seg.Meta.(*meta).seq) {
+			t.Errorf("DataSeq %d beside meta %d", seg.DataSeq, seg.Meta.(*meta).seq)
+		}
+		got = append(got, seg.Meta.(*meta).seq)
+	}
 	for i := 0; i < 3; i++ {
-		h.f.Send(Segment{Size: 100, Meta: meta{seq: i}})
+		h.f.Send(Segment{Size: 100, DataSeq: uint64(1000 + i), Meta: &meta{seq: i}})
 	}
 	h.s.AdvanceTo(time.Second)
 	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Errorf("meta = %v", got)
+	}
+}
+
+// freeLen counts the subflow's idle flight records.
+func (f *Subflow) freeLen() int {
+	n := 0
+	for fl := f.free; fl != nil; fl = fl.next {
+		n++
+	}
+	return n
+}
+
+// TestLossRecyclesEveryRecord runs TestLossCutsWindow's drop-tail rig and
+// checks the record accounting at every ACK. A record is made only when
+// the free list is empty, so records ever made = the peak of inflight;
+// every one of them is either in flight or on the free list, through
+// drops and retransmissions alike — a retransmission keeps its record and
+// its window slot, so inflight moves only in Send and at the ACK. That no
+// record is ever handed to a link it is still on is link.Send's own
+// check: it panics, and this run retransmits some thirty times.
+func TestLossRecyclesEveryRecord(t *testing.T) {
+	h := newHarness(t, 1.0, 10*time.Millisecond)
+	const segments = 2000
+	sent, delivered, peak := 0, 0, 0
+	seen := make([]bool, segments)
+	h.f.OnDelivered = func(seg Segment) {
+		if seen[seg.DataSeq] {
+			t.Fatalf("segment %d delivered twice", seg.DataSeq)
+		}
+		seen[seg.DataSeq] = true
+		delivered++
+	}
+	check := func() {
+		if got := h.f.freeLen() + h.f.Inflight(); got != peak {
+			t.Fatalf("free %d + inflight %d = %d records, %d were made", h.f.freeLen(), h.f.Inflight(), got, peak)
+		}
+	}
+	pump := func() {
+		check()
+		for sent < segments && h.f.HasSpace() {
+			h.f.Send(Segment{Size: 1460, DataSeq: uint64(sent)})
+			sent++
+			peak = max(peak, h.f.Inflight())
+		}
+		check()
+	}
+	h.f.OnAcked = pump
+	pump()
+	h.s.AdvanceTo(60 * time.Second)
+	if h.f.LossEvents() == 0 || h.f.fwd.DroppedPackets() < 20 {
+		t.Fatalf("%d loss events, %d drops: the rig no longer floods its queue", h.f.LossEvents(), h.f.fwd.DroppedPackets())
+	}
+	if sent != segments || delivered != segments || h.f.Inflight() != 0 {
+		t.Fatalf("sent %d, delivered %d, inflight %d; want %d, %d, 0", sent, delivered, h.f.Inflight(), segments, segments)
+	}
+	if h.f.freeLen() != peak {
+		t.Errorf("%d records on the free list after drain, %d were made", h.f.freeLen(), peak)
 	}
 }
 
