@@ -1,17 +1,13 @@
 package netmp
 
-import (
-	"strconv"
-	"sync"
-)
+import "sync"
 
 // Buffer pooling for the per-segment hot path. Every range request on
 // the client side reads its body in 16 KiB blocks, and every origin
 // response on the server side generates its body in the same blocks;
 // at swarm scale those per-request allocations dominate the heap churn
-// (thousands of sessions × segments × retries). The pools below make
-// the steady-state per-chunk path allocation-free, mirroring the core
-// scheduler's zero-alloc evaluate.
+// (thousands of sessions × segments × retries), so the blocks are
+// pooled. (Request and response heads: wire.go.)
 //
 // Ownership contract (DESIGN.md §16): AcquireSegBuf transfers exclusive
 // ownership of the returned buffer to the caller. The caller must stop
@@ -36,8 +32,8 @@ var segBufPool = sync.Pool{
 
 // AcquireSegBuf returns a 16 KiB scratch buffer for segment body I/O.
 // The buffer's contents are arbitrary. Release it with ReleaseSegBuf
-// once no live reference to its bytes remains. Exported so the perf
-// suite can benchmark the exact pooled composition the fetcher runs.
+// once no live reference to its bytes remains. Exported for load
+// generators that speak the protocol from outside the package.
 func AcquireSegBuf() *[]byte {
 	return segBufPool.Get().(*[]byte)
 }
@@ -51,50 +47,4 @@ func ReleaseSegBuf(b *[]byte) {
 	}
 	*b = (*b)[:segBufBlock]
 	segBufPool.Put(b)
-}
-
-// reqLinePool recycles the small scratch slices the request-line
-// renderer appends into — one Acquire/Release pair per range request.
-var reqLinePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 160)
-		return &b
-	},
-}
-
-func acquireReqLine() *[]byte  { return reqLinePool.Get().(*[]byte) }
-func releaseReqLine(b *[]byte) { reqLinePool.Put(b) }
-
-// AppendRangeRequest appends the HTTP/1.1 range-request line for chunk
-// (index, level lvlID) bytes [from, to] to dst and returns the extended
-// slice — the allocation-free equivalent of
-//
-//	fmt.Sprintf("GET /seg-l%d-c%04d.m4s HTTP/1.1\r\nHost: x\r\nRange: bytes=%d-%d\r\n\r\n", ...)
-//
-// index must be non-negative (chunk indices always are). Exported so
-// the perf suite can benchmark the rendered hot path byte-for-byte.
-func AppendRangeRequest(dst []byte, lvlID, index int, from, to int64) []byte {
-	dst = append(dst, "GET /seg-l"...)
-	dst = strconv.AppendInt(dst, int64(lvlID), 10)
-	dst = append(dst, "-c"...)
-	dst = appendZeroPad(dst, int64(index), 4)
-	dst = append(dst, ".m4s HTTP/1.1\r\nHost: x\r\nRange: bytes="...)
-	dst = strconv.AppendInt(dst, from, 10)
-	dst = append(dst, '-')
-	dst = strconv.AppendInt(dst, to, 10)
-	dst = append(dst, "\r\n\r\n"...)
-	return dst
-}
-
-// appendZeroPad appends the non-negative integer v left-padded with
-// zeros to at least width digits (the %0*d contract for v >= 0).
-func appendZeroPad(dst []byte, v int64, width int) []byte {
-	digits := 1
-	for x := v; x >= 10; x /= 10 {
-		digits++
-	}
-	for ; digits < width; digits++ {
-		dst = append(dst, '0')
-	}
-	return strconv.AppendInt(dst, v, 10)
 }

@@ -1,69 +1,6 @@
 package netmp
 
-import (
-	"fmt"
-	"testing"
-)
-
-// The pooled per-chunk composition — acquire a segment buffer, render
-// the range-request line, generate-and-verify a body block, release —
-// must be allocation-free at steady state (ISSUE 10 tentpole; the
-// perf suite gates the same path as netmp_chunk_path).
-func TestPooledChunkPathZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop puts; alloc contract gated without -race")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		bp := AcquireSegBuf()
-		buf := *bp
-		rp := acquireReqLine()
-		req := AppendRangeRequest((*rp)[:0], 4, 17, 0, int64(len(buf))-1)
-		_ = req
-		for i := 0; i < 512; i++ {
-			buf[i] = ChunkBody(17, 2, int64(i))
-		}
-		ok := true
-		for i := 0; i < 512; i++ {
-			if buf[i] != ChunkBody(17, 2, int64(i)) {
-				ok = false
-			}
-		}
-		if !ok {
-			t.Error("verify mismatch")
-		}
-		*rp = req[:0]
-		releaseReqLine(rp)
-		ReleaseSegBuf(bp)
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled chunk path allocates %v allocs/op, want 0", allocs)
-	}
-}
-
-// AppendRangeRequest must render byte-for-byte what the fmt.Sprintf it
-// replaced produced, across padding widths and range boundaries.
-func TestAppendRangeRequestMatchesSprintf(t *testing.T) {
-	cases := []struct {
-		lvlID, index int
-		from, to     int64
-	}{
-		{0, 0, 0, 0},
-		{1, 7, 0, 16383},
-		{3, 42, 16384, 32767},
-		{12, 999, 98304, 131071},
-		{5, 1000, 0, 1},
-		{7, 12345, 1 << 30, 1<<30 + 16383},
-	}
-	for _, c := range cases {
-		want := fmt.Sprintf("GET /seg-l%d-c%04d.m4s HTTP/1.1\r\nHost: x\r\nRange: bytes=%d-%d\r\n\r\n",
-			c.lvlID, c.index, c.from, c.to)
-		got := string(AppendRangeRequest(nil, c.lvlID, c.index, c.from, c.to))
-		if got != want {
-			t.Errorf("AppendRangeRequest(%d,%d,%d,%d):\n got %q\nwant %q",
-				c.lvlID, c.index, c.from, c.to, got, want)
-		}
-	}
-}
+import "testing"
 
 // A released buffer of foreign capacity must fall out of circulation
 // instead of poisoning the pool, and nil release is a no-op.

@@ -71,8 +71,8 @@ type EdgeServer struct {
 	pol    EdgePolicy
 	store  *cache.Cache
 
-	pool     chan *Fetcher
-	fetchers []*Fetcher
+	origins []string      // ranked; every fill fetcher dials through all of them
+	pool    chan *Fetcher // fill fetchers; a fill holds one for its duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -111,38 +111,48 @@ func NewEdgeServer(video *dash.Video, name string, origins []string, store *cach
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &EdgeServer{
-		Video:  video,
-		name:   name,
-		addr:   ln.Addr().String(),
-		ln:     ln,
-		bucket: newTokenBucketClocked(pol.RateMbps*1e6/8, 64*1024, nil),
-		pol:    pol,
-		store:  store,
-		pool:   make(chan *Fetcher, pol.FillFetchers),
-		ctx:    ctx,
-		cancel: cancel,
-		conns:  make(map[net.Conn]struct{}),
+		Video:   video,
+		name:    name,
+		addr:    ln.Addr().String(),
+		ln:      ln,
+		bucket:  newTokenBucketClocked(pol.RateMbps*1e6/8, 64*1024, nil),
+		pol:     pol,
+		store:   store,
+		origins: origins,
+		pool:    make(chan *Fetcher, pol.FillFetchers),
+		ctx:     ctx,
+		cancel:  cancel,
+		conns:   make(map[net.Conn]struct{}),
 	}
 	for i := 0; i < pol.FillFetchers; i++ {
-		f, err := NewFetcherOrigins(video, pol.Breaker, origins, origins)
+		f, err := e.dialFetcher()
 		if err != nil {
 			cancel()
 			ln.Close()
 			e.closeFetchers()
 			return nil, fmt.Errorf("netmp: edge fill fetcher: %w", err)
 		}
-		f.Retry = pol.Retry
-		f.Hedge = pol.Hedge
-		// The fill path is origin-facing: the edge must not interpret
-		// its own hint headers (origins send none, but a cascaded edge
-		// tier would).
-		f.CacheHint.Disabled = true
-		e.fetchers = append(e.fetchers, f)
 		e.pool <- f
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
+}
+
+// dialFetcher builds one fill fetcher: a single connection through the
+// ranked origins. A fill is one whole chunk from one tier — no costlier
+// path to hold back, and no standby controller to wait a tick on.
+func (e *EdgeServer) dialFetcher() (*Fetcher, error) {
+	f, err := NewFetcherOrigins(e.Video, e.pol.Breaker, e.origins)
+	if err != nil {
+		return nil, err
+	}
+	f.Retry = e.pol.Retry
+	f.Hedge = e.pol.Hedge
+	// The fill path is origin-facing: the edge must not interpret its own
+	// hint headers (origins send none, but a cascaded edge tier would).
+	f.CacheHint.Disabled = true
+	return f, nil
 }
 
 // Addr returns the edge's listen address.
@@ -212,10 +222,11 @@ func (e *EdgeServer) Close() error {
 	return err
 }
 
+// closeFetchers runs once every fill has returned its fetcher.
 func (e *EdgeServer) closeFetchers() error {
 	var errs []error
-	for _, f := range e.fetchers {
-		errs = append(errs, f.Close())
+	for len(e.pool) > 0 {
+		errs = append(errs, (<-e.pool).Close())
 	}
 	return errors.Join(errs...)
 }
@@ -254,7 +265,7 @@ func (e *EdgeServer) serve(conn net.Conn) {
 			return
 		}
 		if bad {
-			fmt.Fprintf(w, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
+			w.WriteString(head400)
 			w.Flush()
 			continue
 		}
@@ -269,7 +280,7 @@ func (e *EdgeServer) serve(conn net.Conn) {
 			to = size - 1
 		}
 		if from < 0 || from > to {
-			fmt.Fprintf(w, "HTTP/1.1 416 Range Not Satisfiable\r\nContent-Length: 0\r\n\r\n")
+			w.WriteString(head416)
 			w.Flush()
 			continue
 		}
@@ -278,7 +289,7 @@ func (e *EdgeServer) serve(conn net.Conn) {
 			// An exhausted origin set is the edge's overload face:
 			// transient for the client's supervisor, breaker fuel for a
 			// (future) multi-edge set.
-			fmt.Fprintf(w, "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n")
+			w.WriteString(head503)
 			w.Flush()
 			continue
 		}
@@ -287,7 +298,7 @@ func (e *EdgeServer) serve(conn net.Conn) {
 			state = "hit"
 		}
 		n := to - from + 1
-		fmt.Fprintf(w, "HTTP/1.1 206 Partial Content\r\nContent-Length: %d\r\nContent-Range: bytes %d-%d/%d\r\nX-MPDash-Cache: %s\r\n\r\n", n, from, to, size, state)
+		w.Write(appendRangeHead(w.AvailableBuffer(), n, from, to, size, state))
 		if err := e.writeBody(w, body[from:to+1]); err != nil {
 			w.Flush()
 			return
@@ -317,6 +328,15 @@ func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
 	case f = <-e.pool:
 	case <-e.ctx.Done():
 		return nil, e.ctx.Err()
+	}
+	if f.livePaths() == 0 && e.ctx.Err() == nil {
+		// A path is down for its fetcher's lifetime, so one that met an
+		// origin outage would fail every later fill: replace it. If the
+		// dial fails this fill fails at once and the next checkout retries.
+		if nf, err := e.dialFetcher(); err == nil {
+			f.Close() // its connection is closed already; nothing to report
+			f = nf
+		}
 	}
 	defer func() { e.pool <- f }()
 	res, err := f.FetchChunk(index, level, e.pol.FillWindow)

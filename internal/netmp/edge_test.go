@@ -1,6 +1,11 @@
 package netmp
 
 import (
+	"bufio"
+	"errors"
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -176,5 +181,102 @@ func TestEdgeFillFailureSurfacesAsError(t *testing.T) {
 	}
 	if edge.FillErrors() == 0 {
 		t.Error("failed fills not counted")
+	}
+}
+
+// TestEdgeRecoversAfterOriginOutage pins the dead-fill-fetcher fix: an
+// origin outage that outlasts the fill fetchers' redial budget takes all
+// of their paths down, and a path is down for its fetcher's lifetime — so
+// without replacement every later miss is a 503, origin back or not.
+func TestEdgeRecoversAfterOriginOutage(t *testing.T) {
+	const slack = 8 // timer and netpoll wiggle, as in the leak tests
+	watermark := runtime.NumGoroutine()
+	video := dash.BigBuckBunny()
+	origin, err := NewChunkServer(video, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := NewEdgeServer(video, "bbb", []string{origin.Addr()}, cache.New(cache.Config{}), EdgePolicy{
+		FillWindow: time.Second,
+		Retry:      RetryPolicy{IOTimeout: 200 * time.Millisecond, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, MaxRedials: 2},
+		Hedge:      HedgePolicy{Disabled: true},
+	})
+	if err != nil {
+		origin.Close()
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &pathConn{name: "client", conn: conn, r: bufio.NewReader(conn)}
+	// miss asks the edge for the first bytes of a chunk nobody has asked
+	// for yet and reports whether it was served (206) or refused (503).
+	next := 0
+	miss := func() bool {
+		t.Helper()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		conn.Write(AppendRangeRequest(nil, 1, next, 0, 9))
+		next++
+		n, _, err := client.readHead("206")
+		if errors.Is(err, errServerBusy) { // readHead stops at the status line
+			for h := []byte("x"); len(h) != 0; {
+				if h, err = readLine(client.r); err != nil {
+					t.Fatalf("miss %d: 503 head: %v", next-1, err)
+				}
+			}
+			return false
+		}
+		if err != nil {
+			t.Fatalf("miss %d: %v", next-1, err)
+		}
+		if _, err := io.CopyN(io.Discard, client.r, n); err != nil {
+			t.Fatalf("miss %d body: %v", next-1, err)
+		}
+		return true
+	}
+
+	if !miss() {
+		t.Fatal("healthy edge refused a miss")
+	}
+	origin.Crash()
+	for i := 0; i < 2*cap(edge.pool); i++ {
+		if miss() {
+			t.Fatal("miss served with the origin crashed")
+		}
+	}
+	for i := 0; i < cap(edge.pool); i++ { // no fill in flight: the pool is full
+		f := <-edge.pool
+		if f.livePaths() != 0 {
+			t.Errorf("fill fetcher %d still has a live path after the outage", i)
+		}
+		edge.pool <- f
+	}
+
+	if err := origin.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	errsAtRestart := edge.FillErrors()
+	start := time.Now()
+	for i := 0; i < 2*cap(edge.pool); i++ {
+		if !miss() {
+			t.Fatalf("miss %d after the origin came back: still 503", i)
+		}
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("recovery took %v", took)
+	}
+	if got := edge.FillErrors(); got != errsAtRestart {
+		t.Errorf("fill errors kept rising after the restart: %d -> %d", errsAtRestart, got)
+	}
+
+	conn.Close()
+	edge.Close()
+	origin.Close()
+	if n := settleGoroutines(watermark+slack, 5*time.Second); n > watermark+slack {
+		buf := make([]byte, 64<<10)
+		t.Fatalf("goroutines %d > watermark %d + slack %d after teardown\n%s",
+			n, watermark, slack, buf[:runtime.Stack(buf, true)])
 	}
 }

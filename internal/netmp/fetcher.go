@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -816,50 +815,6 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 	return dash.VideoFromManifest(mpd, "remote")
 }
 
-// readHead reads one HTTP response head off the path's connection: the
-// status line, which must carry the wanted code (a 503 is errServerBusy,
-// any other mismatch errBadStatus), then the headers up to the blank
-// line. It returns the Content-Length (required) and the lower-cased
-// X-MPDash-Cache value ("" when the header is absent).
-func (pc *pathConn) readHead(want string) (contentLength int64, cacheState string, err error) {
-	status, err := pc.r.ReadString('\n')
-	if err != nil {
-		return 0, "", fmt.Errorf("netmp: %s status: %w", pc.name, err)
-	}
-	if !strings.Contains(status, want) {
-		if strings.Contains(status, "503") {
-			// Overload rejection: transient, and breaker fuel for a
-			// failover to a less-loaded origin.
-			return 0, "", fmt.Errorf("netmp: %s %w", pc.name, errServerBusy)
-		}
-		return 0, "", fmt.Errorf("netmp: %s %w %q", pc.name, errBadStatus, strings.TrimSpace(status))
-	}
-	contentLength = -1
-	for {
-		h, err := pc.r.ReadString('\n')
-		if err != nil {
-			return 0, "", fmt.Errorf("netmp: %s headers: %w", pc.name, err)
-		}
-		h = strings.TrimSpace(h)
-		if h == "" {
-			break
-		}
-		if v, found := headerCut(h, "Content-Length"); found {
-			contentLength, err = strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return 0, "", fmt.Errorf("netmp: %s content-length %q: %w", pc.name, v, err)
-			}
-		}
-		if v, found := headerCut(h, "X-MPDash-Cache"); found {
-			cacheState = strings.ToLower(v)
-		}
-	}
-	if contentLength < 0 {
-		return 0, "", fmt.Errorf("netmp: %s missing content length", pc.name)
-	}
-	return contentLength, cacheState, nil
-}
-
 // requestRange performs one HTTP range request on a path connection and
 // verifies the payload. Every I/O operation (the write, the status and
 // header reads, and each body block read) runs under the policy's
@@ -871,14 +826,10 @@ func (f *Fetcher) requestRange(pc *pathConn, index, level int, from, to int64) (
 	defer pc.conn.SetDeadline(time.Time{})
 
 	lvlID := f.Video.Levels[level].ID
-	reqp := acquireReqLine()
-	req := AppendRangeRequest((*reqp)[:0], lvlID, index, from, to)
+	pc.req = AppendRangeRequest(pc.req[:0], lvlID, index, from, to)
 	t0 := f.clk.now()
 	extend()
-	_, werr := pc.conn.Write(req)
-	*reqp = req[:0]
-	releaseReqLine(reqp)
-	if werr != nil {
+	if _, werr := pc.conn.Write(pc.req); werr != nil {
 		return 0, false, fmt.Errorf("netmp: %s write: %w", pc.name, werr)
 	}
 	contentLength, cacheState, err := pc.readHead("206")

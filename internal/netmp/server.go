@@ -8,8 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -594,7 +592,7 @@ func (s *ChunkServer) serve(conn net.Conn, ctx context.Context) {
 		served++
 		setBusy(true)
 		if bad {
-			fmt.Fprintf(w, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
+			w.WriteString(head400)
 			w.Flush()
 			setBusy(false)
 			continue
@@ -616,13 +614,13 @@ func (s *ChunkServer) serve(conn net.Conn, ctx context.Context) {
 			to = size - 1
 		}
 		if from < 0 || from > to {
-			fmt.Fprintf(w, "HTTP/1.1 416 Range Not Satisfiable\r\nContent-Length: 0\r\n\r\n")
+			w.WriteString(head416)
 			w.Flush()
 			setBusy(false)
 			continue
 		}
 		n := to - from + 1
-		fmt.Fprintf(w, "HTTP/1.1 206 Partial Content\r\nContent-Length: %d\r\nContent-Range: bytes %d-%d/%d\r\n\r\n", n, from, to, size)
+		w.Write(appendRangeHead(w.AvailableBuffer(), n, from, to, size, ""))
 		if err := s.writeBody(ctx, w, index, level, from, n, fault); err != nil {
 			w.Flush() // deliver whatever was produced before the fault
 			return
@@ -632,73 +630,6 @@ func (s *ChunkServer) serve(conn net.Conn, ctx context.Context) {
 		}
 		setBusy(false)
 	}
-}
-
-// readChunkRequest parses "GET /seg-lL-cCCCC.m4s HTTP/1.1" (or
-// "GET /manifest.mpd") plus headers against video's catalog bounds —
-// shared by the origin ChunkServer and the EdgeServer, which speak the
-// same protocol. Header field names and the range unit match
-// case-insensitively (RFC 9110); a syntactically malformed Range value
-// sets bad=true so the caller answers 400 instead of silently serving
-// from offset 0. ok=false means protocol error or EOF.
-func readChunkRequest(r *bufio.Reader, video *dash.Video) (index, level int, from, to int64, manifest, bad, ok bool) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return 0, 0, 0, 0, false, false, false
-	}
-	parts := strings.Fields(strings.TrimSpace(line))
-	if len(parts) != 3 || parts[0] != "GET" {
-		return 0, 0, 0, 0, false, false, false
-	}
-	isManifest := parts[1] == "/manifest.mpd"
-	var lvlID, idx int
-	if !isManifest {
-		if _, err := fmt.Sscanf(parts[1], "/seg-l%d-c%d.m4s", &lvlID, &idx); err != nil {
-			return 0, 0, 0, 0, false, false, false
-		}
-	}
-	from, to = 0, -1
-	for {
-		h, err := r.ReadString('\n')
-		if err != nil {
-			return 0, 0, 0, 0, false, false, false
-		}
-		h = strings.TrimSpace(h)
-		if h == "" {
-			break
-		}
-		if v, found := headerCut(h, "Range"); found {
-			unit, spec, cut := strings.Cut(v, "=")
-			if !cut || !strings.EqualFold(strings.TrimSpace(unit), "bytes") {
-				bad = true
-				continue
-			}
-			a, b, dashed := strings.Cut(spec, "-")
-			if !dashed { // "bytes=100": no range at all
-				bad = true
-				continue
-			}
-			from, err = strconv.ParseInt(strings.TrimSpace(a), 10, 64)
-			if err != nil {
-				bad = true
-				continue
-			}
-			if b = strings.TrimSpace(b); b != "" {
-				if to, err = strconv.ParseInt(b, 10, 64); err != nil {
-					bad = true
-					continue
-				}
-			}
-		}
-	}
-	if isManifest {
-		return 0, 0, 0, 0, true, bad, true
-	}
-	lvl := lvlID - 1
-	if lvl < 0 || lvl >= len(video.Levels) || idx < 0 || idx >= video.NumChunks {
-		return 0, 0, 0, 0, false, false, false
-	}
-	return idx, lvl, from, to, false, bad, true
 }
 
 // writeManifest serves the video's MPD (unshaped: manifests are tiny).

@@ -190,6 +190,7 @@ type pathConn struct {
 	set    *OriginSet // ranked origins with per-origin breakers
 	conn   net.Conn   // owned by the single worker goroutine using the path
 	r      *bufio.Reader
+	req    []byte     // request-head scratch; owner-goroutine only
 	rng    *rand.Rand // jitter; owner-goroutine only
 	closed bool       // set by Close; owner/Close coordination via mu
 	clk    Clock      // injectable wall clock (nil = time.Now)
@@ -483,13 +484,4 @@ func (pc *pathConn) close() error {
 	pc.closed = true
 	pc.mu.Unlock()
 	return pc.conn.Close()
-}
-
-// headerCut matches "Key: value" case-insensitively (RFC 9110 field
-// names), returning the trimmed value.
-func headerCut(line, key string) (string, bool) {
-	if len(line) > len(key) && line[len(key)] == ':' && strings.EqualFold(line[:len(key)], key) {
-		return strings.TrimSpace(line[len(key)+1:]), true
-	}
-	return "", false
 }
