@@ -3,6 +3,7 @@ package field
 import (
 	"math"
 	"testing"
+	"time"
 
 	"mpdash/internal/harness"
 	"mpdash/internal/stats"
@@ -55,5 +56,44 @@ func TestStudyDigestPinned(t *testing.T) {
 	}
 	if h != airportDigest {
 		t.Fatalf("study digest %#x, want %#x: the simulator stack no longer reproduces the pinned sessions", h, airportDigest)
+	}
+}
+
+// jitterDigest is the FNV-1a digest of three Airport sessions run with
+// ±30 % per-packet propagation jitter, computed at commit 24e443f (every
+// packet on the global event heap) on amd64. No catalogue location sets
+// jitter, so the study digest never takes the link's reorder path; this
+// one does on every burst.
+const jitterDigest uint64 = 0xf0ccff31211b1d43
+
+// TestJitterDigestPinned: jittered packets overtake each other inside a
+// link, and the sessions must still come out the same to the last bit.
+func TestJitterDigestPinned(t *testing.T) {
+	loc, ok := ByName("Airport")
+	if !ok {
+		t.Fatal("no Airport location")
+	}
+	const slot, traceSlots = 100 * time.Millisecond, 9000
+	wifi, lte := loc.WiFiTrace(slot, traceSlots), loc.LTETrace(slot, traceSlots)
+	h := stats.FNVOffset
+	for _, arm := range []struct {
+		scheme harness.Scheme
+		algo   harness.Algorithm
+	}{
+		{harness.Baseline, harness.FESTIVE},
+		{harness.MPDashRate, harness.FESTIVE},
+		{harness.MPDashDuration, harness.BBA},
+	} {
+		r, err := harness.RunSession(harness.SessionConfig{
+			WiFi: wifi, LTE: lte, WiFiRTT: loc.WiFiRTT, LTERTT: loc.LTERTT,
+			Algorithm: arm.algo, Scheme: arm.scheme, Chunks: 20, RTTJitterFrac: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = sessionDigest(h, r)
+	}
+	if h != jitterDigest {
+		t.Fatalf("jitter digest %#x, want %#x: reordering inside a link changed the sessions", h, jitterDigest)
 	}
 }
