@@ -31,7 +31,8 @@ type Link struct {
 	jitterFrac    float64
 	rng           *rand.Rand
 
-	busyUntil time.Duration
+	busyUntil       time.Duration
+	arrivals, drops flightList // packets on their way out, drop signals on their way back
 
 	deliveredBytes int64
 	droppedPackets int64
@@ -85,15 +86,16 @@ func New(s *sim.Simulator, cfg Config) (*Link, error) {
 	if cfg.JitterFrac > 0 {
 		l.rng = rand.New(rand.NewSource(cfg.JitterSeed))
 	}
+	l.arrivals.fire, l.drops.fire = l.fireArrival, l.fireDrop
 	return l, nil
 }
 
 // Packet is a caller-owned record for one packet. The caller fills Size,
 // Deliver and Drop, hands the record to Send, and must not touch or resend
 // it until one of the two callbacks has been entered; from then on it is
-// the caller's again and may go straight back onto a link. A record that
-// is reused this way costs no allocation per packet: its two link-side
-// callbacks are bound once, on first use.
+// the caller's again and may go straight back onto a link. Until then the
+// link threads its in-flight list through the record itself, so a packet
+// costs no allocation.
 type Packet struct {
 	Size int
 	// Deliver fires at the packet's arrival time at the far end. Drop
@@ -101,22 +103,83 @@ type Packet struct {
 	// observable to the sender. Either may be nil.
 	Deliver, Drop func()
 
-	link            *Link // the link that holds the record, nil when the caller does
-	arrive, dropped func()
+	link       *Link         // the link that holds the record, nil when the caller does
+	at         time.Duration // when the callback is due
+	seq        uint64        // reserved at Send: the callback's place among events at the same time
+	prev, next *Packet
+	queued     bool // the record's (at, seq) is in the simulator's heap
 }
 
-func (p *Packet) onArrival() {
-	p.link.deliveredBytes += int64(p.Size)
-	p.link = nil
+// flightList is a FIFO of records in (at, seq) order. A link's due times
+// come out sorted (jitter apart), so only the head is in the simulator's
+// heap: the event set is as deep as there are links, not packets in
+// flight. What fires when is unchanged — a parked record is never due
+// before its list's head, and it keeps the seq it reserved at Send.
+type flightList struct {
+	head, tail *Packet
+	fire       func() // bound once; the heap entry of whichever record is head
+}
+
+// park takes ownership of p until at. A jittered packet may be due before
+// ones sent earlier: it walks back from the tail past them (and stays
+// behind a tie — its seq is the largest).
+func (l *Link) park(q *flightList, p *Packet, at time.Duration) {
+	p.link, p.at, p.seq = l, at, l.sim.ReserveSeq()
+	after := q.tail
+	for after != nil && after.at > at {
+		after = after.prev
+	}
+	p.prev = after
+	if after == nil {
+		p.next, q.head = q.head, p
+	} else {
+		p.next, after.next = after.next, p
+	}
+	if p.next == nil {
+		q.tail = p
+	} else {
+		p.next.prev = p
+	}
+	if after == nil {
+		l.arm(q)
+	}
+}
+
+// arm puts the head's entry into the simulator's heap. A head that was
+// overtaken still has its entry there; queued keeps it from getting two.
+func (l *Link) arm(q *flightList) {
+	if p := q.head; p != nil && !p.queued {
+		p.queued = true
+		l.sim.ScheduleSeq(p.at, p.seq, q.fire)
+	}
+}
+
+// pop hands the head back to the caller when its entry fires and re-arms
+// the list — before any callback runs, which may Send the same record.
+func (l *Link) pop(q *flightList) *Packet {
+	p := q.head
+	if p == nil || !p.queued {
+		panic(fmt.Sprintf("link %q: event fired for a packet that is not first in flight", l.Name))
+	}
+	if q.head = p.next; q.head == nil {
+		q.tail = nil
+	} else {
+		q.head.prev = nil
+	}
+	p.link, p.next, p.queued = nil, nil, false
+	l.arm(q)
+	return p
+}
+
+func (l *Link) fireArrival() {
+	p := l.pop(&l.arrivals)
+	l.deliveredBytes += int64(p.Size)
 	if p.Deliver != nil {
 		p.Deliver()
 	}
 }
 
-func (p *Packet) onDrop() {
-	p.link = nil
-	p.Drop()
-}
+func (l *Link) fireDrop() { l.pop(&l.drops).Drop() }
 
 // Send enqueues p. If the queue is full the packet is dropped and p.Drop
 // fires at the time the loss becomes observable to the sender (one
@@ -130,9 +193,6 @@ func (l *Link) Send(p *Packet) {
 	if p.link != nil {
 		panic(fmt.Sprintf("link %q: packet record is still on link %q", l.Name, p.link.Name))
 	}
-	if p.arrive == nil {
-		p.arrive, p.dropped = p.onArrival, p.onDrop
-	}
 	now := l.sim.Now()
 	start := now
 	if l.busyUntil > start {
@@ -142,8 +202,7 @@ func (l *Link) Send(p *Packet) {
 	if queueDelay > l.maxQueueDelay {
 		l.droppedPackets++
 		if p.Drop != nil {
-			p.link = l
-			l.sim.Schedule(queueDelay, p.dropped)
+			l.park(&l.drops, p, start)
 		}
 		return
 	}
@@ -161,8 +220,7 @@ func (l *Link) Send(p *Packet) {
 	if l.rng != nil {
 		prop += time.Duration((2*l.rng.Float64() - 1) * l.jitterFrac * float64(prop))
 	}
-	p.link = l
-	l.sim.ScheduleAt(l.busyUntil+prop, p.arrive)
+	l.park(&l.arrivals, p, l.busyUntil+prop)
 }
 
 // QueueDelay returns the current backlog at the transmitter.

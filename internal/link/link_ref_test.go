@@ -3,7 +3,10 @@ package link
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -297,6 +300,21 @@ func diffOrder(t *testing.T, data []byte) []orderEvent {
 		t.Fatalf("link produced %d events, reference %d", len(got), len(want))
 	}
 	return got
+}
+
+// readSeed returns the script in a committed corpus file of FuzzLinkOrder.
+func readSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLinkOrder", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	script, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		t.Fatalf("%s is not a []byte corpus file: %v", name, err)
+	}
+	return []byte(script)
 }
 
 // FuzzLinkOrder: any script fires the identical sequence of (virtual

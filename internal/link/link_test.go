@@ -1,6 +1,7 @@
 package link
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -194,16 +195,18 @@ func TestSendZeroSizePanics(t *testing.T) {
 }
 
 // TestPacketRecordOwnership: a record is the link's from Send until one of
-// its callbacks is entered — resending it meanwhile panics, whether it is
-// queued or dropped — and the caller's again from then on, at no cost per
-// trip.
+// its callbacks is entered — offering it to any link meanwhile panics,
+// whether it is first in flight, parked behind another or dropped — and
+// the caller's again from then on, at no cost per trip.
 func TestPacketRecordOwnership(t *testing.T) {
 	s, l := newTestLink(t, 1.0, 5*time.Millisecond)
-	resendPanics := func(p *Packet) (panicked bool) {
+	_, other := newTestLink(t, 1.0, 5*time.Millisecond)
+	sendPanics := func(l *Link, p *Packet) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
 		l.Send(p)
 		return false
 	}
+	resendPanics := func(p *Packet) bool { return sendPanics(l, p) }
 	trips := 0
 	p := &Packet{Size: 1250}
 	p.Deliver = func() {
@@ -212,13 +215,25 @@ func TestPacketRecordOwnership(t *testing.T) {
 		}
 	}
 	l.Send(p)
+	behind := &Packet{Size: 1250}
+	l.Send(behind)
+	if s.Pending() != 1 {
+		t.Errorf("%d heap entries for two packets in flight on one link, want 1", s.Pending())
+	}
 	if !resendPanics(p) {
 		t.Error("a record in flight was accepted again")
 	}
+	if !resendPanics(behind) {
+		t.Error("a record parked behind the head was accepted again")
+	}
+	if !sendPanics(other, p) || !sendPanics(other, behind) {
+		t.Error("a record in flight on one link was accepted by another")
+	}
 	for s.Step() {
 	}
-	if trips != 3 || l.DeliveredBytes() != 3*1250 {
-		t.Errorf("%d trips, %d bytes delivered; want 3 and 3750", trips, l.DeliveredBytes())
+	other.Send(behind) // delivered, so free to go anywhere
+	if trips != 3 || l.DeliveredBytes() != 4*1250 {
+		t.Errorf("%d trips, %d bytes delivered; want 3 and 5000", trips, l.DeliveredBytes())
 	}
 
 	// Fill the queue past its bound, then offer one more: it is dropped,
@@ -246,6 +261,75 @@ func TestPacketRecordOwnership(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("reusing a record: %v allocs per packet, want 0", n)
+	}
+}
+
+// TestFireChecksOrderInvariant: a heap entry of a link is always for the
+// packet it holds first; one that fires with nothing in flight, or with a
+// head that was never queued, means the order contract is already broken.
+func TestFireChecksOrderInvariant(t *testing.T) {
+	_, l := newTestLink(t, 1.0, 0)
+	firePanics := func() (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		l.fireArrival()
+		return false
+	}
+	if !firePanics() {
+		t.Error("fire with nothing in flight did not panic")
+	}
+	l.Send(&Packet{Size: 1250})
+	l.arrivals.head.queued = false
+	if !firePanics() {
+		t.Error("fire for a head with no heap entry did not panic")
+	}
+}
+
+// TestJitterOvertakesHeadTwice replays by hand what the committed fuzz
+// seed of that name scripts, and watches the list: three packets whose
+// jitter draws come out descending, so each becomes head over the one
+// before. Every overtaken head keeps its heap entry (three entries, no
+// duplicates), and they deliver last sent first.
+func TestJitterOvertakesHeadTwice(t *testing.T) {
+	var seeded []int
+	for _, e := range runOnLink(readSeed(t, "jitter-overtakes-head-twice")) {
+		if e.kind == 'D' {
+			seeded = append(seeded, e.id)
+		}
+	}
+	if !slices.Equal(seeded, []int{0, 3, 2, 1}) {
+		t.Fatalf("the seed delivers %v, want [0 3 2 1]: it no longer scripts this scenario", seeded)
+	}
+	s := sim.New()
+	l, err := New(s, Config{Name: "0", Rate: trace.Constant("r", 64, 4*time.Millisecond, 4),
+		PropDelay: 7 * time.Millisecond, MaxQueueDelay: 8 * time.Millisecond, JitterFrac: 0.95, JitterSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	send := func(id int) *Packet {
+		p := &Packet{Size: 100, Deliver: func() { order = append(order, id) }}
+		l.Send(p)
+		return p
+	}
+	send(0) // the seed's filler: uses up the first jitter draw
+	s.Advance(25500 * time.Microsecond)
+	var sent [3]*Packet
+	for i := range sent {
+		sent[i] = send(i + 1)
+		if l.arrivals.head != sent[i] || !sent[i].queued {
+			t.Fatalf("packet %d is not the queued head after its Send", i+1)
+		}
+	}
+	if l.arrivals.tail != sent[0] || s.Pending() != 3 {
+		t.Fatalf("tail is not the first packet sent, or %d heap entries, want 3", s.Pending())
+	}
+	for s.Step() {
+	}
+	if !slices.Equal(order, []int{0, 3, 2, 1}) {
+		t.Errorf("delivery order %v, want [0 3 2 1]", order)
+	}
+	if l.arrivals.head != nil || l.arrivals.tail != nil {
+		t.Error("list not empty after draining")
 	}
 }
 

@@ -154,10 +154,13 @@ func setupPacketPath(Config) (func(), error) {
 	}, nil
 }
 
-// packetPathDomain runs one 16 MiB transfer to completion: what arrived,
-// when, and how many window cuts it took are exact.
+// packetPathDomain steps one 16 MiB transfer to completion: what arrived,
+// when, in how many events and with how many window cuts are exact. The
+// event heap's peak depth is the layer's cost driver — it follows the
+// number of links (one entry per in-flight list), not of packets in
+// flight — and may only fall.
 func packetPathDomain(Config) ([]Metric, error) {
-	_, conn, err := newPacketPathConn()
+	s, conn, err := newPacketPathConn()
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +168,13 @@ func packetPathDomain(Config) ([]Metric, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !tr.RunUntilComplete(time.Minute) {
-		return nil, fmt.Errorf("sim_packet_path: transfer stalled at %d of %d bytes", tr.Delivered(), tr.Size())
+	steps, peak := 0, 0
+	for !tr.Done() {
+		peak = max(peak, s.Pending())
+		if s.Now() > time.Minute || !s.Step() {
+			return nil, fmt.Errorf("sim_packet_path: transfer stalled at %d of %d bytes", tr.Delivered(), tr.Size())
+		}
+		steps++
 	}
 	var delivered, losses int64
 	for _, p := range conn.Paths() {
@@ -177,6 +185,8 @@ func packetPathDomain(Config) ([]Metric, error) {
 		{Name: "delivered_bytes", Value: float64(delivered), Gate: GateExact},
 		{Name: "finish_virtual_ns", Value: float64(tr.CompletedAt()), Gate: GateExact},
 		{Name: "loss_events", Value: float64(losses), Gate: GateExact},
+		{Name: "steps", Value: float64(steps), Gate: GateExact},
+		{Name: "peak_pending_events", Value: float64(peak), Gate: GateMax},
 	}, nil
 }
 

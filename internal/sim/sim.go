@@ -52,14 +52,32 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) {
 // ScheduleAt enqueues fn to run at absolute virtual time at. Times in the
 // past are clamped to now.
 func (s *Simulator) ScheduleAt(at time.Duration, fn func()) {
+	s.ScheduleSeq(at, s.ReserveSeq(), fn)
+}
+
+// ReserveSeq takes the next sequence number without queueing anything: an
+// event's place among those sharing its timestamp is fixed when it is
+// decided, not when it enters the heap. A link reserves at Send, parks the
+// packet behind those ahead of it, and queues it when it reaches the front.
+func (s *Simulator) ReserveSeq() uint64 {
+	s.seq++
+	return s.seq - 1
+}
+
+// ScheduleSeq enqueues fn at time at (clamped to now) under a sequence
+// number ReserveSeq returned earlier. The holder of seq must queue it
+// before any later-ordered event of its own could fire, and only once.
+func (s *Simulator) ScheduleSeq(at time.Duration, seq uint64, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil function")
+	}
+	if seq >= s.seq {
+		panic(fmt.Sprintf("sim: ScheduleSeq with sequence number %d, never reserved (next is %d)", seq, s.seq))
 	}
 	if at < s.now {
 		at = s.now
 	}
-	ev := event{at: at, seq: s.seq, fn: fn}
-	s.seq++
+	ev := event{at: at, seq: seq, fn: fn}
 	// Sift up: move parents down into the hole until ev fits.
 	q := append(s.queue, ev)
 	i := len(q) - 1
@@ -151,5 +169,7 @@ func (s *Simulator) AdvanceTo(at time.Duration) {
 // Advance moves the clock forward by d, firing due events. See AdvanceTo.
 func (s *Simulator) Advance(d time.Duration) { s.AdvanceTo(s.now + d) }
 
-// Pending returns the number of queued events.
+// Pending returns the number of entries in the event heap: not every event
+// still to come — a link keeps one entry per in-flight list and parks the
+// packets behind it — but zero exactly when nothing is pending.
 func (s *Simulator) Pending() int { return len(s.queue) }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -118,6 +119,39 @@ func TestOrderIsStableSortOnClampedTime(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Errorf("Pending = %d after draining", s.Pending())
 	}
+}
+
+// TestScheduleSeqKeepsReservedOrder: an event's place among those at its
+// timestamp is the one it reserved, however late it enters the heap; and
+// ScheduleSeq holds ScheduleAt's contracts (past times clamp) plus its
+// own (the number must have been reserved).
+func TestScheduleSeqKeepsReservedOrder(t *testing.T) {
+	s := New()
+	var got []string
+	note := func(name string) func() { return func() { got = append(got, name) } }
+	s.ScheduleAt(time.Second, note("a"))
+	parked := s.ReserveSeq()
+	s.ScheduleAt(time.Second, note("b"))
+	s.ScheduleAt(time.Second, func() {
+		got = append(got, "c")
+		s.ScheduleSeq(0, parked, note("parked, aimed at the past"))
+		s.Schedule(0, note("d"))
+	})
+	s.ScheduleAt(time.Second, note("e"))
+	for s.Step() {
+	}
+	if want := "a b c parked, aimed at the past e d"; strings.Join(got, " ") != want {
+		t.Errorf("fired %q, want %q", strings.Join(got, " "), want)
+	}
+	if s.Now() != time.Second {
+		t.Errorf("clock at %v: the past time was not clamped to 1s", s.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ScheduleSeq accepted a sequence number nobody reserved")
+		}
+	}()
+	s.ScheduleSeq(time.Second, parked+100, func() {})
 }
 
 // TestScheduleStepAllocatesNothing: with a func bound beforehand and a
