@@ -21,14 +21,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"time"
 
-	"mpdash"
 	"mpdash/internal/cache"
+	"mpdash/internal/dash"
 	"mpdash/internal/netmp"
 	"mpdash/internal/obs"
 )
@@ -64,14 +63,9 @@ func run() int {
 		originList[i] = strings.TrimSpace(originList[i])
 	}
 
-	var video *mpdash.Video
-	for _, v := range mpdash.VideoCatalog() {
-		if v.Name == *videoName {
-			video = v
-		}
-	}
-	if video == nil {
-		fmt.Fprintf(os.Stderr, "unknown video %q\n", *videoName)
+	video, err := dash.Lookup(*videoName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
@@ -99,34 +93,12 @@ func run() int {
 	}
 
 	if *metricsAddr != "" || *journalPath != "" {
-		tel := obs.New()
-		if *journalPath != "" {
-			var w io.Writer = os.Stderr
-			if *journalPath != "-" {
-				jf, err := os.Create(*journalPath)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return 1
-				}
-				defer jf.Close()
-				w = jf
-			}
-			tel.Journal.StreamTo(w)
-			defer func() {
-				if err := tel.Journal.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-				}
-			}()
+		tel, closeTel, err := obs.Open(*journalPath, *metricsAddr, infof)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
-		if *metricsAddr != "" {
-			ms, err := tel.Serve(*metricsAddr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			defer ms.Close()
-			infof("telemetry: http://%s/metrics\n", ms.Addr())
-		}
+		defer closeTel()
 		store.Instrument(tel)
 		edge.Instrument(tel)
 	}

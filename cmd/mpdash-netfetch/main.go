@@ -128,34 +128,12 @@ func run() int {
 	st := &netmp.Streamer{Fetcher: f, ABR: abr.NewGPAC(), RateBased: *rateBase}
 
 	if *metricsAddr != "" || *journalPath != "" {
-		tel := obs.New()
-		if *journalPath != "" {
-			var w io.Writer = os.Stderr
-			if *journalPath != "-" {
-				jf, err := os.Create(*journalPath)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return 1
-				}
-				defer jf.Close()
-				w = jf
-			}
-			tel.Journal.StreamTo(w)
-			defer func() {
-				if err := tel.Journal.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-				}
-			}()
+		tel, closeTel, err := obs.Open(*journalPath, *metricsAddr, infof)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
-		if *metricsAddr != "" {
-			ms, err := tel.Serve(*metricsAddr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			defer ms.Close()
-			infof("telemetry: http://%s/metrics\n", ms.Addr())
-		}
+		defer closeTel()
 		st.Instrument(tel)
 	}
 

@@ -15,6 +15,7 @@ import (
 
 	"mpdash"
 	"mpdash/internal/analysis"
+	"mpdash/internal/dash"
 	"mpdash/internal/harness"
 	"mpdash/internal/trace"
 )
@@ -48,14 +49,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
 		os.Exit(2)
 	}
-	var video *mpdash.Video
-	for _, v := range mpdash.VideoCatalog() {
-		if v.Name == *videoName {
-			video = v
-		}
-	}
-	if video == nil {
-		fmt.Fprintf(os.Stderr, "unknown video %q\n", *videoName)
+	video, err := dash.Lookup(*videoName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

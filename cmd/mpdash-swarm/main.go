@@ -191,36 +191,12 @@ func run() int {
 
 	var auditor *audit.Auditor
 	if *metricsAddr != "" || *journalPath != "" || *auditOn {
-		tel := obs.New()
-		if *journalPath != "" {
-			var w io.Writer = os.Stderr
-			if *journalPath != "-" {
-				jf, err := os.Create(*journalPath)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return 1
-				}
-				defer jf.Close()
-				w = jf
-			}
-			tel.Journal.StreamTo(w)
-			defer func() {
-				if err := tel.Journal.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-				}
-			}()
+		tel, closeTel, err := obs.Open(*journalPath, *metricsAddr, sw.Logf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
-		if *metricsAddr != "" {
-			ms, err := tel.Serve(*metricsAddr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			defer ms.Close()
-			if !*quiet {
-				fmt.Printf("telemetry: http://%s/metrics\n", ms.Addr())
-			}
-		}
+		defer closeTel()
 		if *auditOn {
 			// The auditor watches the telemetry stream live (abort
 			// pairing, chaos markers) and hooks every session's playback

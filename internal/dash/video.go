@@ -160,6 +160,16 @@ func Catalog() []*Video {
 	return []*Video{BigBuckBunny(), RedBullPlaystreets(), TearsOfSteel(), TearsOfSteelHD()}
 }
 
+// Lookup returns the Catalog video called name.
+func Lookup(name string) (*Video, error) {
+	for _, v := range Catalog() {
+		if v.Name == name {
+			return v, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown video %q", name)
+}
+
 // WithChunkDuration returns a copy of the video re-chunked to dur while
 // preserving total playout length (the paper repeats experiments with 6 s
 // and 10 s chunks).

@@ -45,6 +45,12 @@ func TestCatalogMatchesTable3(t *testing.T) {
 			t.Errorf("%s duration = %v", v.Name, v.Duration())
 		}
 	}
+	if v, err := Lookup("Tears of Steel"); err != nil || v.SizeSeed != TearsOfSteel().SizeSeed {
+		t.Errorf("Lookup of a catalog name: %+v, %v", v, err)
+	}
+	if _, err := Lookup("tears of steel"); err == nil {
+		t.Error("Lookup accepted a name that is not in the catalog")
+	}
 }
 
 func TestValidateRejectsBadVideos(t *testing.T) {

@@ -17,12 +17,11 @@ package netmp
 // deterministic body for the store.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpdash/internal/cache"
@@ -59,34 +58,26 @@ func (p EdgePolicy) withDefaults() EdgePolicy {
 	return p
 }
 
-// EdgeServer is one cache-tier front: a listener, a shared chunk store,
-// and a fetcher pool toward the ranked origins.
+// EdgeServer is one cache-tier server: a front (see front.go) whose body
+// source is a shared chunk store, filled on a miss by a fetcher pool
+// toward the ranked origins. Store, pool and fill context belong to the
+// edge, not to a listener generation: they survive Crash/Restart, and a
+// fill outlives the connection that asked for it — only Close cancels it.
 type EdgeServer struct {
-	Video *dash.Video
+	*front
 
-	name   string // cache key namespace (the video's catalog identity)
-	addr   string
-	ln     net.Listener
-	bucket *TokenBucket
-	pol    EdgePolicy
-	store  *cache.Cache
+	name  string // cache key namespace (the video's catalog identity)
+	pol   EdgePolicy
+	store *cache.Cache
 
 	origins []string      // ranked; every fill fetcher dials through all of them
 	pool    chan *Fetcher // fill fetchers; a fill holds one for its duration
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	clk    Clock
+	fillCtx     context.Context
+	cancelFills context.CancelFunc
 
-	mu          sync.Mutex
-	served      int64
-	originBytes int64
-	fillErrs    int64
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	sink   obs.Sink // guarded by connMu
+	originBytes atomic.Int64
+	fillErrs    atomic.Int64
 }
 
 // NewEdgeServer starts an edge on a loopback port, fronting origins for
@@ -95,9 +86,6 @@ type EdgeServer struct {
 // shared cache tier). The origin list is ranked: the fill fetchers
 // apply breaker-driven failover across it.
 func NewEdgeServer(video *dash.Video, name string, origins []string, store *cache.Cache, pol EdgePolicy) (*EdgeServer, error) {
-	if err := video.Validate(); err != nil {
-		return nil, err
-	}
 	if store == nil {
 		return nil, errors.New("netmp: edge needs a cache store")
 	}
@@ -105,37 +93,27 @@ func NewEdgeServer(video *dash.Video, name string, origins []string, store *cach
 		return nil, errors.New("netmp: edge needs at least one origin")
 	}
 	pol = pol.withDefaults()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("netmp: edge listen: %w", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
 	e := &EdgeServer{
-		Video:   video,
 		name:    name,
-		addr:    ln.Addr().String(),
-		ln:      ln,
-		bucket:  newTokenBucketClocked(pol.RateMbps*1e6/8, 64*1024, nil),
 		pol:     pol,
 		store:   store,
 		origins: origins,
 		pool:    make(chan *Fetcher, pol.FillFetchers),
-		ctx:     ctx,
-		cancel:  cancel,
-		conns:   make(map[net.Conn]struct{}),
 	}
+	e.fillCtx, e.cancelFills = context.WithCancel(context.Background())
+	var err error
+	if e.front, err = listenFront(video, pol.RateMbps, e); err != nil {
+		return nil, err
+	}
+	// The listener is up already; a request that beats the pool waits for it.
 	for i := 0; i < pol.FillFetchers; i++ {
 		f, err := e.dialFetcher()
 		if err != nil {
-			cancel()
-			ln.Close()
-			e.closeFetchers()
+			e.Close()
 			return nil, fmt.Errorf("netmp: edge fill fetcher: %w", err)
 		}
 		e.pool <- f
 	}
-	e.wg.Add(1)
-	go e.acceptLoop()
 	return e, nil
 }
 
@@ -155,41 +133,22 @@ func (e *EdgeServer) dialFetcher() (*Fetcher, error) {
 	return f, nil
 }
 
-// Addr returns the edge's listen address.
-func (e *EdgeServer) Addr() string { return e.addr }
-
-// ServedBytes returns the payload bytes written to clients.
-func (e *EdgeServer) ServedBytes() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.served
-}
-
 // OriginBytes returns the payload bytes pulled from origins by misses —
 // the denominator's complement of the origin-offload ratio.
-func (e *EdgeServer) OriginBytes() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.originBytes
-}
+func (e *EdgeServer) OriginBytes() int64 { return e.originBytes.Load() }
 
-// FillErrors returns how many origin fills failed outright.
-func (e *EdgeServer) FillErrors() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fillErrs
-}
+// FillErrors returns how many fills failed outright (clients got a 503).
+func (e *EdgeServer) FillErrors() int64 { return e.fillErrs.Load() }
 
-// Instrument wires the edge to t: scrape-time collectors over the byte
-// counters plus journal events for fill failures. The shared store is
-// instrumented separately (once, not per edge).
+// Instrument wires the edge to t: the front's collectors and events,
+// plus scrape-time collectors over the edge's byte counters and journal
+// events for fill failures. The shared store is instrumented separately
+// (once, not per edge).
 func (e *EdgeServer) Instrument(t *obs.Telemetry) {
 	if t == nil {
 		return
 	}
-	e.connMu.Lock()
-	e.sink = t
-	e.connMu.Unlock()
+	e.front.instrument(t)
 	r := t.Registry
 	lbl := obs.Labels{"edge": e.addr}
 	r.CounterFunc("cache_edge_served_bytes_total",
@@ -203,19 +162,11 @@ func (e *EdgeServer) Instrument(t *obs.Telemetry) {
 		lbl, func() float64 { return float64(e.FillErrors()) })
 }
 
-// Close stops the edge: listener, admitted connections, fill fetchers.
+// Close stops the edge: pending fills, the front, then the fill
+// fetchers (every handler has returned its fetcher by then).
 func (e *EdgeServer) Close() error {
-	e.cancel()
-	err := e.ln.Close()
-	e.connMu.Lock()
-	for c := range e.conns {
-		c.Close()
-	}
-	e.connMu.Unlock()
-	e.wg.Wait()
-	if ferr := e.closeFetchers(); ferr != nil {
-		err = errors.Join(err, ferr)
-	}
+	e.cancelFills()
+	err := errors.Join(e.front.Close(), e.closeFetchers())
 	if errors.Is(err, net.ErrClosed) {
 		err = nil
 	}
@@ -231,92 +182,28 @@ func (e *EdgeServer) closeFetchers() error {
 	return errors.Join(errs...)
 }
 
-func (e *EdgeServer) acceptLoop() {
-	defer e.wg.Done()
-	for {
-		conn, err := e.ln.Accept()
-		if err != nil {
-			return // the edge tier has no chaos plan; any error means Close
-		}
-		e.connMu.Lock()
-		e.conns[conn] = struct{}{}
-		e.connMu.Unlock()
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer func() {
-				e.connMu.Lock()
-				delete(e.conns, conn)
-				e.connMu.Unlock()
-				conn.Close()
-			}()
-			e.serve(conn)
-		}()
-	}
-}
-
-// serve handles one keep-alive client connection.
-func (e *EdgeServer) serve(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		index, level, from, to, manifest, bad, ok := readChunkRequest(r, e.Video)
-		if !ok {
-			return
-		}
-		if bad {
-			w.WriteString(head400)
-			w.Flush()
-			continue
-		}
-		if manifest {
-			if err := writeManifestFor(w, e.Video); err != nil {
-				return
-			}
-			continue
-		}
-		size := e.Video.ChunkSize(index, level)
-		if to < 0 || to >= size {
-			to = size - 1
-		}
-		if from < 0 || from > to {
-			w.WriteString(head416)
-			w.Flush()
-			continue
-		}
-		body, hit, err := e.chunkBody(index, level)
-		if err != nil {
-			// An exhausted origin set is the edge's overload face:
-			// transient for the client's supervisor, breaker fuel for a
-			// (future) multi-edge set.
-			w.WriteString(head503)
-			w.Flush()
-			continue
-		}
-		state := "miss"
-		if hit {
-			state = "hit"
-		}
-		n := to - from + 1
-		w.Write(appendRangeHead(w.AvailableBuffer(), n, from, to, size, state))
-		if err := e.writeBody(w, body[from:to+1]); err != nil {
-			w.Flush()
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// chunkBody returns (index, level)'s full body via the shared store,
-// filling from origin on a miss (singleflight-collapsed across every
-// concurrent request for the key, this edge's and its siblings' alike).
-func (e *EdgeServer) chunkBody(index, level int) ([]byte, bool, error) {
+// chunk is the edge's body source: (index, level)'s whole body via the
+// shared store, filling from origin on a miss (singleflight-collapsed
+// across every concurrent request for the key, this edge's and its
+// siblings' alike), and whether it was a hit. The store is shared and
+// caller-provided, so a body of the wrong length is a failed fill, not
+// something to slice.
+func (e *EdgeServer) chunk(index, level int) (chunkBody, error) {
 	k := cache.Key{Video: e.name, Level: level, Chunk: index}
-	return e.store.Fetch(k, func() ([]byte, error) {
+	body, hit, err := e.store.Fetch(k, func() ([]byte, error) {
 		return e.fillFromOrigin(index, level)
 	})
+	if err != nil {
+		return chunkBody{}, err
+	}
+	if size := e.Video.ChunkSize(index, level); int64(len(body)) != size {
+		return chunkBody{}, e.fillFailed(index, level,
+			fmt.Errorf("netmp: stored body is %d bytes, chunk is %d", len(body), size))
+	}
+	if hit {
+		return chunkBody{bytes: body, state: "hit"}, nil
+	}
+	return chunkBody{bytes: body, state: "miss"}, nil
 }
 
 // fillFromOrigin pulls one whole chunk through a pooled supervised
@@ -326,10 +213,10 @@ func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
 	var f *Fetcher
 	select {
 	case f = <-e.pool:
-	case <-e.ctx.Done():
-		return nil, e.ctx.Err()
+	case <-e.fillCtx.Done():
+		return nil, e.fillCtx.Err()
 	}
-	if f.livePaths() == 0 && e.ctx.Err() == nil {
+	if f.livePaths() == 0 && e.fillCtx.Err() == nil {
 		// A path is down for its fetcher's lifetime, so one that met an
 		// origin outage would fail every later fill: replace it. If the
 		// dial fails this fill fails at once and the next checkout retries.
@@ -341,19 +228,13 @@ func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
 	defer func() { e.pool <- f }()
 	res, err := f.FetchChunk(index, level, e.pol.FillWindow)
 	if res != nil {
-		e.mu.Lock()
-		e.originBytes += res.PrimaryBytes + res.SecondaryBytes
-		e.mu.Unlock()
+		e.originBytes.Add(res.PrimaryBytes + res.SecondaryBytes)
 	}
 	if err == nil && !res.Verified {
 		err = errCorruptPayload
 	}
 	if err != nil {
-		e.mu.Lock()
-		e.fillErrs++
-		e.mu.Unlock()
-		e.emitFillError(index, level, err)
-		return nil, err
+		return nil, e.fillFailed(index, level, err)
 	}
 	body := make([]byte, res.Size)
 	for i := range body {
@@ -362,39 +243,12 @@ func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
 	return body, nil
 }
 
-// writeBody streams one range slice through the edge's rate shaper in
-// origin-sized blocks.
-func (e *EdgeServer) writeBody(w *bufio.Writer, body []byte) error {
-	const block = 16 * 1024
-	for off := 0; off < len(body); off += block {
-		m := block
-		if m > len(body)-off {
-			m = len(body) - off
-		}
-		if err := e.bucket.Take(e.ctx, m); err != nil {
-			return err
-		}
-		if _, err := w.Write(body[off : off+m]); err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		e.mu.Lock()
-		e.served += int64(m)
-		e.mu.Unlock()
+// fillFailed counts and journals one failed fill and returns err.
+func (e *EdgeServer) fillFailed(index, level int, err error) error {
+	e.fillErrs.Add(1)
+	if sink := e.journal(); sink != nil {
+		sink.Emit(obs.NewEvent("cache.fill.error").WithChunk(index, level).
+			WithStr("video", e.name).WithStr("error", err.Error()))
 	}
-	return nil
-}
-
-// emitFillError journals one failed origin fill.
-func (e *EdgeServer) emitFillError(index, level int, err error) {
-	e.connMu.Lock()
-	sink := e.sink
-	e.connMu.Unlock()
-	if sink == nil {
-		return
-	}
-	sink.Emit(obs.NewEvent("cache.fill.error").WithChunk(index, level).
-		WithStr("video", e.name).WithStr("error", err.Error()))
+	return err
 }

@@ -1,0 +1,412 @@
+package netmp
+
+// The front's contract, stated once for both of its owners: eachFront
+// runs a test against an origin and against an edge over a prefilled
+// store, so every ChunkServer test that speaks about the listener,
+// admission or the request loop also holds EdgeServer to it. Below it,
+// the tests only a front built by hand can run: a listener that fails
+// and a body source that panics.
+
+import (
+	"errors"
+	"io"
+	"net"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mpdash/internal/cache"
+	"mpdash/internal/dash"
+	"mpdash/internal/obs"
+)
+
+// prefill stores every level of video's first chunks under name.
+func prefill(store *cache.Cache, name string, video *dash.Video) {
+	for c := 0; c < video.NumChunks && c < 4; c++ {
+		for l := range video.Levels {
+			body := make([]byte, video.ChunkSize(c, l))
+			for i := range body {
+				body[i] = ChunkBody(c, l, int64(i))
+			}
+			store.Put(cache.Key{Video: name, Level: l, Chunk: c}, body)
+		}
+	}
+}
+
+// eachFront runs fn as two subtests: against the front of an origin,
+// and against the front of an edge serving video's first chunks as
+// hits. Both are shaped to rateMbps and closed when the subtest ends.
+func eachFront(t *testing.T, video *dash.Video, rateMbps float64, fn func(t *testing.T, f *front)) {
+	t.Run("origin", func(t *testing.T) {
+		s, err := NewChunkServer(video, rateMbps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		fn(t, s.front)
+	})
+	t.Run("edge", func(t *testing.T) {
+		origin, err := NewChunkServer(video, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := cache.New(cache.Config{})
+		prefill(store, video.Name, video)
+		e, err := NewEdgeServer(video, video.Name, []string{origin.Addr()}, store, EdgePolicy{RateMbps: rateMbps})
+		if err != nil {
+			origin.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			e.Close()
+			origin.Close()
+			if got := e.OriginBytes(); got != 0 {
+				t.Errorf("edge pulled %d origin bytes over a prefilled store", got)
+			}
+		})
+		fn(t, e.front)
+	})
+}
+
+// flakyListener fails its first Accepts the way a process out of file
+// descriptors does.
+type flakyListener struct {
+	net.Listener
+	failures atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.failures.Add(-1) >= 0 {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// panicOnce is a body source whose first lookup panics; afterwards it
+// is the origin's (no stored body, no cache state, no fault).
+type panicOnce struct{ done atomic.Bool }
+
+func (p *panicOnce) chunk(index, level int) (chunkBody, error) {
+	if !p.done.Swap(true) {
+		panic("body source bug")
+	}
+	return chunkBody{}, nil
+}
+
+// TestFrontSurvivesAcceptErrorsAndPanics pins the two defects the edge's
+// private loop had: a transient Accept error ended it (the edge was deaf
+// until the process restarted) and a handler panic took the process
+// down. The front retries the one and recovers the other, and counts
+// both.
+func TestFrontSurvivesAcceptErrorsAndPanics(t *testing.T) {
+	video := smallVideo()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &flakyListener{Listener: ln}
+	flaky.failures.Store(3)
+	f := newFront(video, flaky, 0, &panicOnce{})
+	defer f.Close()
+
+	// The dial queues in the backlog until the loop has backed off three
+	// times; the panicking lookup then drops this connection only.
+	conn, r := dialServer(t, f)
+	conn.SetDeadline(time.Now().Add(3 * time.Second))
+	conn.Write(AppendRangeRequest(nil, 1, 0, 0, 9))
+	if line, err := r.ReadString('\n'); err == nil {
+		t.Fatalf("panicking handler answered %q", line)
+	}
+	if got := f.OverloadStats(); got.AcceptRetries != 3 || got.PanicsRecovered != 1 {
+		t.Errorf("AcceptRetries = %d, PanicsRecovered = %d; want 3 and 1", got.AcceptRetries, got.PanicsRecovered)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for f.CurrentConns() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := f.CurrentConns(); n != 0 {
+		t.Errorf("CurrentConns = %d after the panic", n)
+	}
+
+	// The front is alive: the next connection is served, byte for byte.
+	conn2, r2 := dialServer(t, f)
+	conn2.SetDeadline(time.Now().Add(3 * time.Second))
+	conn2.Write(AppendRangeRequest(nil, 1, 0, 0, 9))
+	client := &pathConn{name: "client", conn: conn2, r: r2}
+	n, _, err := client.readHead("206")
+	if err != nil || n != 10 {
+		t.Fatalf("after the panic: length %d, err %v", n, err)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r2, body); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range body {
+		if b != ChunkBody(0, 0, int64(i)) {
+			t.Fatalf("byte %d = %#x, want %#x", i, b, ChunkBody(0, 0, int64(i)))
+		}
+	}
+}
+
+// TestEdgeWrongLengthBodyIs503 pins the third: the store is shared and
+// caller-provided, and the edge used to slice whatever it held with
+// bounds taken from the catalog. A body of the wrong length is a failed
+// fill — 503, counted, journalled — and the connection keeps serving.
+func TestEdgeWrongLengthBodyIs503(t *testing.T) {
+	video := smallVideo()
+	origin, err := NewChunkServer(video, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	store := cache.New(cache.Config{})
+	prefill(store, video.Name, video)
+	store.Put(cache.Key{Video: video.Name, Level: 0, Chunk: 1}, make([]byte, 5))
+	e, err := NewEdgeServer(video, video.Name, []string{origin.Addr()}, store, EdgePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tel := obs.New()
+	e.Instrument(tel)
+
+	conn, r := dialServer(t, e.front)
+	conn.SetDeadline(time.Now().Add(3 * time.Second))
+	client := &pathConn{name: "client", conn: conn, r: r}
+	conn.Write(AppendRangeRequest(nil, 1, 1, 0, 9))
+	if _, _, err := client.readHead("206"); !errors.Is(err, errServerBusy) {
+		t.Fatalf("short stored body: err %v, want a 503", err)
+	}
+	for h := []byte("x"); len(h) != 0; { // readHead stops at the status line
+		if h, err = readLine(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.Write(AppendRangeRequest(nil, 1, 0, 0, 9))
+	if n, state, err := client.readHead("206"); err != nil || n != 10 || state != "hit" {
+		t.Fatalf("next request on the connection: length %d, state %q, err %v", n, state, err)
+	}
+	if got := e.FillErrors(); got != 1 {
+		t.Errorf("FillErrors = %d, want 1", got)
+	}
+	var journalled bool
+	for _, ev := range tel.Journal.Events() {
+		if ev.Type == "cache.fill.error" && ev.Chunk == 1 && strings.Contains(ev.Str["error"], "5 bytes") {
+			journalled = true
+		}
+	}
+	if !journalled {
+		t.Error("no cache.fill.error event for the short body")
+	}
+}
+
+// TestEdgeCrashRestartClientsRideThrough streams through an edge that is
+// crashed mid-chunk and restarted: the two-path fetcher's redials land on
+// the same address and the chunk verifies; the store and the fill pool
+// belong to the edge, not to the listener generation, and survive.
+func TestEdgeCrashRestartClientsRideThrough(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash timing test in -short mode")
+	}
+	video := dash.BigBuckBunny()
+	origin, err := NewChunkServer(video, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	store := cache.New(cache.Config{})
+	// 8 Mbps: chunk (1, 2) is several hundred ms of shaped body.
+	e, err := NewEdgeServer(video, "bbb", []string{origin.Addr()}, store, EdgePolicy{RateMbps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	addr := e.Addr()
+
+	f, err := NewFetcher(video, addr, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pol := fastRetry()
+	pol.MaxRedials = 200 // the edge is away for a while; keep knocking
+	f.Retry = pol
+	if res, err := f.FetchChunk(0, 2, 10*time.Second); err != nil || !res.Verified {
+		t.Fatalf("pre-crash fetch: res=%+v err=%v", res, err)
+	}
+	fills := store.Stats().Fills
+
+	restarted := make(chan error, 1)
+	go func() {
+		// Crash once the next chunk's shaped body is under way.
+		for mid := e.ServedBytes() + 128<<10; e.ServedBytes() < mid && !t.Failed(); {
+			time.Sleep(time.Millisecond)
+		}
+		e.Crash()
+		restarted <- e.Restart()
+	}()
+	res, err := f.FetchChunk(1, 2, 10*time.Second)
+	if err != nil || !res.Verified {
+		t.Fatalf("fetch across the crash: res=%+v err=%v", res, err)
+	}
+	if err := <-restarted; err != nil {
+		t.Fatal(err)
+	}
+	if e.Addr() != addr {
+		t.Errorf("Addr changed across the restart: %q -> %q", addr, e.Addr())
+	}
+	if retries, redials, _, _ := f.faultCounters(); retries == 0 || redials == 0 {
+		t.Errorf("the crash cost the client %d retries and %d redials; it missed the fetch", retries, redials)
+	}
+	// One fill for the crashed chunk however many times the client asked
+	// again, and the pre-crash chunk is still a hit on the new generation.
+	if got := store.Stats().Fills; got != fills+1 {
+		t.Errorf("%d fills for the chunk fetched across the crash, want 1", got-fills)
+	}
+	if res, err := f.FetchChunk(0, 2, 10*time.Second); err != nil || !res.Verified {
+		t.Fatalf("post-restart fetch: res=%+v err=%v", res, err)
+	}
+	if got := store.Stats().Fills; got != fills+1 {
+		t.Errorf("the store did not survive the restart: %d new fills", got-fills-1)
+	}
+	if len(e.pool) != cap(e.pool) {
+		t.Errorf("fill pool holds %d of %d fetchers after the restart", len(e.pool), cap(e.pool))
+	}
+}
+
+// TestEdgeCloseCancelsFillNotCrash holds the edge's one fill fetcher
+// with a slow fill and queues a second fill behind it. Crash cancels
+// neither: both chunks reach the store although the connections that
+// asked are gone. Close cancels the queued one: it never reaches the
+// origin.
+func TestEdgeCloseCancelsFillNotCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fill timing test in -short mode")
+	}
+	video := smallVideo()
+	origin, err := NewChunkServer(video, 1) // 12.5 KB chunks behind a 64 KB burst: ~100 ms a fill once it is spent
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	store := cache.New(cache.Config{})
+	e, err := NewEdgeServer(video, video.Name, []string{origin.Addr()}, store, EdgePolicy{FillFetchers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// ask requests the first bytes of level-1 chunks, each on its own
+	// connection, and waits until each has missed in the store (chunk c is
+	// the store's c+1-th miss: ask for them in order).
+	ask := func(chunks ...int) {
+		t.Helper()
+		for _, c := range chunks {
+			conn, _ := dialServer(t, e.front)
+			conn.Write(AppendRangeRequest(nil, 2, c, 0, 9))
+			deadline := time.Now().Add(2 * time.Second)
+			for store.Stats().Misses < int64(c+1) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	stored := func(c int) bool {
+		_, ok := store.Get(cache.Key{Video: video.Name, Level: 1, Chunk: c})
+		return ok
+	}
+	// Spend the origin's burst so every later fill is paced.
+	for sent := int64(0); sent < 64*1024; sent += video.ChunkSize(0, 0) {
+		conn, r := dialServer(t, origin.front)
+		conn.Write(AppendRangeRequest(nil, 1, 0, 0, video.ChunkSize(0, 0)-1))
+		io.Copy(io.Discard, io.LimitReader(r, video.ChunkSize(0, 0)))
+	}
+
+	ask(0, 1)
+	e.Crash() // waits for the handlers, so for both fills
+	if !stored(0) || !stored(1) {
+		t.Fatalf("fills did not complete across Crash: chunk 0 stored=%v, chunk 1 stored=%v", stored(0), stored(1))
+	}
+	if err := e.Restart(); err != nil {
+		t.Fatal(err)
+	}
+
+	ask(2, 3)
+	served := origin.ServedBytes()
+	if err := e.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if stored(3) {
+		t.Error("the fill queued for the pool ran after Close")
+	}
+	if got, most := origin.ServedBytes()-served, video.ChunkSize(2, 1); got > most {
+		t.Errorf("origin served %d bytes after Close began, more than the one fill in flight (%d)", got, most)
+	}
+}
+
+// TestServersShareInstrumentNames checks the one instrument helper: both
+// kinds export the front's series under the same names and the addr
+// label, and each adds only its own family.
+func TestServersShareInstrumentNames(t *testing.T) {
+	video := smallVideo()
+	s, err := NewChunkServer(video, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	e, err := NewEdgeServer(video, video.Name, []string{s.Addr()}, cache.New(cache.Config{}), EdgePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tel := obs.New()
+	s.Instrument(tel)
+	e.Instrument(tel)
+	addrs := []string{s.Addr(), e.Addr()}
+	for _, f := range []*front{s.front, e.front} {
+		f.SetLimits(ServerLimits{MaxConns: f.CurrentConns() + 1})
+		c1, r1 := dialServer(t, f)
+		doManifest(t, c1, r1)
+		c2, r2 := dialServer(t, f)
+		c2.SetDeadline(time.Now().Add(3 * time.Second))
+		if status, err := r2.ReadString('\n'); err != nil || !strings.Contains(status, "503") {
+			t.Fatalf("over-limit conn got %q, %v", status, err)
+		}
+	}
+	var b strings.Builder
+	if err := tel.Registry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, addr := range addrs {
+		for _, want := range []string{
+			`mpdash_server_served_bytes_total{addr="` + addr + `"}`,
+			`mpdash_server_active_conns{addr="` + addr + `"}`,
+			`mpdash_server_draining{addr="` + addr + `"} 0`,
+			`mpdash_server_rejected_conns_total{addr="` + addr + `"} 1`,
+			`mpdash_server_accept_retries_total{addr="` + addr + `"} 0`,
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("metrics missing %q", want)
+			}
+		}
+	}
+	origin, edge := addrs[0], addrs[1]
+	for want, only := range map[string]string{
+		`mpdash_server_injected_faults_total{addr="` + origin + `",kind="reset"}`: `mpdash_server_injected_faults_total{addr="` + edge,
+		`cache_edge_served_bytes_total{edge="` + edge + `"}`:                      `cache_edge_served_bytes_total{edge="` + origin,
+	} {
+		if !strings.Contains(out, want) || strings.Contains(out, only) {
+			t.Errorf("want %q and no %q", want, only)
+		}
+	}
+	rejects := 0
+	for _, ev := range tel.Journal.Events() {
+		if ev.Type == "server.reject" {
+			rejects++
+		}
+	}
+	if rejects != 2 {
+		t.Errorf("%d server.reject events, want one per kind", rejects)
+	}
+}

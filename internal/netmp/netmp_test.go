@@ -198,19 +198,16 @@ func TestServerRejectsBadRange(t *testing.T) {
 	// An inverted range gets a 416, and the fetcher surfaces it as an
 	// unexpected-status error rather than hanging.
 	video := dash.BigBuckBunny()
-	s, err := NewChunkServer(video, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	f, err := NewFetcher(video, s.Addr(), s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, _, err := f.requestRange(f.paths[0], 0, 0, 500, 100); err == nil {
-		t.Error("inverted range accepted")
-	}
+	eachFront(t, video, 0, func(t *testing.T, s *front) {
+		f, err := NewFetcher(video, s.Addr(), s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, _, err := f.requestRange(f.paths[0], 0, 0, 500, 100); err == nil {
+			t.Error("inverted range accepted")
+		}
+	})
 }
 
 func TestFetchManifest(t *testing.T) {
@@ -247,29 +244,26 @@ func TestManifestThenChunksOnSameServer(t *testing.T) {
 	// Full bootstrap: learn the asset from the manifest, then fetch a
 	// chunk with the sizes it declared.
 	video := dash.BigBuckBunny()
-	s, err := NewChunkServer(video, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	remote, sizes, err := FetchManifest(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFetcher(video, s.Addr(), s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	res, err := f.FetchChunk(3, 1, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Size != sizes[1][3] {
-		t.Errorf("fetched size %d != manifest size %d", res.Size, sizes[1][3])
-	}
-	if !res.Verified {
-		t.Error("verification failed")
-	}
-	_ = remote
+	eachFront(t, video, 16, func(t *testing.T, s *front) {
+		remote, sizes, err := FetchManifest(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewFetcher(video, s.Addr(), s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		res, err := f.FetchChunk(3, 1, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Size != sizes[1][3] {
+			t.Errorf("fetched size %d != manifest size %d", res.Size, sizes[1][3])
+		}
+		if !res.Verified {
+			t.Error("verification failed")
+		}
+		_ = remote
+	})
 }

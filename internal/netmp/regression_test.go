@@ -58,24 +58,19 @@ func rawRequest(t *testing.T, addr, req string) string {
 }
 
 func TestMalformedRangeRejected(t *testing.T) {
-	video := dash.BigBuckBunny()
-	s, err := NewChunkServer(video, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	for _, rng := range []string{
-		"bytes=abc-100", // non-numeric start: used to be silently read as 0
-		"bytes=0-xyz",   // non-numeric end
-		"bytes=100",     // missing dash
-		"smoots=0-100",  // wrong unit
-	} {
-		req := fmt.Sprintf("GET /seg-l1-c0000.m4s HTTP/1.1\r\nHost: x\r\nRange: %s\r\n\r\n", rng)
-		if status := rawRequest(t, s.Addr(), req); !strings.Contains(status, "400") {
-			t.Errorf("Range %q: status %q, want 400", rng, status)
+	eachFront(t, dash.BigBuckBunny(), 0, func(t *testing.T, s *front) {
+		for _, rng := range []string{
+			"bytes=abc-100", // non-numeric start: used to be silently read as 0
+			"bytes=0-xyz",   // non-numeric end
+			"bytes=100",     // missing dash
+			"smoots=0-100",  // wrong unit
+		} {
+			req := fmt.Sprintf("GET /seg-l1-c0000.m4s HTTP/1.1\r\nHost: x\r\nRange: %s\r\n\r\n", rng)
+			if status := rawRequest(t, s.Addr(), req); !strings.Contains(status, "400") {
+				t.Errorf("Range %q: status %q, want 400", rng, status)
+			}
 		}
-	}
+	})
 }
 
 func TestHeaderFieldsCaseInsensitive(t *testing.T) {

@@ -12,54 +12,51 @@ import (
 // brings the *same* address back, and a client that kept the address
 // (the way breakers key origins) reconnects and fetches successfully.
 func TestCrashRestartSameAddress(t *testing.T) {
-	s, err := NewChunkServer(smallVideo(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	addr := s.Addr()
+	eachFront(t, smallVideo(), 0, func(t *testing.T, s *front) {
+		addr := s.Addr()
 
-	conn, r := dialServer(t, s)
-	if got := doManifest(t, conn, r); !strings.Contains(got, "200") {
-		t.Fatalf("pre-crash manifest: %q", got)
-	}
+		conn, r := dialServer(t, s)
+		if got := doManifest(t, conn, r); !strings.Contains(got, "200") {
+			t.Fatalf("pre-crash manifest: %q", got)
+		}
 
-	s.Crash()
-	if !s.Crashed() {
-		t.Fatal("Crashed() = false after Crash")
-	}
-	if got := s.Addr(); got != addr {
-		t.Fatalf("Addr changed across crash: %q -> %q", addr, got)
-	}
-	// The admitted connection was reset and new dials must be refused.
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := r.ReadString('\n'); err == nil {
-		t.Fatal("read on reset connection succeeded")
-	}
-	if c, err := net.DialTimeout("tcp", addr, 500*time.Millisecond); err == nil {
-		c.Close()
-		t.Fatal("dial succeeded while crashed")
-	}
-	if n := s.CurrentConns(); n != 0 {
-		t.Fatalf("CurrentConns = %d after crash quiesce", n)
-	}
+		s.Crash()
+		if !s.Crashed() {
+			t.Fatal("Crashed() = false after Crash")
+		}
+		if got := s.Addr(); got != addr {
+			t.Fatalf("Addr changed across crash: %q -> %q", addr, got)
+		}
+		// The admitted connection was reset and new dials must be refused.
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := r.ReadString('\n'); err == nil {
+			t.Fatal("read on reset connection succeeded")
+		}
+		if c, err := net.DialTimeout("tcp", addr, 500*time.Millisecond); err == nil {
+			c.Close()
+			t.Fatal("dial succeeded while crashed")
+		}
+		if n := s.CurrentConns(); n != 0 {
+			t.Fatalf("CurrentConns = %d after crash quiesce", n)
+		}
 
-	// Crash is idempotent.
-	s.Crash()
+		// Crash is idempotent.
+		s.Crash()
 
-	if err := s.Restart(); err != nil {
-		t.Fatalf("Restart: %v", err)
-	}
-	if s.Crashed() {
-		t.Fatal("Crashed() = true after Restart")
-	}
-	if got := s.Addr(); got != addr {
-		t.Fatalf("Addr changed across restart: %q -> %q", addr, got)
-	}
-	conn2, r2 := dialServer(t, s)
-	if got := doManifest(t, conn2, r2); !strings.Contains(got, "200") {
-		t.Fatalf("post-restart manifest: %q", got)
-	}
+		if err := s.Restart(); err != nil {
+			t.Fatalf("Restart: %v", err)
+		}
+		if s.Crashed() {
+			t.Fatal("Crashed() = true after Restart")
+		}
+		if got := s.Addr(); got != addr {
+			t.Fatalf("Addr changed across restart: %q -> %q", addr, got)
+		}
+		conn2, r2 := dialServer(t, s)
+		if got := doManifest(t, conn2, r2); !strings.Contains(got, "200") {
+			t.Fatalf("post-restart manifest: %q", got)
+		}
+	})
 }
 
 // TestRestartRequiresCrash rejects Restart on a live server — the only

@@ -1,9 +1,10 @@
 package netmp
 
-// ChunkServer overload-protection tests: max-connection admission
-// control (excess accepts get 503 without disturbing admitted traffic),
-// per-connection request caps, graceful drain that finishes in-flight
-// bodies, and the client-side handling of 503 rejections.
+// Overload-protection tests, for both owners of the front (eachFront):
+// max-connection admission control (excess accepts get 503 without
+// disturbing admitted traffic), per-connection request caps, graceful
+// drain that finishes in-flight bodies, and the client-side handling of
+// 503 rejections.
 
 import (
 	"bufio"
@@ -18,7 +19,7 @@ import (
 )
 
 // dialServer opens a raw client connection to the server.
-func dialServer(t *testing.T, s *ChunkServer) (net.Conn, *bufio.Reader) {
+func dialServer(t *testing.T, s *front) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", s.Addr(), 2*time.Second)
 	if err != nil {
@@ -59,166 +60,150 @@ func doManifest(t *testing.T, conn net.Conn, r *bufio.Reader) string {
 }
 
 func TestMaxConnsRejectsExcessWithout503ingAdmitted(t *testing.T) {
-	video := dash.BigBuckBunny()
-	s, err := NewChunkServer(video, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.SetLimits(ServerLimits{MaxConns: 2})
+	eachFront(t, dash.BigBuckBunny(), 0, func(t *testing.T, s *front) {
+		s.SetLimits(ServerLimits{MaxConns: 2})
 
-	// Two admitted connections, proven live by a served request each.
-	c1, r1 := dialServer(t, s)
-	if st := doManifest(t, c1, r1); !strings.Contains(st, "200") {
-		t.Fatalf("admitted conn 1 got %q", st)
-	}
-	c2, r2 := dialServer(t, s)
-	if st := doManifest(t, c2, r2); !strings.Contains(st, "200") {
-		t.Fatalf("admitted conn 2 got %q", st)
-	}
+		// Two admitted connections, proven live by a served request each.
+		c1, r1 := dialServer(t, s)
+		if st := doManifest(t, c1, r1); !strings.Contains(st, "200") {
+			t.Fatalf("admitted conn 1 got %q", st)
+		}
+		c2, r2 := dialServer(t, s)
+		if st := doManifest(t, c2, r2); !strings.Contains(st, "200") {
+			t.Fatalf("admitted conn 2 got %q", st)
+		}
 
-	// The third connection must be turned away with a 503 and closed.
-	c3, r3 := dialServer(t, s)
-	c3.SetDeadline(time.Now().Add(3 * time.Second))
-	status, err := r3.ReadString('\n')
-	if err != nil {
-		t.Fatalf("reading 503: %v", err)
-	}
-	if !strings.Contains(status, "503") {
-		t.Fatalf("over-limit conn got %q, want 503", status)
-	}
+		// The third connection must be turned away with a 503 and closed.
+		c3, r3 := dialServer(t, s)
+		c3.SetDeadline(time.Now().Add(3 * time.Second))
+		status, err := r3.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reading 503: %v", err)
+		}
+		if !strings.Contains(status, "503") {
+			t.Fatalf("over-limit conn got %q, want 503", status)
+		}
 
-	// Admitted connections keep working unimpeded.
-	if st := doManifest(t, c1, r1); !strings.Contains(st, "200") {
-		t.Errorf("admitted conn stalled after a rejection: %q", st)
-	}
-	if got := s.OverloadStats().RejectedConns; got != 1 {
-		t.Errorf("RejectedConns = %d, want 1", got)
-	}
+		// Admitted connections keep working unimpeded.
+		if st := doManifest(t, c1, r1); !strings.Contains(st, "200") {
+			t.Errorf("admitted conn stalled after a rejection: %q", st)
+		}
+		if got := s.OverloadStats().RejectedConns; got != 1 {
+			t.Errorf("RejectedConns = %d, want 1", got)
+		}
 
-	// Freeing a slot admits the next dial.
-	c2.Close()
-	time.Sleep(50 * time.Millisecond) // let the handler deregister
-	c4, r4 := dialServer(t, s)
-	if st := doManifest(t, c4, r4); !strings.Contains(st, "200") {
-		t.Errorf("post-release conn got %q", st)
-	}
+		// Freeing a slot admits the next dial.
+		c2.Close()
+		time.Sleep(50 * time.Millisecond) // let the handler deregister
+		c4, r4 := dialServer(t, s)
+		if st := doManifest(t, c4, r4); !strings.Contains(st, "200") {
+			t.Errorf("post-release conn got %q", st)
+		}
+	})
 }
 
 func TestMaxRequestsPerConnCapsKeepAlive(t *testing.T) {
-	video := dash.BigBuckBunny()
-	s, err := NewChunkServer(video, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.SetLimits(ServerLimits{MaxRequestsPerConn: 2})
+	eachFront(t, dash.BigBuckBunny(), 0, func(t *testing.T, s *front) {
+		s.SetLimits(ServerLimits{MaxRequestsPerConn: 2})
 
-	conn, r := dialServer(t, s)
-	for i := 0; i < 2; i++ {
-		if st := doManifest(t, conn, r); !strings.Contains(st, "200") {
-			t.Fatalf("request %d got %q", i+1, st)
+		conn, r := dialServer(t, s)
+		for i := 0; i < 2; i++ {
+			if st := doManifest(t, conn, r); !strings.Contains(st, "200") {
+				t.Fatalf("request %d got %q", i+1, st)
+			}
 		}
-	}
-	// The third request on the same connection must hit a closed socket.
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	io.WriteString(conn, "GET /manifest.mpd HTTP/1.1\r\nHost: t\r\n\r\n")
-	if _, err := r.ReadString('\n'); err == nil {
-		t.Fatal("capped connection served a third request")
-	}
-	if got := s.OverloadStats().CappedConns; got != 1 {
-		t.Errorf("CappedConns = %d, want 1", got)
-	}
-	// A fresh connection is unaffected.
-	c2, r2 := dialServer(t, s)
-	if st := doManifest(t, c2, r2); !strings.Contains(st, "200") {
-		t.Errorf("fresh conn got %q", st)
-	}
+		// The third request on the same connection must hit a closed socket.
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		io.WriteString(conn, "GET /manifest.mpd HTTP/1.1\r\nHost: t\r\n\r\n")
+		if _, err := r.ReadString('\n'); err == nil {
+			t.Fatal("capped connection served a third request")
+		}
+		if got := s.OverloadStats().CappedConns; got != 1 {
+			t.Errorf("CappedConns = %d, want 1", got)
+		}
+		// A fresh connection is unaffected.
+		c2, r2 := dialServer(t, s)
+		if st := doManifest(t, c2, r2); !strings.Contains(st, "200") {
+			t.Errorf("fresh conn got %q", st)
+		}
+	})
 }
 
 func TestDrainFinishesInflightBody(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drain timing test in -short mode")
 	}
-	video := dash.BigBuckBunny()
 	// 4 Mbps: after the shaper's 64 KB burst, a 200 KB body needs ~270ms
 	// more — long enough that Drain arrives mid-body.
-	s, err := NewChunkServer(video, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	eachFront(t, dash.BigBuckBunny(), 4, func(t *testing.T, s *front) {
 
-	conn, r := dialServer(t, s)
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	const want = 200_000
-	fmt.Fprintf(conn, "GET /seg-l1-c0.m4s HTTP/1.1\r\nHost: t\r\nRange: bytes=0-%d\r\n\r\n", want-1)
-	if _, err := r.ReadString('\n'); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		h, err := r.ReadString('\n')
-		if err != nil {
+		conn, r := dialServer(t, s)
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		const want = 200_000
+		fmt.Fprintf(conn, "GET /seg-l1-c0.m4s HTTP/1.1\r\nHost: t\r\nRange: bytes=0-%d\r\n\r\n", want-1)
+		if _, err := r.ReadString('\n'); err != nil {
 			t.Fatal(err)
 		}
-		if strings.TrimSpace(h) == "" {
-			break
+		for {
+			h, err := r.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.TrimSpace(h) == "" {
+				break
+			}
 		}
-	}
 
-	// Read the shaped body in the background while Drain runs.
-	bodyN := make(chan int64, 1)
-	go func() {
-		n, _ := io.Copy(io.Discard, r)
-		bodyN <- n
-	}()
-	time.Sleep(60 * time.Millisecond) // body under way
-	done := make(chan error, 1)
-	go func() { done <- s.Drain() }()
+		// Read the shaped body in the background while Drain runs.
+		bodyN := make(chan int64, 1)
+		go func() {
+			n, _ := io.Copy(io.Discard, r)
+			bodyN <- n
+		}()
+		time.Sleep(60 * time.Millisecond) // body under way
+		done := make(chan error, 1)
+		go func() { done <- s.Drain() }()
 
-	// The in-flight body must complete in full despite the drain.
-	select {
-	case n := <-bodyN:
-		if n != want {
-			t.Errorf("drained body delivered %d bytes, want %d", n, want)
+		// The in-flight body must complete in full despite the drain.
+		select {
+		case n := <-bodyN:
+			if n != want {
+				t.Errorf("drained body delivered %d bytes, want %d", n, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("body never finished under drain")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("body never finished under drain")
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Drain never returned")
-	}
-	if !s.Draining() {
-		t.Error("Draining() false after Drain")
-	}
-	// New dials are refused once draining.
-	if c, err := net.DialTimeout("tcp", s.Addr(), 500*time.Millisecond); err == nil {
-		c.Close()
-		t.Error("drained server accepted a new connection")
-	}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Drain never returned")
+		}
+		if !s.Draining() {
+			t.Error("Draining() false after Drain")
+		}
+		// New dials are refused once draining.
+		if c, err := net.DialTimeout("tcp", s.Addr(), 500*time.Millisecond); err == nil {
+			c.Close()
+			t.Error("drained server accepted a new connection")
+		}
+	})
 }
 
 func TestDrainKicksIdleKeepAlives(t *testing.T) {
-	video := dash.BigBuckBunny()
-	s, err := NewChunkServer(video, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn, r := dialServer(t, s)
-	if st := doManifest(t, conn, r); !strings.Contains(st, "200") {
-		t.Fatalf("setup request got %q", st)
-	}
-	// The connection now idles in readRequest; Drain must not hang on it.
-	done := make(chan error, 1)
-	go func() { done <- s.Drain() }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Drain hung on an idle keep-alive connection")
-	}
+	eachFront(t, dash.BigBuckBunny(), 0, func(t *testing.T, s *front) {
+		conn, r := dialServer(t, s)
+		if st := doManifest(t, conn, r); !strings.Contains(st, "200") {
+			t.Fatalf("setup request got %q", st)
+		}
+		// The connection now idles in readRequest; Drain must not hang on it.
+		done := make(chan error, 1)
+		go func() { done <- s.Drain() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Drain hung on an idle keep-alive connection")
+		}
+	})
 }
 
 func TestFetcherRidesOut503Rejections(t *testing.T) {
@@ -242,7 +227,7 @@ func TestFetcherRidesOut503Rejections(t *testing.T) {
 	defer ss.Close()
 
 	ps.SetLimits(ServerLimits{MaxConns: 1})
-	squatter, sr := dialServer(t, ps)
+	squatter, sr := dialServer(t, ps.front)
 	if st := doManifest(t, squatter, sr); !strings.Contains(st, "200") {
 		t.Fatalf("squatter got %q", st)
 	}

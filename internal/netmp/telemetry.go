@@ -399,40 +399,34 @@ func (so *streamerObs) setBuffer(buffer time.Duration) {
 	so.buffer.Set(buffer.Seconds())
 }
 
-// ---- server ----
+// ---- servers ----
 
-// Instrument wires the chunk server to t: scrape-time collectors over
-// the overload and fault-injection stats it already keeps, plus journal
-// events for admission rejections and drain.
-func (s *ChunkServer) Instrument(t *obs.Telemetry) {
-	if t == nil {
-		return
-	}
-	s.connMu.Lock()
-	s.sink = t
-	s.connMu.Unlock()
+// instrument wires the front to t: scrape-time collectors over the
+// served bytes, admission state and overload stats it already keeps,
+// plus journal events for admission rejections and drain — the same
+// mpdash_server_* series for an origin and an edge, told apart by addr.
+func (f *front) instrument(t *obs.Telemetry) {
+	f.connMu.Lock()
+	f.sink = t
+	f.connMu.Unlock()
 	r := t.Registry
-	lbl := obs.Labels{"addr": s.Addr()}
+	lbl := obs.Labels{"addr": f.addr}
 	r.CounterFunc("mpdash_server_served_bytes_total",
-		"Payload bytes written by the chunk server.",
-		lbl, func() float64 { return float64(s.ServedBytes()) })
+		"Payload bytes written by the server.",
+		lbl, func() float64 { return float64(f.ServedBytes()) })
 	r.GaugeFunc("mpdash_server_active_conns",
 		"Currently admitted connections.",
-		lbl, func() float64 {
-			s.connMu.Lock()
-			defer s.connMu.Unlock()
-			return float64(len(s.conns))
-		})
+		lbl, func() float64 { return float64(f.CurrentConns()) })
 	r.GaugeFunc("mpdash_server_draining",
 		"1 once Drain has been called.",
 		lbl, func() float64 {
-			if s.Draining() {
+			if f.Draining() {
 				return 1
 			}
 			return 0
 		})
 	over := func(name, help string, get func(OverloadStats) int64) {
-		r.CounterFunc(name, help, lbl, func() float64 { return float64(get(s.OverloadStats())) })
+		r.CounterFunc(name, help, lbl, func() float64 { return float64(get(f.OverloadStats())) })
 	}
 	over("mpdash_server_rejected_conns_total", "Accepts refused with a 503 under MaxConns pressure.",
 		func(o OverloadStats) int64 { return o.RejectedConns })
@@ -442,8 +436,17 @@ func (s *ChunkServer) Instrument(t *obs.Telemetry) {
 		func(o OverloadStats) int64 { return o.PanicsRecovered })
 	over("mpdash_server_accept_retries_total", "Transient Accept errors absorbed with backoff.",
 		func(o OverloadStats) int64 { return o.AcceptRetries })
+}
+
+// Instrument wires the chunk server to t: the front's collectors and
+// events, plus the fault-injection stats by kind.
+func (s *ChunkServer) Instrument(t *obs.Telemetry) {
+	if t == nil {
+		return
+	}
+	s.front.instrument(t)
 	fault := func(kind string, get func(FaultStats) int64) {
-		r.CounterFunc("mpdash_server_injected_faults_total",
+		t.Registry.CounterFunc("mpdash_server_injected_faults_total",
 			"Faults injected by the server's chaos plan, by kind.",
 			obs.Labels{"addr": s.Addr(), "kind": kind},
 			func() float64 { return float64(get(s.FaultStats())) })
@@ -453,11 +456,4 @@ func (s *ChunkServer) Instrument(t *obs.Telemetry) {
 	fault("close", func(f FaultStats) int64 { return f.PrematureCloses })
 	fault("corrupt", func(f FaultStats) int64 { return f.Corruptions })
 	fault("blackout_reset", func(f FaultStats) int64 { return f.BlackoutResets })
-}
-
-// serverSink returns the server's telemetry sink under connMu.
-func (s *ChunkServer) serverSink() obs.Sink {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return s.sink
 }

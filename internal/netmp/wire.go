@@ -124,8 +124,7 @@ func cutField(b []byte) (field, rest []byte) {
 }
 
 // readChunkRequest parses one request head against video's catalog
-// bounds — shared by the origin ChunkServer and the EdgeServer, which
-// speak the same protocol. A syntactically malformed Range value sets
+// bounds, for the front's request loop. A syntactically malformed Range value sets
 // bad=true so the caller answers 400 instead of silently serving from
 // offset 0. ok=false means protocol error or EOF.
 func readChunkRequest(r *bufio.Reader, video *dash.Video) (index, level int, from, to int64, manifest, bad, ok bool) {

@@ -421,59 +421,55 @@ func TestRangeRequestAllocatesNothing(t *testing.T) {
 // bufio buffer: the connection is dropped at the 4 KiB mark, nothing
 // accumulates, and other connections keep being served.
 func TestOversizedLineClosesConnection(t *testing.T) {
-	v := dash.BigBuckBunny()
-	s, err := NewChunkServer(v, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Warm a second connection first so its buffers are not in the delta.
-	good, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer good.Close()
-	goodR := bufio.NewReader(good)
-	roundTrip := func() {
-		t.Helper()
-		good.SetDeadline(time.Now().Add(2 * time.Second))
-		good.Write(AppendRangeRequest(nil, 1, 0, 0, 9))
-		status, err := goodR.ReadString('\n')
-		if err != nil || !strings.Contains(status, "206") {
-			t.Fatalf("well-behaved connection: status %q err %v", status, err)
-		}
-		for h := status; strings.TrimSpace(h) != ""; {
-			if h, err = goodR.ReadString('\n'); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := goodR.Discard(10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	roundTrip()
-
-	junk := bytes.Repeat([]byte("a"), 1<<20)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for _, prefix := range []string{"", "GET /seg-l1-c0000.m4s HTTP/1.1\r\nX-Junk: "} {
-		hostile, err := net.Dial("tcp", s.Addr())
+	eachFront(t, dash.BigBuckBunny(), 0, func(t *testing.T, s *front) {
+		// Warm a second connection first so its buffers are not in the delta.
+		good, err := net.Dial("tcp", s.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		hostile.SetDeadline(time.Now().Add(5 * time.Second))
-		// The writes may fail part-way once the server has hung up.
-		io.WriteString(hostile, prefix)
-		hostile.Write(junk)
-		if n, err := io.Copy(io.Discard, hostile); n != 0 || (err != nil && !errors.Is(err, syscall.ECONNRESET)) {
-			t.Errorf("hostile connection read %d bytes, err %v; want a bare close", n, err)
+		defer good.Close()
+		goodR := bufio.NewReader(good)
+		roundTrip := func() {
+			t.Helper()
+			good.SetDeadline(time.Now().Add(2 * time.Second))
+			good.Write(AppendRangeRequest(nil, 1, 0, 0, 9))
+			status, err := goodR.ReadString('\n')
+			if err != nil || !strings.Contains(status, "206") {
+				t.Fatalf("well-behaved connection: status %q err %v", status, err)
+			}
+			for h := status; strings.TrimSpace(h) != ""; {
+				if h, err = goodR.ReadString('\n'); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := goodR.Discard(10); err != nil {
+				t.Fatal(err)
+			}
 		}
-		hostile.Close()
-	}
-	runtime.ReadMemStats(&after)
-	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
-		t.Errorf("heap grew %d bytes serving two 1 MiB lines", grew)
-	}
-	roundTrip()
+		roundTrip()
+
+		junk := bytes.Repeat([]byte("a"), 1<<20)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, prefix := range []string{"", "GET /seg-l1-c0000.m4s HTTP/1.1\r\nX-Junk: "} {
+			hostile, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			hostile.SetDeadline(time.Now().Add(5 * time.Second))
+			// The writes may fail part-way once the server has hung up.
+			io.WriteString(hostile, prefix)
+			hostile.Write(junk)
+			if n, err := io.Copy(io.Discard, hostile); n != 0 || (err != nil && !errors.Is(err, syscall.ECONNRESET)) {
+				t.Errorf("hostile connection read %d bytes, err %v; want a bare close", n, err)
+			}
+			hostile.Close()
+		}
+		runtime.ReadMemStats(&after)
+		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
+			t.Errorf("heap grew %d bytes serving two 1 MiB lines", grew)
+		}
+		roundTrip()
+	})
 }

@@ -1,12 +1,47 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestOpen is the commands' bring-up: the journal streams to the file,
+// the endpoint answers where logf says it does, and the returned func
+// flushes the one and stops the other.
+func TestOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	var said string
+	tel, closeTel, err := Open(path, "127.0.0.1:0", func(format string, a ...any) { said += fmt.Sprintf(format, a...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := strings.TrimSpace(strings.TrimPrefix(said, "telemetry: "))
+	if body, _ := get(t, url); !strings.Contains(body, "obs_journal_dropped_total") {
+		t.Errorf("logf said %q; nothing of ours answers there", said)
+	}
+	tel.Emit(NewEvent("open.test"))
+	closeTel()
+	if got, err := os.ReadFile(path); err != nil || !strings.Contains(string(got), "open.test") {
+		t.Errorf("journal file after close: %q, %v", got, err)
+	}
+	if resp, err := http.Get(url); err == nil {
+		resp.Body.Close()
+		t.Error("endpoint still answers after close")
+	}
+
+	if _, _, err := Open(filepath.Join(path, "below-a-file"), "", nil); err == nil {
+		t.Error("Open created a journal below a regular file")
+	}
+	if _, _, err := Open("", "256.0.0.1:0", nil); err == nil {
+		t.Error("Open served metrics on an impossible address")
+	}
+}
 
 func TestHandlerEndpoints(t *testing.T) {
 	tel := New()

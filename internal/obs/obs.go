@@ -11,6 +11,9 @@
 package obs
 
 import (
+	"fmt"
+	"io"
+	"os"
 	"time"
 )
 
@@ -110,6 +113,49 @@ func New() *Telemetry {
 		"Events dropped from the JSONL journal stream after a write error.",
 		nil, func() float64 { return float64(t.Journal.Dropped()) })
 	return t
+}
+
+// Open is how a command brings telemetry up from its -journal and
+// -metrics-addr flags: a New Telemetry whose journal streams to
+// journalPath ("-" = stderr, "" = ring only) and whose endpoint serves
+// on metricsAddr ("" = off; logf, when not nil, is told where). The
+// returned func flushes the journal (a failure goes to stderr), then
+// stops the endpoint and closes the file.
+func Open(journalPath, metricsAddr string, logf func(format string, a ...any)) (*Telemetry, func(), error) {
+	t := New()
+	var closers []io.Closer
+	closeAll := func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i].Close()
+		}
+	}
+	if journalPath == "-" {
+		t.Journal.StreamTo(os.Stderr)
+	} else if journalPath != "" {
+		jf, err := os.Create(journalPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		closers = append(closers, jf)
+		t.Journal.StreamTo(jf)
+	}
+	if metricsAddr != "" {
+		ms, err := t.Serve(metricsAddr)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		closers = append(closers, ms)
+		if logf != nil {
+			logf("telemetry: http://%s/metrics\n", ms.Addr())
+		}
+	}
+	return t, func() {
+		if err := t.Journal.Flush(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		closeAll()
+	}, nil
 }
 
 // Emit implements Sink: the event is timestamped (when T is zero and the
