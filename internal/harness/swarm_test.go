@@ -35,7 +35,9 @@ func TestRealSocketSwarmPopulation(t *testing.T) {
 			{Name: "wifi-bba", Weight: 0.2, ABR: "bba"},
 			{Name: "lte-first", Weight: 0.2, ABR: "gpac", Preference: "lte"},
 		},
-		Servers: swarm.Servers{WiFiMbps: 40, LTEMbps: 20},
+		// Shaped so the link paces every session: arrivals overlap
+		// because transfers take time, as on a real tier.
+		Servers: swarm.Servers{WiFiMbps: 4, LTEMbps: 2},
 	}
 	sw, err := swarm.New(scn)
 	if err != nil {

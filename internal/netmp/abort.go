@@ -1,12 +1,12 @@
 package netmp
 
 // Doomed-chunk abort: the cross-layer graceful-degradation mechanism.
-// While a chunk is in flight, a monitor compares the live Holt-Winters
+// While a chunk is in flight, a wheel callback compares the live Holt-Winters
 // service-rate estimate (the same predictor that paces hedges) against
 // the remaining α·D window under the *best case* — every live path
 // engaged and delivering at the predicted rate. When even that cannot
 // land the chunk before its deadline, the transfer is doomed: riding it
-// to completion buys bytes that cannot become on-time video. The monitor
+// to completion buys bytes that cannot become on-time video. The callback
 // cancels the in-flight requests through the hedge machinery's
 // loser-cancel path (connection closed mid-read, no fault charged, no
 // breaker fuel, no requeue budget spent), FetchChunk surfaces the typed
@@ -104,61 +104,57 @@ func liveCount(paths []*pathConn) int {
 	return n
 }
 
-// monitorDoom runs the abort controller for one chunk: every
-// controllerTick it re-evaluates the doom test and, on the first hit,
-// marks the ledger doomed and cancels every path's in-flight transfer
-// through the hedge loser-cancel path. It returns when stop closes or
-// the doom fires. size is the chunk's total byte count; dlAt the α·D
-// deadline instant.
-func (f *Fetcher) monitorDoom(st *fetchState, ap AbortPolicy, size int64, segSize int64, start, dlAt time.Time, index, level int, stop <-chan struct{}) {
-	window := dlAt.Sub(start)
-	minWait := time.Duration(ap.MinProgress * float64(window))
-	tk := SharedWheel().Ticker(controllerTick)
-	defer tk.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tk.C:
-		}
-		if st.finished() || st.aborted() {
-			return
-		}
-		now := f.clk.now()
-		preArmed := f.boardPreArmed()
-		gate := minWait
-		if preArmed {
-			gate = minWait / 2 // a neighbor already confirmed the congestion
-		}
-		if now.Sub(start) < gate {
-			continue
-		}
-		rate := f.bestRateEstimate(preArmed)
-		if rate <= 0 {
-			continue
-		}
-		remaining := size - int64(st.doneSegments())*segSize
-		if remaining < 0 {
-			remaining = 0
-		}
-		paths := f.livePaths()
-		if isDoomed, best := doomed(rate, paths, remaining, dlAt.Sub(now), ap.Factor); isDoomed {
-			st.markDoomed()
-			f.abort.aborts.Add(1)
-			f.emitAbort(index, level, rate, paths, remaining, dlAt.Sub(now), best, preArmed)
-			if ctr := f.curTrace(); ctr != nil {
-				ctr.Event(obs.CatAbort, "abort")
-				ctr.MarkBad(obs.CatAbort)
-			}
-			// Cut the in-flight transfers: the loser-cancel path closes
-			// each connection mid-read and flags the supervised loop so
-			// the resulting I/O error is a cancellation, not a fault.
-			for _, pc := range f.paths {
-				if !pc.isDown() {
-					pc.cancelForHedge()
-				}
-			}
-			return
+// doomTick is the abort controller, run inline on the shared wheel every
+// controllerTick while an abortable chunk is in flight: it tests the
+// chunk and re-arms until the chunk winds down (begin and awaitRelease
+// arm and disarm it).
+func (f *Fetcher) doomTick() {
+	st := &f.st
+	if !st.view().stopped {
+		f.testDoom(&f.job)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.doomOff || st.stoppedLocked() {
+		st.doomArmed = false
+		st.cond.Broadcast()
+		return
+	}
+	f.doomT.reset(controllerTick)
+}
+
+// testDoom evaluates the doom test once for chunk j and acts on it.
+func (f *Fetcher) testDoom(j *chunkJob) {
+	now := f.clk.now()
+	preArmed := f.boardPreArmed()
+	gate := time.Duration(j.abort.MinProgress * float64(j.dlAt.Sub(j.start)))
+	if preArmed {
+		gate /= 2 // a neighbor already confirmed the congestion
+	}
+	if now.Sub(j.start) < gate {
+		return
+	}
+	rate := f.bestRateEstimate(preArmed)
+	if rate <= 0 {
+		return
+	}
+	remaining := max(j.size-int64(f.st.view().done)*j.segSize, 0)
+	paths := f.livePaths()
+	isDoomed, best := doomed(rate, paths, remaining, j.dlAt.Sub(now), j.abort.Factor)
+	if !isDoomed {
+		return
+	}
+	f.st.raise(&f.st.doomed) // no further claims; the workers wind down
+	f.abort.aborts.Add(1)
+	f.emitAbort(j.index, j.level, rate, paths, remaining, j.dlAt.Sub(now), best, preArmed)
+	j.ctr.Event(obs.CatAbort, "abort")
+	j.ctr.MarkBad(obs.CatAbort)
+	// Cut the in-flight transfers: the loser-cancel path closes each
+	// connection mid-read and flags the supervised loop so the resulting
+	// I/O error is a cancellation, not a fault.
+	for _, pc := range f.paths {
+		if !pc.isDown() {
+			pc.cancelForHedge()
 		}
 	}
 }

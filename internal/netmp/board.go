@@ -10,7 +10,7 @@ package netmp
 // seed their Holt-Winters predictor from the board instead of starting
 // blind; and a capacity drop observed by one session bumps the key's
 // drop epoch, pre-arming the doomed-chunk abort thresholds of every
-// neighbor (monitorDoom halves its MinProgress gate and clamps its rate
+// neighbor (the doom test halves its MinProgress gate and clamps its rate
 // estimate by the board's post-drop figure).
 //
 // The design follows the joint-flow/cross-layer line of work (QAware;
@@ -69,7 +69,7 @@ type boardShard struct {
 }
 
 // boardEntry is one bottleneck key's shared state. rateBits holds the
-// EWMA rate estimate as float64 bits so readers on the doom-monitor tick
+// EWMA rate estimate as float64 bits so readers on the doom-test tick
 // pay one atomic load, not a mutex.
 type boardEntry struct {
 	rateBits  atomic.Uint64 // float64 bits, bytes/s (0 = no estimate yet)

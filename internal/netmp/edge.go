@@ -119,7 +119,7 @@ func NewEdgeServer(video *dash.Video, name string, origins []string, store *cach
 
 // dialFetcher builds one fill fetcher: a single connection through the
 // ranked origins. A fill is one whole chunk from one tier — no costlier
-// path to hold back, and no standby controller to wait a tick on.
+// path to hold back, so no worker goroutine either.
 func (e *EdgeServer) dialFetcher() (*Fetcher, error) {
 	f, err := NewFetcherOrigins(e.Video, e.pol.Breaker, e.origins)
 	if err != nil {

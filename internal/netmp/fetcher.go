@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpdash/internal/core"
@@ -17,15 +18,17 @@ import (
 // DefaultSegmentSize is the range granularity of the fetcher.
 const DefaultSegmentSize = 32 * 1024
 
-// controllerTick is the cadence at which the secondary-path controller
-// re-evaluates deadline pressure while standing by; pressureWarmup is the
-// minimum elapsed time before the first throughput-based evaluation (no
-// sample exists earlier).
+// controllerTick is the cadence at which a standing-by secondary
+// re-evaluates deadline pressure (and the doom test runs); pressureWarmup
+// is the minimum elapsed time before the first throughput-based
+// evaluation (no sample exists earlier).
 const (
-	controllerTick  = 20 * time.Millisecond
-	pressureWarmup  = controllerTick
-	ledgerIdleSleep = time.Millisecond
+	controllerTick = 20 * time.Millisecond
+	pressureWarmup = controllerTick
 )
+
+// errFetcherClosed fails a FetchChunk that Close overtook or followed.
+var errFetcherClosed = errors.New("netmp: fetcher closed")
 
 // Fetcher downloads chunks over N TCP connections (one per network path)
 // with MP-DASH's deadline logic: the preferred connection pulls ranges
@@ -38,6 +41,10 @@ const (
 // segments are requeued to the surviving paths, and the fetcher keeps
 // working in degraded mode — on any non-empty subset of paths — when
 // paths die for good.
+//
+// The caller of FetchChunk drives the preferred path; each secondary has
+// one worker goroutine for the Fetcher's lifetime, so Close it when done.
+// One FetchChunk runs at a time.
 type Fetcher struct {
 	Video *dash.Video
 	// Sizes optionally overrides the video's generated chunk sizes with
@@ -68,6 +75,15 @@ type Fetcher struct {
 	// paths are the supervised connections: paths[0] is the preferred
 	// path, the rest are secondaries in ascending cost order.
 	paths []*pathConn
+	// st is the segment ledger and job the chunk in flight (FetchChunk).
+	st  fetchState
+	job chunkJob
+	// secondaries[k-1] is the worker of paths[k]; workers counts the live
+	// worker goroutines, which Close joins.
+	secondaries []*secondary
+	workers     sync.WaitGroup
+
+	doomT *WheelTimer // re-arms doomTick while an abortable chunk is in flight; made on first use
 	hedge hedgeState
 	abort abortState
 	// board is the optional congestion-board attachment (board.go); set
@@ -83,7 +99,7 @@ type Fetcher struct {
 	obsMu sync.Mutex
 	fobs  *fetcherObs
 
-	fb fbTrack // first-byte span tracking for the in-flight chunk
+	firstByte atomic.Bool // an instrumented chunk awaits its first byte (noteFirstByte)
 
 	// chint is the cache-hint memory fed by X-MPDash-Cache response
 	// headers (cachehint.go).
@@ -142,6 +158,7 @@ func NewFetcherOrigins(video *dash.Video, pol BreakerPolicy, paths ...[]string) 
 		return nil, fmt.Errorf("netmp: at least one path required")
 	}
 	f := &Fetcher{Video: video, Alpha: 1, SegmentSize: DefaultSegmentSize}
+	f.st.cond.L = &f.st.mu
 	f.hedge.hw = predict.NewDefaultHoltWinters()
 	for i, origins := range paths {
 		name := "primary"
@@ -159,15 +176,34 @@ func NewFetcherOrigins(video *dash.Video, pol BreakerPolicy, paths ...[]string) 
 		pc.tref = &f.tref
 		f.paths = append(f.paths, pc)
 	}
+	for k := 1; k < len(f.paths); k++ {
+		w := &secondary{k: k, start: make(chan struct{}, 1)}
+		w.tick = SharedWheel().idleTimer(func() { f.st.raise(&w.ticked) })
+		f.secondaries = append(f.secondaries, w)
+		f.workers.Add(1)
+		go f.runSecondary(w)
+	}
 	return f, nil
 }
 
-// Close tears down every connection, reporting every failure.
+// Close tears down every connection, reporting every failure, and returns
+// once the workers have exited; a FetchChunk in flight or after it fails.
+// Repeated calls are safe (the connections report being closed again).
 func (f *Fetcher) Close() error {
+	f.st.mu.Lock()
+	if !f.st.closed {
+		f.st.closed = true
+		for _, w := range f.secondaries {
+			close(w.start)
+		}
+		f.st.cond.Broadcast()
+	}
+	f.st.mu.Unlock()
 	var errs []error
 	for _, pc := range f.paths {
 		errs = append(errs, pc.close())
 	}
+	f.workers.Wait()
 	return errors.Join(errs...)
 }
 
@@ -257,10 +293,16 @@ type FetchResult struct {
 // to in-flight to done; a segment whose path fails is requeued so the
 // surviving path can retake it. Completion means done == total, not an
 // empty queue — in-flight segments may yet fail back into the queue.
+//
+// The Fetcher owns one ledger and resets it per chunk. Every change a
+// parked party waits for — a segment completed, requeued or released,
+// the doom verdict, the chunk finishing, Close, a standing-by tick —
+// broadcasts on cond, so no party polls.
 type fetchState struct {
 	mu            sync.Mutex
-	front         int // next fresh segment from the start
-	back          int // last fresh segment at the end
+	cond          sync.Cond // L = &mu
+	front         int       // next fresh segment from the start
+	back          int       // last fresh segment at the end
 	requeued      []requeuedSeg
 	requeues      map[int]int // per-segment requeue counts
 	inflight      int
@@ -270,6 +312,14 @@ type fetchState struct {
 	doomed        bool // predicted deadline miss: abandon, downgrade
 	requeueBudget int
 	requeueCount  int64
+
+	primaryBytes, secondaryBytes int64   // verified payload by side
+	errs                         []error // fatal path errors
+	holders                      int     // workers still holding the chunk
+	// doomArmed holds while the doom timer is armed or its callback runs;
+	// doomOff, set as the chunk winds down, stops it re-arming.
+	doomArmed, doomOff bool
+	closed             bool // Close was called; survives resets
 }
 
 type requeuedSeg struct {
@@ -277,8 +327,22 @@ type requeuedSeg struct {
 	by  *pathConn // the path that failed it
 }
 
-func newFetchState(total, requeueBudget int) *fetchState {
-	return &fetchState{front: 0, back: total - 1, total: total, requeueBudget: requeueBudget}
+// resetLocked readies the ledger for a chunk of total segments.
+func (st *fetchState) resetLocked(total, requeueBudget int) {
+	st.front, st.back, st.total = 0, total-1, total
+	st.requeued = st.requeued[:0]
+	clear(st.requeues)
+	st.inflight, st.done = 0, 0
+	st.failed, st.doomed = false, false
+	st.requeueBudget, st.requeueCount = requeueBudget, 0
+	st.primaryBytes, st.secondaryBytes = 0, 0
+	st.errs = st.errs[:0]
+	st.doomOff = false
+}
+
+// stoppedLocked reports whether the workers should wind down.
+func (st *fetchState) stoppedLocked() bool {
+	return st.done == st.total || st.failed || st.doomed || st.closed
 }
 
 // takeRequeuedLocked pops a requeued segment for pc, preferring segments
@@ -300,7 +364,7 @@ func (st *fetchState) takeRequeuedLocked(pc *pathConn, selfOK bool) (int, bool) 
 func (st *fetchState) claimFrontFor(pc *pathConn) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.failed || st.doomed {
+	if st.stoppedLocked() {
 		return -1
 	}
 	if seg, ok := st.takeRequeuedLocked(pc, false); ok {
@@ -322,7 +386,7 @@ func (st *fetchState) claimFrontFor(pc *pathConn) int {
 func (st *fetchState) claimBackFor(pc *pathConn) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.failed || st.doomed {
+	if st.stoppedLocked() {
 		return -1
 	}
 	if st.front <= st.back {
@@ -340,19 +404,31 @@ func (st *fetchState) claimBackFor(pc *pathConn) int {
 	return -1
 }
 
-// complete marks a claimed segment fetched and verified.
-func (st *fetchState) complete() {
+// complete marks a claimed segment fetched and verified, crediting its n
+// bytes to the preferred path or the secondaries.
+func (st *fetchState) complete(primary bool, n int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.inflight--
 	st.done++
+	if primary {
+		st.primaryBytes += n
+	} else {
+		st.secondaryBytes += n
+	}
+	st.cond.Broadcast()
 }
 
-// requeue returns a claimed segment to the ledger after pc failed it.
-// Blowing the per-segment requeue budget aborts the whole chunk.
-func (st *fetchState) requeue(seg int, by *pathConn) {
+// requeue returns a claimed segment to the ledger after pc failed it;
+// err, when not nil, is the fatal error that took pc down. Blowing the
+// per-segment requeue budget aborts the whole chunk.
+func (st *fetchState) requeue(seg int, by *pathConn, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	defer st.cond.Broadcast()
+	if err != nil {
+		st.errs = append(st.errs, err)
+	}
 	st.inflight--
 	st.requeueCount++
 	if st.requeues == nil {
@@ -366,41 +442,45 @@ func (st *fetchState) requeue(seg int, by *pathConn) {
 	st.requeued = append(st.requeued, requeuedSeg{seg: seg, by: by})
 }
 
-// finished reports whether every segment has been fetched.
-func (st *fetchState) finished() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.done == st.total
+// ledgerView is one consistent reading of the ledger.
+type ledgerView struct {
+	remaining, done int   // segments unclaimed (requeued included), verified
+	delivered       int64 // verified bytes
+	stopped, doomed bool
 }
 
-// aborted reports whether the chunk's requeue budget is blown.
-func (st *fetchState) aborted() bool {
+func (st *fetchState) view() ledgerView {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.failed
+	return ledgerView{remaining: max(st.back-st.front+1, 0) + len(st.requeued), done: st.done,
+		delivered: st.primaryBytes + st.secondaryBytes, stopped: st.stoppedLocked(), doomed: st.doomed}
 }
 
-// stopped reports whether the workers should wind down: every segment
-// fetched, the requeue budget blown, or the chunk abandoned as doomed.
-func (st *fetchState) stopped() bool {
+// awaitWork parks an idle claimer until a segment is claimable or the
+// chunk stops, reporting whether to claim again.
+func (st *fetchState) awaitWork() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.done == st.total || st.failed || st.doomed
+	for !st.stoppedLocked() && st.front > st.back && len(st.requeued) == 0 {
+		st.cond.Wait()
+	}
+	return !st.stoppedLocked()
 }
 
-// markDoomed flags the chunk as a predicted deadline miss: no further
-// segments will be claimed and the workers wind down.
-func (st *fetchState) markDoomed() {
+// raise sets *flag, guarded by the ledger, and wakes every parked party.
+func (st *fetchState) raise(flag *bool) {
 	st.mu.Lock()
-	st.doomed = true
+	*flag = true
+	st.cond.Broadcast()
 	st.mu.Unlock()
 }
 
-// isDoomed reports whether the chunk was abandoned as doomed.
-func (st *fetchState) isDoomed() bool {
+// letGo is a worker's last touch of the chunk.
+func (st *fetchState) letGo() {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.doomed
+	st.holders--
+	st.cond.Broadcast()
+	st.mu.Unlock()
 }
 
 // release returns a claimed segment without completing or requeueing it
@@ -409,26 +489,8 @@ func (st *fetchState) isDoomed() bool {
 func (st *fetchState) release() {
 	st.mu.Lock()
 	st.inflight--
+	st.cond.Broadcast()
 	st.mu.Unlock()
-}
-
-// doneSegments reports how many segments have completed and verified.
-func (st *fetchState) doneSegments() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.done
-}
-
-// remainingSegments reports how many segments are still unclaimed
-// (including requeued ones awaiting a new owner).
-func (st *fetchState) remainingSegments() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := st.back - st.front + 1
-	if n < 0 {
-		n = 0
-	}
-	return n + len(st.requeued)
 }
 
 // engageCount is the socket stack's driver around core.Engage. It gathers
@@ -453,14 +515,36 @@ func engageCount(elapsed, d time.Duration, alpha float64, got int64, need float6
 	return core.Engage(need, windowLeft, est), rate, windowLeft
 }
 
+// chunkJob is the chunk in flight as every party sees it: written by
+// FetchChunk before the chunk is handed out, read-only until it returns.
+type chunkJob struct {
+	index, level  int
+	size, segSize int64
+	d             time.Duration
+	alpha         float64
+	pol           RetryPolicy
+	start, dlAt   time.Time
+	ctr           *obs.Trace
+	fo            *fetcherObs
+	abort         AbortPolicy
+}
+
+// secondary is the worker of one secondary path, parked on start between
+// chunks (runSecondary).
+type secondary struct {
+	k      int
+	start  chan struct{} // one token per chunk handed over; closed by Close
+	tick   *WheelTimer   // the standing-by re-evaluation
+	ticked bool          // tick fired; guarded by the ledger's mu
+}
+
 // FetchChunk downloads chunk (index, level) with deadline window d. It
 // survives transient path faults (retry + redial + requeue) and runs on
 // whatever subset of paths is alive; it fails only when every path dies
-// (ErrAllPathsDown) or a segment exhausts its requeue budget on every
-// live path (ErrChunkExhausted).
+// (ErrAllPathsDown), a segment exhausts its requeue budget on every
+// live path (ErrChunkExhausted), or the fetcher is closed.
 func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, error) {
 	size := f.chunkSize(index, level)
-	pol := f.Retry.withDefaults()
 	segSize := f.SegmentSize
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
@@ -469,7 +553,6 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 		return nil, ErrAllPathsDown
 	}
 	nSegs := int((size + segSize - 1) / segSize)
-	st := newFetchState(nSegs, pol.RequeueBudget)
 	alpha := f.Alpha
 	if alpha <= 0 || alpha > 1 {
 		alpha = 1
@@ -482,8 +565,8 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	fo := f.obsHandles()
 	if fo != nil {
 		fo.emitChunkStart(index, level, size, d, nSegs)
-		f.fb.begin(start, index, level)
-		defer f.fb.end()
+		f.firstByte.Store(true)
+		defer f.firstByte.Store(false)
 	}
 	ctr := f.curTrace()
 	fsp := ctr.StartSpan(obs.CatFetch, "fetch")
@@ -492,169 +575,15 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	defer fsp.End()
 	ret0, red0, waste0, fo0 := f.faultCounters()
 	hi0, hw0, hc0, hwb0 := f.hedge.snapshot()
-	var mu sync.Mutex // guards res byte counters
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var workerErrs []error
 
-	recordErr := func(err error) {
-		errMu.Lock()
-		workerErrs = append(workerErrs, err)
-		errMu.Unlock()
+	pol := f.Retry.withDefaults()
+	f.job = chunkJob{index: index, level: level, size: size, segSize: segSize, d: d, alpha: alpha,
+		pol: pol, start: start, dlAt: dlAt, ctr: ctr, fo: fo, abort: f.Abort.withDefaults()}
+	f.begin(nSegs)
+	if !f.paths[0].isDown() {
+		f.drivePrimary()
 	}
-
-	fetchSeg := func(pc *pathConn, seg int) error {
-		from := int64(seg) * segSize
-		to := from + segSize - 1
-		if to >= size {
-			to = size - 1
-		}
-		ssp := ctr.StartSpan(obs.CatSegment, "segment")
-		ssp.SetPath(pc.name)
-		ssp.SetNum("seg", float64(seg))
-		n, err := f.fetchSegHedged(pc, pol, index, level, from, to, dlAt)
-		ssp.End()
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if pc == f.paths[0] {
-			res.PrimaryBytes += n
-		} else {
-			res.SecondaryBytes += n
-		}
-		mu.Unlock()
-		return nil
-	}
-
-	// handle routes a segment outcome; it reports whether the worker
-	// should keep claiming.
-	handle := func(pc *pathConn, seg int, err error) bool {
-		switch {
-		case err == nil:
-			st.complete()
-			return true
-		case errors.Is(err, errHedgeCancelled):
-			// A doomed-chunk abort cut this transfer mid-read. Not a
-			// fault: forget the claim — no requeue budget spent, no
-			// breaker fuel — and wind the worker down.
-			if st.isDoomed() {
-				st.release()
-				return false
-			}
-			// Stale cancellation without a doom verdict (the chunk
-			// completed inside the cancel race): hand the segment back.
-			st.requeue(seg, pc)
-			return true
-		case errors.Is(err, errSegmentFailed):
-			st.requeue(seg, pc)
-			ctr.Event(obs.CatRequeue, "requeue")
-			ctr.MarkBad(obs.CatRequeue)
-			return true
-		case errors.Is(err, errPathDown):
-			st.requeue(seg, pc)
-			ctr.Event(obs.CatRequeue, "requeue")
-			ctr.MarkBad(obs.CatRequeue)
-			return false
-		default: // fatal protocol error; the path was marked down
-			st.requeue(seg, pc)
-			recordErr(err)
-			return false
-		}
-	}
-	// Doom monitor: abort the chunk once even best-case all-path
-	// delivery projects a deadline miss. Only above the lowest rendition
-	// — with nothing to downgrade to, a doomed level-0 chunk rides out.
-	var doomStop chan struct{}
-	if f.Abort.Enabled && level > 0 {
-		doomStop = make(chan struct{})
-		go f.monitorDoom(st, f.Abort.withDefaults(), size, segSize, start, dlAt, index, level, doomStop)
-	}
-
-	// Preferred path: drain from the front while the path lives.
-	if primary := f.paths[0]; !primary.isDown() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !st.stopped() {
-				seg := st.claimFrontFor(primary)
-				if seg < 0 {
-					// Nothing claimable now; a segment in flight on
-					// another path may yet fail back into the ledger.
-					time.Sleep(ledgerIdleSleep)
-					continue
-				}
-				if !handle(primary, seg, fetchSeg(primary, seg)) {
-					return
-				}
-			}
-		}()
-	}
-
-	// One controller per secondary: path k joins while the kernel's
-	// minimal covering prefix over the live paths reaches it, or
-	// unconditionally once every cheaper path is down (degraded mode
-	// inverts the cost preference to honor the deadline). While engaged
-	// it keeps claiming back-segments — re-evaluating per segment, not
-	// per tick — so a fast secondary saturates and still stands down as
-	// soon as the cheaper set suffices again.
-	for k := 1; k < len(f.paths); k++ {
-		cheaper, pc := f.paths[:k], f.paths[k]
-		if pc.isDown() {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			engaged := false
-			for !st.stopped() {
-				need := float64(st.remainingSegments()) * float64(segSize)
-				// Cache-aware service-time hint: a chunk the edge will
-				// serve from its store moves far faster than the path
-				// rate history suggests, so the demand shrinks with the
-				// hit probability. A known miss (or no edge at all)
-				// leaves it untouched.
-				need *= core.DemandFactor(f.cacheHitProb(index), f.CacheHint.Damp)
-				if rank := liveCount(cheaper); rank > 0 {
-					mu.Lock()
-					got := res.PrimaryBytes + res.SecondaryBytes
-					mu.Unlock()
-					on, rate, window := engageCount(f.clk.now().Sub(start), d, alpha, got, need, f.livePaths())
-					if rank > on {
-						if engaged {
-							engaged = false
-							fo.emitToggle(false, "", pc.name, index, level, rate, need, window)
-						}
-						time.Sleep(controllerTick)
-						continue
-					}
-					if !engaged {
-						engaged = true
-						fo.emitToggle(true, "pressure", pc.name, index, level, rate, need, window)
-					}
-				} else if !engaged {
-					engaged = true
-					fo.emitToggle(true, "primary-down", pc.name, index, level, 0, need, 0)
-				}
-				seg := st.claimBackFor(pc)
-				if seg < 0 {
-					if st.stopped() {
-						return
-					}
-					time.Sleep(ledgerIdleSleep)
-					continue
-				}
-				if !handle(pc, seg, fetchSeg(pc, seg)) {
-					return
-				}
-			}
-		}()
-	}
-
-	wg.Wait()
-	if doomStop != nil {
-		close(doomStop)
-	}
+	f.awaitRelease()
 
 	ret, red, waste, fov := f.faultCounters()
 	res.Retries = ret - ret0
@@ -666,16 +595,19 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	res.HedgesWon = hw - hw0
 	res.HedgesCancelled = hc - hc0
 	res.HedgeWastedBytes = hwb - hwb0
+	st := &f.st
 	st.mu.Lock()
-	res.Requeued = st.requeueCount
+	res.PrimaryBytes, res.SecondaryBytes, res.Requeued = st.primaryBytes, st.secondaryBytes, st.requeueCount
+	finished, doomed, exhausted, closed := st.done == st.total, st.doomed, st.failed, st.closed
+	pathErr := errors.Join(st.errs...)
 	st.mu.Unlock()
 	live := f.livePaths()
 	res.Degraded = live < len(f.paths)
 
 	// On failure the partial result still carries the fault accounting,
 	// so callers can fold retries/redials into session totals.
-	if !st.finished() {
-		if st.isDoomed() {
+	if !finished {
+		if doomed {
 			// An abort is a scheduling decision, not a fault: no
 			// chunk.fail event, no breaker fuel. The partial bytes are
 			// charged as waste and the cut connections restored so the
@@ -689,26 +621,23 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 		}
 		var ferr error
 		switch {
-		case st.aborted():
+		case closed:
+			ferr = fmt.Errorf("netmp: chunk %d level %d: %w", index, level, errFetcherClosed)
+		case exhausted:
 			ferr = fmt.Errorf("netmp: chunk %d level %d: %w after %d requeues", index, level, ErrChunkExhausted, res.Requeued)
+		case live == 0:
+			ferr = errors.Join(ErrAllPathsDown, pathErr)
+		case pathErr == nil:
+			ferr = fmt.Errorf("netmp: chunk %d level %d incomplete", index, level)
 		default:
-			errMu.Lock()
-			joined := errors.Join(workerErrs...)
-			errMu.Unlock()
-			if live == 0 {
-				ferr = errors.Join(ErrAllPathsDown, joined)
-			} else if joined == nil {
-				ferr = fmt.Errorf("netmp: chunk %d level %d incomplete", index, level)
-			} else {
-				ferr = joined
-			}
+			ferr = pathErr
 		}
 		fo.emitChunkFail(index, level, ferr)
 		return res, ferr
 	}
-	if st.isDoomed() {
+	if doomed {
 		// The last segments landed inside the doom-verdict race window:
-		// the chunk completed after all, but the monitor already cut the
+		// the chunk completed after all, but the doom test already cut the
 		// connections — restore them and drop the stale cancel flags.
 		f.restoreAfterAbort(pol)
 	}
@@ -724,6 +653,175 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	}
 	fo.emitChunkDone(index, level, d, res)
 	return res, nil
+}
+
+// begin resets the ledger for a chunk of total segments, hands the chunk
+// to the worker of every live secondary and arms the doom test. A closed
+// fetcher hands out nothing: its ledger reads stopped.
+func (f *Fetcher) begin(total int) {
+	st := &f.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.resetLocked(total, f.job.pol.RequeueBudget)
+	if st.closed {
+		return
+	}
+	for _, w := range f.secondaries {
+		if !f.paths[w.k].isDown() {
+			st.holders++
+			w.start <- struct{}{} // never blocks: the worker took the last token before letting go
+		}
+	}
+	if f.job.abort.Enabled && f.job.level > 0 { // level 0 has nothing to downgrade to
+		if f.doomT == nil {
+			f.doomT = SharedWheel().idleTimer(f.doomTick)
+		}
+		st.doomArmed = true
+		f.doomT.reset(controllerTick)
+	}
+}
+
+// awaitRelease returns once every party has let go of the chunk: the
+// workers it was handed to, then the doom test, which stays armed until
+// they have.
+func (f *Fetcher) awaitRelease() {
+	st := &f.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for st.holders > 0 {
+		st.cond.Wait()
+	}
+	st.doomOff = true
+	if st.doomArmed && f.doomT.Stop() {
+		st.doomArmed = false
+	}
+	for st.doomArmed {
+		st.cond.Wait()
+	}
+}
+
+// drivePrimary drains the preferred path from the front, on the calling
+// goroutine, while the path lives. With nothing claimable it parks on the
+// ledger: a segment in flight on another path may yet fail back into it.
+func (f *Fetcher) drivePrimary() {
+	pc, st := f.paths[0], &f.st
+	for {
+		if seg := st.claimFrontFor(pc); seg >= 0 {
+			if !f.fetchSeg(pc, seg) {
+				return
+			}
+		} else if !st.awaitWork() {
+			return
+		}
+	}
+}
+
+// runSecondary is a secondary path's worker goroutine: one chunk per
+// token, until Close closes the channel.
+func (f *Fetcher) runSecondary(w *secondary) {
+	defer f.workers.Done()
+	for range w.start {
+		f.driveSecondary(w)
+		f.st.letGo()
+	}
+}
+
+// driveSecondary runs one chunk on secondary path k: it joins while the
+// kernel's minimal covering prefix over the live paths reaches it, or
+// unconditionally once every cheaper path is down (degraded mode inverts
+// the cost preference to honor the deadline). While engaged it keeps
+// claiming back-segments — re-evaluating per segment, not per tick — so
+// a fast secondary saturates and still stands down as soon as the
+// cheaper set suffices again; standing by, it re-evaluates every
+// controllerTick.
+func (f *Fetcher) driveSecondary(w *secondary) {
+	j, st := &f.job, &f.st
+	cheaper, pc := f.paths[:w.k], f.paths[w.k]
+	engaged := false
+	for v := st.view(); !v.stopped; v = st.view() {
+		need := float64(v.remaining) * float64(j.segSize)
+		// Cache-aware service-time hint: a chunk the edge will serve from
+		// its store moves far faster than the path rate history suggests,
+		// so the demand shrinks with the hit probability. A known miss (or
+		// no edge at all) leaves it untouched.
+		need *= core.DemandFactor(f.cacheHitProb(j.index), f.CacheHint.Damp)
+		on, reason, rate, window := true, "primary-down", 0.0, 0.0
+		if rank := liveCount(cheaper); rank > 0 {
+			var n int
+			n, rate, window = engageCount(f.clk.now().Sub(j.start), j.d, j.alpha, v.delivered, need, f.livePaths())
+			on, reason = rank <= n, "pressure"
+		}
+		if on != engaged {
+			engaged = on
+			j.fo.emitToggle(on, reason, pc.name, j.index, j.level, rate, need, window)
+		}
+		if !on {
+			f.standBy(w)
+			continue
+		}
+		if seg := st.claimBackFor(pc); seg < 0 {
+			st.awaitWork()
+		} else if !f.fetchSeg(pc, seg) {
+			return
+		}
+	}
+}
+
+// standBy parks a standing-by secondary until its next evaluation,
+// controllerTick from now on the shared wheel, or until the chunk stops.
+// The tick timer is idle again on return.
+func (f *Fetcher) standBy(w *secondary) {
+	st := &f.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	w.ticked = false
+	w.tick.reset(controllerTick)
+	for !w.ticked && !st.stoppedLocked() {
+		st.cond.Wait()
+	}
+	if !w.ticked && !w.tick.Stop() {
+		for !w.ticked { // it fired as the chunk stopped: let the callback land
+			st.cond.Wait()
+		}
+	}
+}
+
+// fetchSeg downloads one claimed segment on pc and settles it in the
+// ledger, reporting whether pc should keep claiming.
+func (f *Fetcher) fetchSeg(pc *pathConn, seg int) bool {
+	j, st := &f.job, &f.st
+	from := int64(seg) * j.segSize
+	to := min(from+j.segSize, j.size) - 1
+	ssp := j.ctr.StartSpan(obs.CatSegment, "segment")
+	ssp.SetPath(pc.name)
+	ssp.SetNum("seg", float64(seg))
+	n, err := f.fetchSegHedged(pc, j.pol, j.index, j.level, from, to, j.dlAt)
+	ssp.End()
+	switch {
+	case err == nil:
+		st.complete(pc == f.paths[0], n)
+		return true
+	case errors.Is(err, errHedgeCancelled):
+		// A doomed-chunk abort cut this transfer mid-read. Not a fault:
+		// forget the claim — no requeue budget spent, no breaker fuel —
+		// and wind the worker down.
+		if st.view().doomed {
+			st.release()
+			return false
+		}
+		// Stale cancellation without a doom verdict (the chunk completed
+		// inside the cancel race): hand the segment back.
+		st.requeue(seg, pc, nil)
+		return true
+	case errors.Is(err, errSegmentFailed), errors.Is(err, errPathDown):
+		st.requeue(seg, pc, nil)
+		j.ctr.Event(obs.CatRequeue, "requeue")
+		j.ctr.MarkBad(obs.CatRequeue)
+		return errors.Is(err, errSegmentFailed)
+	default: // fatal protocol error; the path was marked down
+		st.requeue(seg, pc, err)
+		return false
+	}
 }
 
 // fetchSegSupervised downloads one segment on pc, absorbing transient
@@ -789,7 +887,7 @@ func (f *Fetcher) fetchSegSupervised(pc *pathConn, pol RetryPolicy, index, level
 // per-representation chunk sizes — the client-side bootstrap that needs
 // no out-of-band knowledge of the asset.
 func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
-	pc, err := dialPath("manifest", addr)
+	pc, err := dialOrigins("manifest", []string{addr}, BreakerPolicy{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -861,7 +959,7 @@ func (f *Fetcher) requestRange(pc *pathConn, index, level int, from, to int64) (
 		}
 		extend()
 		n, err := io.ReadFull(pc.r, buf[:m])
-		if got == 0 && n > 0 && f.fb.pending.Load() {
+		if got == 0 && n > 0 && f.firstByte.Load() {
 			f.noteFirstByte()
 		}
 		for i := 0; i < n; i++ {

@@ -377,15 +377,15 @@ func (f *front) acceptLoop(ln net.Listener, ctx context.Context) {
 		}
 		backoff = 5 * time.Millisecond
 
-		// Admission control: a Crash racing this accept must not leave an
-		// admitted connection the crash sweep missed, so the crashed check
-		// happens under connMu — if crashed is still false here, the sweep
-		// (which also takes connMu) has not run yet and will reset this
-		// connection. Under MaxConns pressure the excess accept is turned
-		// away with a 503 so admitted connections keep their bandwidth and
-		// file descriptors.
+		// Admission control: a Crash or Close racing this accept must not
+		// leave an admitted connection its sweep missed, so the check
+		// happens under connMu — both cancel ctx before sweeping (under
+		// connMu), so if ctx is still live here the sweep has not run yet
+		// and will close this connection. Under MaxConns pressure the
+		// excess accept is turned away with a 503 so admitted connections
+		// keep their bandwidth and file descriptors.
 		f.connMu.Lock()
-		if f.Crashed() {
+		if ctx.Err() != nil {
 			f.connMu.Unlock()
 			hardClose(conn)
 			continue
@@ -591,15 +591,17 @@ func (f *front) writeBody(ctx context.Context, w *bufio.Writer, index, level int
 		if err := f.bucket.Take(ctx, int(m)); err != nil {
 			return err
 		}
-		if _, err := w.Write(blk); err != nil {
-			return err
+		f.served.Add(m) // before a client can read it; a failed write takes it back
+		_, err := w.Write(blk)
+		if err == nil {
+			err = w.Flush()
 		}
-		if err := w.Flush(); err != nil {
+		if err != nil {
+			f.served.Add(-m)
 			return err
 		}
 		off += m
 		remaining -= m
-		f.served.Add(m)
 	}
 	return nil
 }

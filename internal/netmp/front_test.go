@@ -363,6 +363,11 @@ func TestServersShareInstrumentNames(t *testing.T) {
 	s.Instrument(tel)
 	e.Instrument(tel)
 	addrs := []string{s.Addr(), e.Addr()}
+	// The limit below counts the edge's two fill-fetcher connections, which
+	// the origin's accept loop may not have admitted yet.
+	for end := time.Now().Add(3 * time.Second); s.CurrentConns() < 2 && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
 	for _, f := range []*front{s.front, e.front} {
 		f.SetLimits(ServerLimits{MaxConns: f.CurrentConns() + 1})
 		c1, r1 := dialServer(t, f)

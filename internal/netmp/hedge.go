@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpdash/internal/obs"
@@ -55,15 +56,14 @@ func (p HedgePolicy) withDefaults() HedgePolicy {
 }
 
 // hedgeState is the fetcher-wide hedging runtime: the pace predictor
-// (built by NewFetcherOrigins) and the session counters. Safe for
-// concurrent use.
+// (built by NewFetcherOrigins, guarded by mu) and the session counters —
+// hedges issued, won by the backup, losers cancelled, and loser bytes
+// wasted (charged against HedgePolicy.BudgetBytes). Safe for concurrent
+// use.
 type hedgeState struct {
-	mu        sync.Mutex
-	hw        *predict.HoltWinters
-	issued    int64
-	won       int64
-	cancelled int64
-	wasted    int64
+	mu                             sync.Mutex
+	hw                             *predict.HoltWinters
+	issued, won, cancelled, wasted atomic.Int64
 }
 
 // observe feeds one completed segment's service rate into the predictor.
@@ -110,46 +110,19 @@ func (h *hedgeState) predictedServiceTime(n int64) time.Duration {
 	return time.Duration(float64(n) / rate * float64(time.Second))
 }
 
-// budgetLeft reports whether the wasted-byte budget still admits hedges.
-func (h *hedgeState) budgetLeft(budget int64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.wasted < budget
-}
-
-func (h *hedgeState) noteIssued() {
-	h.mu.Lock()
-	h.issued++
-	h.mu.Unlock()
-}
-
-func (h *hedgeState) noteWon() {
-	h.mu.Lock()
-	h.won++
-	h.mu.Unlock()
-}
-
 // noteCancelled records one cancelled loser and its wasted partial bytes.
 func (h *hedgeState) noteCancelled(wastedBytes int64) {
-	h.mu.Lock()
-	h.cancelled++
-	h.wasted += wastedBytes
-	h.mu.Unlock()
+	h.cancelled.Add(1)
+	h.wasted.Add(wastedBytes)
 }
 
 // noteWasted records loser bytes that were spent without a cancellation
 // (the loser failed on its own).
-func (h *hedgeState) noteWasted(wastedBytes int64) {
-	h.mu.Lock()
-	h.wasted += wastedBytes
-	h.mu.Unlock()
-}
+func (h *hedgeState) noteWasted(wastedBytes int64) { h.wasted.Add(wastedBytes) }
 
 // snapshot returns the cumulative hedge counters.
 func (h *hedgeState) snapshot() (issued, won, cancelled, wasted int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.issued, h.won, h.cancelled, h.wasted
+	return h.issued.Load(), h.won.Load(), h.cancelled.Load(), h.wasted.Load()
 }
 
 // hedgeDelay computes how long to let the primary attempt run before
@@ -194,7 +167,7 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 	// A cache-hot chunk's slow first bytes are the edge's singleflight
 	// fill; a duplicate request would join that fill, not beat it, so
 	// hedging is suppressed above the hot threshold.
-	if !f.Hedge.Disabled && !f.cacheHot(index) && f.hedge.budgetLeft(hp.BudgetBytes) {
+	if !f.Hedge.Disabled && !f.cacheHot(index) && f.hedge.wasted.Load() < hp.BudgetBytes {
 		if b, ok := pc.set.backup(); ok {
 			backup = b
 		}
@@ -229,7 +202,7 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 	}
 
 	// Pace projects a miss: issue the duplicate to the backup origin.
-	f.hedge.noteIssued()
+	f.hedge.issued.Add(1)
 	f.emitHedge(obs.NewEvent("hedge.arm").WithPath(pc.name).
 		WithStr("origin", backup.addr).WithNum("delay_s", delay.Seconds()))
 	hsp := f.curTrace().StartSpan(obs.CatHedge, "hedge")
@@ -260,7 +233,7 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 		// connection for the next segment.
 		pc.cancelForHedge()
 		second := <-resCh
-		f.hedge.noteWon()
+		f.hedge.won.Add(1)
 		f.hedge.noteCancelled(second.n)
 		f.emitHedge(obs.NewEvent("hedge.win").WithPath(pc.name).
 			WithNum("wasted_bytes", float64(second.n)))
@@ -274,7 +247,7 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 	second := <-resCh
 	if second.err == nil {
 		if second.hedge {
-			f.hedge.noteWon()
+			f.hedge.won.Add(1)
 			f.emitHedge(obs.NewEvent("hedge.win").WithPath(pc.name).
 				WithNum("wasted_bytes", float64(first.n)))
 		}
@@ -328,8 +301,5 @@ func (f *Fetcher) hedgeFetch(o *origin, pol RetryPolicy, index, level int, from,
 		err = errCorruptPayload
 	}
 	o.recordOutcome(err, f.clk.now().Sub(t0))
-	if err != nil {
-		return n, err
-	}
-	return n, nil
+	return n, err
 }

@@ -11,6 +11,15 @@ import (
 	"testing"
 )
 
+// newFetchState returns a ledger of its own, as a Fetcher's is after
+// FetchChunk resets it.
+func newFetchState(total, requeueBudget int) *fetchState {
+	st := &fetchState{}
+	st.cond.L = &st.mu
+	st.resetLocked(total, requeueBudget)
+	return st
+}
+
 func TestLedgerSplitsWithoutOverlap(t *testing.T) {
 	a, b := &pathConn{name: "a"}, &pathConn{name: "b"}
 	st := newFetchState(10, 3)
@@ -21,13 +30,13 @@ func TestLedgerSplitsWithoutOverlap(t *testing.T) {
 			break
 		}
 		claimed = append(claimed, seg)
-		st.complete()
+		st.complete(true, 1)
 		if seg2 := st.claimBackFor(b); seg2 >= 0 {
 			claimed = append(claimed, seg2)
-			st.complete()
+			st.complete(true, 1)
 		}
 	}
-	if !st.finished() {
+	if st.done != st.total {
 		t.Fatalf("ledger not finished after draining: %d claimed", len(claimed))
 	}
 	seen := make(map[int]bool)
@@ -48,34 +57,34 @@ func TestLedgerRequeuePrefersOtherPath(t *testing.T) {
 	a, b := &pathConn{name: "a"}, &pathConn{name: "b"}
 	st := newFetchState(4, 3)
 	seg := st.claimFrontFor(a)
-	st.requeue(seg, a)
+	st.requeue(seg, a, nil)
 	// a must not immediately re-claim its own failure while fresh work
 	// remains…
 	if got := st.claimFrontFor(a); got == seg {
 		t.Fatalf("path a re-claimed its own failed segment %d over fresh work", seg)
 	} else {
-		st.complete()
+		st.complete(true, 1)
 	}
 	// …but b recovers it ahead of fresh front segments.
 	if got := st.claimFrontFor(b); got != seg {
 		t.Fatalf("path b claimed %d, want requeued %d", got, seg)
 	}
-	st.complete()
+	st.complete(true, 1)
 }
 
 func TestLedgerSelfRetryWhenAlone(t *testing.T) {
 	a := &pathConn{name: "a"}
 	st := newFetchState(2, 3)
 	s0 := st.claimFrontFor(a)
-	st.complete()
+	st.complete(true, 1)
 	s1 := st.claimFrontFor(a)
-	st.requeue(s1, a)
+	st.requeue(s1, a, nil)
 	// No fresh work left: the sole survivor retries its own failure.
 	if got := st.claimFrontFor(a); got != s1 {
 		t.Fatalf("claim = %d, want self-requeued %d", got, s1)
 	}
-	st.complete()
-	if !st.finished() {
+	st.complete(true, 1)
+	if st.done != st.total {
 		t.Fatal("not finished")
 	}
 	_ = s0
@@ -89,9 +98,9 @@ func TestLedgerBudgetAborts(t *testing.T) {
 		if seg < 0 {
 			t.Fatalf("claim %d returned nothing", i)
 		}
-		st.requeue(seg, a)
+		st.requeue(seg, a, nil)
 	}
-	if !st.aborted() {
+	if !st.failed {
 		t.Fatal("budget of 2 not enforced after 3 requeues")
 	}
 	if st.claimFrontFor(a) >= 0 || st.claimBackFor(a) >= 0 {
@@ -114,7 +123,7 @@ func TestLedgerConcurrentExactlyOnce(t *testing.T) {
 		return func() {
 			rng := rand.New(rand.NewSource(seed))
 			for {
-				if st.finished() || st.aborted() {
+				if st.view().stopped {
 					return
 				}
 				var seg int
@@ -127,13 +136,13 @@ func TestLedgerConcurrentExactlyOnce(t *testing.T) {
 					continue
 				}
 				if rng.Float64() < 0.3 {
-					st.requeue(seg, pc)
+					st.requeue(seg, pc, nil)
 					continue
 				}
 				mu.Lock()
 				completions[seg]++
 				mu.Unlock()
-				st.complete()
+				st.complete(true, 1)
 			}
 		}
 	}
@@ -145,10 +154,10 @@ func TestLedgerConcurrentExactlyOnce(t *testing.T) {
 	}
 	wg.Wait()
 
-	if st.aborted() {
+	if st.failed {
 		t.Fatal("ledger aborted despite a generous budget")
 	}
-	if !st.finished() {
+	if st.done != st.total {
 		t.Fatal("ledger not finished")
 	}
 	for seg := 0; seg < total; seg++ {

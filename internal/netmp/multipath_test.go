@@ -109,8 +109,8 @@ func TestMultiFetchPressureEngagesCheapFirst(t *testing.T) {
 }
 
 // N=1 is a plain supervised download: the chunk completes on the one
-// path, under deadline pressure too, and FetchChunk starts exactly one
-// goroutine — the preferred path's worker, no controller.
+// path, under deadline pressure too, on the calling goroutine — the
+// fetcher runs no goroutine of its own, no worker and no controller.
 func TestSinglePathFetch(t *testing.T) {
 	f, _ := multiRig(t, 8)
 	if n := len(f.PathStats()); n != 1 {
@@ -120,8 +120,9 @@ func TestSinglePathFetch(t *testing.T) {
 	go func() {
 		time.Sleep(60 * time.Millisecond) // mid-fetch: the chunk takes ~300ms at 8 Mbps
 		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		spawned <- strings.Count(string(buf), "created by mpdash/internal/netmp.(*Fetcher).FetchChunk")
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		spawned <- strings.Count(stacks, "created by mpdash/internal/netmp.(*Fetcher)") +
+			strings.Count(stacks, "created by mpdash/internal/netmp.NewFetcher")
 	}()
 	res, err := f.FetchChunk(0, 0, 50*time.Millisecond) // pressure from the start
 	if err != nil {
@@ -133,7 +134,7 @@ func TestSinglePathFetch(t *testing.T) {
 	if res.MissedBy == 0 {
 		t.Error("a ~300ms chunk met a 50ms deadline: the rig is not under pressure")
 	}
-	if n := <-spawned; n != 1 {
-		t.Errorf("FetchChunk started %d goroutines mid-fetch, want 1 (no controller)", n)
+	if n := <-spawned; n != 0 {
+		t.Errorf("the fetcher runs %d goroutines mid-fetch, want 0", n)
 	}
 }

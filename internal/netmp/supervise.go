@@ -209,12 +209,6 @@ type pathConn struct {
 	cancelled   bool // a winning hedge closed the conn under us
 }
 
-// dialPath dials a single-origin path (manifest bootstrap, legacy
-// constructors).
-func dialPath(name, addr string) (*pathConn, error) {
-	return dialOrigins(name, []string{addr}, BreakerPolicy{})
-}
-
 // dialOrigins dials a path through a ranked origin list: origins are
 // tried in preference order, dial failures feed their breakers, and the
 // first reachable origin carries the connection.
@@ -439,7 +433,7 @@ func (pc *pathConn) redial(pol RetryPolicy) error {
 			conn, err = net.DialTimeout("tcp", o.addr, pol.IOTimeout)
 			pc.emitRedial(o.addr, err == nil, attempt)
 			if err == nil {
-				// Swap the connection under the mutex: the doom monitor
+				// Swap the connection under the mutex: the doom test
 				// may call cancelForHedge concurrently, and it must see
 				// either the old conn (already closed) or the new one —
 				// never a torn pair. A cancel that raced the swap is

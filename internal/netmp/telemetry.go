@@ -14,7 +14,6 @@ package netmp
 //     published here; a nil handle no-ops.
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -137,21 +136,15 @@ func instrumentPath(t *obs.Telemetry, pc *pathConn) {
 // registerHedgeMetrics exposes the fetcher-wide hedge totals as
 // scrape-time collectors over hedgeState's own counters.
 func registerHedgeMetrics(r *obs.Registry, h *hedgeState) {
-	pick := func(sel func(issued, won, cancelled, wasted int64) int64) func() float64 {
-		return func() float64 { return float64(sel(h.snapshot())) }
+	load := func(c *atomic.Int64) func() float64 { return func() float64 { return float64(c.Load()) } }
+	for _, m := range []struct {
+		result string
+		c      *atomic.Int64
+	}{{"issued", &h.issued}, {"won", &h.won}, {"cancelled", &h.cancelled}} {
+		r.CounterFunc("mpdash_hedges_total", "Hedged requests by outcome.", obs.Labels{"result": m.result}, load(m.c))
 	}
-	r.CounterFunc("mpdash_hedges_total", "Hedged requests by outcome.",
-		obs.Labels{"result": "issued"},
-		pick(func(i, _, _, _ int64) int64 { return i }))
-	r.CounterFunc("mpdash_hedges_total", "Hedged requests by outcome.",
-		obs.Labels{"result": "won"},
-		pick(func(_, w, _, _ int64) int64 { return w }))
-	r.CounterFunc("mpdash_hedges_total", "Hedged requests by outcome.",
-		obs.Labels{"result": "cancelled"},
-		pick(func(_, _, c, _ int64) int64 { return c }))
 	r.CounterFunc("mpdash_hedge_wasted_bytes_total",
-		"Payload bytes spent on hedge losers, charged to the hedge budget.",
-		nil, pick(func(_, _, _, w int64) int64 { return w }))
+		"Payload bytes spent on hedge losers, charged to the hedge budget.", nil, load(&h.wasted))
 }
 
 // ---- fetcherObs emission (all nil-safe) ----
@@ -216,11 +209,11 @@ func (fo *fetcherObs) noteAbortWaste(n int64) {
 	fo.abortWaste.Add(n)
 }
 
-// emitToggle journals one secondary engage (on=true) or stand-down with
-// the numbers that drove the decision: the measured rate (converted to
-// bits/s to match the sim scheduler's estimate_bps), the bytes still
-// unclaimed, and the remaining α·D window. rate arrives in bytes/s, the
-// unit the engagement test runs in.
+// emitToggle journals one secondary engage (on=true, with its reason) or
+// stand-down with the numbers that drove the decision: the measured rate
+// (converted to bits/s to match the sim scheduler's estimate_bps), the
+// bytes still unclaimed, and the remaining α·D window. rate arrives in
+// bytes/s, the unit the engagement test runs in.
 func (fo *fetcherObs) emitToggle(on bool, reason, path string, index, level int, rate, remaining, window float64) {
 	if fo == nil {
 		return
@@ -239,7 +232,7 @@ func (fo *fetcherObs) emitToggle(on bool, reason, path string, index, level int,
 		WithNum("rate_bps", rate*8).
 		WithNum("remaining_bytes", remaining).
 		WithNum("window_s", window)
-	if reason != "" {
+	if on {
 		e = e.WithStr("reason", reason)
 	}
 	fo.sink.Emit(e)
@@ -247,45 +240,23 @@ func (fo *fetcherObs) emitToggle(on bool, reason, path string, index, level int,
 
 // ---- first-byte span tracking ----
 
-// fbTrack marks the window between a chunk fetch starting and its first
-// payload byte arriving on any path. pending is atomic so the per-block
-// read loop pays one relaxed load; the metadata behind it is guarded by
-// mu and written before pending flips true.
-type fbTrack struct {
-	pending atomic.Bool
-	mu      sync.Mutex
-	start   time.Time
-	chunk   int
-	level   int
-}
-
-func (t *fbTrack) begin(start time.Time, chunk, level int) {
-	t.mu.Lock()
-	t.start, t.chunk, t.level = start, chunk, level
-	t.mu.Unlock()
-	t.pending.Store(true)
-}
-
-func (t *fbTrack) end() { t.pending.Store(false) }
-
-// noteFirstByte records the in-flight chunk's first payload byte: the
-// CAS guarantees exactly one observation per chunk even when both paths
-// race to deliver it.
+// noteFirstByte records the in-flight chunk's first payload byte. The
+// fetcher's firstByte flag is atomic so the per-block read loop pays one
+// relaxed load, and its CAS guarantees exactly one observation per chunk
+// even when several paths race to deliver it.
 func (f *Fetcher) noteFirstByte() {
-	if !f.fb.pending.CompareAndSwap(true, false) {
+	if !f.firstByte.CompareAndSwap(true, false) {
 		return
 	}
 	fo := f.obsHandles()
 	if fo == nil {
 		return
 	}
-	f.fb.mu.Lock()
-	elapsed := f.clk.now().Sub(f.fb.start)
-	chunk, level := f.fb.chunk, f.fb.level
-	f.fb.mu.Unlock()
+	j := &f.job
+	elapsed := f.clk.now().Sub(j.start)
 	fo.firstByte.Observe(elapsed.Seconds())
 	if fo.sink != nil {
-		fo.sink.Emit(obs.NewEvent("chunk.firstbyte").WithChunk(chunk, level).
+		fo.sink.Emit(obs.NewEvent("chunk.firstbyte").WithChunk(j.index, j.level).
 			WithNum("elapsed_s", elapsed.Seconds()))
 	}
 }

@@ -3,7 +3,7 @@ package netmp
 // Span-trace propagation through the dual-socket fetcher. The Streamer
 // opens one obs.Trace per chunk and installs it on the fetcher; the
 // fetch workers, the supervisor's redial/backoff machinery, the hedge
-// racer and the doom monitor all attach spans to whatever trace is
+// racer and the doom test all attach spans to whatever trace is
 // current. The slot is an atomic pointer shared with both pathConns
 // (which have no back-pointer to the fetcher), so reading it from any
 // goroutine costs one atomic load and zero allocations — with tracing

@@ -8,12 +8,12 @@ import (
 
 // TimerWheel is a hashed timer wheel: a fixed ring of slots, each
 // holding the timers whose expiry lands on that coarse tick. It is the
-// package's only timer path — session kill timers, hedge-arm triggers
-// and doom-monitor ticks all ride the process-wide SharedWheel — so
-// arming a timer is an append under a slot mutex, cancelling it is a
-// slot-local removal, and one driver goroutine advances the whole
-// population instead of 5k sessions allocating and tearing down runtime
-// timers on every chunk.
+// package's only timer path — session kill timers, hedge-arm triggers,
+// doom tests and standing-by re-evaluations all ride the process-wide
+// SharedWheel — so arming a timer is an append under a slot mutex,
+// cancelling it is a slot-local removal, and one driver goroutine
+// advances the whole population instead of 5k sessions allocating and
+// tearing down runtime timers on every chunk.
 //
 // Expiry decisions are driven by the injectable Clock: the driver
 // ticks on wall time but every "is this due" comparison reads
@@ -56,7 +56,7 @@ type wheelSlot struct {
 }
 
 // WheelTimer is one armed timer. Stop cancels it; a timer fires at
-// most once.
+// most once per arming.
 type WheelTimer struct {
 	w     *TimerWheel
 	when  time.Time
@@ -137,12 +137,32 @@ func (w *TimerWheel) After(d time.Duration) (<-chan struct{}, *WheelTimer) {
 }
 
 func (w *TimerWheel) afterFunc(d time.Duration, fn func(), inline bool) *WheelTimer {
+	t := &WheelTimer{w: w, fn: fn, inline: inline}
+	t.reset(d)
+	return t
+}
+
+// idleTimer returns an unarmed timer that runs fn inline on the driver
+// (which must not block) each time reset arms it: one allocation for a
+// timer its owner re-arms for the rest of its life.
+func (w *TimerWheel) idleTimer(fn func()) *WheelTimer {
+	t := &WheelTimer{w: w, fn: fn, inline: true}
+	t.state.Store(2)
+	return t
+}
+
+// reset arms t to fire d from now. t must be idle: new, stopped by a Stop
+// that returned true, or fired with its callback returned — or running
+// it, so a callback may re-arm its own timer. Once fired or stopped, a
+// timer is in no slot and no advance holds it (both leave the slot under
+// its lock), so nothing can fire the re-armed timer early.
+func (t *WheelTimer) reset(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t := &WheelTimer{w: w, when: w.clk.now().Add(d), fn: fn, inline: inline}
-	w.insert(t)
-	return t
+	t.when = t.w.clk.now().Add(d)
+	t.state.Store(0)
+	t.w.insert(t)
 }
 
 // insert places t on the slot of the first tick at or after its expiry.
@@ -167,7 +187,7 @@ func (w *TimerWheel) insert(t *WheelTimer) {
 }
 
 // Stop cancels the timer, reporting whether it won the race against
-// firing (false = the callback ran or is running). Nil-safe.
+// firing (false = the callback ran, is running or is about to). Nil-safe.
 func (t *WheelTimer) Stop() bool {
 	if t == nil {
 		return false
@@ -218,10 +238,11 @@ func (w *TimerWheel) advanceTo(now time.Time) {
 		slot.mu.Lock()
 		kept := slot.timers[:0]
 		for _, t := range slot.timers {
-			if !t.when.After(now) {
-				due = append(due, t)
-			} else {
+			switch {
+			case t.when.After(now):
 				kept = append(kept, t)
+			case t.state.CompareAndSwap(0, 1): // the fire wins the race against Stop here, under the slot lock
+				due = append(due, t)
 			}
 		}
 		for i := len(kept); i < len(slot.timers); i++ {
@@ -232,66 +253,12 @@ func (w *TimerWheel) advanceTo(now time.Time) {
 		// Fire outside the slot lock: an inline callback may re-arm
 		// into this very slot.
 		for _, t := range due {
-			if t.state.CompareAndSwap(0, 1) {
-				if t.inline {
-					t.fn()
-				} else {
-					go t.fn()
-				}
+			if t.inline {
+				t.fn()
+			} else {
+				go t.fn()
 			}
 		}
 		due = due[:0]
-	}
-}
-
-// WheelTicker delivers a tick roughly every interval via C, driven by
-// the wheel — the ticker analogue monitorDoom selects on. Sends are
-// non-blocking into a 1-buffered channel, so a slow receiver coalesces
-// ticks instead of backing up the driver.
-type WheelTicker struct {
-	C        chan time.Time
-	w        *TimerWheel
-	interval time.Duration
-	mu       sync.Mutex
-	cur      *WheelTimer
-	stopped  bool
-}
-
-// Ticker returns a running WheelTicker (interval <= 0 selects the
-// wheel's tick).
-func (w *TimerWheel) Ticker(interval time.Duration) *WheelTicker {
-	if interval <= 0 {
-		interval = w.tick
-	}
-	tk := &WheelTicker{C: make(chan time.Time, 1), w: w, interval: interval}
-	tk.arm()
-	return tk
-}
-
-func (tk *WheelTicker) arm() {
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	if tk.stopped {
-		return
-	}
-	tk.cur = tk.w.afterFunc(tk.interval, tk.fire, true)
-}
-
-func (tk *WheelTicker) fire() {
-	select {
-	case tk.C <- tk.w.clk.now():
-	default:
-	}
-	tk.arm()
-}
-
-// Stop ends the ticker; no tick is delivered after Stop returns.
-func (tk *WheelTicker) Stop() {
-	tk.mu.Lock()
-	tk.stopped = true
-	cur := tk.cur
-	tk.mu.Unlock()
-	if cur != nil {
-		cur.Stop()
 	}
 }

@@ -1,6 +1,8 @@
 package netmp
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,34 +172,6 @@ func TestWheelFrozenClockNeverFires(t *testing.T) {
 	}
 }
 
-func TestWheelTicker(t *testing.T) {
-	mc := newManualClock()
-	w := NewTimerWheel(mc.clock(), time.Millisecond)
-	defer w.Close()
-
-	tk := w.Ticker(20 * time.Millisecond)
-	mc.advance(w, 21*time.Millisecond)
-	select {
-	case <-tk.C:
-	default:
-		t.Fatal("no tick after one interval")
-	}
-	// The ticker re-arms itself relative to its fire time.
-	mc.advance(w, 21*time.Millisecond)
-	select {
-	case <-tk.C:
-	default:
-		t.Fatal("no tick after the second interval")
-	}
-	tk.Stop()
-	mc.advance(w, 100*time.Millisecond)
-	select {
-	case <-tk.C:
-		t.Fatal("tick delivered after Stop")
-	default:
-	}
-}
-
 // A timer due in the middle of a tick lands on the slot of the tick that
 // ends it: armed 2.5 ticks out it fires on the advance to tick 3 — not a
 // full lap (512 ticks) later, as it did while the slot index was floored
@@ -224,32 +198,6 @@ func TestWheelMidTickDeadlineFiresNextTick(t *testing.T) {
 	mc.advance(w, time.Millisecond)
 	if !fired() {
 		t.Fatal("timer due at 2.5 ticks still armed after the advance to tick 3")
-	}
-}
-
-// A ticker whose arm instants fall mid-tick (the normal case under the
-// real driver) keeps its cadence: every re-arm is a fresh mid-tick
-// deadline, so one late lap per re-arm would stall it after a few ticks.
-func TestWheelTickerKeepsCadenceOffTickBoundary(t *testing.T) {
-	mc := newManualClock()
-	w := NewTimerWheel(mc.clock(), 5*time.Millisecond)
-	defer w.Close()
-
-	mc.advance(w, 2*time.Millisecond) // arm 2ms into a tick: first due at 22ms
-	tk := w.Ticker(20 * time.Millisecond)
-	defer tk.Stop()
-	mc.advance(w, 3*time.Millisecond) // back on the 5ms grid, as the driver runs
-	ticks := 0
-	for i := 0; i < 19; i++ { // up to 100ms of clock in driver-sized steps
-		mc.advance(w, 5*time.Millisecond)
-		select {
-		case <-tk.C:
-			ticks++
-		default:
-		}
-	}
-	if ticks < 4 {
-		t.Fatalf("Ticker(20ms) delivered %d ticks in 100ms, want >= 4", ticks)
 	}
 }
 
@@ -304,5 +252,209 @@ func TestWheelConcurrentArmStopAdvance(t *testing.T) {
 	done.Wait()
 	if got := fired.Load() + stoppedCnt.Load(); got != workers*perWorker {
 		t.Fatalf("fired %d + stopped %d = %d, want %d", fired.Load(), stoppedCnt.Load(), got, workers*perWorker)
+	}
+}
+
+// arming is one arming of a timer in the property test.
+type arming struct {
+	when    time.Time
+	dueTick int64 // the first tick whose advance must fire it
+	wt      *WheelTimer
+	ch      <-chan struct{} // After: closed by the fire
+	async   bool            // AfterFunc: fires on a goroutine of its own
+	fires   atomic.Int32    // AfterFunc and re-armed idle timers
+	firedAt atomic.Int64    // manual-clock reading at the fire (AfterFunc)
+	stopped atomic.Bool     // a Stop returned true
+	// rearmed: the idle timer has been armed again since, so a Stop on wt
+	// no longer concerns this arming.
+	rearmed bool
+}
+
+func (a *arming) fired() int32 {
+	if a.ch == nil {
+		return a.fires.Load()
+	}
+	select {
+	case <-a.ch:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// TestWheelPropertyFiresOnceOnTimeNeverLost states the wheel's contract
+// as a property of random schedules on a manual clock: timers armed by
+// After, AfterFunc and the re-arm of idle timers, at deadlines from now to
+// three laps out (on and off the tick grid); advances from a fraction of
+// a tick to more than a lap; and Stops racing each advance from other
+// goroutines. Every timer fires exactly once, on the first advance whose
+// tick reaches its deadline (rounded up to the tick, and never a tick the
+// wheel had already passed when it was armed) — so never early and never
+// a lap late — unless a Stop that returned true came first: then never.
+func TestWheelPropertyFiresOnceOnTimeNeverLost(t *testing.T) {
+	const tick = time.Millisecond
+	const lap = wheelSlots * tick
+	mc := newManualClock()
+	w := NewTimerWheel(mc.clock(), tick)
+	w.Close() // the test is the only driver: it checks after every advance
+	rng := rand.New(rand.NewSource(1))
+	tickOf := func(d time.Duration, up bool) int64 {
+		if up {
+			d += tick - 1
+		}
+		return int64(d / tick)
+	}
+
+	var all []*arming
+	type idle struct {
+		wt  *WheelTimer
+		cur *arming
+	}
+	var idles []*idle
+	now := mc.clock()()
+	arm := func() {
+		d := time.Duration(rng.Int63n(int64(3 * lap)))
+		switch rng.Intn(4) {
+		case 0:
+			d = 0
+		case 1:
+			d = time.Duration(rng.Intn(3000)) * time.Microsecond
+		}
+		a := &arming{when: now.Add(d)}
+		a.dueTick = max(tickOf(a.when.Sub(w.epoch), true), tickOf(now.Sub(w.epoch), false)+1)
+		switch k := rng.Intn(3); {
+		case k == 0:
+			a.ch, a.wt = w.After(d)
+		case k == 1:
+			a.async = true
+			a.wt = w.AfterFunc(d, func() {
+				a.firedAt.Store(mc.clock()().UnixNano())
+				a.fires.Add(1)
+			})
+		default:
+			var it *idle
+			for _, c := range idles { // re-arm one whose last arming is over
+				if c.cur.fires.Load() == 1 || c.cur.stopped.Load() {
+					it = c
+					break
+				}
+			}
+			if it == nil {
+				it = &idle{}
+				it.wt = w.idleTimer(func() { it.cur.fires.Add(1) })
+				idles = append(idles, it)
+			} else {
+				it.cur.rearmed = true
+			}
+			it.cur, a.wt = a, it.wt
+			it.wt.reset(d)
+		}
+		all = append(all, a)
+	}
+	check := func() {
+		t.Helper()
+		nowTick := tickOf(now.Sub(w.epoch), false)
+		for i, a := range all {
+			want := int32(0)
+			if nowTick >= a.dueTick && !a.stopped.Load() {
+				want = 1
+			}
+			if a.async && want == 1 {
+				for end := time.Now().Add(2 * time.Second); a.fires.Load() == 0 && time.Now().Before(end); {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			if got := a.fired(); got != want {
+				t.Fatalf("timer %d (due tick %d, stopped %v, async %v) fired %d times at tick %d, want %d",
+					i, a.dueTick, a.stopped.Load(), a.async, got, nowTick, want)
+			}
+			if a.async && a.fires.Load() == 1 && a.firedAt.Load() < a.when.UnixNano() {
+				t.Fatalf("timer %d fired at %d, before its deadline %d", i, a.firedAt.Load(), a.when.UnixNano())
+			}
+		}
+	}
+
+	// An owner re-arms one idle timer the way a standing-by secondary does
+	// — Stop it, or let a fire already under way land, then reset at once
+	// — while the advances run. None of its armings may fire early, twice,
+	// or after a Stop that returned true.
+	var owned []*arming
+	var cur atomic.Pointer[arming]
+	ownT := w.idleTimer(func() {
+		a := cur.Load()
+		a.firedAt.Store(mc.clock()().UnixNano())
+		a.fires.Add(1)
+	})
+	rearm := func(d time.Duration) {
+		a := &arming{}
+		owned = append(owned, a)
+		cur.Store(a)
+		ownT.reset(d)
+		a.when = ownT.when
+	}
+	rearm(time.Millisecond)
+
+	for round := 0; round < 400; round++ {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			arm()
+		}
+		ds := make([]time.Duration, 4)
+		for i := range ds {
+			ds[i] = time.Duration(1+rng.Intn(3000)) * time.Microsecond
+		}
+		step := time.Duration(rng.Intn(3000)) * time.Microsecond
+		switch r := rng.Intn(10); {
+		case r >= 8:
+			step = time.Duration(rng.Int63n(int64(100 * tick)))
+		case r == 7:
+			step = time.Duration(rng.Int63n(int64(3 * lap / 2)))
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			var victims []*arming
+			for i := 0; i < 3; i++ {
+				if a := all[rng.Intn(len(all))]; !a.rearmed {
+					victims = append(victims, a)
+				}
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, a := range victims {
+					if a.wt.Stop() {
+						a.stopped.Store(true)
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, d := range ds {
+				if a := cur.Load(); ownT.Stop() {
+					a.stopped.Store(true)
+				} else {
+					for a.fires.Load() == 0 {
+						runtime.Gosched()
+					}
+				}
+				rearm(d)
+			}
+		}()
+		now = mc.advance(w, step)
+		wg.Wait()
+		check()
+	}
+	for i := 0; i < 8; i++ { // every survivor is due within four laps
+		now = mc.advance(w, lap/2)
+	}
+	check()
+	for i, a := range owned {
+		if fires, stopped := a.fires.Load(), a.stopped.Load(); fires > 1 || (fires == 1) == stopped {
+			t.Fatalf("owned arming %d (stopped %v) fired %d times", i, stopped, fires)
+		}
+		if a.fires.Load() == 1 && a.firedAt.Load() < a.when.UnixNano() {
+			t.Fatalf("owned arming %d fired %v before its deadline", i, time.Duration(a.when.UnixNano()-a.firedAt.Load()))
+		}
 	}
 }

@@ -372,7 +372,9 @@ func mallocsPerChunk(t *testing.T, f *Fetcher, segSize int64, chunks int) float6
 // path, measured where it matters: a FetchChunk costs the same number of
 // allocations whether it is one range request or nineteen, against an
 // origin and against an edge serving hits — so a range request, client
-// and server side together, costs none.
+// and server side together, costs none. FetchChunk itself costs at most
+// two, on one path or with a secondary standing by: its result, and no
+// goroutine, closure or timer per chunk.
 func TestRangeRequestAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop puts; alloc contract gated without -race")
@@ -397,8 +399,15 @@ func TestRangeRequestAllocatesNothing(t *testing.T) {
 	}
 	defer edge.Close()
 
-	for _, target := range []struct{ name, addr string }{{"origin", origin.Addr()}, {"edge hit", edge.Addr()}} {
-		f, err := NewFetcher(v, target.addr)
+	for _, target := range []struct {
+		name  string
+		paths []string
+	}{
+		{"origin", []string{origin.Addr()}},
+		{"edge hit", []string{edge.Addr()}},
+		{"origin, two paths", []string{origin.Addr(), origin.Addr()}},
+	} {
+		f, err := NewFetcher(v, target.paths[0], target.paths[1:]...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,6 +417,9 @@ func TestRangeRequestAllocatesNothing(t *testing.T) {
 		t.Logf("%s: %.2f mallocs per chunk at 16 KiB segments, %.2f at one segment", target.name, many, one)
 		if d := many - one; d > 1 || d < -1 {
 			t.Errorf("%s: %.2f mallocs per chunk at 16 KiB segments, %.2f at one: range requests allocate", target.name, many, one)
+		}
+		if many > 2 || one > 2 {
+			t.Errorf("%s: %.2f and %.2f mallocs per FetchChunk, want at most 2", target.name, many, one)
 		}
 	}
 	if got := origin.ServedBytes(); edge.OriginBytes() != 0 || got == 0 {

@@ -74,6 +74,8 @@ func runSessionFetch(cfg Config) (time.Duration, int, []Metric, error) {
 	var wantBytes, gotBytes, cellBytes int64
 	var misses, unverified int
 	var retries int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := cfg.Clock.Now()
 	for i := 0; i < chunks; i++ {
 		wantBytes += video.ChunkSize(i, level)
@@ -92,6 +94,7 @@ func runSessionFetch(cfg Config) (time.Duration, int, []Metric, error) {
 		}
 	}
 	wall := cfg.Clock.Now().Sub(start)
+	runtime.ReadMemStats(&after)
 
 	cellShare := 0.0
 	if gotBytes > 0 {
@@ -105,6 +108,10 @@ func runSessionFetch(cfg Config) (time.Duration, int, []Metric, error) {
 		{Name: "deadline_miss_rate", Value: float64(misses) / float64(chunks), Gate: GateMax, Abs: 0.25},
 		{Name: "cellular_byte_share", Value: cellShare, Gate: GateInfo},
 		{Name: "retries", Value: float64(retries), Gate: GateInfo},
+		// Process-wide heap allocations per FetchChunk, truncated as
+		// netmp_chunk_path's rows are: the fetch engine's own cost per
+		// chunk is its result, with no goroutine, closure or timer.
+		{Name: "allocs_per_chunk", Value: float64(int64(after.Mallocs-before.Mallocs) / int64(chunks)), Gate: GateMax, Abs: 2},
 	}
 	return wall, chunks, metrics, nil
 }
