@@ -3,11 +3,13 @@ package netmp
 import "sync"
 
 // Buffer pooling for the per-segment hot path. Every range request on
-// the client side reads its body in 16 KiB blocks, and every origin
-// response on the server side generates its body in the same blocks;
-// at swarm scale those per-request allocations dominate the heap churn
-// (thousands of sessions × segments × retries), so the blocks are
-// pooled. (Request and response heads: wire.go.)
+// the client side reads its body in 16 KiB blocks and checks each
+// against a second block filled with the expected bytes
+// (checkChunkBody), and every origin response fills its body in the
+// same blocks (fillChunkBody), one write per block, the first carrying
+// the head; at swarm scale those per-request allocations would dominate
+// the heap churn (thousands of sessions × segments × retries), so the
+// blocks are pooled. (Request and response heads: wire.go.)
 //
 // Ownership contract (DESIGN.md §16): AcquireSegBuf transfers exclusive
 // ownership of the returned buffer to the caller. The caller must stop
@@ -19,7 +21,7 @@ import "sync"
 // buffer quietly falls out of circulation instead of poisoning it.
 
 // segBufBlock is the block granularity of the segment read/write loops:
-// requestRange reads bodies and the origin server generates them in
+// requestRange reads and checks bodies and the front writes them in
 // blocks of this size.
 const segBufBlock = 16 * 1024
 

@@ -237,9 +237,7 @@ func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
 		return nil, e.fillFailed(index, level, err)
 	}
 	body := make([]byte, res.Size)
-	for i := range body {
-		body[i] = ChunkBody(index, level, int64(i))
-	}
+	fillChunkBody(body, index, level, 0)
 	return body, nil
 }
 

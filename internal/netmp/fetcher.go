@@ -947,9 +947,10 @@ func (f *Fetcher) requestRange(pc *pathConn, index, level int, from, to int64) (
 			defer csp.End()
 		}
 	}
-	bp := AcquireSegBuf()
+	bp, sp := AcquireSegBuf(), AcquireSegBuf()
 	defer ReleaseSegBuf(bp)
-	buf := *bp
+	defer ReleaseSegBuf(sp)
+	buf, scratch := *bp, *sp
 	var got int64
 	ok := true
 	for got < contentLength {
@@ -962,11 +963,7 @@ func (f *Fetcher) requestRange(pc *pathConn, index, level int, from, to int64) (
 		if got == 0 && n > 0 && f.firstByte.Load() {
 			f.noteFirstByte()
 		}
-		for i := 0; i < n; i++ {
-			if buf[i] != ChunkBody(index, level, from+got+int64(i)) {
-				ok = false
-			}
-		}
+		ok = checkChunkBody(buf[:n], scratch, index, level, from+got) && ok
 		got += int64(n)
 		if err != nil {
 			return got, ok, fmt.Errorf("netmp: %s body: %w", pc.name, err)

@@ -78,9 +78,13 @@ type chunkBody struct {
 	stall time.Duration // how long a FaultStall freezes mid-body
 }
 
-// connTrack is the front's per-connection admission record.
+// connTrack is the front's per-connection record: admission state, and
+// the response scratch a range request reuses so it allocates nothing.
 type connTrack struct {
-	busy bool // mid-request (between parsed request and flushed response)
+	busy bool        // mid-request (between parsed request and written response)
+	head []byte      // the 206 head; emptied once it is on the wire
+	vec  [2][]byte   // head and first block, written as one
+	out  net.Buffers // vec's view for the writev, which consumes it
 }
 
 // ServerLimits is a server's overload-protection configuration. Zero
@@ -448,7 +452,6 @@ func hardClose(conn net.Conn) {
 // and once a request is parsed (busy on).
 func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
 	for served := 0; ; served++ {
 		f.connMu.Lock()
 		tr.busy = false
@@ -469,12 +472,11 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 		tr.busy = true
 		f.connMu.Unlock()
 		if bad {
-			w.WriteString(head400)
-			w.Flush()
+			io.WriteString(conn, head400)
 			continue
 		}
 		if manifest {
-			if err := writeManifest(w, f.Video); err != nil {
+			if err := writeManifest(conn, f.Video); err != nil {
 				return
 			}
 			continue
@@ -484,8 +486,7 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			to = size - 1
 		}
 		if from < 0 || from > to {
-			w.WriteString(head416)
-			w.Flush()
+			io.WriteString(conn, head416)
 			continue
 		}
 		body, err := f.src.chunk(index, level)
@@ -493,8 +494,7 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			// A source that cannot produce the chunk (an edge whose origin
 			// set is exhausted) is the server's overload face: transient
 			// for the client's supervisor, breaker fuel for its origin set.
-			w.WriteString(head503)
-			w.Flush()
+			io.WriteString(conn, head503)
 			continue
 		}
 		if body.fault == FaultReset {
@@ -502,9 +502,11 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			return
 		}
 		n := to - from + 1
-		w.Write(appendRangeHead(w.AvailableBuffer(), n, from, to, size, body.state))
-		if err := f.writeBody(ctx, w, index, level, from, n, body); err != nil {
-			w.Flush() // deliver whatever was produced before the fault
+		tr.head = appendRangeHead(tr.head[:0], n, from, to, size, body.state)
+		if err := f.writeBody(ctx, conn, tr, index, level, from, n, body); err != nil {
+			if len(tr.head) != 0 {
+				conn.Write(tr.head) // a fault before the first block still delivers the head
+			}
 			return
 		}
 	}
@@ -513,28 +515,25 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 // writeManifest serves v's MPD (unshaped: manifests are tiny). An edge
 // synthesizes the manifest locally; the asset description is the same
 // either way.
-func writeManifest(w *bufio.Writer, v *dash.Video) error {
+func writeManifest(w io.Writer, v *dash.Video) error {
 	body, err := dash.EncodeMPD(v.Manifest())
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "HTTP/1.1 200 OK\r\nContent-Type: application/dash+xml\r\nContent-Length: %d\r\n\r\n", len(body)); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	return w.Flush()
+	msg := fmt.Appendf(nil, "HTTP/1.1 200 OK\r\nContent-Type: application/dash+xml\r\nContent-Length: %d\r\n\r\n", len(body))
+	_, err = w.Write(append(msg, body...))
+	return err
 }
 
 // writeBody streams bytes [from, from+n) of the chunk through the rate
-// shaper in 16 KiB blocks, flushing each: slices of the resolved body
-// as they are, or generated into a pooled block when there is none. It
-// applies the chosen mid-body fault: a stall freezes at the halfway
-// point, a premature close stops after half the advertised length, and
-// corruption flips a short run of generated bytes in the first block (a
-// resolved body is shared with its cache and never written to).
-func (f *front) writeBody(ctx context.Context, w *bufio.Writer, index, level int, from, n int64, body chunkBody) error {
+// shaper in 16 KiB blocks, one write each — the first carries tr.head
+// with it: slices of the resolved body as they are, or filled into a
+// pooled block when there is none. It applies the chosen mid-body fault:
+// a stall freezes at the halfway point, a premature close stops after
+// half the advertised length, and corruption flips a short run of
+// generated bytes in the first block (a resolved body is shared with its
+// cache and never written to).
+func (f *front) writeBody(ctx context.Context, conn net.Conn, tr *connTrack, index, level int, from, n int64, body chunkBody) error {
 	const block = segBufBlock
 	var buf []byte
 	if body.bytes == nil {
@@ -578,23 +577,25 @@ func (f *front) writeBody(ctx context.Context, w *bufio.Writer, index, level int
 		if body.bytes != nil {
 			blk = body.bytes[off : off+m]
 		} else {
-			for i := int64(0); i < m; i++ {
-				buf[i] = ChunkBody(index, level, off+i)
-			}
+			blk = buf[:m]
+			fillChunkBody(blk, index, level, off)
 			if fault == FaultCorrupt && off == from {
 				for i := int64(0); i < m && i < 16; i++ {
-					buf[i] ^= 0xA5
+					blk[i] ^= 0xA5
 				}
 			}
-			blk = buf[:m]
 		}
 		if err := f.bucket.Take(ctx, int(m)); err != nil {
 			return err
 		}
 		f.served.Add(m) // before a client can read it; a failed write takes it back
-		_, err := w.Write(blk)
-		if err == nil {
-			err = w.Flush()
+		var err error
+		if len(tr.head) != 0 {
+			tr.out = append(tr.vec[:0], tr.head, blk)
+			_, err = tr.out.WriteTo(conn)
+			tr.head = tr.head[:0]
+		} else {
+			_, err = conn.Write(blk)
 		}
 		if err != nil {
 			f.served.Add(-m)

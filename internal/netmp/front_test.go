@@ -149,6 +149,94 @@ func TestFrontSurvivesAcceptErrorsAndPanics(t *testing.T) {
 	}
 }
 
+// faultingSource hands every chunk of the source it wraps to one fault.
+type faultingSource struct {
+	bodySource
+	fault FaultKind
+	stall time.Duration
+}
+
+func (s faultingSource) chunk(index, level int) (chunkBody, error) {
+	b, err := s.bodySource.chunk(index, level)
+	b.fault, b.stall = s.fault, s.stall
+	return b, err
+}
+
+// TestFrontFaultContract holds the write path to its fault semantics on
+// both kinds, at one byte, one block and one block plus one: the 206 head
+// arrives once, whole, before any body byte — after the stall when the
+// stall precedes the first block; a premature close truncates at half the
+// advertised length (one byte short of a one-byte body); corruption flips
+// the first 16 generated bytes (an edge's stored body is never written);
+// and ServedBytes moves by exactly the body bytes the client read.
+func TestFrontFaultContract(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	video := payloadVideo()
+	const index, level = 0, 2
+	size := video.ChunkSize(index, level)
+	eachFront(t, video, 0, func(t *testing.T, f *front) {
+		clean := f.src
+		for _, fault := range []FaultKind{FaultClose, FaultStall, FaultCorrupt} {
+			for _, n := range []int64{1, segBufBlock, segBufBlock + 1} {
+				// Installed under connMu, which the accept loop takes before
+				// the handler that reads it starts.
+				f.connMu.Lock()
+				f.src = faultingSource{bodySource: clean, fault: fault, stall: stall}
+				f.connMu.Unlock()
+				served := f.ServedBytes()
+
+				conn, _ := dialServer(t, f)
+				conn.SetDeadline(time.Now().Add(5 * time.Second))
+				t0 := time.Now()
+				conn.Write(AppendRangeRequest(nil, video.Levels[level].ID, index, 0, n-1))
+				conn.(*net.TCPConn).CloseWrite() // the handler hangs up after this response
+				first := make([]byte, 1)
+				if _, err := io.ReadFull(conn, first); err != nil {
+					t.Fatalf("%v, %d bytes: %v", fault, n, err)
+				}
+				firstAt := time.Since(t0)
+				rest, err := io.ReadAll(conn)
+				if err != nil {
+					t.Fatalf("%v, %d bytes: %v", fault, n, err)
+				}
+				raw := append(first, rest...)
+
+				state := ""
+				if _, edge := clean.(*EdgeServer); edge {
+					state = "hit"
+				}
+				head := appendRangeHead(nil, n, 0, n-1, size, state)
+				if !strings.HasPrefix(string(raw), string(head)) {
+					t.Fatalf("%v, %d bytes: response starts %q, want the head %q", fault, n, raw[:min(len(raw), len(head))], head)
+				}
+				body := raw[len(head):]
+				want := n
+				if fault == FaultClose {
+					want = min((n+1)/2, n-1)
+				}
+				if int64(len(body)) != want {
+					t.Errorf("%v, %d bytes: read %d body bytes, want %d", fault, n, len(body), want)
+				}
+				for i, b := range body {
+					w := ChunkBody(index, level, int64(i))
+					if fault == FaultCorrupt && state == "" && i < 16 {
+						w ^= 0xA5
+					}
+					if b != w {
+						t.Fatalf("%v, %d bytes: body byte %d = %#x, want %#x", fault, n, i, b, w)
+					}
+				}
+				if got := f.ServedBytes() - served; got != int64(len(body)) {
+					t.Errorf("%v, %d bytes: ServedBytes moved %d, the client read %d", fault, n, got, len(body))
+				}
+				if fault == FaultStall && n <= segBufBlock && firstAt < stall {
+					t.Errorf("%d bytes: the head arrived %v after the request, inside the %v stall", n, firstAt, stall)
+				}
+			}
+		}
+	})
+}
+
 // TestEdgeWrongLengthBodyIs503 pins the third: the store is shared and
 // caller-provided, and the edge used to slice whatever it held with
 // bounds taken from the catalog. A body of the wrong length is a failed

