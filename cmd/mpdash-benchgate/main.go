@@ -1,17 +1,15 @@
-// Command mpdash-benchgate is the performance regression gate: it runs
-// the internal/perf suites (or loads pre-generated BENCH_*.json files),
-// diffs them against the checked-in BENCH_baseline.json with per-metric
-// tolerances, and exits non-zero with a readable table when anything
-// regressed. CI runs it on every push; DESIGN.md §11 documents the
-// tolerance policy.
+// Command mpdash-benchgate is the deterministic contract gate: it runs
+// the internal/perf suites, diffs them against the checked-in
+// BENCH_baseline.json row by row (allocation counts, exact and bounded
+// domain metrics — no times), and exits non-zero with a readable table
+// when anything regressed. CI runs it on every push; DESIGN.md §11
+// documents the policy.
 //
 // Modes:
 //
 //	mpdash-benchgate -baseline BENCH_baseline.json
 //	    run the suites fresh, write BENCH_core.json / BENCH_netmp.json,
 //	    gate against the baseline (exit 1 on regression).
-//	mpdash-benchgate -baseline BENCH_baseline.json -input artifacts/
-//	    gate pre-generated BENCH_*.json files instead of running.
 //	mpdash-benchgate -baseline BENCH_baseline.json -update
 //	    run the suites and rewrite the baseline from the fresh numbers
 //	    (the documented refresh flow — commit the result). With -suites,
@@ -30,12 +28,9 @@
 //	    cache block (the scenario ran with a cache stanza) whose
 //	    origin-offload ratio meets the floor, with zero fill errors;
 //	    -min-hit-rate bounds the hit rate the same way.
-//	mpdash-benchgate -min-throughput 50
-//	    apply an absolute swarm-throughput floor in chunks landed per
-//	    wall second: in suite mode against the fresh netmp_swarm
-//	    throughput_chunks_per_s metric, with -swarm against the report's
-//	    chunks/wall_s. Absolute on purpose — a baseline recorded on a
-//	    slow host must not lower the bar.
+//	mpdash-benchgate -swarm BENCH_swarm.json -min-throughput 40
+//	    additionally require the report's chunks / wall_s to meet an
+//	    absolute floor in chunks landed per wall second.
 //	mpdash-benchgate -swarm BENCH_on.json -swarm-baseline BENCH_off.json
 //	    additionally require the report to strictly beat a baseline run
 //	    of the same scenario with graceful degradation off on BOTH the
@@ -62,14 +57,9 @@ func run() int {
 	var (
 		baselinePath = flag.String("baseline", "BENCH_baseline.json", "checked-in baseline to gate against")
 		suites       = flag.String("suites", strings.Join(perf.Suites(), ","), "comma-separated suites to run")
-		trials       = flag.Int("trials", 0, "repeated trials per scenario (0 = 3)")
-		benchtime    = flag.String("benchtime", "", "per-trial measuring time of micro benches (0 = 300ms)")
 		outDir       = flag.String("out", ".", "directory the fresh BENCH_<suite>.json files are written to")
-		inputDir     = flag.String("input", "", "gate pre-generated BENCH_<suite>.json files from this directory instead of running")
 		update       = flag.Bool("update", false, "rewrite the baseline from the fresh run instead of gating")
 		note         = flag.String("note", "", "note stamped into the baseline with -update")
-		timeTol      = flag.Float64("time-tolerance", 0, "relative ns/op tolerance (0 = 0.15)")
-		fpSlack      = flag.Float64("fingerprint-slack", 0, "time-tolerance multiplier when env fingerprints differ (0 = 4)")
 		swarmPath    = flag.String("swarm", "", "gate this swarm report (BENCH_swarm.json) against absolute thresholds instead of the baseline diff")
 		swarmBase    = flag.String("swarm-baseline", "", "with -swarm: also require the report to strictly beat this baseline report (same scenario, graceful degradation off) on deadline-miss rate AND wasted cellular bytes")
 		maxMissRate  = flag.Float64("max-miss-rate", 0, "swarm gate: max population deadline-miss rate (0 = 0.10)")
@@ -78,7 +68,7 @@ func run() int {
 		maxMTTRP95   = flag.Float64("max-mttr-p95", 0, "swarm gate: max p95 chaos recovery time in seconds; requires an executed chaos timeline with every event recovered (0 = recovery not gated)")
 		minOffload   = flag.Float64("min-offload", 0, "swarm gate: min edge-cache origin-offload ratio; requires a run with a cache tier (0 = not gated)")
 		minHitRate   = flag.Float64("min-hit-rate", 0, "swarm gate: min edge-cache hit rate; requires a run with a cache tier (0 = not gated)")
-		minThr       = flag.Float64("min-throughput", 0, "min swarm throughput in chunks per wall second: with -swarm an absolute report gate, otherwise an absolute floor on the fresh netmp_swarm throughput_chunks_per_s metric (0 = not gated)")
+		minThr       = flag.Float64("min-throughput", 0, "swarm gate: min chunks landed per wall second (0 = not gated)")
 		quiet        = flag.Bool("quiet", false, "print failures only")
 	)
 	flag.Parse()
@@ -95,8 +85,8 @@ func run() int {
 			MinThroughput: *minThr,
 		}, *quiet)
 	}
-	if *swarmBase != "" {
-		fmt.Fprintln(os.Stderr, "mpdash-benchgate: -swarm-baseline needs -swarm")
+	if *swarmBase != "" || *minThr != 0 {
+		fmt.Fprintln(os.Stderr, "mpdash-benchgate: -swarm-baseline and -min-throughput need -swarm")
 		return 2
 	}
 
@@ -106,41 +96,25 @@ func run() int {
 		return 2
 	}
 
+	var logf func(format string, a ...any)
+	if !*quiet {
+		logf = func(format string, a ...any) { fmt.Printf(format, a...) }
+	}
 	fresh := make(map[string]*perf.SuiteResult, len(names))
-	if *inputDir != "" {
-		for _, name := range names {
-			path := filepath.Join(*inputDir, perf.SuiteFileName(name))
-			s, err := perf.LoadSuite(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mpdash-benchgate:", err)
-				return 2
-			}
-			if s.Suite != name {
-				fmt.Fprintf(os.Stderr, "mpdash-benchgate: %s: holds suite %q, want %q\n", path, s.Suite, name)
-				return 2
-			}
-			fresh[name] = s
+	for _, name := range names {
+		s, err := perf.RunSuite(name, logf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mpdash-benchgate:", err)
+			return 2
 		}
-	} else {
-		cfg := perf.Config{Trials: *trials, BenchTime: *benchtime}
+		fresh[name] = s
+		path := filepath.Join(*outDir, perf.SuiteFileName(name))
+		if err := s.WriteSuite(path); err != nil {
+			fmt.Fprintln(os.Stderr, "mpdash-benchgate:", err)
+			return 2
+		}
 		if !*quiet {
-			cfg.Logf = func(format string, a ...any) { fmt.Printf(format, a...) }
-		}
-		for _, name := range names {
-			s, err := perf.RunSuite(name, cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mpdash-benchgate:", err)
-				return 2
-			}
-			fresh[name] = s
-			path := filepath.Join(*outDir, perf.SuiteFileName(name))
-			if err := s.WriteSuite(path); err != nil {
-				fmt.Fprintln(os.Stderr, "mpdash-benchgate:", err)
-				return 2
-			}
-			if !*quiet {
-				fmt.Printf("wrote %s (%s)\n", path, s.Env)
-			}
+			fmt.Printf("wrote %s (%s)\n", path, s.Env)
 		}
 	}
 
@@ -172,7 +146,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "mpdash-benchgate: to (re)create the baseline: go run ./cmd/mpdash-benchgate -update")
 		return 2
 	}
-	opts := perf.GateOptions{TimeTol: *timeTol, FingerprintSlack: *fpSlack}
 	allOK := true
 	for _, name := range names {
 		bs, ok := base.Suites[name]
@@ -180,7 +153,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "mpdash-benchgate: baseline has no suite %q (run -update)\n", name)
 			return 2
 		}
-		rows, ok := perf.CompareSuites(bs, fresh[name], opts)
+		rows, ok := perf.CompareSuites(bs, fresh[name])
 		if !ok {
 			allOK = false
 		}
@@ -190,22 +163,6 @@ func run() int {
 			return 2
 		}
 		fmt.Printf("suite %s: %s\n", name, perf.Summarize(rows))
-	}
-	// Absolute throughput floor on the fresh swarm scenario, independent
-	// of the baseline diff: a baseline recorded on a slow host must not
-	// quietly lower the bar.
-	if *minThr > 0 {
-		thr, found := fresh["netmp"].MetricValue("netmp_swarm", "throughput_chunks_per_s")
-		switch {
-		case !found:
-			fmt.Fprintln(os.Stderr, "mpdash-benchgate: -min-throughput needs the netmp suite's netmp_swarm throughput_chunks_per_s metric")
-			return 2
-		case thr < *minThr:
-			fmt.Fprintf(os.Stderr, "mpdash-benchgate: swarm throughput %.1f chunks/s below the -min-throughput floor %.1f\n", thr, *minThr)
-			allOK = false
-		default:
-			fmt.Printf("swarm throughput %.1f chunks/s ≥ floor %.1f\n", thr, *minThr)
-		}
 	}
 	if !allOK {
 		fmt.Fprintln(os.Stderr, "\nmpdash-benchgate: REGRESSION — see FAIL rows above; if intentional, refresh with -update and commit")

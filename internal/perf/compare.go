@@ -1,20 +1,13 @@
 package perf
 
 // Comparison: diff a fresh SuiteResult against the checked-in baseline
-// and decide pass/fail per metric. The tolerance policy (documented in
-// DESIGN.md §11):
+// and decide pass/fail per row. The policy (documented in DESIGN.md §11):
 //
-//   - Times (ns/op) compare min-of-trials against min-of-trials with a
-//     relative tolerance (default ±15%). When the environment
-//     fingerprints differ, the time tolerance is multiplied by
-//     FingerprintSlack — cross-machine wall times are not
-//     apples-to-apples, and the alloc and exact gates below carry the
-//     regression signal instead.
-//   - allocs/op and B/op compare medians. A baseline of exactly zero
-//     allocations is a contract, not a measurement: any fresh
-//     allocation on a zero-alloc path fails regardless of tolerance.
+//   - allocs/op and B/op may grow by countTol (15%). A baseline of
+//     exactly zero is a contract, not a measurement: any fresh
+//     allocation on a zero-alloc path fails.
 //   - Domain metrics follow their own recorded gate: exact metrics must
-//     be bit-identical, max/min metrics use their recorded Tol/Abs,
+//     be bit-identical, max/min metrics use their recorded Abs slack,
 //     info metrics are reported but never fail.
 //   - A bench or gated metric present in the baseline but missing from
 //     the fresh run fails (silent coverage loss); a new bench or metric
@@ -27,36 +20,9 @@ import (
 	"text/tabwriter"
 )
 
-// GateOptions tunes the comparison.
-type GateOptions struct {
-	// TimeTol is the relative tolerance on ns/op (default 0.15).
-	TimeTol float64
-	// AllocTol is the relative tolerance on allocs/op when the baseline
-	// is non-zero (default 0.15). A zero baseline is exact.
-	AllocTol float64
-	// ByteTol is the relative tolerance on B/op when the baseline is
-	// non-zero (default 0.15). A zero baseline is exact.
-	ByteTol float64
-	// FingerprintSlack multiplies TimeTol when env fingerprints differ
-	// (default 4). Alloc and exact gates are unaffected.
-	FingerprintSlack float64
-}
-
-func (o GateOptions) withDefaults() GateOptions {
-	if o.TimeTol <= 0 {
-		o.TimeTol = 0.15
-	}
-	if o.AllocTol <= 0 {
-		o.AllocTol = 0.15
-	}
-	if o.ByteTol <= 0 {
-		o.ByteTol = 0.15
-	}
-	if o.FingerprintSlack <= 0 {
-		o.FingerprintSlack = 4
-	}
-	return o
-}
+// countTol is the relative growth allowed on a non-zero allocs/op or
+// B/op baseline.
+const countTol = 0.15
 
 // Diff verdicts.
 const (
@@ -88,14 +54,7 @@ func (r DiffRow) Delta() float64 {
 
 // CompareSuites diffs fresh against base (same suite) and reports rows
 // plus overall pass/fail.
-func CompareSuites(base, fresh *SuiteResult, opts GateOptions) ([]DiffRow, bool) {
-	opts = opts.withDefaults()
-	timeTol := opts.TimeTol
-	envNote := ""
-	if !base.Env.Comparable(fresh.Env) {
-		timeTol *= opts.FingerprintSlack
-		envNote = "env differs"
-	}
+func CompareSuites(base, fresh *SuiteResult) ([]DiffRow, bool) {
 	var rows []DiffRow
 	ok := true
 	fail := func(r DiffRow) {
@@ -114,20 +73,8 @@ func CompareSuites(base, fresh *SuiteResult, opts GateOptions) ([]DiffRow, bool)
 			fail(DiffRow{Bench: bb.Name, Metric: "(bench)", Note: "missing from fresh run"})
 			continue
 		}
-		// ns/op: min vs min, relative tolerance.
-		if bb.NsOp != nil && fb.NsOp != nil {
-			limit := bb.NsOp.Min * (1 + timeTol)
-			r := DiffRow{Bench: bb.Name, Metric: "ns/op", Base: bb.NsOp.Min, Fresh: fb.NsOp.Min,
-				Limit: fmt.Sprintf("≤ %.5g", limit), Note: envNote}
-			if fb.NsOp.Min > limit {
-				fail(r)
-			} else {
-				pass(r, VerdictOK)
-			}
-		}
-		// allocs/op and B/op: median vs median, zero baseline exact.
-		compareCount(bb.Name, "allocs/op", bb.AllocsOp, fb.AllocsOp, opts.AllocTol, fail, pass)
-		compareCount(bb.Name, "B/op", bb.BOp, fb.BOp, opts.ByteTol, fail, pass)
+		compareCount(bb.Name, "allocs/op", bb.AllocsOp, fb.AllocsOp, fail, pass)
+		compareCount(bb.Name, "B/op", bb.BOp, fb.BOp, fail, pass)
 
 		// Domain metrics, per their recorded gate.
 		for _, bm := range bb.Metrics {
@@ -151,7 +98,7 @@ func CompareSuites(base, fresh *SuiteResult, opts GateOptions) ([]DiffRow, bool)
 					pass(r, VerdictOK)
 				}
 			case GateMax:
-				limit := bm.Value*(1+bm.Tol) + bm.Abs
+				limit := bm.Value + bm.Abs
 				r.Limit = fmt.Sprintf("≤ %.5g", limit)
 				if fm.Value > limit {
 					fail(r)
@@ -159,7 +106,7 @@ func CompareSuites(base, fresh *SuiteResult, opts GateOptions) ([]DiffRow, bool)
 					pass(r, VerdictOK)
 				}
 			case GateMin:
-				limit := bm.Value*(1-bm.Tol) - bm.Abs
+				limit := bm.Value - bm.Abs
 				r.Limit = fmt.Sprintf("≥ %.5g", limit)
 				if fm.Value < limit {
 					fail(r)
@@ -191,17 +138,17 @@ func CompareSuites(base, fresh *SuiteResult, opts GateOptions) ([]DiffRow, bool)
 	return rows, ok
 }
 
-// compareCount gates an allocation-class stat (allocs/op or B/op):
-// median vs median, relative tolerance, and the zero-baseline contract.
-func compareCount(bench, name string, base, fresh *Stat, tol float64,
+// compareCount gates an allocation count (allocs/op or B/op): relative
+// tolerance, and the zero-baseline contract.
+func compareCount(bench, name string, base, fresh *float64,
 	fail func(DiffRow), pass func(DiffRow, string)) {
 	if base == nil || fresh == nil {
 		return
 	}
-	r := DiffRow{Bench: bench, Metric: name, Base: base.Median, Fresh: fresh.Median}
-	if base.Median == 0 {
+	r := DiffRow{Bench: bench, Metric: name, Base: *base, Fresh: *fresh}
+	if *base == 0 {
 		r.Limit = "= 0"
-		if fresh.Median != 0 {
+		if *fresh != 0 {
 			r.Note = "zero-alloc contract broken"
 			fail(r)
 			return
@@ -209,9 +156,9 @@ func compareCount(bench, name string, base, fresh *Stat, tol float64,
 		pass(r, VerdictOK)
 		return
 	}
-	limit := base.Median * (1 + tol)
+	limit := *base * (1 + countTol)
 	r.Limit = fmt.Sprintf("≤ %.5g", limit)
-	if fresh.Median > limit {
+	if *fresh > limit {
 		fail(r)
 		return
 	}

@@ -1,63 +1,41 @@
-// Package perf is the continuous performance benchmarking harness: a
-// fixed, deterministic suite of micro and macro scenarios over the
-// repo's hot paths — the core scheduler tick (Algorithm 1 decision
-// loop), the Holt-Winters update, the offline knapsack DP, the obs
-// metric-handle hot path, a real-socket single-session fetch over
-// loopback, and a multi-session swarm — measured with repeated trials
-// and written to versioned BENCH_core.json / BENCH_netmp.json files
-// that cmd/mpdash-benchgate diffs against the checked-in
-// BENCH_baseline.json.
+// Package perf is the deterministic contract gate: a fixed suite of
+// micro and macro scenarios over the repo's hot paths — the core
+// scheduler tick (Algorithm 1 decision loop), the Holt-Winters update,
+// the offline knapsack DP, the simulator packet path, obs metric handles
+// and tracing, the edge cache, a real-socket single-session fetch and
+// the socket stack's wire path — written to versioned BENCH_core.json /
+// BENCH_netmp.json files that cmd/mpdash-benchgate diffs against the
+// checked-in BENCH_baseline.json.
 //
-// Two measurement classes:
-//
-//   - Micro scenarios run under testing.Benchmark and report ns/op,
-//     B/op and allocs/op (min and median across trials; min is the
-//     robust noise-damped estimator the gate compares).
-//   - Macro scenarios run real sockets once per trial and report
-//     wall-clock ns/op over their unit of work plus domain metrics
-//     (deadline-miss rate, cellular-byte share, ledger violations...).
-//
-// Every domain metric carries its own gate policy (exact, max, min, or
-// info) so the comparison knows which movements are regressions. All
-// domain-metric time measurement routes through the injectable
-// netmp.Clock — never time.Now() — so frozen-clock tests are exact, and
-// exact-gated metrics are verified identical across trials at run time
-// (a determinism violation fails the run rather than producing an
-// unstable baseline).
+// No row is a time. Micro scenarios report heap allocations and bytes
+// per logical op; every scenario may report domain metrics, each
+// carrying its own gate policy (exact, max, min, or info) so the
+// comparison knows which movements are regressions. Exact-gated metrics
+// are verified identical across trials at run time (a determinism
+// violation fails the run rather than producing an unstable baseline).
+// Timed numbers come from the bench/ module's alternating pairs.
 package perf
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"testing"
-	"time"
-
-	"mpdash/internal/netmp"
 )
 
 // Version is the BENCH_*.json schema version; benchgate refuses to
 // compare across versions.
-const Version = 1
-
-// SlowdownEnv is a test-only knob: setting it to a fraction (e.g.
-// "0.3") injects that much synthetic extra work into the scheduler-tick
-// micro bench, so the regression gate's trip wire can be verified end
-// to end without editing code.
-const SlowdownEnv = "MPDASH_PERF_SLOWDOWN"
+const Version = 2
 
 // Gate policies for domain metrics.
 const (
 	// GateExact fails on any change — the metric is deterministic.
 	GateExact = "exact"
-	// GateMax fails when fresh > base*(1+Tol)+Abs (lower is better).
+	// GateMax fails when fresh > base+Abs (lower is better).
 	GateMax = "max"
-	// GateMin fails when fresh < base*(1-Tol)-Abs (higher is better).
+	// GateMin fails when fresh < base-Abs (higher is better).
 	GateMin = "min"
 	// GateInfo is never gated; recorded for trend-watching only.
 	GateInfo = "info"
@@ -70,40 +48,18 @@ type Metric struct {
 	Value float64 `json:"value"`
 	// Gate is one of GateExact, GateMax, GateMin, GateInfo.
 	Gate string `json:"gate"`
-	// Tol is the relative tolerance for max/min gates (fraction).
-	Tol float64 `json:"tol,omitempty"`
 	// Abs is the absolute slack for max/min gates.
 	Abs float64 `json:"abs,omitempty"`
 }
 
-// Stat is one measured quantity's min and median across trials.
-type Stat struct {
-	Min    float64 `json:"min"`
-	Median float64 `json:"median"`
-}
-
-func statOf(xs []float64) *Stat {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	med := s[len(s)/2]
-	if len(s)%2 == 0 {
-		med = (s[len(s)/2-1] + s[len(s)/2]) / 2
-	}
-	return &Stat{Min: s[0], Median: med}
-}
-
-// Bench is one scenario's result. Micro scenarios carry all three
-// standard stats; macro scenarios carry NsOp only (their allocation
-// profile is dominated by goroutine and socket machinery, which is not
-// a meaningful gate) plus domain metrics.
+// Bench is one scenario's result. Micro scenarios carry B/op and
+// allocs/op; macro scenarios carry domain metrics only (their
+// allocation profile is dominated by goroutine and socket machinery,
+// which their own metrics count where it is a contract).
 type Bench struct {
 	Name     string   `json:"name"`
-	NsOp     *Stat    `json:"ns_op,omitempty"`
-	BOp      *Stat    `json:"b_op,omitempty"`
-	AllocsOp *Stat    `json:"allocs_op,omitempty"`
+	BOp      *float64 `json:"b_op,omitempty"`
+	AllocsOp *float64 `json:"allocs_op,omitempty"`
 	Metrics  []Metric `json:"metrics,omitempty"`
 }
 
@@ -118,10 +74,7 @@ func (b *Bench) metric(name string) *Metric {
 }
 
 // Env is the environment fingerprint stamped into every result file.
-// Time comparisons across differing fingerprints are inherently noisy,
-// so the gate relaxes its time tolerance when fingerprints differ (see
-// GateOptions.FingerprintSlack); allocation and exact domain gates are
-// machine-independent and stay strict.
+// The gate prints it beside each suite; no row depends on it.
 type Env struct {
 	GoVersion  string `json:"go"`
 	GOOS       string `json:"goos"`
@@ -157,13 +110,6 @@ func cpuModel() string {
 	return ""
 }
 
-// Comparable reports whether time measurements against o are
-// apples-to-apples: same Go, OS, architecture, CPU count and model.
-func (e Env) Comparable(o Env) bool {
-	return e.GoVersion == o.GoVersion && e.GOOS == o.GOOS && e.GOARCH == o.GOARCH &&
-		e.NumCPU == o.NumCPU && e.CPU == o.CPU
-}
-
 // String renders the fingerprint on one line.
 func (e Env) String() string {
 	cpu := e.CPU
@@ -179,7 +125,6 @@ type SuiteResult struct {
 	Version int     `json:"version"`
 	Suite   string  `json:"suite"`
 	Env     Env     `json:"env"`
-	Trials  int     `json:"trials"`
 	Benches []Bench `json:"benches"`
 }
 
@@ -193,24 +138,6 @@ func (s *SuiteResult) bench(name string) *Bench {
 	return nil
 }
 
-// MetricValue returns the named domain metric of the named bench, when
-// the suite recorded it. Used by benchgate's absolute-floor flags (e.g.
-// -min-throughput against netmp_swarm's throughput_chunks_per_s).
-func (s *SuiteResult) MetricValue(bench, metric string) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	b := s.bench(bench)
-	if b == nil {
-		return 0, false
-	}
-	m := b.metric(metric)
-	if m == nil {
-		return 0, false
-	}
-	return m.Value, true
-}
-
 // Baseline is the checked-in BENCH_baseline.json: one SuiteResult per
 // suite, refreshed via `go run ./cmd/mpdash-benchgate -update`.
 type Baseline struct {
@@ -219,62 +146,26 @@ type Baseline struct {
 	Suites  map[string]*SuiteResult `json:"suites"`
 }
 
-// Config parameterizes a suite run.
-type Config struct {
-	// Trials is the repeated-trial count (default 3). The gate compares
-	// min-of-trials for times (robust against scheduling noise) and
-	// median for allocations.
-	Trials int
-	// BenchTime is the per-trial measuring time of micro scenarios, in
-	// testing -benchtime syntax (default "300ms").
-	BenchTime string
-	// Clock supplies wall time for every domain-metric computation and
-	// macro wall measurement (nil = time.Now via netmp.Clock). Frozen
-	// clocks make macro ns/op collapse to zero while domain byte/count
-	// metrics stay exact — the determinism contract tests rely on.
-	Clock netmp.Clock
-	// Quick shrinks the macro scenarios (fewer chunks, fewer sessions)
-	// so unit tests finish fast. Quick results are NOT comparable to
-	// full-size baselines; benchgate never sets it.
-	Quick bool
-	// Logf receives progress lines (nil = silent).
-	Logf func(format string, a ...any)
-}
+const (
+	// trials is how many times each scenario's domain metrics are
+	// produced; foldMetricTrials checks exact metrics agree across them.
+	trials = 3
+	// allocRuns is how many times a micro op runs between the two heap
+	// snapshots that count its allocations.
+	allocRuns = 1000
+)
 
-func (c Config) trials() int {
-	if c.Trials <= 0 {
-		return 3
-	}
-	return c.Trials
-}
-
-func (c Config) benchTime() string {
-	if c.BenchTime == "" {
-		return "300ms"
-	}
-	return c.BenchTime
-}
-
-func (c Config) logf(format string, a ...any) {
-	if c.Logf != nil {
-		c.Logf(format, a...)
-	}
-}
-
-// scenario is one suite entry. Micro scenarios define setup (returning
-// the op closure run b.N times) and optionally domain, a fixed-work
-// deterministic side run producing domain metrics. Macro scenarios
-// define run, one full trial returning wall time, op count and domain
-// metrics.
+// scenario is one suite entry. Micro scenarios define setup, returning
+// the op whose allocations are counted. domain, when set, is one trial
+// producing domain metrics: a fixed-work deterministic side run for a
+// micro scenario, the whole of a macro one.
 type scenario struct {
 	name string
-	// inner is the micro batch size: each measured op executes the
-	// closure once, which performs inner logical operations; reported
-	// stats are divided by inner.
+	// inner is the micro batch size: each op performs inner logical
+	// operations; reported counts are divided by inner.
 	inner  int
-	setup  func(cfg Config) (func(), error)
-	domain func(cfg Config) ([]Metric, error)
-	run    func(cfg Config) (wall time.Duration, ops int, metrics []Metric, err error)
+	setup  func() (func(), error)
+	domain func() ([]Metric, error)
 }
 
 // Suites lists the suite names in run order.
@@ -291,33 +182,19 @@ func suiteScenarios(suite string) ([]*scenario, error) {
 	return nil, fmt.Errorf("perf: unknown suite %q (have %s)", suite, strings.Join(Suites(), ", "))
 }
 
-// benchTimeOnce wires testing.Benchmark's -test.benchtime knob exactly
-// once per process: testing.Init is idempotent, and the flag must not
-// be re-set concurrently with a running benchmark.
-var benchTimeOnce sync.Once
-
-func setBenchTime(d string) error {
-	var err error
-	benchTimeOnce.Do(func() {
-		testing.Init()
-		err = flag.Set("test.benchtime", d)
-	})
-	return err
-}
-
-// RunSuite executes the named suite under cfg.
-func RunSuite(suite string, cfg Config) (*SuiteResult, error) {
+// RunSuite executes the named suite; logf, when not nil, receives one
+// progress line per scenario.
+func RunSuite(suite string, logf func(format string, a ...any)) (*SuiteResult, error) {
 	scs, err := suiteScenarios(suite)
 	if err != nil {
 		return nil, err
 	}
-	if err := setBenchTime(cfg.benchTime()); err != nil {
-		return nil, fmt.Errorf("perf: benchtime %q: %w", cfg.benchTime(), err)
-	}
-	res := &SuiteResult{Version: Version, Suite: suite, Env: CaptureEnv(), Trials: cfg.trials()}
+	res := &SuiteResult{Version: Version, Suite: suite, Env: CaptureEnv()}
 	for _, sc := range scs {
-		cfg.logf("perf: %s/%s (%d trials)\n", suite, sc.name, cfg.trials())
-		b, err := runScenario(sc, cfg)
+		if logf != nil {
+			logf("perf: %s/%s\n", suite, sc.name)
+		}
+		b, err := runScenario(sc)
 		if err != nil {
 			return nil, fmt.Errorf("perf: %s/%s: %w", suite, sc.name, err)
 		}
@@ -326,62 +203,28 @@ func RunSuite(suite string, cfg Config) (*SuiteResult, error) {
 	return res, nil
 }
 
-func runScenario(sc *scenario, cfg Config) (*Bench, error) {
+func runScenario(sc *scenario) (*Bench, error) {
 	b := &Bench{Name: sc.name}
-	var metricTrials [][]Metric
-	switch {
-	case sc.setup != nil:
-		var ns, bs, al []float64
-		inner := float64(sc.inner)
-		if inner <= 0 {
-			inner = 1
+	if sc.setup != nil {
+		op, err := sc.setup()
+		if err != nil {
+			return nil, err
 		}
-		for t := 0; t < cfg.trials(); t++ {
-			op, err := sc.setup(cfg)
-			if err != nil {
-				return nil, err
-			}
-			r := testing.Benchmark(func(tb *testing.B) {
-				tb.ReportAllocs()
-				for i := 0; i < tb.N; i++ {
-					op()
-				}
-			})
-			n := float64(r.N)
-			ns = append(ns, float64(r.T.Nanoseconds())/n/inner)
-			// Allocation stats use the testing package's own truncating
-			// per-op accounting: one-off harness allocations amortized
-			// over r.N round to exactly zero instead of leaving a tiny
-			// nonzero median that breaks the zero-alloc exact contract.
-			bs = append(bs, float64(r.AllocedBytesPerOp())/inner)
-			al = append(al, float64(r.AllocsPerOp())/inner)
+		allocs, bytes := countAllocs(op, allocRuns)
+		inner := float64(max(sc.inner, 1))
+		a, by := float64(allocs)/inner, float64(bytes)/inner
+		b.AllocsOp, b.BOp = &a, &by
+	}
+	if sc.domain == nil {
+		return b, nil
+	}
+	metricTrials := make([][]Metric, 0, trials)
+	for t := 0; t < trials; t++ {
+		ms, err := sc.domain()
+		if err != nil {
+			return nil, err
 		}
-		b.NsOp, b.BOp, b.AllocsOp = statOf(ns), statOf(bs), statOf(al)
-		if sc.domain != nil {
-			for t := 0; t < cfg.trials(); t++ {
-				ms, err := sc.domain(cfg)
-				if err != nil {
-					return nil, err
-				}
-				metricTrials = append(metricTrials, ms)
-			}
-		}
-	case sc.run != nil:
-		var ns []float64
-		for t := 0; t < cfg.trials(); t++ {
-			wall, ops, ms, err := sc.run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if ops <= 0 {
-				ops = 1
-			}
-			ns = append(ns, float64(wall.Nanoseconds())/float64(ops))
-			metricTrials = append(metricTrials, ms)
-		}
-		b.NsOp = statOf(ns)
-	default:
-		return nil, fmt.Errorf("scenario defines neither setup nor run")
+		metricTrials = append(metricTrials, ms)
 	}
 	ms, err := foldMetricTrials(metricTrials)
 	if err != nil {
@@ -389,6 +232,23 @@ func runScenario(sc *scenario, cfg Config) (*Bench, error) {
 	}
 	b.Metrics = ms
 	return b, nil
+}
+
+// countAllocs is testing.AllocsPerRun's method: op once to warm up, then
+// runs times on one P between two heap snapshots. Mallocs and bytes per
+// run are truncated, as testing.BenchmarkResult's per-op accounting is,
+// so one-off allocations amortized over the runs count as zero instead
+// of leaving a fraction that breaks a zero-alloc contract.
+func countAllocs(op func(), runs int) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // foldMetricTrials merges per-trial domain metrics: exact-gated metrics
@@ -416,7 +276,11 @@ func foldMetricTrials(trials [][]Metric) ([]Metric, error) {
 			}
 			continue
 		}
-		out[i].Value = statOf(vals).Median
+		sort.Float64s(vals)
+		out[i].Value = vals[len(vals)/2]
+		if len(vals)%2 == 0 {
+			out[i].Value = (vals[len(vals)/2-1] + vals[len(vals)/2]) / 2
+		}
 	}
 	return out, nil
 }
@@ -432,21 +296,6 @@ func (s *SuiteResult) WriteSuite(path string) error {
 	return writeJSON(path, s)
 }
 
-// LoadSuite reads a BENCH_<suite>.json and validates its version.
-func LoadSuite(path string) (*SuiteResult, error) {
-	var s SuiteResult
-	if err := readJSON(path, &s); err != nil {
-		return nil, err
-	}
-	if s.Version != Version {
-		return nil, fmt.Errorf("perf: %s: schema version %d, want %d", path, s.Version, Version)
-	}
-	if s.Suite == "" || len(s.Benches) == 0 {
-		return nil, fmt.Errorf("perf: %s: missing suite name or benches", path)
-	}
-	return &s, nil
-}
-
 // WriteBaseline writes the combined baseline, indented, to path.
 func (b *Baseline) WriteBaseline(path string) error {
 	return writeJSON(path, b)
@@ -454,9 +303,13 @@ func (b *Baseline) WriteBaseline(path string) error {
 
 // LoadBaseline reads and validates a BENCH_baseline.json.
 func LoadBaseline(path string) (*Baseline, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("perf: read: %w", err)
+	}
 	var b Baseline
-	if err := readJSON(path, &b); err != nil {
-		return nil, err
+	if err := json.Unmarshal(raw, &b); err != nil {
+		return nil, fmt.Errorf("perf: decode %s: %w", path, err)
 	}
 	if b.Version != Version {
 		return nil, fmt.Errorf("perf: %s: schema version %d, want %d", path, b.Version, Version)
@@ -479,17 +332,6 @@ func writeJSON(path string, v any) error {
 	}
 	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 		return fmt.Errorf("perf: write: %w", err)
-	}
-	return nil
-}
-
-func readJSON(path string, v any) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("perf: read: %w", err)
-	}
-	if err := json.Unmarshal(b, v); err != nil {
-		return fmt.Errorf("perf: decode %s: %w", path, err)
 	}
 	return nil
 }

@@ -1,17 +1,13 @@
 package perf
 
 // The "core" suite: micro scenarios over the compute hot paths. Each
-// scenario batches inner logical operations per measured op (stats are
+// scenario batches inner logical operations per counted op (counts are
 // normalized back to the logical operation) and runs a fixed-work
-// deterministic side pass for its domain metrics, so the numbers the
-// gate holds exact never depend on b.N or wall time.
+// deterministic side pass for its domain metrics.
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
-	"testing"
 	"time"
 
 	"mpdash/internal/cache"
@@ -30,8 +26,11 @@ const (
 	packetInner  = 256
 	hwInner      = 64
 	observeInner = 128
-	traceInner   = 64
 	cacheInner   = 128
+
+	// traceOverheadOps is the length of each of the two timed loops of
+	// the tracing-overhead row.
+	traceOverheadOps = 2000
 )
 
 func coreScenarios() []*scenario {
@@ -42,7 +41,6 @@ func coreScenarios() []*scenario {
 		{name: "sim_packet_path", inner: packetInner, setup: setupPacketPath, domain: packetPathDomain},
 		{name: "obs_handle_lookup", inner: 1, setup: setupHandleLookup, domain: obsDomain},
 		{name: "obs_histogram_observe", inner: observeInner, setup: setupHistogramObserve, domain: nil},
-		{name: "obs_trace_disabled", inner: traceInner, setup: setupTraceDisabled, domain: nil},
 		{name: "obs_trace_chunk", inner: 1, setup: setupTraceChunk, domain: traceDomain},
 		{name: "cache_get", inner: cacheInner, setup: setupCacheGet, domain: cacheDomain},
 		{name: "cache_put", inner: cacheInner, setup: setupCachePut, domain: nil},
@@ -76,30 +74,20 @@ func newBenchScheduler() (*core.Scheduler, error) {
 	return sch, nil
 }
 
-// setupSchedulerTick measures the Algorithm 1 decision loop. The
-// SlowdownEnv knob pads the batch with synthetic extra ticks so the
-// regression gate's trip wire is verifiable end to end.
-func setupSchedulerTick(Config) (func(), error) {
+// setupSchedulerTick counts the Algorithm 1 decision loop.
+func setupSchedulerTick() (func(), error) {
 	sch, err := newBenchScheduler()
 	if err != nil {
 		return nil, err
 	}
-	batch := tickInner
-	if s := os.Getenv(SlowdownEnv); s != "" {
-		frac, err := strconv.ParseFloat(s, 64)
-		if err != nil || frac < 0 {
-			return nil, fmt.Errorf("%s=%q: want a non-negative fraction", SlowdownEnv, s)
-		}
-		batch += int(frac * tickInner)
-	}
 	return func() {
-		for i := 0; i < batch; i++ {
+		for i := 0; i < tickInner; i++ {
 			sch.Tick()
 		}
 	}, nil
 }
 
-func schedulerDomain(Config) ([]Metric, error) {
+func schedulerDomain() ([]Metric, error) {
 	sch, err := newBenchScheduler()
 	if err != nil {
 		return nil, err
@@ -125,8 +113,8 @@ func newPacketPathConn() (*sim.Simulator, *mptcp.Conn, error) {
 	return s, conn, err
 }
 
-// setupPacketPath measures one delivered segment of a saturated transfer
-// that never ends. The five virtual seconds before the measurement take
+// setupPacketPath counts one delivered segment of a saturated transfer
+// that never ends. The five virtual seconds before the count take
 // both subflows through slow start's overshoot and first loss episode, so
 // their free lists and the event queue have reached their size: from
 // there a segment allocates nothing. The transfer starts ten virtual
@@ -135,7 +123,7 @@ func newPacketPathConn() (*sim.Simulator, *mptcp.Conn, error) {
 // two and a half hours, where growing from empty would leave B/op an
 // amortized-append sawtooth (≈ 0.6 B per segment ± 12 %) that no
 // tolerance gate holds.
-func setupPacketPath(Config) (func(), error) {
+func setupPacketPath() (func(), error) {
 	s, conn, err := newPacketPathConn()
 	if err != nil {
 		return nil, err
@@ -159,7 +147,7 @@ func setupPacketPath(Config) (func(), error) {
 // event heap's peak depth is the layer's cost driver — it follows the
 // number of links (one entry per in-flight list), not of packets in
 // flight — and may only fall.
-func packetPathDomain(Config) ([]Metric, error) {
+func packetPathDomain() ([]Metric, error) {
 	s, conn, err := newPacketPathConn()
 	if err != nil {
 		return nil, err
@@ -201,7 +189,7 @@ func hwSample(i int) float64 {
 	return base + float64(i%13)*250e3
 }
 
-func setupHoltWinters(Config) (func(), error) {
+func setupHoltWinters() (func(), error) {
 	h := predict.NewDefaultHoltWinters()
 	i := 0
 	return func() {
@@ -213,7 +201,7 @@ func setupHoltWinters(Config) (func(), error) {
 	}, nil
 }
 
-func holtWintersDomain(Config) ([]Metric, error) {
+func holtWintersDomain() ([]Metric, error) {
 	h := predict.NewDefaultHoltWinters()
 	var absErr float64
 	for i := 0; i < 500; i++ {
@@ -246,7 +234,7 @@ func knapsackInput() (bw [][]float64, cost []float64, slot time.Duration, S, q i
 	return bw, []float64{1, 5}, 500 * time.Millisecond, 4_000_000, 4096
 }
 
-func setupKnapsack(Config) (func(), error) {
+func setupKnapsack() (func(), error) {
 	bw, cost, slot, S, q := knapsackInput()
 	return func() {
 		if _, err := core.MinCostSchedule(bw, cost, slot, S, q); err != nil {
@@ -255,7 +243,7 @@ func setupKnapsack(Config) (func(), error) {
 	}, nil
 }
 
-func knapsackDomain(Config) ([]Metric, error) {
+func knapsackDomain() ([]Metric, error) {
 	bw, cost, slot, S, q := knapsackInput()
 	plan, err := core.MinCostSchedule(bw, cost, slot, S, q)
 	if err != nil {
@@ -272,10 +260,10 @@ func knapsackDomain(Config) ([]Metric, error) {
 	}, nil
 }
 
-// setupHandleLookup measures the metric-handle acquisition path exactly
+// setupHandleLookup counts the metric-handle acquisition path exactly
 // as instrumented code hits it when re-resolving a labeled series:
 // label-map literal, canonical render, registry lookup, counter add.
-func setupHandleLookup(Config) (func(), error) {
+func setupHandleLookup() (func(), error) {
 	r := obs.NewRegistry()
 	// Pre-register so the measured path is the steady-state lookup, not
 	// first-use registration.
@@ -286,7 +274,7 @@ func setupHandleLookup(Config) (func(), error) {
 	}, nil
 }
 
-func setupHistogramObserve(Config) (func(), error) {
+func setupHistogramObserve() (func(), error) {
 	r := obs.NewRegistry()
 	h := r.Histogram("mpdash_chunk_duration_seconds", "bench", obs.DefSecondsBuckets, nil)
 	i := 0
@@ -300,7 +288,7 @@ func setupHistogramObserve(Config) (func(), error) {
 
 // obsDomain pins down the exposition contract: fixed samples in, exact
 // quantile estimates and byte-exact Prometheus rendering out.
-func obsDomain(Config) ([]Metric, error) {
+func obsDomain() ([]Metric, error) {
 	r := obs.NewRegistry()
 	c := r.Counter("bench_ops_total", "Ops.", obs.Labels{"kind": "domain"})
 	h := r.Histogram("bench_seconds", "Durations.", obs.DefSecondsBuckets, nil)
@@ -316,27 +304,6 @@ func obsDomain(Config) ([]Metric, error) {
 		{Name: "quantile_p50_s", Value: h.Quantile(0.50), Gate: GateExact},
 		{Name: "quantile_p99_s", Value: h.Quantile(0.99), Gate: GateExact},
 		{Name: "exposition_bytes", Value: float64(sb.n), Gate: GateExact},
-	}, nil
-}
-
-// setupTraceDisabled measures the tracing call sites exactly as the
-// fetch hot path hits them with tracing off: every method on the nil
-// Tracer/Trace/Span handles must collapse to a pointer check. The
-// baseline records 0 allocs/op, which benchgate holds as an exact
-// zero-alloc contract.
-func setupTraceDisabled(Config) (func(), error) {
-	var tr *obs.Tracer
-	return func() {
-		for k := 0; k < traceInner; k++ {
-			t := tr.StartTrace(0, k, 1)
-			t.SetDeadline(time.Second)
-			sp := t.StartSpan(obs.CatFetch, "fetch")
-			sp.SetPath("wifi")
-			sp.SetNum("size", 1)
-			sp.End()
-			t.Event(obs.CatRequeue, "requeue")
-			t.Finish(obs.TraceOK)
-		}
 	}, nil
 }
 
@@ -375,10 +342,10 @@ func traceBenchBuf() []byte {
 	return buf
 }
 
-// setupTraceChunk measures the traced chunk op with tracing enabled at
+// setupTraceChunk counts the traced chunk op with tracing enabled at
 // head rate 0: healthy traces are dropped at Finish, so the kept set
-// stays empty however long the benchmark runs.
-func setupTraceChunk(Config) (func(), error) {
+// stays empty however many times it runs.
+func setupTraceChunk() (func(), error) {
 	tr := obs.NewTracer(obs.TraceConfig{HeadSampleRate: 0, Seed: 1})
 	buf := traceBenchBuf()
 	i := 0
@@ -393,9 +360,10 @@ func setupTraceChunk(Config) (func(), error) {
 // traceDomain pins the sampler's deterministic contract and holds the
 // tracing-overhead bound: every bad trace kept, head sampling exactly
 // reproducible from the seed, and the traced chunk op within 15% of the
-// untraced one (trace_overhead_ok is 1 when the bound holds; the gate
-// fails any run where the median trial says 0).
-func traceDomain(Config) ([]Metric, error) {
+// untraced one over traceOverheadOps of each (trace_overhead_ok is 1
+// when the bound holds; the gate fails any run where the median trial
+// says 0).
+func traceDomain() ([]Metric, error) {
 	tr := obs.NewTracer(obs.TraceConfig{HeadSampleRate: 0.1, Seed: 42})
 	for i := 0; i < 1000; i++ {
 		t := tr.StartTrace(0, i, 1)
@@ -411,22 +379,19 @@ func traceDomain(Config) ([]Metric, error) {
 
 	buf := traceBenchBuf()
 	var sink uint64
-	plain := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += traceChunkOp(nil, buf, i)
+	loop := func(tr *obs.Tracer) time.Duration {
+		start := time.Now()
+		for i := 0; i < traceOverheadOps; i++ {
+			sink += traceChunkOp(tr, buf, i)
 		}
-	})
-	etr := obs.NewTracer(obs.TraceConfig{HeadSampleRate: 0, Seed: 1})
-	traced := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += traceChunkOp(etr, buf, i)
-		}
-	})
+		return time.Since(start)
+	}
+	plain := loop(nil)
+	traced := loop(obs.NewTracer(obs.TraceConfig{HeadSampleRate: 0, Seed: 1}))
 	_ = sink
 	overhead := 0.0
-	if plainNs := float64(plain.T.Nanoseconds()) / float64(plain.N); plainNs > 0 {
-		tracedNs := float64(traced.T.Nanoseconds()) / float64(traced.N)
-		overhead = (tracedNs - plainNs) / plainNs
+	if plain > 0 {
+		overhead = float64(traced-plain) / float64(plain)
 	}
 	ok := 0.0
 	if overhead <= 0.15 {
@@ -450,9 +415,9 @@ func benchCacheBody(n, salt int) []byte {
 	return b
 }
 
-// setupCacheGet measures the hit path — shard resolve, map lookup, LRU
+// setupCacheGet counts the hit path — shard resolve, map lookup, LRU
 // promote — over a fully resident key set.
-func setupCacheGet(Config) (func(), error) {
+func setupCacheGet() (func(), error) {
 	c := cache.New(cache.Config{CapacityBytes: 2 << 20, Shards: 8})
 	keys := make([]cache.Key, 256)
 	for i := range keys {
@@ -472,31 +437,40 @@ func setupCacheGet(Config) (func(), error) {
 	}, nil
 }
 
-// setupCachePut measures insertion under steady LRU eviction: the key
-// set is twice the capacity, so every put soon pays one eviction.
-func setupCachePut(Config) (func(), error) {
+// setupCachePut counts insertion under steady LRU eviction: the key
+// set is twice the capacity, and one pass over it before the count
+// fills the store, so every counted put pays one eviction.
+func setupCachePut() (func(), error) {
 	c := cache.New(cache.Config{CapacityBytes: 1 << 20, Shards: 8})
 	bodies := make([][]byte, 512)
 	for i := range bodies {
 		bodies[i] = benchCacheBody(4096, i)
 	}
 	i := 0
-	return func() {
+	op := func() {
 		for k := 0; k < cacheInner; k++ {
 			c.Put(cache.Key{Video: "bench", Chunk: i % len(bodies)}, bodies[i%len(bodies)])
 			i++
 		}
-	}, nil
+	}
+	for i < len(bodies) {
+		op()
+	}
+	return op, nil
 }
 
-// setupCacheSingleflight measures the uncontended leader path end to
-// end: flight registration, an instant fill, admission, flight close.
-// Every call uses a fresh key so it is always a miss.
-func setupCacheSingleflight(Config) (func(), error) {
+// setupCacheSingleflight counts the uncontended leader path end to
+// end: flight registration, an instant fill, admission, eviction, flight
+// close. Every call uses a fresh key so it is always a miss. The 16,384
+// calls before the count fill the store and let the shards' maps grow to
+// the size that churn keeps them at; counted from empty, the first
+// thousand calls read 4 allocations (no eviction yet) and about 40 B of
+// map growth more per call.
+func setupCacheSingleflight() (func(), error) {
 	c := cache.New(cache.Config{CapacityBytes: 1 << 20, Shards: 8})
 	body := benchCacheBody(4096, 0)
 	i := 0
-	return func() {
+	op := func() {
 		_, _, err := c.Fetch(cache.Key{Video: "bench", Chunk: i}, func() ([]byte, error) {
 			return body, nil
 		})
@@ -504,7 +478,11 @@ func setupCacheSingleflight(Config) (func(), error) {
 			panic(err)
 		}
 		i++
-	}, nil
+	}
+	for i < 1<<14 {
+		op()
+	}
+	return op, nil
 }
 
 // cacheDomain pins the cache's behavioural contract with fixed work:
@@ -512,7 +490,7 @@ func setupCacheSingleflight(Config) (func(), error) {
 // then a 64-way concurrent miss that must collapse into exactly one
 // fill. The concurrent split between collapsed waiters and late hits is
 // scheduler-dependent, so only its invariants are gated exactly.
-func cacheDomain(Config) ([]Metric, error) {
+func cacheDomain() ([]Metric, error) {
 	// 150 keys × 16 KiB through a 1 MiB single-shard store (64 resident):
 	// a cold sweep whose evictions are deterministic, then a re-read of
 	// the resident LRU tail whose hits are too.

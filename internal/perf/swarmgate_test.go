@@ -6,6 +6,38 @@ import (
 	"mpdash/internal/swarm"
 )
 
+func TestGateSwarmMinThroughput(t *testing.T) {
+	rep := func(wallS float64) *swarm.Report {
+		return &swarm.Report{Scenario: "s", Sessions: 64, Completed: 64, Chunks: 800, WallS: wallS}
+	}
+	for _, c := range []struct {
+		name   string
+		wallS  float64
+		floor  float64
+		pass   bool
+		value  float64
+		hasRow bool
+	}{
+		{"floor met", 10, 80, true, 80, true},
+		{"floor missed", 10, 80.5, false, 80, true},
+		{"no measured wall", 0, 40, false, 0, true},
+		{"floor unset", 10, 0, true, 0, false},
+	} {
+		rows, ok := GateSwarm(rep(c.wallS), SwarmThresholds{MinThroughput: c.floor})
+		if ok != c.pass {
+			t.Errorf("%s: pass = %v, want %v: %+v", c.name, ok, c.pass, rows)
+		}
+		r := findRow(rows, "swarm:s", "throughput_chunks_per_s")
+		if (r != nil) != c.hasRow {
+			t.Errorf("%s: throughput row %+v, want present = %v", c.name, r, c.hasRow)
+			continue
+		}
+		if r != nil && r.Fresh != c.value {
+			t.Errorf("%s: throughput %v, want %v", c.name, r.Fresh, c.value)
+		}
+	}
+}
+
 func TestCompareSwarm(t *testing.T) {
 	base := &swarm.Report{Scenario: "drop", Sessions: 64, Completed: 64,
 		Chunks: 800, DeadlineMissRate: 0.30, WastedCellularBytes: 5 << 20}
