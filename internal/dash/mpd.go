@@ -115,6 +115,9 @@ func VideoFromManifest(m *MPD, name string) (*Video, [][]int64, error) {
 		v.Levels = append(v.Levels, Level{ID: r.ID, AvgBitrateMbps: float64(r.Bandwidth) / 1e6})
 		sizes[i] = make([]int64, n)
 		for j, s := range r.Segments {
+			if s.Size <= 0 {
+				return nil, nil, fmt.Errorf("dash: representation %d segment %d (%q) has size %d", r.ID, j, s.Media, s.Size)
+			}
 			sizes[i][j] = s.Size
 		}
 	}

@@ -1,7 +1,9 @@
 package dash
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -212,4 +214,55 @@ func TestDecodeMPDErrors(t *testing.T) {
 	if _, _, err := VideoFromManifest(&MPD{}, "x"); err == nil {
 		t.Error("empty manifest accepted")
 	}
+}
+
+// TestVideoFromManifestRejectsNonPositiveSize: a segment size of zero or
+// less would hand the fetcher a chunk with no bytes to verify, or a
+// negative segment count it never finishes.
+func TestVideoFromManifestRejectsNonPositiveSize(t *testing.T) {
+	for _, size := range []int64{0, -1, -100000} {
+		m := BigBuckBunny().Manifest()
+		seg := &m.Period.AdaptationSet.Representations[2].Segments[7]
+		seg.Size = size
+		_, _, err := VideoFromManifest(m, "x")
+		if err == nil {
+			t.Fatalf("size %d accepted", size)
+		}
+		if want := fmt.Sprintf("representation 3 segment 7 (%q) has size %d", seg.Media, size); !strings.Contains(err.Error(), want) {
+			t.Errorf("size %d: error %q does not name %q", size, err, want)
+		}
+	}
+}
+
+// FuzzDecodeMPD feeds arbitrary bytes through DecodeMPD and
+// VideoFromManifest, the path a manifest read off a socket takes. Neither
+// may panic, and a manifest they accept must describe a valid video with
+// one positive size per segment of every level.
+func FuzzDecodeMPD(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeMPD(b)
+		if err != nil {
+			return
+		}
+		v, sizes, err := VideoFromManifest(m, "fuzz")
+		if err != nil {
+			return
+		}
+		if err := v.Validate(); err != nil {
+			t.Fatalf("accepted an invalid video: %v", err)
+		}
+		if len(sizes) != len(v.Levels) {
+			t.Fatalf("%d size rows for %d levels", len(sizes), len(v.Levels))
+		}
+		for l, row := range sizes {
+			if len(row) != v.NumChunks {
+				t.Fatalf("level %d has %d sizes for %d chunks", l, len(row), v.NumChunks)
+			}
+			for c, s := range row {
+				if s <= 0 {
+					t.Fatalf("level %d chunk %d has size %d", l, c, s)
+				}
+			}
+		}
+	})
 }

@@ -2,64 +2,96 @@ package netmp
 
 import "testing"
 
+// kernelFound is useAVX2 as the CPU set it, before any test flips it.
+var kernelFound = useAVX2
+
+// eachFillPath runs f as a subtest once with the AVX2 kernel, where the
+// CPU has it, and once with the portable loop, setting useAVX2 for the
+// subtest and restoring it in t.Cleanup. Servers read useAVX2 on their
+// own goroutines, so f starts its servers after the flip and closes
+// them before it returns.
+func eachFillPath(t *testing.T, f func(t *testing.T)) {
+	for _, kernel := range []bool{true, false} {
+		name := "portable"
+		if kernel {
+			if !kernelFound {
+				continue
+			}
+			name = "kernel"
+		}
+		t.Run(name, func(t *testing.T) {
+			saved := useAVX2
+			useAVX2 = kernel
+			t.Cleanup(func() { useAVX2 = saved })
+			f(t)
+		})
+	}
+}
+
 // FuzzChunkBodyFill holds the payload helpers to the per-byte definition,
-// ChunkBody, at arbitrary (index, level, off, n) — the add-per-byte path
-// below 2^33, the definition above it, and every range straddling the
-// boundary. checkChunkBody must accept exactly those bytes: a flipped
-// byte, a shift of 1–15 bytes and a neighbouring chunk's or level's
-// bytes are all rejected. (Below 32 bytes a shifted or neighbouring body
-// may match by chance, so only the flips are asserted there.)
+// ChunkBody, at arbitrary (index, level, off, n) on each fill path — the
+// kernel's 32-byte runs and the add-per-byte loop below 2^33, the
+// definition above it, and every range straddling the boundary.
+// checkChunkBody must accept exactly those bytes: a flipped byte, a
+// shift of 1–15 bytes and a neighbouring chunk's or level's bytes are
+// all rejected. (Below 32 bytes a shifted or neighbouring body may match
+// by chance, so only the flips are asserted there.)
 func FuzzChunkBodyFill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, index, level int, off int64, n, flip uint32) {
 		if n > 1<<17 {
 			t.Skip("bodies are at most 128 KiB here")
 		}
-		const guard = 8
-		buf := make([]byte, n+guard)
-		for i := range buf {
-			buf[i] = 0x5a
-		}
-		got := buf[:n]
-		fillChunkBody(got, index, level, off)
-		for i, b := range got {
-			if want := ChunkBody(index, level, off+int64(i)); b != want {
-				t.Fatalf("byte %d of (%d, %d) from %d: fill %#x, ChunkBody %#x", i, index, level, off, b, want)
-			}
-		}
-		for i, b := range buf[n:] {
-			if b != 0x5a {
-				t.Fatalf("fill of %d bytes wrote past the end, at +%d", n, i)
-			}
-		}
-		scratch := make([]byte, n)
-		if !checkChunkBody(got, scratch, index, level, off) {
-			t.Fatal("check rejects the fill's own bytes")
-		}
-		if n == 0 {
-			return
-		}
-		for _, p := range []uint32{0, n - 1, flip % n} {
-			mask := byte(flip>>24) | 1
-			got[p] ^= mask
-			if checkChunkBody(got, scratch, index, level, off) {
-				t.Fatalf("check accepts byte %d flipped by %#x", p, mask)
-			}
-			got[p] ^= mask
-		}
-		if n < 32 {
-			return
-		}
-		for s := int64(1); s <= 15; s++ {
-			for _, d := range []int64{s, -s} {
-				if checkChunkBody(got, scratch, index, level, off+d) {
-					t.Fatalf("check at offset %d accepts the bytes of offset %d", off+d, off)
-				}
-			}
-		}
-		for _, nb := range [][2]int{{index + 1, level}, {index - 1, level}, {index, level + 1}, {index, level - 1}} {
-			if checkChunkBody(got, scratch, nb[0], nb[1], off) {
-				t.Fatalf("check as chunk (%d, %d) accepts the bytes of (%d, %d)", nb[0], nb[1], index, level)
-			}
-		}
+		eachFillPath(t, func(t *testing.T) { checkFillPair(t, index, level, off, n, flip) })
 	})
+}
+
+// checkFillPair is FuzzChunkBodyFill's check on the fill path in force.
+func checkFillPair(t *testing.T, index, level int, off int64, n, flip uint32) {
+	const guard = 8
+	buf := make([]byte, n+guard)
+	for i := range buf {
+		buf[i] = 0x5a
+	}
+	got := buf[:n]
+	fillChunkBody(got, index, level, off)
+	for i, b := range got {
+		if want := ChunkBody(index, level, off+int64(i)); b != want {
+			t.Fatalf("byte %d of (%d, %d) from %d: fill %#x, ChunkBody %#x", i, index, level, off, b, want)
+		}
+	}
+	for i, b := range buf[n:] {
+		if b != 0x5a {
+			t.Fatalf("fill of %d bytes wrote past the end, at +%d", n, i)
+		}
+	}
+	scratch := make([]byte, n)
+	if !checkChunkBody(got, scratch, index, level, off) {
+		t.Fatal("check rejects the fill's own bytes")
+	}
+	if n == 0 {
+		return
+	}
+	for _, p := range []uint32{0, n - 1, flip % n} {
+		mask := byte(flip>>24) | 1
+		got[p] ^= mask
+		if checkChunkBody(got, scratch, index, level, off) {
+			t.Fatalf("check accepts byte %d flipped by %#x", p, mask)
+		}
+		got[p] ^= mask
+	}
+	if n < 32 {
+		return
+	}
+	for s := int64(1); s <= 15; s++ {
+		for _, d := range []int64{s, -s} {
+			if checkChunkBody(got, scratch, index, level, off+d) {
+				t.Fatalf("check at offset %d accepts the bytes of offset %d", off+d, off)
+			}
+		}
+	}
+	for _, nb := range [][2]int{{index + 1, level}, {index - 1, level}, {index, level + 1}, {index, level - 1}} {
+		if checkChunkBody(got, scratch, nb[0], nb[1], off) {
+			t.Fatalf("check as chunk (%d, %d) accepts the bytes of (%d, %d)", nb[0], nb[1], index, level)
+		}
+	}
 }

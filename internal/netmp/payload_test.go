@@ -73,27 +73,29 @@ func payloadDigestOf(t *testing.T, video *dash.Video, addr string) string {
 
 // TestPayloadPinned pins the bytes on the wire: an origin generating
 // them and an edge serving its own fills must both produce exactly the
-// recorded digest.
+// recorded digest, on each fill path.
 func TestPayloadPinned(t *testing.T) {
-	video := payloadVideo()
-	origin, err := NewChunkServer(video, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer origin.Close()
-	edge, err := NewEdgeServer(video, video.Name, []string{origin.Addr()}, cache.New(cache.Config{}), EdgePolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer edge.Close()
+	eachFillPath(t, func(t *testing.T) {
+		video := payloadVideo()
+		origin, err := NewChunkServer(video, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer origin.Close()
+		edge, err := NewEdgeServer(video, video.Name, []string{origin.Addr()}, cache.New(cache.Config{}), EdgePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer edge.Close()
 
-	if got := payloadDigestOf(t, video, origin.Addr()); got != payloadDigest {
-		t.Errorf("origin payload digest %s, want %s", got, payloadDigest)
-	}
-	if got := payloadDigestOf(t, video, edge.Addr()); got != payloadDigest {
-		t.Errorf("edge payload digest %s, want %s", got, payloadDigest)
-	}
-	if edge.OriginBytes() == 0 {
-		t.Error("the edge served without filling from origin")
-	}
+		if got := payloadDigestOf(t, video, origin.Addr()); got != payloadDigest {
+			t.Errorf("origin payload digest %s, want %s", got, payloadDigest)
+		}
+		if got := payloadDigestOf(t, video, edge.Addr()); got != payloadDigest {
+			t.Errorf("edge payload digest %s, want %s", got, payloadDigest)
+		}
+		if edge.OriginBytes() == 0 {
+			t.Error("the edge served without filling from origin")
+		}
+	})
 }
