@@ -53,7 +53,8 @@ type Fetcher struct {
 	Sizes [][]int64
 	// Alpha is the safety factor (default 1).
 	Alpha float64
-	// SegmentSize is the range-request granularity.
+	// SegmentSize is the range-request granularity: one request per
+	// segment, though the preferred path may pipeline several per write.
 	SegmentSize int64
 	// Retry bounds the fault-tolerance behaviour; the zero value selects
 	// the defaults documented on RetryPolicy.
@@ -76,8 +77,9 @@ type Fetcher struct {
 	// path, the rest are secondaries in ascending cost order.
 	paths []*pathConn
 	// st is the segment ledger and job the chunk in flight (FetchChunk).
-	st  fetchState
-	job chunkJob
+	st   fetchState
+	job  chunkJob
+	redo []int // fetchRun's segments left to fetch one at a time; reused
 	// secondaries[k-1] is the worker of paths[k]; workers counts the live
 	// worker goroutines, which Close joins.
 	secondaries []*secondary
@@ -316,6 +318,9 @@ type fetchState struct {
 	primaryBytes, secondaryBytes int64   // verified payload by side
 	errs                         []error // fatal path errors
 	holders                      int     // workers still holding the chunk
+	// engaged counts the engaged secondaries: driveSecondary toggles it
+	// outside the lock, claimRunFor reads it.
+	engaged atomic.Int32
 	// doomArmed holds while the doom timer is armed or its callback runs;
 	// doomOff, set as the chunk winds down, stops it re-arming.
 	doomArmed, doomOff bool
@@ -338,6 +343,7 @@ func (st *fetchState) resetLocked(total, requeueBudget int) {
 	st.primaryBytes, st.secondaryBytes = 0, 0
 	st.errs = st.errs[:0]
 	st.doomOff = false
+	st.engaged.Store(0)
 }
 
 // stoppedLocked reports whether the workers should wind down.
@@ -359,27 +365,38 @@ func (st *fetchState) takeRequeuedLocked(pc *pathConn, selfOK bool) (int, bool) 
 	return 0, false
 }
 
-// claimFrontFor hands pc the next segment from the start, or -1 when
-// nothing is claimable right now.
-func (st *fetchState) claimFrontFor(pc *pathConn) int {
+// claimRunFor hands the preferred path pc a run of n segments from first,
+// n = 0 when nothing is claimable. A requeued segment runs alone; a fresh
+// run is the least of the fresh segments, pc's delivered ones (slow start)
+// and a controllerTick of work at the lesser of rate (the forecast) and
+// pc's delivered rate over elapsed — and one while a secondary is engaged
+// or pc can hedge (DESIGN.md §6).
+func (st *fetchState) claimRunFor(pc *pathConn, segSize int64, rate float64, elapsed time.Duration, hedges bool) (first, n int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.stoppedLocked() {
-		return -1
+		return 0, 0
 	}
 	if seg, ok := st.takeRequeuedLocked(pc, false); ok {
-		return seg
+		return seg, 1
 	}
 	if st.front <= st.back {
-		seg := st.front
-		st.front++
-		st.inflight++
-		return seg
+		if elapsed > 0 {
+			rate = min(rate, float64(st.primaryBytes)/elapsed.Seconds())
+		}
+		n = min(st.back-st.front+1, int(st.primaryBytes/segSize), int(rate*controllerTick.Seconds()/float64(segSize)))
+		if n < 1 || st.engaged.Load() > 0 || hedges {
+			n = 1
+		}
+		first = st.front
+		st.front += n
+		st.inflight += n
+		return first, n
 	}
 	if seg, ok := st.takeRequeuedLocked(pc, true); ok {
-		return seg
+		return seg, 1
 	}
-	return -1
+	return 0, 0
 }
 
 // claimBackFor hands pc the last segment, or -1.
@@ -527,6 +544,12 @@ type chunkJob struct {
 	ctr           *obs.Trace
 	fo            *fetcherObs
 	abort         AbortPolicy
+}
+
+// segRange returns segment seg's byte range [from, to].
+func (j *chunkJob) segRange(seg int) (from, to int64) {
+	from = int64(seg) * j.segSize
+	return from, min(from+j.segSize, j.size) - 1
 }
 
 // secondary is the worker of one secondary path, parked on start between
@@ -700,14 +723,16 @@ func (f *Fetcher) awaitRelease() {
 	}
 }
 
-// drivePrimary drains the preferred path from the front, on the calling
-// goroutine, while the path lives. With nothing claimable it parks on the
-// ledger: a segment in flight on another path may yet fail back into it.
+// drivePrimary drains the preferred path from the front, run by run, on
+// the calling goroutine, while the path lives. With nothing claimable it
+// parks on the ledger: a segment in flight on another path may yet fail
+// back into it. A path with a backup origin can hedge, one segment a run.
 func (f *Fetcher) drivePrimary() {
-	pc, st := f.paths[0], &f.st
+	pc, st, j := f.paths[0], &f.st, &f.job
+	hedges := pc.set.Size() > 1
 	for {
-		if seg := st.claimFrontFor(pc); seg >= 0 {
-			if !f.fetchSeg(pc, seg) {
+		if seg, n := st.claimRunFor(pc, j.segSize, f.hedge.predictedRate(), f.clk.now().Sub(j.start), hedges); n > 0 {
+			if !f.fetchRun(pc, seg, n) {
 				return
 			}
 		} else if !st.awaitWork() {
@@ -753,6 +778,11 @@ func (f *Fetcher) driveSecondary(w *secondary) {
 		}
 		if on != engaged {
 			engaged = on
+			if on {
+				st.engaged.Add(1)
+			} else {
+				st.engaged.Add(-1)
+			}
 			j.fo.emitToggle(on, reason, pc.name, j.index, j.level, rate, need, window)
 		}
 		if !on {
@@ -790,8 +820,7 @@ func (f *Fetcher) standBy(w *secondary) {
 // ledger, reporting whether pc should keep claiming.
 func (f *Fetcher) fetchSeg(pc *pathConn, seg int) bool {
 	j, st := &f.job, &f.st
-	from := int64(seg) * j.segSize
-	to := min(from+j.segSize, j.size) - 1
+	from, to := j.segRange(seg)
 	ssp := j.ctr.StartSpan(obs.CatSegment, "segment")
 	ssp.SetPath(pc.name)
 	ssp.SetNum("seg", float64(seg))
@@ -822,6 +851,98 @@ func (f *Fetcher) fetchSeg(pc *pathConn, seg int) bool {
 		st.requeue(seg, pc, err)
 		return false
 	}
+}
+
+// fetchRun downloads the claimed run of n segments from first on pc,
+// reporting whether pc should keep claiming. A run of one is fetchSeg; a
+// longer one is one write of n pipelined range requests, whose 206s are
+// settled in order as they verify. A corrupt body is retried afterwards
+// on the same connection; any other failure is charged once and, after
+// the redial, the unsettled rest goes through fetchSeg (DESIGN.md §6).
+func (f *Fetcher) fetchRun(pc *pathConn, first, n int) bool {
+	if n == 1 {
+		return f.fetchSeg(pc, first)
+	}
+	j, st := &f.job, &f.st
+	lvlID := f.Video.Levels[j.level].ID
+	pc.req = pc.req[:0]
+	for seg := first; seg < first+n; seg++ {
+		from, to := j.segRange(seg)
+		pc.req = AppendRangeRequest(pc.req, lvlID, j.index, from, to)
+	}
+	defer pc.conn.SetDeadline(time.Time{})
+	o, t0 := pc.set.current(), f.clk.now()
+	prev, lastOK := t0, t0
+	var got, verified int64
+	f.redo = f.redo[:0]
+	seg, err := first, f.writeRequests(pc)
+	for ; err == nil && seg < first+n; seg++ {
+		from, _ := j.segRange(seg)
+		ssp := j.ctr.StartSpan(obs.CatSegment, "segment")
+		ssp.SetPath(pc.name)
+		ssp.SetNum("seg", float64(seg))
+		var ok bool
+		got, ok, err = f.readRange(pc, j.index, j.level, from, t0)
+		ssp.End()
+		if err != nil {
+			break
+		}
+		now := f.clk.now()
+		if ok {
+			pc.noteSuccess(got)
+			o.recordOutcome(nil, now.Sub(prev))
+			st.complete(true, got)
+			verified, lastOK = verified+got, now
+		} else {
+			pc.chargeFault(o, got, errCorruptPayload)
+			f.redo = append(f.redo, seg)
+		}
+		prev = now
+	}
+	f.observeSegRate(verified, lastOK.Sub(t0))
+	if err != nil {
+		for ; seg < first+n; seg++ {
+			f.redo = append(f.redo, seg)
+		}
+		if pc.takeCancelled() {
+			return f.giveBack(pc, f.redo, nil)
+		}
+		pc.chargeFault(o, got, err)
+		if !isTransient(err) {
+			pc.markDown()
+			f.giveBack(pc, f.redo, err)
+			return false
+		}
+		if derr := pc.redial(j.pol); derr != nil {
+			f.giveBack(pc, f.redo, nil)
+			j.ctr.Event(obs.CatRequeue, "requeue")
+			j.ctr.MarkBad(obs.CatRequeue)
+			return false
+		}
+	}
+	for i, seg := range f.redo {
+		if !f.fetchSeg(pc, seg) {
+			f.giveBack(pc, f.redo[i+1:], nil)
+			return false
+		}
+	}
+	return true
+}
+
+// giveBack hands claimed segments back unfetched, reporting whether the
+// chunk is not doomed: a doomed chunk's are released (no requeue budget
+// spent), any other's requeued by pc, err charged with the first.
+func (f *Fetcher) giveBack(pc *pathConn, segs []int, err error) bool {
+	doomed := f.st.view().doomed
+	for _, seg := range segs {
+		if doomed {
+			f.st.release()
+		} else {
+			f.st.requeue(seg, pc, err)
+			err = nil
+		}
+	}
+	return !doomed
 }
 
 // fetchSegSupervised downloads one segment on pc, absorbing transient
@@ -856,13 +977,11 @@ func (f *Fetcher) fetchSegSupervised(pc *pathConn, pol RetryPolicy, index, level
 			// Not a fault: the hedge twin already delivered the segment.
 			return 0, errHedgeCancelled
 		}
-		pc.noteFault(n)
 		fault := err
 		if fault == nil {
 			fault = errCorruptPayload
 		}
-		o.recordOutcome(fault, 0)
-		pc.emitFault(fault)
+		pc.chargeFault(o, n, fault)
 		if err != nil && !isTransient(err) {
 			pc.markDown()
 			return 0, err
@@ -892,9 +1011,14 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 		return nil, nil, err
 	}
 	defer pc.conn.Close()
+	// Every I/O runs under the default IOTimeout, as a range request does.
+	timeout := RetryPolicy{}.withDefaults().IOTimeout
+	extend := func() { pc.conn.SetDeadline(time.Now().Add(timeout)) }
+	extend()
 	if _, err := io.WriteString(pc.conn, "GET /manifest.mpd HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
 		return nil, nil, fmt.Errorf("netmp: manifest request: %w", err)
 	}
+	extend()
 	contentLength, _, err := pc.readHead("200")
 	if err != nil {
 		return nil, nil, err
@@ -903,6 +1027,7 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 		return nil, nil, fmt.Errorf("netmp: manifest length %d", contentLength)
 	}
 	body := make([]byte, contentLength)
+	extend()
 	if _, err := io.ReadFull(pc.r, body); err != nil {
 		return nil, nil, fmt.Errorf("netmp: manifest body: %w", err)
 	}
@@ -919,17 +1044,30 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 // IOTimeout so a stalled path surfaces as a timeout instead of hanging
 // the worker. It returns the byte count and whether every byte matched.
 func (f *Fetcher) requestRange(pc *pathConn, index, level int, from, to int64) (int64, bool, error) {
+	defer pc.conn.SetDeadline(time.Time{})
+	pc.req = AppendRangeRequest(pc.req[:0], f.Video.Levels[level].ID, index, from, to)
+	t0 := f.clk.now()
+	if err := f.writeRequests(pc); err != nil {
+		return 0, false, err
+	}
+	return f.readRange(pc, index, level, from, t0)
+}
+
+// writeRequests sends pc.req's request heads in one write, under IOTimeout.
+func (f *Fetcher) writeRequests(pc *pathConn) error {
+	pc.conn.SetDeadline(f.clk.now().Add(f.Retry.withDefaults().IOTimeout))
+	if _, err := pc.conn.Write(pc.req); err != nil {
+		return fmt.Errorf("netmp: %s write: %w", pc.name, err)
+	}
+	return nil
+}
+
+// readRange reads and verifies the next 206 off pc, answering a request
+// for bytes from `from` on sent at t0: the byte count and whether all matched.
+func (f *Fetcher) readRange(pc *pathConn, index, level int, from int64, t0 time.Time) (int64, bool, error) {
 	timeout := f.Retry.withDefaults().IOTimeout
 	extend := func() { pc.conn.SetDeadline(f.clk.now().Add(timeout)) }
-	defer pc.conn.SetDeadline(time.Time{})
-
-	lvlID := f.Video.Levels[level].ID
-	pc.req = AppendRangeRequest(pc.req[:0], lvlID, index, from, to)
-	t0 := f.clk.now()
 	extend()
-	if _, werr := pc.conn.Write(pc.req); werr != nil {
-		return 0, false, fmt.Errorf("netmp: %s write: %w", pc.name, werr)
-	}
 	contentLength, cacheState, err := pc.readHead("206")
 	if err != nil {
 		return 0, false, err

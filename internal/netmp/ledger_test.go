@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // newFetchState returns a ledger of its own, as a Fetcher's is after
@@ -20,12 +21,78 @@ func newFetchState(total, requeueBudget int) *fetchState {
 	return st
 }
 
+// claimFront claims a run of one from the front, -1 when nothing is
+// claimable.
+func claimFront(st *fetchState, pc *pathConn) int {
+	if seg, n := st.claimRunFor(pc, 1, 0, 0, false); n > 0 {
+		return seg
+	}
+	return -1
+}
+
+// TestLedgerRunBounds: a fresh run is the least of the fresh segments,
+// the preferred path's delivered segments, and one controllerTick of work
+// at the lesser of the forecast and the rate delivered so far; a requeued
+// segment, an engaged secondary or a path that can hedge each make it one.
+func TestLedgerRunBounds(t *testing.T) {
+	const seg = 1000
+	fast := 1e12 // bytes/s: a forecast that never binds
+	a, b := &pathConn{name: "a"}, &pathConn{name: "b"}
+	for _, tc := range []struct {
+		name      string
+		total     int
+		delivered int           // segments the preferred path has delivered
+		elapsed   time.Duration // since the chunk started; 0 = a microsecond
+		rate      float64
+		engaged   int
+		hedges    bool
+		requeued  bool
+		want      int
+	}{
+		{name: "slow start", total: 32, delivered: 4, rate: fast, want: 4},
+		{name: "nothing delivered yet", total: 32, rate: fast, want: 1},
+		{name: "requeued segment", total: 32, delivered: 16, rate: fast, requeued: true, want: 1},
+		{name: "secondary engaged", total: 32, delivered: 16, rate: fast, engaged: 1, want: 1},
+		{name: "path can hedge", total: 32, delivered: 16, rate: fast, hedges: true, want: 1},
+		{name: "forecast caps", total: 32, delivered: 16, rate: 3.5 * seg / controllerTick.Seconds(), want: 3},
+		{name: "forecast under a segment", total: 32, delivered: 16, rate: 0.9 * seg / controllerTick.Seconds(), want: 1},
+		{name: "no forecast", total: 32, delivered: 16, want: 1},
+		{name: "delivered rate caps a burst-inflated forecast", total: 32, delivered: 16, elapsed: 5 * controllerTick, rate: fast, want: 3},
+		{name: "fresh segments cap", total: 5, delivered: 16, rate: fast, want: 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newFetchState(tc.total, 3)
+			st.primaryBytes = int64(tc.delivered) * seg
+			st.engaged.Store(int32(tc.engaged))
+			if tc.elapsed == 0 {
+				tc.elapsed = time.Microsecond
+			}
+			if tc.requeued {
+				st.requeue(st.claimBackFor(b), b, nil)
+			}
+			first, n := st.claimRunFor(a, seg, tc.rate, tc.elapsed, tc.hedges)
+			if n != tc.want {
+				t.Fatalf("run of %d, want %d", n, tc.want)
+			}
+			if st.inflight != n {
+				t.Errorf("inflight %d after claiming %d", st.inflight, n)
+			}
+			if tc.requeued && first != tc.total-1 {
+				t.Errorf("claimed %d, want the requeued %d", first, tc.total-1)
+			}
+			if !tc.requeued && (first != 0 || st.front != n) {
+				t.Errorf("claimed [%d, +%d), front now %d", first, n, st.front)
+			}
+		})
+	}
+}
+
 func TestLedgerSplitsWithoutOverlap(t *testing.T) {
 	a, b := &pathConn{name: "a"}, &pathConn{name: "b"}
 	st := newFetchState(10, 3)
 	var claimed []int
 	for {
-		seg := st.claimFrontFor(a)
+		seg := claimFront(st, a)
 		if seg < 0 {
 			break
 		}
@@ -56,17 +123,17 @@ func TestLedgerSplitsWithoutOverlap(t *testing.T) {
 func TestLedgerRequeuePrefersOtherPath(t *testing.T) {
 	a, b := &pathConn{name: "a"}, &pathConn{name: "b"}
 	st := newFetchState(4, 3)
-	seg := st.claimFrontFor(a)
+	seg := claimFront(st, a)
 	st.requeue(seg, a, nil)
 	// a must not immediately re-claim its own failure while fresh work
 	// remains…
-	if got := st.claimFrontFor(a); got == seg {
+	if got := claimFront(st, a); got == seg {
 		t.Fatalf("path a re-claimed its own failed segment %d over fresh work", seg)
 	} else {
 		st.complete(true, 1)
 	}
 	// …but b recovers it ahead of fresh front segments.
-	if got := st.claimFrontFor(b); got != seg {
+	if got := claimFront(st, b); got != seg {
 		t.Fatalf("path b claimed %d, want requeued %d", got, seg)
 	}
 	st.complete(true, 1)
@@ -75,12 +142,12 @@ func TestLedgerRequeuePrefersOtherPath(t *testing.T) {
 func TestLedgerSelfRetryWhenAlone(t *testing.T) {
 	a := &pathConn{name: "a"}
 	st := newFetchState(2, 3)
-	s0 := st.claimFrontFor(a)
+	s0 := claimFront(st, a)
 	st.complete(true, 1)
-	s1 := st.claimFrontFor(a)
+	s1 := claimFront(st, a)
 	st.requeue(s1, a, nil)
 	// No fresh work left: the sole survivor retries its own failure.
-	if got := st.claimFrontFor(a); got != s1 {
+	if got := claimFront(st, a); got != s1 {
 		t.Fatalf("claim = %d, want self-requeued %d", got, s1)
 	}
 	st.complete(true, 1)
@@ -94,7 +161,7 @@ func TestLedgerBudgetAborts(t *testing.T) {
 	a := &pathConn{name: "a"}
 	st := newFetchState(1, 2)
 	for i := 0; i < 3; i++ {
-		seg := st.claimFrontFor(a)
+		seg := claimFront(st, a)
 		if seg < 0 {
 			t.Fatalf("claim %d returned nothing", i)
 		}
@@ -103,7 +170,7 @@ func TestLedgerBudgetAborts(t *testing.T) {
 	if !st.failed {
 		t.Fatal("budget of 2 not enforced after 3 requeues")
 	}
-	if st.claimFrontFor(a) >= 0 || st.claimBackFor(a) >= 0 {
+	if claimFront(st, a) >= 0 || st.claimBackFor(a) >= 0 {
 		t.Fatal("aborted ledger still hands out segments")
 	}
 }
@@ -130,7 +197,7 @@ func TestLedgerConcurrentExactlyOnce(t *testing.T) {
 				if fromBack {
 					seg = st.claimBackFor(pc)
 				} else {
-					seg = st.claimFrontFor(pc)
+					seg = claimFront(st, pc)
 				}
 				if seg < 0 {
 					continue

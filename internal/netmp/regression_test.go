@@ -1,14 +1,16 @@
 package netmp
 
 // Regression tests for fixed defects: the secondary controller's one-
-// segment-per-tick throughput cap, silent Range mis-parses, and
-// case-sensitive header matching.
+// segment-per-tick throughput cap, silent Range mis-parses,
+// case-sensitive header matching, and a manifest fetch with no deadline.
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -111,5 +113,42 @@ func TestPathStatsAccessor(t *testing.T) {
 	}
 	if s := PathDown.String(); s != "down" {
 		t.Errorf("PathDown.String() = %q", s)
+	}
+}
+
+// TestFetchManifestTimesOutOnSilentServer pins the fix for the bootstrap
+// that set no deadline: against a server that accepts and never answers,
+// FetchManifest must fail on the default IOTimeout (2 s), not wait forever.
+func TestFetchManifestTimesOutOnSilentServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // held open, never answered, until the listener closes
+		}
+	}()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := FetchManifest(ln.Addr().String())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("err = %v, want a deadline error", err)
+		}
+		if took := time.Since(start); took > 3*time.Second {
+			t.Errorf("FetchManifest took %v to give up, want the 2 s IOTimeout", took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("FetchManifest still blocked after 5 s on a silent server")
 	}
 }

@@ -1,0 +1,237 @@
+package netmp
+
+// Pipelined runs on the preferred path: one write carries a run's range
+// requests, the 206s come back in order, and a fault inside a run is
+// charged and recovered exactly as it is for a lone request.
+
+import (
+	"errors"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mpdash/internal/dash"
+)
+
+// The measured chunk is chunk 1 at level 1 of Big Buck Bunny, cut into
+// runSegs segments; at slow start its runs are 1, 1, 2, 4, 8 and 16
+// segments. The warm-up before it is chunk 0 at level 0, so the predictor
+// has a sample. midRun is the measured chunk's request that lands in the
+// middle of its run of eight.
+const (
+	runSegs = 32
+	midRun  = 12
+)
+
+// runSegSize returns the segment size that cuts the measured chunk into
+// runSegs segments, and how many range requests the warm-up costs at it.
+func runSegSize(v *dash.Video) (seg int64, warm int) {
+	size := v.ChunkSize(1, 1)
+	seg = (size + runSegs - 1) / runSegs
+	return seg, int((v.ChunkSize(0, 0) + seg - 1) / seg)
+}
+
+// countingListener counts the data-bearing Reads of every connection it
+// accepts: how many request writes reached the server.
+type countingListener struct {
+	net.Listener
+	reads atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, reads: &l.reads}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// countingSource serves generated bodies and counts the range requests
+// the front parsed.
+type countingSource struct{ requests atomic.Int64 }
+
+func (s *countingSource) chunk(int, int) (chunkBody, error) {
+	s.requests.Add(1)
+	return chunkBody{}, nil
+}
+
+func TestPrimaryPipelinesRuns(t *testing.T) {
+	v := dash.BigBuckBunny()
+	seg, _ := runSegSize(v)
+	secondary, err := NewChunkServer(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer secondary.Close()
+	for _, tc := range []struct {
+		name        string
+		mbps        float64
+		secondaries []string
+		runs        bool // false: every request is a write of its own
+	}{
+		{"unshaped", 0, []string{secondary.Addr()}, true},
+		// A tick's work is 10 kB, under one segment. The path runs alone:
+		// a secondary would engage before the first segment lands, and
+		// then it, not the forecast, would keep the runs at one.
+		{"4 Mbps", 4, nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, src := &countingListener{Listener: ln}, &countingSource{}
+			primary := newFront(v, cl, tc.mbps, src)
+			defer primary.Close()
+			f, err := NewFetcher(v, primary.Addr(), tc.secondaries...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			f.SegmentSize = seg
+			if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			reads0, reqs0 := cl.reads.Load(), src.requests.Load()
+			res, err := f.FetchChunk(1, 1, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkComplete(t, res)
+			if res.SecondaryBytes != 0 {
+				t.Fatalf("the secondary carried %d bytes under a loose deadline", res.SecondaryBytes)
+			}
+			reads, reqs := cl.reads.Load()-reads0, src.requests.Load()-reqs0
+			t.Logf("%d range requests in %d reads", reqs, reads)
+			if reqs != runSegs {
+				t.Errorf("%d range requests, want one per segment (%d)", reqs, runSegs)
+			}
+			if tc.runs && reads > 6 {
+				t.Errorf("%d request writes, want at most 6 (runs 1, 1, 2, 4, 8, 16)", reads)
+			}
+			if !tc.runs && reads != reqs {
+				t.Errorf("%d request writes for %d requests, want one each", reads, reqs)
+			}
+		})
+	}
+}
+
+// runFaultRig is an unshaped primary and a clean secondary whose fetcher
+// has fetched the warm-up chunk; the primary injects fault at the measured
+// chunk's midRun-th request.
+func runFaultRig(t *testing.T, fault FaultKind) (*ChunkServer, *Fetcher) {
+	t.Helper()
+	v := dash.BigBuckBunny()
+	seg, warm := runSegSize(v)
+	ps, _, f := faultRig(t, 0, 0, &FaultPlan{Script: map[int]FaultKind{warm + midRun: fault}, StallFor: 1500 * time.Millisecond})
+	f.SegmentSize = seg
+	if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return ps, f
+}
+
+func TestPipelinedRunCorruptRetriesOnSameConn(t *testing.T) {
+	ps, f := runFaultRig(t, FaultCorrupt)
+	served0 := ps.ServedBytes()
+	res, err := f.FetchChunk(1, 1, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkComplete(t, res)
+	if res.Redials != 0 {
+		t.Errorf("corruption cost %d redials; the framing was intact", res.Redials)
+	}
+	if res.Retries < 1 {
+		t.Errorf("retries = %d, want the corrupt attempt charged", res.Retries)
+	}
+	if got := ps.FaultStats().Corruptions; got != 1 {
+		t.Errorf("server injected %d corruptions, want 1", got)
+	}
+	if served := ps.ServedBytes() - served0; served != res.PrimaryBytes+res.WastedBytes {
+		t.Errorf("primary served %d bytes, client verified %d and wasted %d", served, res.PrimaryBytes, res.WastedBytes)
+	}
+}
+
+func TestPipelinedRunResetRedialsOnce(t *testing.T) {
+	ps, f := runFaultRig(t, FaultReset)
+	res, err := f.FetchChunk(1, 1, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkComplete(t, res)
+	if res.Redials < 1 {
+		t.Errorf("redials = %d, want the reset to cost one", res.Redials)
+	}
+	if res.Retries != 1 {
+		t.Errorf("retries = %d, want the reset charged once", res.Retries)
+	}
+	if got := ps.FaultStats().Resets; got != 1 {
+		t.Errorf("server injected %d resets, want 1", got)
+	}
+}
+
+func TestPipelinedRunOutlivesRequestCap(t *testing.T) {
+	ps, f := runFaultRig(t, FaultNone)
+	_, warm := runSegSize(f.Video)
+	ps.SetLimits(ServerLimits{MaxRequestsPerConn: warm + midRun})
+	res, err := f.FetchChunk(1, 1, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkComplete(t, res)
+	if got := ps.OverloadStats().CappedConns; got != 1 {
+		t.Errorf("server capped %d connections, want 1", got)
+	}
+}
+
+// A doom verdict that lands while a run is stalled mid-body cuts the run:
+// its unsettled segments are released, not requeued, and the fetcher
+// fetches the next chunk on restored connections.
+func TestPipelinedRunDoomReleases(t *testing.T) {
+	_, f := runFaultRig(t, FaultStall)
+	f.Abort = AbortPolicy{Enabled: true, MinProgress: 0.05}
+	f.Retry.IOTimeout = 2 * time.Second // outlasts the stall
+	// The primary stalls at midRun for 1.5 s; well inside that, and past
+	// the doom test's 100 ms progress gate, collapse the forecast so the
+	// next doom test finds the chunk hopeless.
+	collapse := time.AfterFunc(150*time.Millisecond, func() {
+		f.hedge.mu.Lock()
+		f.hedge.hw.Reset()
+		f.hedge.hw.Seed(1000)
+		f.hedge.mu.Unlock()
+	})
+	defer collapse.Stop()
+	res, err := f.FetchChunk(1, 1, 2*time.Second)
+	if !errors.Is(err, ErrChunkDoomed) {
+		t.Fatalf("err = %v, want ErrChunkDoomed", err)
+	}
+	f.st.mu.Lock()
+	inflight := f.st.inflight
+	f.st.mu.Unlock()
+	if inflight != 0 {
+		t.Errorf("ledger holds %d segments in flight after the abort", inflight)
+	}
+	if res.Requeued != 0 {
+		t.Errorf("abort spent %d requeue budget", res.Requeued)
+	}
+	res2, err := f.FetchChunk(2, 0, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkComplete(t, res2)
+}

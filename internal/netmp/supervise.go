@@ -319,6 +319,14 @@ func (pc *pathConn) noteFault(wasted int64) {
 	}
 }
 
+// chargeFault books one failed attempt on pc: a retry with its wasted
+// bytes, breaker fuel for the origin o that served it, and a fetch.fault.
+func (pc *pathConn) chargeFault(o *origin, wasted int64, fault error) {
+	pc.noteFault(wasted)
+	o.recordOutcome(fault, 0)
+	pc.emitFault(fault)
+}
+
 // markDown declares the path dead for the session.
 func (pc *pathConn) markDown() {
 	pc.mu.Lock()
