@@ -5,9 +5,10 @@ import "sync"
 // Buffer pooling for the per-segment hot path. Every range request on
 // the client side reads its body in 16 KiB blocks and checks each
 // against a second block filled with the expected bytes
-// (checkChunkBody), and every origin response fills its body in the
-// same blocks (fillChunkBody), one write per block, the first carrying
-// the head; at swarm scale those per-request allocations would dominate
+// (checkChunkBody), and every origin response fills its body into the
+// same blocks (fillChunkBody), which its connection's write queue holds
+// until the flush that writes them (front.go); at swarm scale those
+// per-request allocations would dominate
 // the heap churn (thousands of sessions × segments × retries), so the
 // blocks are pooled. (Request and response heads: wire.go.)
 //

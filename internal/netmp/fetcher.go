@@ -877,12 +877,12 @@ func (f *Fetcher) fetchRun(pc *pathConn, first, n int) bool {
 	f.redo = f.redo[:0]
 	seg, err := first, f.writeRequests(pc)
 	for ; err == nil && seg < first+n; seg++ {
-		from, _ := j.segRange(seg)
+		from, to := j.segRange(seg)
 		ssp := j.ctr.StartSpan(obs.CatSegment, "segment")
 		ssp.SetPath(pc.name)
 		ssp.SetNum("seg", float64(seg))
 		var ok bool
-		got, ok, err = f.readRange(pc, j.index, j.level, from, t0)
+		got, ok, err = f.readRange(pc, j.index, j.level, from, to-from+1, t0)
 		ssp.End()
 		if err != nil {
 			break
@@ -1050,7 +1050,7 @@ func (f *Fetcher) requestRange(pc *pathConn, index, level int, from, to int64) (
 	if err := f.writeRequests(pc); err != nil {
 		return 0, false, err
 	}
-	return f.readRange(pc, index, level, from, t0)
+	return f.readRange(pc, index, level, from, to-from+1, t0)
 }
 
 // writeRequests sends pc.req's request heads in one write, under IOTimeout.
@@ -1063,8 +1063,10 @@ func (f *Fetcher) writeRequests(pc *pathConn) error {
 }
 
 // readRange reads and verifies the next 206 off pc, answering a request
-// for bytes from `from` on sent at t0: the byte count and whether all matched.
-func (f *Fetcher) readRange(pc *pathConn, index, level int, from int64, t0 time.Time) (int64, bool, error) {
+// for want bytes from `from` on sent at t0: the byte count and whether all
+// matched. A 206 of another length is read to its end (its framing is
+// intact) and never verifies.
+func (f *Fetcher) readRange(pc *pathConn, index, level int, from, want int64, t0 time.Time) (int64, bool, error) {
 	timeout := f.Retry.withDefaults().IOTimeout
 	extend := func() { pc.conn.SetDeadline(f.clk.now().Add(timeout)) }
 	extend()
@@ -1090,7 +1092,7 @@ func (f *Fetcher) readRange(pc *pathConn, index, level int, from int64, t0 time.
 	defer ReleaseSegBuf(sp)
 	buf, scratch := *bp, *sp
 	var got int64
-	ok := true
+	ok := contentLength == want
 	for got < contentLength {
 		m := int64(len(buf))
 		if m > contentLength-got {

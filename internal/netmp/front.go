@@ -2,6 +2,7 @@ package netmp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -79,12 +80,34 @@ type chunkBody struct {
 }
 
 // connTrack is the front's per-connection record: admission state, and
-// the response scratch a range request reuses so it allocates nothing.
+// the write queue, whose arrays are sized once so a range request
+// allocates nothing. 206 heads and body blocks (slices of a stored body,
+// or pooled fills) wait in vec until flush writes them in one writev.
 type connTrack struct {
-	busy bool        // mid-request (between parsed request and written response)
-	head []byte      // the 206 head; emptied once it is on the wire
-	vec  [2][]byte   // head and first block, written as one
-	out  net.Buffers // vec's view for the writev, which consumes it
+	busy   bool        // mid-request, or holding queued responses
+	vec    net.Buffers // the queue in wire order
+	out    net.Buffers // vec's view for the writev, which consumes it
+	body   uint64      // bit i set: vec[i] is payload
+	queued int64       // payload bytes in vec
+	heads  []byte      // scratch the queued heads are rendered into
+	pooled []*[]byte   // the queued pooled blocks, released by flush
+}
+
+// The queue is written before it would pass queueMax payload bytes (the
+// shaper's burst, and loopback's MTU), its queueVecs iovecs or its head
+// scratch; a 206 head with 19-digit numbers is under rangeHeadMax bytes.
+const (
+	queueMax     = 64 << 10
+	queueVecs    = 32
+	rangeHeadMax = 192
+)
+
+// headBuffered reports whether r holds a complete request head, so that
+// parsing the next request cannot block. (A line of blanks also ends a
+// head; missing it only flushes early.)
+func headBuffered(r *bufio.Reader) bool {
+	b, _ := r.Peek(r.Buffered())
+	return bytes.Contains(b, []byte("\n\r\n")) || bytes.Contains(b, []byte("\n\n"))
 }
 
 // ServerLimits is a server's overload-protection configuration. Zero
@@ -405,7 +428,8 @@ func (f *front) acceptLoop(ln net.Listener, ctx context.Context) {
 			go reject503(conn)
 			continue
 		}
-		tr := &connTrack{}
+		tr := &connTrack{vec: make(net.Buffers, 0, queueVecs), heads: make([]byte, 0, 8*rangeHeadMax),
+			pooled: make([]*[]byte, 0, queueVecs)}
 		f.conns[conn] = tr
 		f.connMu.Unlock()
 		f.wg.Add(1)
@@ -448,13 +472,19 @@ func hardClose(conn net.Conn) {
 // request cap and the drain flag (finish the in-flight response, then
 // close instead of waiting for the next request). ctx is the listener
 // generation's write context, cancelled by Crash/Close. connMu is taken
-// twice per request: between requests (busy off, drain and cap checks)
-// and once a request is parsed (busy on).
+// twice per request: between requests (busy only while responses are
+// queued, drain and cap checks) and once a request is parsed (busy on).
+// Responses queue until a read could block (no complete request head
+// buffered), until writeBody must write, and when the handler exits.
 func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 	r := bufio.NewReader(conn)
+	defer f.flush(conn, tr)
 	for served := 0; ; served++ {
+		if !headBuffered(r) && f.flush(conn, tr) != nil {
+			return
+		}
 		f.connMu.Lock()
-		tr.busy = false
+		tr.busy = len(tr.vec) != 0
 		stop := f.draining
 		if !stop && f.limits.MaxRequestsPerConn > 0 && served >= f.limits.MaxRequestsPerConn {
 			f.ostats.CappedConns++
@@ -472,11 +502,11 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 		tr.busy = true
 		f.connMu.Unlock()
 		if bad {
-			io.WriteString(conn, head400)
+			f.reply(conn, tr, head400)
 			continue
 		}
 		if manifest {
-			if err := writeManifest(conn, f.Video); err != nil {
+			if f.flush(conn, tr) != nil || writeManifest(conn, f.Video) != nil {
 				return
 			}
 			continue
@@ -486,7 +516,7 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			to = size - 1
 		}
 		if from < 0 || from > to {
-			io.WriteString(conn, head416)
+			f.reply(conn, tr, head416)
 			continue
 		}
 		body, err := f.src.chunk(index, level)
@@ -494,22 +524,51 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			// A source that cannot produce the chunk (an edge whose origin
 			// set is exhausted) is the server's overload face: transient
 			// for the client's supervisor, breaker fuel for its origin set.
-			io.WriteString(conn, head503)
+			f.reply(conn, tr, head503)
 			continue
 		}
 		if body.fault == FaultReset {
+			f.flush(conn, tr) // earlier responses arrive whole
 			hardClose(conn)
 			return
 		}
-		n := to - from + 1
-		tr.head = appendRangeHead(tr.head[:0], n, from, to, size, body.state)
-		if err := f.writeBody(ctx, conn, tr, index, level, from, n, body); err != nil {
-			if len(tr.head) != 0 {
-				conn.Write(tr.head) // a fault before the first block still delivers the head
-			}
+		if f.writeBody(ctx, conn, tr, index, level, from, to-from+1, size, body) != nil {
 			return
 		}
 	}
+}
+
+// reply writes a bodiless response after the queue.
+func (f *front) reply(conn net.Conn, tr *connTrack, head string) {
+	if f.flush(conn, tr) == nil {
+		io.WriteString(conn, head)
+	}
+}
+
+// flush writes the queue in one writev and releases its pooled blocks.
+// The queued payload is in ServedBytes already; a failed write takes
+// back the payload pieces, or their parts, that did not leave.
+func (f *front) flush(conn net.Conn, tr *connTrack) error {
+	if len(tr.vec) == 0 {
+		return nil
+	}
+	tr.out = tr.vec // WriteTo consumes out, leaving what it did not write
+	_, err := tr.out.WriteTo(conn)
+	if err != nil {
+		for i, p := range tr.out {
+			if tr.body>>(len(tr.vec)-len(tr.out)+i)&1 != 0 {
+				f.served.Add(-int64(len(p)))
+			}
+		}
+	}
+	for _, b := range tr.pooled {
+		ReleaseSegBuf(b)
+	}
+	clear(tr.vec)
+	clear(tr.pooled)
+	tr.vec, tr.pooled, tr.heads = tr.vec[:0], tr.pooled[:0], tr.heads[:0]
+	tr.body, tr.queued = 0, 0
+	return err
 }
 
 // writeManifest serves v's MPD (unshaped: manifests are tiny). An edge
@@ -525,84 +584,84 @@ func writeManifest(w io.Writer, v *dash.Video) error {
 	return err
 }
 
-// writeBody streams bytes [from, from+n) of the chunk through the rate
-// shaper in 16 KiB blocks, one write each — the first carries tr.head
-// with it: slices of the resolved body as they are, or filled into a
-// pooled block when there is none. It applies the chosen mid-body fault:
-// a stall freezes at the halfway point, a premature close stops after
-// half the advertised length, and corruption flips a short run of
-// generated bytes in the first block (a resolved body is shared with its
-// cache and never written to).
-func (f *front) writeBody(ctx context.Context, conn net.Conn, tr *connTrack, index, level int, from, n int64, body chunkBody) error {
-	const block = segBufBlock
-	var buf []byte
-	if body.bytes == nil {
-		bp := AcquireSegBuf()
-		defer ReleaseSegBuf(bp)
-		buf = *bp
-	}
+// writeBody queues the 206 head for bytes [from, from+n) of a size-byte
+// chunk and the bytes themselves in blocks of up to 16 KiB, through the
+// rate shaper: slices of the resolved body as they are, or filled into
+// pooled blocks when there is none. The head goes with the first block.
+// Queued bytes never wait: the queue is flushed before the shaper or a
+// stall would make them. It applies the chosen mid-body fault: a stall
+// freezes at the halfway point, a premature close cuts after half the
+// advertised length, and corruption flips a short run of generated
+// bytes in the first block (a resolved body is shared with its cache and
+// never written to).
+func (f *front) writeBody(ctx context.Context, conn net.Conn, tr *connTrack, index, level int, from, n, size int64, body chunkBody) error {
 	fault := body.fault
-	off := from
-	remaining := n
-	stalled := false
 	// A premature close stops after roughly half the advertised length
 	// (at least one byte short, so single-block bodies truncate too).
-	closeAt := n
+	end := n
 	if fault == FaultClose {
-		if closeAt = (n + 1) / 2; closeAt >= n {
-			closeAt = n - 1
+		if end = (n + 1) / 2; end >= n {
+			end = n - 1
 		}
 	}
-	for remaining > 0 {
-		written := n - remaining
-		if fault == FaultStall && !stalled && (written >= n/2 || n <= block) {
+	head := func() {
+		start := len(tr.heads)
+		tr.heads = appendRangeHead(tr.heads, n, from, from+n-1, size, body.state)
+		tr.vec = append(tr.vec, tr.heads[start:])
+	}
+	stalled := false
+	for written, m := int64(0), int64(0); written < end; written += m {
+		if fault == FaultStall && !stalled && (written >= n/2 || n <= segBufBlock) {
 			stalled = true
+			if err := f.flush(conn, tr); err != nil {
+				return err
+			}
 			select {
 			case <-time.After(body.stall):
 			case <-ctx.Done():
 				return ctx.Err()
 			}
 		}
-		if fault == FaultClose && written >= closeAt {
-			return errInjected
+		m = min(segBufBlock, end-written)
+		wait := f.bucket.take(int(m)) != 0
+		if wait || tr.queued+m > queueMax || len(tr.vec)+2 > cap(tr.vec) || len(tr.heads)+rangeHeadMax > cap(tr.heads) {
+			if err := f.flush(conn, tr); err != nil {
+				return err
+			}
 		}
-		m := int64(block)
-		if m > remaining {
-			m = remaining
+		if wait {
+			if err := f.bucket.Take(ctx, int(m)); err != nil {
+				return err
+			}
 		}
-		if fault == FaultClose && m > closeAt-written {
-			m = closeAt - written
+		if written == 0 {
+			head()
 		}
+		off := from + written
 		var blk []byte
 		if body.bytes != nil {
 			blk = body.bytes[off : off+m]
 		} else {
-			blk = buf[:m]
+			bp := AcquireSegBuf()
+			tr.pooled = append(tr.pooled, bp)
+			blk = (*bp)[:m]
 			fillChunkBody(blk, index, level, off)
-			if fault == FaultCorrupt && off == from {
-				for i := int64(0); i < m && i < 16; i++ {
+			if fault == FaultCorrupt && written == 0 {
+				for i := range blk[:min(m, 16)] {
 					blk[i] ^= 0xA5
 				}
 			}
 		}
-		if err := f.bucket.Take(ctx, int(m)); err != nil {
-			return err
-		}
-		f.served.Add(m) // before a client can read it; a failed write takes it back
-		var err error
-		if len(tr.head) != 0 {
-			tr.out = append(tr.vec[:0], tr.head, blk)
-			_, err = tr.out.WriteTo(conn)
-			tr.head = tr.head[:0]
-		} else {
-			_, err = conn.Write(blk)
-		}
-		if err != nil {
-			f.served.Add(-m)
-			return err
-		}
-		off += m
-		remaining -= m
+		f.served.Add(m) // before a client can read it; a failed flush takes it back
+		tr.body |= 1 << len(tr.vec)
+		tr.queued += m
+		tr.vec = append(tr.vec, blk)
 	}
-	return nil
+	if end == n {
+		return nil
+	}
+	if end == 0 {
+		head() // cut before the first block: the head alone
+	}
+	return errInjected // the handler's exit flushes what the cut left queued
 }

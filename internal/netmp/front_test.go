@@ -8,10 +8,14 @@ package netmp
 // and a body source that panics.
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -502,4 +506,181 @@ func TestServersShareInstrumentNames(t *testing.T) {
 	if rejects != 2 {
 		t.Errorf("%d server.reject events, want one per kind", rejects)
 	}
+}
+
+// readResponse reads one response off r: its status line and its
+// Content-Length body.
+func readResponse(r *bufio.Reader) (status string, body []byte, err error) {
+	line, err := r.ReadString('\n')
+	if err != nil {
+		return "", nil, err
+	}
+	n := -1
+	for {
+		h, err := r.ReadString('\n')
+		if err != nil {
+			return line, nil, err
+		}
+		if h = strings.TrimSpace(h); h == "" {
+			break
+		}
+		if v, ok := strings.CutPrefix(h, "Content-Length: "); ok {
+			n, _ = strconv.Atoi(v)
+		}
+	}
+	if n < 0 {
+		return line, nil, fmt.Errorf("no Content-Length after %q", line)
+	}
+	body = make([]byte, n)
+	_, err = io.ReadFull(r, body)
+	return strings.TrimSpace(line), body, err
+}
+
+// resetNth hands the source's nth lookup a reset.
+type resetNth struct {
+	bodySource
+	n     int64
+	calls *atomic.Int64
+}
+
+func (s resetNth) chunk(index, level int) (chunkBody, error) {
+	b, err := s.bodySource.chunk(index, level)
+	if s.calls.Add(1) == s.n {
+		b.fault = FaultReset
+	}
+	return b, err
+}
+
+// TestFrontPipelinedFraming holds the queued write path to HTTP/1.1
+// framing on both kinds: one client write carries a one-byte range, a
+// range one byte over a block, a malformed Range, a range past the
+// chunk, the manifest and a full block; the answers come back in that
+// order with byte-exact bodies, and ServedBytes moves by exactly the
+// range bodies read. A reset on the third range request of a run still
+// delivers the two before it whole.
+func TestFrontPipelinedFraming(t *testing.T) {
+	video := payloadVideo()
+	const index, level = 0, 2
+	id, size := video.Levels[level].ID, video.ChunkSize(index, level)
+	manifest, err := dash.EncodeMPD(video.Manifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		status   string
+		from, n  int64  // a 206's range
+		wantBody []byte // any other body
+	}
+	one := answer{status: "206", from: 0, n: 1}
+	overBlock := answer{status: "206", from: 1, n: segBufBlock + 1}
+	block := answer{status: "206", from: 100, n: segBufBlock}
+	ranged := func(a answer) []byte { return AppendRangeRequest(nil, id, index, a.from, a.from+a.n-1) }
+
+	// check reads want off r, in order, and returns the range body bytes.
+	check := func(t *testing.T, r *bufio.Reader, want []answer) int64 {
+		t.Helper()
+		var read int64
+		for i, a := range want {
+			status, body, err := readResponse(r)
+			if err != nil {
+				t.Fatalf("answer %d: %v", i, err)
+			}
+			if !strings.Contains(status, a.status) {
+				t.Fatalf("answer %d: status %q, want %s", i, status, a.status)
+			}
+			if a.status != "206" {
+				if string(body) != string(a.wantBody) {
+					t.Fatalf("answer %d (%s): body of %d bytes, want %d", i, a.status, len(body), len(a.wantBody))
+				}
+				continue
+			}
+			if int64(len(body)) != a.n {
+				t.Fatalf("answer %d: %d body bytes, want %d", i, len(body), a.n)
+			}
+			for j, b := range body {
+				if w := ChunkBody(index, level, a.from+int64(j)); b != w {
+					t.Fatalf("answer %d: body byte %d = %#x, want %#x", i, j, b, w)
+				}
+			}
+			read += int64(len(body))
+		}
+		return read
+	}
+
+	eachFront(t, video, 0, func(t *testing.T, f *front) {
+		served := f.ServedBytes()
+		conn, r := dialServer(t, f)
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		var reqs []byte
+		reqs = append(reqs, ranged(one)...)
+		reqs = append(reqs, ranged(overBlock)...)
+		reqs = fmt.Appendf(reqs, "GET /seg-l%d-c0000.m4s HTTP/1.1\r\nHost: x\r\nRange: bytes=x-y\r\n\r\n", id)
+		reqs = AppendRangeRequest(reqs, id, index, size, size+10)
+		reqs = append(reqs, "GET /manifest.mpd HTTP/1.1\r\nHost: x\r\n\r\n"...)
+		reqs = append(reqs, ranged(block)...)
+		if _, err := conn.Write(reqs); err != nil {
+			t.Fatal(err)
+		}
+		read := check(t, r, []answer{one, overBlock, {status: "400"}, {status: "416"}, {status: "200", wantBody: manifest}, block})
+		if got := f.ServedBytes() - served; got != read {
+			t.Errorf("ServedBytes moved %d, the client read %d body bytes", got, read)
+		}
+
+		f.connMu.Lock()
+		f.src = resetNth{bodySource: f.src, n: 3, calls: new(atomic.Int64)}
+		f.connMu.Unlock()
+		conn2, r2 := dialServer(t, f)
+		conn2.SetDeadline(time.Now().Add(5 * time.Second))
+		reqs = append(append(ranged(one), ranged(overBlock)...), ranged(block)...)
+		if _, err := conn2.Write(reqs); err != nil {
+			t.Fatal(err)
+		}
+		check(t, r2, []answer{one, overBlock})
+		if status, _, err := readResponse(r2); err == nil {
+			t.Errorf("the reset request was answered %q", status)
+		}
+	})
+}
+
+// TestFailedFlushTakesBackServedBytes closes a front while its handler
+// holds a pipelined run's first request: the handler queues responses
+// on a closed connection, every flush fails, and ServedBytes, which
+// counted each block as it was queued, takes all of them back.
+func TestFailedFlushTakesBackServedBytes(t *testing.T) {
+	video := payloadVideo()
+	const index, level, runLen, n = 0, 2, 12, segBufBlock / 2
+	id := video.Levels[level].ID
+	eachFront(t, video, 0, func(t *testing.T, f *front) {
+		parsed := make(chan struct{})
+		f.connMu.Lock()
+		f.src = onFirstLookup{bodySource: f.src, once: new(sync.Once), fn: func() {
+			close(parsed)
+			for {
+				f.lifeMu.Lock()
+				closed := f.lnClosed
+				f.lifeMu.Unlock()
+				if closed {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			f.connMu.Lock() // Close closes the connections under connMu
+			f.connMu.Unlock()
+		}}
+		f.connMu.Unlock()
+		served := f.ServedBytes()
+		conn, _ := dialServer(t, f)
+		var reqs []byte
+		for i := int64(0); i < runLen; i++ {
+			reqs = AppendRangeRequest(reqs, id, index, i*n, i*n+n-1)
+		}
+		if _, err := conn.Write(reqs); err != nil {
+			t.Fatal(err)
+		}
+		<-parsed
+		f.Close()
+		if got := f.ServedBytes() - served; got != 0 {
+			t.Errorf("ServedBytes moved %d on a connection closed before any write", got)
+		}
+	})
 }

@@ -2,7 +2,8 @@ package netmp
 
 // Regression tests for fixed defects: the secondary controller's one-
 // segment-per-tick throughput cap, silent Range mis-parses,
-// case-sensitive header matching, and a manifest fetch with no deadline.
+// case-sensitive header matching, a manifest fetch with no deadline, and
+// a 206 of the wrong length passing as verified.
 
 import (
 	"bufio"
@@ -12,9 +13,11 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"mpdash/internal/cache"
 	"mpdash/internal/dash"
 )
 
@@ -150,5 +153,111 @@ func TestFetchManifestTimesOutOnSilentServer(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("FetchManifest still blocked after 5 s on a silent server")
+	}
+}
+
+// wrongLengthOrigin answers every range request on a loopback port with a
+// 206 whose body is the requested range's correct bytes, but length(n)
+// of them for an n-byte range. It stops when the test ends.
+func wrongLengthOrigin(t *testing.T, video *dash.Video, length func(n int64) int64) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	var conns sync.Map
+	t.Cleanup(func() {
+		conns.Range(func(c, _ any) bool { c.(net.Conn).Close(); return true })
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Store(c, nil)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				r := bufio.NewReader(c)
+				for {
+					index, level, from, to, _, _, ok := readChunkRequest(r, video)
+					if !ok {
+						return
+					}
+					size := video.ChunkSize(index, level)
+					m := length(to - from + 1)
+					resp := appendRangeHead(nil, m, from, from+m-1, size, "")
+					body := make([]byte, m)
+					fillChunkBody(body, index, level, from)
+					if _, err := c.Write(append(resp, body...)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestWrongLength206IsNotVerified pins the fix for a client that read
+// Content-Length bytes and never compared them with the range it asked
+// for: an origin answering every range with its first half passed as a
+// verified chunk of half the size, and an edge over it stored a full
+// body it had never received. A 206 of the wrong length, short or long,
+// is read out and charged as corrupt; the chunk fails, and the edge
+// answers 503.
+func TestWrongLength206IsNotVerified(t *testing.T) {
+	video := dash.BigBuckBunny()
+	pol := fastRetry()
+	pol.SegmentBudget, pol.RequeueBudget, pol.MaxRedials = 2, 1, 1
+	for _, tc := range []struct {
+		name   string
+		length func(n int64) int64
+	}{
+		{"half", func(n int64) int64 { return n / 2 }},
+		{"one byte long", func(n int64) int64 { return n + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := wrongLengthOrigin(t, video, tc.length)
+			f, err := NewFetcher(video, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			f.Retry = pol
+			res, err := f.FetchChunk(0, 0, 3*time.Second)
+			if err == nil {
+				t.Fatalf("FetchChunk succeeded: verified=%v with %d+%d bytes of %d", res.Verified, res.PrimaryBytes, res.SecondaryBytes, res.Size)
+			}
+			if got := res.PrimaryBytes + res.SecondaryBytes; got != 0 {
+				t.Errorf("%d bytes of wrong-length 206s counted as verified", got)
+			}
+
+			e, err := NewEdgeServer(video, video.Name, []string{addr}, cache.New(cache.Config{}),
+				EdgePolicy{Retry: pol, FillWindow: 3 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			conn, r := dialServer(t, e.front)
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			conn.Write(AppendRangeRequest(nil, video.Levels[0].ID, 0, 0, 9))
+			client := &pathConn{name: "client", conn: conn, r: r}
+			if _, _, err := client.readHead("206"); !errors.Is(err, errServerBusy) {
+				t.Errorf("edge over a wrong-length origin: err %v, want a 503", err)
+			}
+			if got := e.FillErrors(); got < 1 {
+				t.Errorf("FillErrors = %d, want the failed fill counted", got)
+			}
+		})
 	}
 }

@@ -7,6 +7,10 @@ package netmp
 import (
 	"errors"
 	"net"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,6 +129,76 @@ func TestPrimaryPipelinesRuns(t *testing.T) {
 			}
 			if !tc.runs && reads != reqs {
 				t.Errorf("%d request writes for %d requests, want one each", reads, reqs)
+			}
+		})
+	}
+}
+
+// writeSyscalls returns the process's write syscalls so far (syscw in
+// /proc/self/io: write and writev, every goroutine's), skipping the test
+// where the file is missing.
+func writeSyscalls(t *testing.T) int64 {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no write-syscall counter: %v", err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+				return n
+			}
+		}
+	}
+	t.Skip("no syscw line in /proc/self/io")
+	return 0
+}
+
+// TestPipelinedRunWriteSyscalls counts the measured chunk's write
+// syscalls, client and server together, on a lone origin. It runs on one
+// P: then no thread sleeps in the netpoller while another arms a timer,
+// the runtime's wake-up writes drop out and the count repeats exactly.
+// Unshaped, the 206s of a run leave in writevs of up to 64 KiB (70 writes
+// when every 206 block was a write of its own). At 4 Mbps runs are 1 and
+// every block past the burst waits on the shaper and leaves on its own,
+// so the count stays where it was: 96 then, bounded here at 10 % over.
+func TestPipelinedRunWriteSyscalls(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	v := dash.BigBuckBunny()
+	seg, _ := runSegSize(v)
+	for _, tc := range []struct {
+		name string
+		mbps float64
+		most int64
+	}{
+		{"unshaped", 0, 24},
+		{"4 Mbps", 4, 105},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewChunkServer(v, tc.mbps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			f, err := NewFetcher(v, s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			f.SegmentSize = seg
+			if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			w0 := writeSyscalls(t)
+			res, err := f.FetchChunk(1, 1, 10*time.Second)
+			w := writeSyscalls(t) - w0
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkComplete(t, res)
+			t.Logf("%d-segment chunk: %d write syscalls", runSegs, w)
+			if w > tc.most {
+				t.Errorf("%d write syscalls, want at most %d", w, tc.most)
 			}
 		})
 	}

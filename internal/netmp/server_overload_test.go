@@ -3,8 +3,8 @@ package netmp
 // Overload-protection tests, for both owners of the front (eachFront):
 // max-connection admission control (excess accepts get 503 without
 // disturbing admitted traffic), per-connection request caps, graceful
-// drain that finishes in-flight bodies, and the client-side handling of
-// 503 rejections.
+// drain that finishes in-flight bodies and queued responses, and the
+// client-side handling of 503 rejections.
 
 import (
 	"bufio"
@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -253,5 +254,88 @@ func TestFetcherRidesOut503Rejections(t *testing.T) {
 	}
 	if st := f.PathStats()[0]; st.State == PathDown {
 		t.Error("primary declared down over transient 503s")
+	}
+}
+
+// onFirstLookup runs fn at the source's first lookup.
+type onFirstLookup struct {
+	bodySource
+	once *sync.Once
+	fn   func()
+}
+
+func (s onFirstLookup) chunk(index, level int) (chunkBody, error) {
+	s.once.Do(s.fn)
+	return s.bodySource.chunk(index, level)
+}
+
+// TestDrainFlushesQueuedRun drains a front while it answers a pipelined
+// run of half-block ranges, so responses sit in its write queue between
+// requests: a connection holding queued responses is busy, not idle, and
+// the handler writes them out before it closes. Drain begins once the
+// first request is parsed; in alternate trials that request's lookup
+// waits for it, so the drained handler exits with exactly one response
+// queued. The client reads whole, byte-exact responses up to the close,
+// at least the one in flight when Drain began, and ServedBytes moves by
+// exactly the body bytes it read.
+func TestDrainFlushesQueuedRun(t *testing.T) {
+	video := payloadVideo()
+	const index, level, runLen, n = 0, 2, 12, segBufBlock / 2
+	id := video.Levels[level].ID
+	for trial := 0; trial < 6; trial++ {
+		hold := trial%2 == 0
+		eachFront(t, video, 0, func(t *testing.T, f *front) {
+			parsed := make(chan struct{})
+			f.connMu.Lock()
+			f.src = onFirstLookup{bodySource: f.src, once: new(sync.Once), fn: func() {
+				close(parsed)
+				for hold && !f.Draining() {
+					time.Sleep(time.Millisecond)
+				}
+			}}
+			f.connMu.Unlock()
+			served := f.ServedBytes()
+			conn, r := dialServer(t, f)
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			var reqs []byte
+			for i := int64(0); i < runLen; i++ {
+				reqs = AppendRangeRequest(reqs, id, index, i*n, i*n+n-1)
+			}
+			if _, err := conn.Write(reqs); err != nil {
+				t.Fatal(err)
+			}
+			<-parsed
+			drained := make(chan error, 1)
+			go func() { drained <- f.Drain() }()
+
+			var read, whole int64
+			for ; whole < runLen; whole++ {
+				status, body, err := readResponse(r)
+				if err != nil {
+					if status != "" || body != nil {
+						t.Fatalf("response %d cut: status %q, %d body bytes, %v", whole, status, len(body), err)
+					}
+					break
+				}
+				if !strings.Contains(status, "206") || len(body) != n {
+					t.Fatalf("response %d: %q with %d body bytes", whole, status, len(body))
+				}
+				for j, b := range body {
+					if w := ChunkBody(index, level, whole*n+int64(j)); b != w {
+						t.Fatalf("response %d: body byte %d = %#x, want %#x", whole, j, b, w)
+					}
+				}
+				read += n
+			}
+			if err := <-drained; err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			if whole == 0 || hold && whole != 1 {
+				t.Errorf("%d of %d responses arrived (held: %v); want the one in flight when Drain began, and only it when held", whole, runLen, hold)
+			}
+			if got := f.ServedBytes() - served; got != read {
+				t.Errorf("ServedBytes moved %d, the client read %d", got, read)
+			}
+		})
 	}
 }

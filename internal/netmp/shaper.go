@@ -46,27 +46,9 @@ func newTokenBucketClocked(rate, burst float64, clk Clock) *TokenBucket {
 // any request size.
 func (tb *TokenBucket) Take(ctx context.Context, n int) error {
 	for {
-		tb.mu.Lock()
-		if tb.rate <= 0 {
-			tb.mu.Unlock()
+		wait := tb.take(n)
+		if wait == 0 {
 			return nil
-		}
-		now := tb.clk.now()
-		tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
-		tb.last = now
-		if tb.tokens > 0 {
-			tb.tokens -= float64(n)
-			tb.mu.Unlock()
-			return nil
-		}
-		need := -tb.tokens / tb.rate
-		tb.mu.Unlock()
-		wait := time.Duration(need * float64(time.Second))
-		if wait < time.Millisecond {
-			wait = time.Millisecond
 		}
 		select {
 		case <-ctx.Done():
@@ -74,6 +56,25 @@ func (tb *TokenBucket) Take(ctx context.Context, n int) error {
 		case <-time.After(wait):
 		}
 	}
+}
+
+// take is Take without the wait: it takes n bytes of budget and returns
+// 0 when Take would return at once, or else how long to wait before
+// asking again (at least a millisecond), taking nothing.
+func (tb *TokenBucket) take(n int) time.Duration {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	if tb.rate <= 0 {
+		return 0
+	}
+	now := tb.clk.now()
+	tb.tokens = min(tb.tokens+now.Sub(tb.last).Seconds()*tb.rate, tb.burst)
+	tb.last = now
+	if tb.tokens > 0 {
+		tb.tokens -= float64(n)
+		return 0
+	}
+	return max(time.Duration(-tb.tokens/tb.rate*float64(time.Second)), time.Millisecond)
 }
 
 // SetRate changes the bucket's rate in place (bytes/second; non-positive
