@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -292,5 +293,131 @@ func TestFetchConcurrentDistinctKeysRace(t *testing.T) {
 	}
 	if st.Bytes > 64<<10 {
 		t.Errorf("resident bytes %d exceed capacity", st.Bytes)
+	}
+}
+
+// memPerRun is testing.AllocsPerRun with a byte count: op once, then runs
+// times on one P; mallocs and bytes per run, truncated.
+func memPerRun(runs int, op func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	op()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestHotPathAllocs holds the store's allocation budgets, per logical
+// operation: a hit allocates nothing; an evicting Put and an uncontended
+// singleflight miss may grow by at most 15 % over the counts recorded
+// here.
+func TestHotPathAllocs(t *testing.T) {
+	const batch = 128
+
+	// Get: shard resolve, map lookup, LRU promote over a resident set.
+	get := New(Config{CapacityBytes: 2 << 20, Shards: 8})
+	keys := make([]Key, 256)
+	for i := range keys {
+		keys[i] = Key{Video: "bench", Level: i % 3, Chunk: i}
+		if !get.Put(keys[i], body(4096, byte(i))) {
+			t.Fatalf("key %d not admitted", i)
+		}
+	}
+	gi := 0
+	getOp := func() {
+		for k := 0; k < batch; k++ {
+			if _, ok := get.Get(keys[gi%len(keys)]); !ok {
+				t.Fatal("miss on a resident key")
+			}
+			gi++
+		}
+	}
+
+	// Put under steady LRU eviction: the key set is twice the capacity,
+	// and one pass over it before the count fills the store, so every
+	// counted put pays one eviction.
+	put := New(Config{CapacityBytes: 1 << 20, Shards: 8})
+	bodies := make([][]byte, 512)
+	for i := range bodies {
+		bodies[i] = body(4096, byte(i))
+	}
+	pi := 0
+	putOp := func() {
+		for k := 0; k < batch; k++ {
+			put.Put(Key{Video: "bench", Chunk: pi % len(bodies)}, bodies[pi%len(bodies)])
+			pi++
+		}
+	}
+	for pi < len(bodies) {
+		putOp()
+	}
+
+	// The uncontended leader path end to end: flight registration, an
+	// instant fill, admission, eviction, flight close. Every call uses a
+	// fresh key so it is always a miss. The 16,384 calls before the count
+	// fill the store and let the shards' maps grow to the size that churn
+	// keeps them at; counted from empty, the first thousand calls read 4
+	// allocations (no eviction yet) and about 40 B of map growth more per
+	// call.
+	sf := New(Config{CapacityBytes: 1 << 20, Shards: 8})
+	sfBody := body(4096, 0)
+	si := 0
+	sfOp := func() {
+		if _, _, err := sf.Fetch(Key{Video: "bench", Chunk: si}, func() ([]byte, error) {
+			return sfBody, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		si++
+	}
+	for si < 1<<14 {
+		sfOp()
+	}
+
+	for _, c := range []struct {
+		name                  string
+		op                    func()
+		perRun                int
+		baseAllocs, baseBytes float64
+	}{
+		{"Get", getOp, batch, 0, 0},
+		{"Put", putOp, batch, 3, 144},
+		{"Fetch miss", sfOp, 1, 5, 304},
+	} {
+		a, b := memPerRun(1000, c.op)
+		allocs, bytes := float64(a)/float64(c.perRun), float64(b)/float64(c.perRun)
+		if allocs > c.baseAllocs*1.15 || bytes > c.baseBytes*1.15 {
+			t.Errorf("%s: %v allocs, %v B per op; want at most %v and %v (base × 1.15)",
+				c.name, allocs, bytes, c.baseAllocs*1.15, c.baseBytes*1.15)
+		}
+	}
+}
+
+// TestChurnCountsPinned: 150 keys × 16 KiB through a 1 MiB single-shard
+// store (64 resident) — a cold sweep whose evictions are deterministic,
+// then a re-read of the resident LRU tail whose hits are too.
+func TestChurnCountsPinned(t *testing.T) {
+	const wantHits, wantMisses, wantEvictions = 50, 150, 86
+	c := New(Config{CapacityBytes: 1 << 20, Shards: 1})
+	b := body(16<<10, 1)
+	fetch := func(chunk int) {
+		if _, _, err := c.Fetch(Key{Video: "churn", Chunk: chunk}, func() ([]byte, error) {
+			return b, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 150; i++ {
+		fetch(i)
+	}
+	for i := 100; i < 150; i++ {
+		fetch(i)
+	}
+	if st := c.Stats(); st.Hits != wantHits || st.Misses != wantMisses || st.Evictions != wantEvictions {
+		t.Errorf("churn: %d hits, %d misses, %d evictions; want %d, %d, %d",
+			st.Hits, st.Misses, st.Evictions, wantHits, wantMisses, wantEvictions)
 	}
 }

@@ -153,3 +153,34 @@ func TestKernelAndTickAllocFree(t *testing.T) {
 		t.Fatal("scheduler deactivated mid-test; Tick measured the no-op path")
 	}
 }
+
+// TestTickTogglesPinned: 500 Ticks over three paths (WiFi 30, ethernet 20
+// and LTE 25 Mbps; α 0.9) governing 40 MB in 20 s. The simulator clock
+// never moves, so every Tick takes the full Algorithm 1 path (sort +
+// prefix-cover walk) and the deadline never passes.
+func TestTickTogglesPinned(t *testing.T) {
+	const wantToggles, wantMisses = 2, 0
+	s := sim.New()
+	c, err := mptcp.NewConn(s, mptcp.Config{Paths: []mptcp.PathSpec{
+		{Name: "wifi", Rate: trace.Constant("wifi", 30, 100*time.Millisecond, 1), RTT: 50 * time.Millisecond, Cost: 1, Primary: true},
+		{Name: "eth", Rate: trace.Constant("eth", 20, 100*time.Millisecond, 1), RTT: 40 * time.Millisecond, Cost: 3},
+		{Name: "lte", Rate: trace.Constant("lte", 25, 100*time.Millisecond, 1), RTT: 60 * time.Millisecond, Cost: 5},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := NewScheduler(s, c, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.Enable(40_000_000, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		sch.Tick()
+	}
+	if sch.Toggles() != wantToggles || sch.DeadlineMisses() != wantMisses {
+		t.Errorf("500 ticks: %d toggles, %d deadline misses; want %d and %d",
+			sch.Toggles(), sch.DeadlineMisses(), wantToggles, wantMisses)
+	}
+}

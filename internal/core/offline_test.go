@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -218,5 +219,54 @@ func TestMinCostSchedulePlanInternallyConsistent(t *testing.T) {
 	}
 	if math.Abs(cost-plan.Cost) > plan.Cost*0.01+1 {
 		t.Errorf("recomputed cost %v != plan.Cost %v", cost, plan.Cost)
+	}
+}
+
+// memPerRun is testing.AllocsPerRun with a byte count: op once, then runs
+// times on one P; mallocs and bytes per run, truncated.
+func memPerRun(runs int, op func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	op()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestMinCostScheduleAllocsPinned: a Table 2-shaped instance (two
+// interfaces across 30 half-second slots, 4 MB at a 4 KiB quantum) has a
+// pinned plan, and its allocations and bytes may grow by at most 15 %
+// over the counts recorded here.
+func TestMinCostScheduleAllocsPinned(t *testing.T) {
+	const (
+		wantCost   = 3993750 // all of it on the cheap interface
+		baseAllocs = 75
+		baseBytes  = 505985
+	)
+	bw := make([][]float64, 2)
+	for i := range bw {
+		bw[i] = make([]float64, 30)
+		for j := range bw[i] {
+			bw[i][j] = 2e6 + float64((i+1)*(j%7))*300e3
+		}
+	}
+	solve := func() *SlotPlan {
+		p, err := MinCostSchedule(bw, []float64{1, 5}, 500*time.Millisecond, 4_000_000, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if p := solve(); !p.Feasible || p.Cost != wantCost || p.Bytes[0] != wantCost {
+		t.Errorf("plan: feasible %v, cost %v, cheap-interface bytes %v; want true, %v, %v",
+			p.Feasible, p.Cost, p.Bytes[0], wantCost, wantCost)
+	}
+	allocs, bytes := memPerRun(100, func() { solve() })
+	if float64(allocs) > baseAllocs*1.15 || float64(bytes) > baseBytes*1.15 {
+		t.Errorf("MinCostSchedule: %d allocs, %d B per run; want at most %v and %v (base × 1.15)",
+			allocs, bytes, baseAllocs*1.15, baseBytes*1.15)
 	}
 }

@@ -214,9 +214,9 @@ func (s *Scheduler) Disable() {
 }
 
 // Tick runs one Algorithm 1 evaluation pass immediately, outside the
-// progress- and timer-driven loops — the hook the perf harness
-// (internal/perf) and external policy triggers use to re-evaluate on
-// their own cadence. A no-op while no transfer is governed.
+// progress- and timer-driven loops, for a caller that re-evaluates on
+// its own cadence (the package's tests drive it this way). A no-op while
+// no transfer is governed.
 func (s *Scheduler) Tick() {
 	if !s.active {
 		return

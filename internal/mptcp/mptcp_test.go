@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mpdash/internal/sim"
+	"mpdash/internal/tcp"
 	"mpdash/internal/trace"
 )
 
@@ -405,5 +406,91 @@ func TestTransferAllocationsIndependentOfSize(t *testing.T) {
 		if n := testing.AllocsPerRun(3, func() { run(size) }); n > 4 {
 			t.Errorf("%d-byte transfer: %v allocs, want at most 4", size, n)
 		}
+	}
+}
+
+// packetPathConn is the simulator stack's layer rig: two paths on
+// constant traces (8 Mbps WiFi, 6 Mbps LTE), every segment crossing sim →
+// link → tcp → mptcp and back as an ACK.
+func packetPathConn(t *testing.T) (*sim.Simulator, *Conn) {
+	t.Helper()
+	s := sim.New()
+	c, err := NewConn(s, Config{Paths: []PathSpec{
+		{Name: "wifi", Rate: trace.Constant("wifi", 8, 100*time.Millisecond, 1), RTT: 50 * time.Millisecond, Cost: 1, Primary: true},
+		{Name: "lte", Rate: trace.Constant("lte", 6, 100*time.Millisecond, 1), RTT: 60 * time.Millisecond, Cost: 5},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, c
+}
+
+// TestPacketPathPinned steps one 16 MiB transfer to completion: what
+// arrived, when, in how many events and with how many window cuts are
+// exact. The event heap's peak depth is the layer's cost driver — it
+// follows the number of links (one entry per in-flight list), not of
+// packets in flight — and may only fall.
+func TestPacketPathPinned(t *testing.T) {
+	const (
+		wantFinish            = 9735245374 * time.Nanosecond
+		wantLosses, wantSteps = 4, 23304
+		maxPending            = 7
+	)
+	s, c := packetPathConn(t)
+	tr, err := c.StartTransfer(16 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, peak := 0, 0
+	for !tr.Done() {
+		peak = max(peak, s.Pending())
+		if s.Now() > time.Minute || !s.Step() {
+			t.Fatalf("transfer stalled at %d of %d bytes", tr.Delivered(), tr.Size())
+		}
+		steps++
+	}
+	var delivered, losses int64
+	for _, p := range c.Paths() {
+		delivered += p.DeliveredBytes()
+		losses += p.LossEvents()
+	}
+	if delivered != 16<<20 || tr.CompletedAt() != wantFinish || losses != wantLosses || steps != wantSteps {
+		t.Errorf("delivered %d B at %v after %d loss events in %d steps; want %d B at %v, %d, %d",
+			delivered, tr.CompletedAt(), losses, steps, 16<<20, wantFinish, wantLosses, wantSteps)
+	}
+	if peak > maxPending {
+		t.Errorf("event heap peaked at %d pending events, want at most %d", peak, maxPending)
+	}
+}
+
+// TestPacketPathAllocFree counts delivered segments of a saturated
+// transfer that never ends. The five virtual seconds before the count
+// take both subflows through slow start's overshoot and first loss
+// episode, so their free lists and the event queue have reached their
+// size: from there a segment allocates nothing. The transfer starts ten
+// virtual hours in because the per-path delivery meters keep one bucket
+// per 100 ms since time zero: their first Add then sizes them for the
+// next two and a half hours, where growing from empty would leave an
+// amortized-append sawtooth (≈ 0.6 B per segment ± 12 %) that no
+// tolerance holds.
+func TestPacketPathAllocFree(t *testing.T) {
+	s, c := packetPathConn(t)
+	s.AdvanceTo(10 * time.Hour)
+	tr, err := c.StartTransfer(1 << 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Advance(5 * time.Second)
+	// One run is 1,000 batches of 256 segments: no allocation at all, so
+	// no byte either.
+	batch := int64(256 * tcp.DefaultMSS)
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			for target := tr.Delivered() + batch; tr.Delivered() < target; {
+				s.Step()
+			}
+		}
+	}); n != 0 {
+		t.Errorf("256,000 delivered segments allocated %v times, want 0", n)
 	}
 }

@@ -19,8 +19,3 @@ func (c Clock) now() time.Time {
 	}
 	return c()
 }
-
-// Now is the exported form of the nil-safe resolution, for packages
-// (internal/perf, cmd/mpdash-benchgate) that must route every wall-time
-// read through an injectable clock rather than time.Now.
-func (c Clock) Now() time.Time { return c.now() }

@@ -370,7 +370,8 @@ func mallocsPerChunk(t *testing.T, f *Fetcher, segSize int64, chunks int) float6
 
 // TestRangeRequestAllocatesNothing is the zero-alloc contract of the wire
 // path, measured where it matters: a FetchChunk costs the same number of
-// allocations whether it is one range request or nineteen, against an
+// allocations whether it is one range request, about nineteen of a
+// 16 KiB block each or about seventy-seven of a quarter block, against an
 // origin and against an edge serving hits — so a range request, client
 // and server side together, costs none. FetchChunk itself costs at most
 // two, on one path or with a secondary standing by: its result, and no
@@ -411,19 +412,94 @@ func TestRangeRequestAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		many := mallocsPerChunk(t, f, 16*1024, 50)
-		one := mallocsPerChunk(t, f, 1<<30, 50)
+		for _, seg := range []int64{16 * 1024, 4 * 1024} {
+			many := mallocsPerChunk(t, f, seg, 50)
+			one := mallocsPerChunk(t, f, 1<<30, 50)
+			t.Logf("%s: %.2f mallocs per chunk at %d B segments, %.2f at one segment", target.name, many, seg, one)
+			if d := many - one; d > 1 || d < -1 {
+				t.Errorf("%s: %.2f mallocs per chunk at %d B segments, %.2f at one: range requests allocate", target.name, many, seg, one)
+			}
+			if many > 2 || one > 2 {
+				t.Errorf("%s: %.2f and %.2f mallocs per FetchChunk, want at most 2", target.name, many, one)
+			}
+		}
 		f.Close()
-		t.Logf("%s: %.2f mallocs per chunk at 16 KiB segments, %.2f at one segment", target.name, many, one)
-		if d := many - one; d > 1 || d < -1 {
-			t.Errorf("%s: %.2f mallocs per chunk at 16 KiB segments, %.2f at one: range requests allocate", target.name, many, one)
-		}
-		if many > 2 || one > 2 {
-			t.Errorf("%s: %.2f and %.2f mallocs per FetchChunk, want at most 2", target.name, many, one)
-		}
 	}
 	if got := origin.ServedBytes(); edge.OriginBytes() != 0 || got == 0 {
 		t.Errorf("edge pulled %d origin bytes (want 0: prefilled), origin served %d", edge.OriginBytes(), got)
+	}
+}
+
+// TestSessionFetchPinned: a two-path session over two unshaped origins
+// fetches 24 quarter-second chunks at the top level with a 2 s deadline.
+// Every byte arrives and verifies, and at most a quarter of the chunks
+// miss. (What a FetchChunk allocates, warm, TestRangeRequestAllocatesNothing
+// holds.)
+func TestSessionFetchPinned(t *testing.T) {
+	const (
+		chunks    = 24
+		wantBytes = 1848956
+		// Sums over the asset's first 16 chunks, as a wire-path sweep of
+		// an origin and a prefilled edge made them: each tier fetched the
+		// 16 four times in 4 KiB range requests, and read the 16 nine
+		// times (a warm-up, four split passes, four one-request passes).
+		wantSplitRanges, wantSweepBytes = 2480, 22165020
+	)
+	v := &dash.Video{
+		Name:          "pinned",
+		ChunkDuration: 250 * time.Millisecond,
+		NumChunks:     chunks,
+		SizeSeed:      0x5eed,
+		Levels:        []dash.Level{{ID: 1, AvgBitrateMbps: 1.0}, {ID: 2, AvgBitrateMbps: 2.5}},
+	}
+	level := v.HighestLevel()
+	var ranges, first16 int64
+	for c := 0; c < 16; c++ {
+		ranges += (v.ChunkSize(c, level) + 4095) / 4096
+		first16 += v.ChunkSize(c, level)
+	}
+	if 2*4*ranges != wantSplitRanges || 2*9*first16 != wantSweepBytes {
+		t.Errorf("first 16 chunks: %d range requests, %d bytes; want %d and %d",
+			2*4*ranges, 2*9*first16, wantSplitRanges, wantSweepBytes)
+	}
+
+	wifi, err := NewChunkServer(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wifi.Close()
+	lte, err := NewChunkServer(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lte.Close()
+	f, err := NewFetcher(v, wifi.Addr(), lte.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	var got, want int64
+	misses, unverified := 0, 0
+	for i := 0; i < chunks; i++ {
+		want += v.ChunkSize(i, level)
+		res, err := f.FetchChunk(i, level, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += res.PrimaryBytes + res.SecondaryBytes
+		if res.MissedBy > 0 {
+			misses++
+		}
+		if !res.Verified {
+			unverified++
+		}
+	}
+	if got != wantBytes || want != wantBytes || unverified != 0 {
+		t.Errorf("fetched %d B of %d (pinned %d), %d chunks unverified", got, want, wantBytes, unverified)
+	}
+	if rate := float64(misses) / chunks; rate > 0.25 {
+		t.Errorf("deadline-miss rate %v, want at most 0.25", rate)
 	}
 }
 

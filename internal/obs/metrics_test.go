@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -294,5 +295,70 @@ func TestRegistryConcurrentHandleLookup(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("conc_total", "c", Labels{"path": "wifi"}).Value(); got != 16000 {
 		t.Fatalf("counter %d, want 16000 (split series?)", got)
+	}
+}
+
+// memPerRun is testing.AllocsPerRun with a byte count: op once, then runs
+// times on one P; mallocs and bytes per run, truncated.
+func memPerRun(runs int, op func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	op()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestMetricHotPathAllocs: re-resolving a labeled counter (label-map
+// literal, canonical render, registry lookup, add) may grow by at most
+// 15 % over the one allocation and 16 B recorded here; a histogram
+// observation allocates nothing.
+func TestMetricHotPathAllocs(t *testing.T) {
+	const baseAllocs, baseBytes = 1, 16
+	r := NewRegistry()
+	// Registered first, so the count is the steady-state lookup.
+	r.Counter("mpdash_path_bytes_total", "bench", Labels{"path": "wifi"})
+	r.Counter("mpdash_path_bytes_total", "bench", Labels{"path": "lte"})
+	allocs, bytes := memPerRun(1000, func() {
+		r.Counter("mpdash_path_bytes_total", "bench", Labels{"path": "wifi"}).Add(1)
+	})
+	if float64(allocs) > baseAllocs*1.15 || float64(bytes) > baseBytes*1.15 {
+		t.Errorf("labeled counter lookup: %d allocs, %d B per op; want at most %v and %v (base × 1.15)",
+			allocs, bytes, baseAllocs*1.15, baseBytes*1.15)
+	}
+
+	h := r.Histogram("mpdash_chunk_duration_seconds", "bench", DefSecondsBuckets, nil)
+	i := 0
+	allocs, bytes = memPerRun(1000, func() {
+		for k := 0; k < 128; k++ {
+			h.Observe(float64(i%40) * 0.02)
+			i++
+		}
+	})
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("128 histogram observations: %d allocs, %d B; want 0", allocs, bytes)
+	}
+}
+
+// TestExpositionPinned: fixed samples in, quantile estimates pinned to
+// the last bit and a byte-exact Prometheus rendering out.
+func TestExpositionPinned(t *testing.T) {
+	const wantP50, wantP99, wantBytes = 0.3846153846153846, 0.9857142857142858, 787
+	r := NewRegistry()
+	c := r.Counter("bench_ops_total", "Ops.", Labels{"kind": "domain"})
+	h := r.Histogram("bench_seconds", "Durations.", DefSecondsBuckets, nil)
+	for i := 0; i < 1000; i++ {
+		c.Inc()
+		h.Observe(float64(i%40) * 0.02)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if p50, p99 := h.Quantile(0.50), h.Quantile(0.99); p50 != wantP50 || p99 != wantP99 || b.Len() != wantBytes {
+		t.Errorf("p50 %v, p99 %v, %d exposition bytes; want %v, %v, %d", p50, p99, b.Len(), wantP50, wantP99, wantBytes)
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"mpdash/internal/stats"
 )
 
 // fakeClock hands out strictly increasing instants so span boundaries
@@ -95,46 +98,61 @@ func TestTracerSpanOrderDeterministic(t *testing.T) {
 	}
 }
 
+// TestTailSamplingKeepsEveryBadTrace: every bad trace is kept whatever
+// the head sample says. At seed 42 the head sample itself is pinned: it
+// is reproducible from the seed alone.
 func TestTailSamplingKeepsEveryBadTrace(t *testing.T) {
-	const n, missEvery = 1000, 20
-	tr := NewTracer(TraceConfig{HeadSampleRate: 0.1, Seed: 7, Now: fakeClock()})
-	for i := 0; i < n; i++ {
-		tc := tr.StartTrace(0, i, 1)
-		if i%missEvery == 0 {
-			tc.SetOverrun(time.Millisecond)
-			tc.Finish(TraceMissed)
-		} else {
-			tc.Finish(TraceOK)
-		}
-	}
-	st := tr.Stats()
-	wantBad := int64(n / missEvery)
-	if st.KeptBad != wantBad {
-		t.Errorf("kept %d bad traces, want every one of the %d", st.KeptBad, wantBad)
-	}
-	if st.Started != n || st.Finished != n {
-		t.Errorf("started/finished = %d/%d, want %d/%d", st.Started, st.Finished, n, n)
-	}
-	if st.Kept != st.KeptBad+st.KeptSampled || st.Dropped != n-st.Kept {
-		t.Errorf("counter identity broken: %+v", st)
-	}
-	// The head sample keeps roughly 10% of the healthy traces.
-	healthy := int64(n - n/missEvery)
-	if st.KeptSampled == 0 || st.KeptSampled > healthy/2 {
-		t.Errorf("head-sampled %d of %d healthy traces at rate 0.1", st.KeptSampled, healthy)
-	}
-	// Every missed chunk's trace must be retrievable.
-	missed := 0
-	for _, rec := range tr.Records() {
-		if rec.Verdict == TraceMissed {
-			missed++
-			if rec.OverrunUS <= 0 {
-				t.Errorf("missed trace chunk %d lacks overrun", rec.Chunk)
+	const n = 1000
+	for _, c := range []struct {
+		seed        int64
+		missEvery   int
+		wantSampled int64 // 0: not pinned
+	}{
+		{seed: 7, missEvery: 20},
+		{seed: 42, missEvery: 10, wantSampled: 91},
+	} {
+		tr := NewTracer(TraceConfig{HeadSampleRate: 0.1, Seed: c.seed, Now: fakeClock()})
+		for i := 0; i < n; i++ {
+			tc := tr.StartTrace(0, i, 1)
+			if i%c.missEvery == 0 {
+				tc.SetOverrun(time.Millisecond)
+				tc.Finish(TraceMissed)
+			} else {
+				tc.Finish(TraceOK)
 			}
 		}
-	}
-	if int64(missed) != wantBad {
-		t.Errorf("%d missed traces in the export, want %d", missed, wantBad)
+		st := tr.Stats()
+		wantBad := int64(n / c.missEvery)
+		if st.KeptBad != wantBad {
+			t.Errorf("seed %d: kept %d bad traces, want every one of the %d", c.seed, st.KeptBad, wantBad)
+		}
+		if st.Started != n || st.Finished != n {
+			t.Errorf("seed %d: started/finished = %d/%d, want %d/%d", c.seed, st.Started, st.Finished, n, n)
+		}
+		if st.Kept != st.KeptBad+st.KeptSampled || st.Dropped != n-st.Kept {
+			t.Errorf("seed %d: counter identity broken: %+v", c.seed, st)
+		}
+		// The head sample keeps roughly 10% of the healthy traces.
+		healthy := n - wantBad
+		if st.KeptSampled == 0 || st.KeptSampled > healthy/2 {
+			t.Errorf("seed %d: head-sampled %d of %d healthy traces at rate 0.1", c.seed, st.KeptSampled, healthy)
+		}
+		if c.wantSampled != 0 && st.KeptSampled != c.wantSampled {
+			t.Errorf("seed %d: head-sampled %d healthy traces, want %d", c.seed, st.KeptSampled, c.wantSampled)
+		}
+		// Every missed chunk's trace must be retrievable.
+		missed := 0
+		for _, rec := range tr.Records() {
+			if rec.Verdict == TraceMissed {
+				missed++
+				if rec.OverrunUS <= 0 {
+					t.Errorf("seed %d: missed trace chunk %d lacks overrun", c.seed, rec.Chunk)
+				}
+			}
+		}
+		if int64(missed) != wantBad {
+			t.Errorf("seed %d: %d missed traces in the export, want %d", c.seed, missed, wantBad)
+		}
 	}
 }
 
@@ -193,6 +211,90 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocated %.1f per op, want 0", allocs)
+	}
+}
+
+// traceChunkOp performs one synthetic chunk fetch — segment-sized FNV
+// sweeps standing in for payload verification — traced through tr when
+// non-nil. The compute dwarfs the tracing calls the way a real network
+// fetch does, so the enabled-vs-disabled delta is a representative
+// per-chunk overhead fraction.
+func traceChunkOp(tr *Tracer, buf []byte, chunk int) uint64 {
+	const segs = 4
+	t := tr.StartTrace(0, chunk, 1)
+	t.SetDeadline(time.Second)
+	fsp := t.StartSpan(CatFetch, "fetch")
+	fsp.SetNum("size", float64(len(buf)))
+	sum := stats.FNVOffset
+	segLen := len(buf) / segs
+	for s := 0; s < segs; s++ {
+		ssp := t.StartSpan(CatSegment, "segment")
+		ssp.SetPath("wifi")
+		ssp.SetNum("seg", float64(s))
+		for _, c := range buf[s*segLen : (s+1)*segLen] {
+			sum = stats.FNVMix(sum, uint64(c))
+		}
+		ssp.End()
+	}
+	fsp.End()
+	t.Finish(TraceOK)
+	return sum
+}
+
+func traceChunkBuf() []byte {
+	buf := make([]byte, 64<<10)
+	for i := range buf {
+		buf[i] = byte(i * 31)
+	}
+	return buf
+}
+
+// TestTraceChunkAllocs counts the traced chunk op with tracing enabled at
+// head rate 0: healthy traces are dropped at Finish, so the kept set stays
+// empty however many times it runs. Allocations and bytes may grow by at
+// most 15 % over the counts recorded here.
+func TestTraceChunkAllocs(t *testing.T) {
+	const baseAllocs, baseBytes = 20, 2232
+	tr := NewTracer(TraceConfig{HeadSampleRate: 0, Seed: 1})
+	buf := traceChunkBuf()
+	i := 0
+	var sink uint64
+	allocs, bytes := memPerRun(1000, func() {
+		sink += traceChunkOp(tr, buf, i)
+		i++
+	})
+	if float64(allocs) > baseAllocs*1.15 || float64(bytes) > baseBytes*1.15 {
+		t.Errorf("traced chunk: %d allocs, %d B per op; want at most %v and %v (base × 1.15)",
+			allocs, bytes, baseAllocs*1.15, baseBytes*1.15)
+	}
+}
+
+// TestTracingOverheadBound: the traced chunk op runs within 15 % of the
+// untraced one, as the median of three trials of 2,000 ops each way.
+func TestTracingOverheadBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments the two loops unequally; the bound is held without -race")
+	}
+	const ops = 2000
+	buf := traceChunkBuf()
+	var sink uint64
+	loop := func(tr *Tracer) time.Duration {
+		start := time.Now()
+		for i := 0; i < ops; i++ {
+			sink += traceChunkOp(tr, buf, i)
+		}
+		return time.Since(start)
+	}
+	var trials [3]float64
+	for k := range trials {
+		plain := loop(nil)
+		traced := loop(NewTracer(TraceConfig{HeadSampleRate: 0, Seed: 1}))
+		trials[k] = float64(traced-plain) / float64(plain)
+	}
+	sort.Float64s(trials[:])
+	t.Logf("tracing overhead per chunk: %.3f (trials %.3f)", trials[1], trials)
+	if trials[1] > 0.15 {
+		t.Errorf("traced chunk op %.1f %% slower than untraced (median of three), want at most 15 %%", 100*trials[1])
 	}
 }
 

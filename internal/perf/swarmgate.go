@@ -1,10 +1,10 @@
 package perf
 
 // The swarm report gate: absolute success criteria for a BENCH_swarm.json
-// produced by cmd/mpdash-swarm. Unlike the baseline diff, this gate is
-// self-contained — a swarm smoke run must satisfy its own invariants
-// (every session accounted for, zero ledger violations, zero panics,
-// bounded deadline-miss rate) regardless of any prior run.
+// produced by cmd/mpdash-swarm. The gate is self-contained — a swarm
+// smoke run must satisfy its own invariants (every session accounted
+// for, zero ledger violations, zero panics, bounded deadline-miss rate)
+// regardless of any prior run.
 
 import (
 	"fmt"
@@ -157,7 +157,8 @@ func GateSwarm(rep *swarm.Report, t SwarmThresholds) ([]DiffRow, bool) {
 // deadline-miss rate AND the wasted cellular bytes, with zero ledger
 // violations and zero panics — proving the aborts bought on-time video
 // rather than just discarding traffic. A baseline metric already at
-// zero cannot strictly improve; holding it at zero passes.
+// zero cannot strictly improve; holding it at zero passes. A baseline of
+// another scenario or population size fails: it proves nothing.
 func CompareSwarm(base, fresh *swarm.Report) ([]DiffRow, bool) {
 	ok := true
 	bench := "swarm:" + fresh.Scenario
@@ -197,6 +198,12 @@ func CompareSwarm(base, fresh *swarm.Report) ([]DiffRow, bool) {
 	}
 	if fresh.LedgerViolations != 0 || base.LedgerViolations != 0 ||
 		fresh.Panicked != 0 || base.Panicked != 0 {
+		ok = false
+	}
+	if base.Scenario != fresh.Scenario || base.Sessions != fresh.Sessions {
+		rows = append(rows, DiffRow{Bench: bench, Metric: "sessions",
+			Base: float64(base.Sessions), Fresh: float64(fresh.Sessions), Limit: "same run",
+			Verdict: VerdictFail, Note: fmt.Sprintf("baseline is scenario %q, report %q", base.Scenario, fresh.Scenario)})
 		ok = false
 	}
 	if fresh.Chunks == 0 || base.Chunks == 0 {

@@ -3,8 +3,94 @@ package perf
 import (
 	"testing"
 
+	"mpdash/internal/audit"
 	"mpdash/internal/swarm"
 )
+
+func TestGateSwarm(t *testing.T) {
+	good := &swarm.Report{Scenario: "s", Sessions: 64, Completed: 64,
+		Chunks: 800, DeadlineMissRate: 0.02}
+	if rows, ok := GateSwarm(good, SwarmThresholds{}); !ok {
+		t.Fatalf("healthy report failed: %+v", rows)
+	}
+
+	for name, rep := range map[string]*swarm.Report{
+		"miss rate":   {Scenario: "s", Sessions: 64, Completed: 64, Chunks: 800, DeadlineMissRate: 0.2},
+		"ledger":      {Scenario: "s", Sessions: 64, Completed: 64, Chunks: 800, LedgerViolations: 1},
+		"panic":       {Scenario: "s", Sessions: 64, Completed: 63, Panicked: 1, Chunks: 800},
+		"failed":      {Scenario: "s", Sessions: 64, Completed: 63, Failed: 1, Chunks: 800},
+		"unaccounted": {Scenario: "s", Sessions: 64, Completed: 60, Chunks: 800},
+		"no traffic":  {Scenario: "s", Sessions: 64, Completed: 64},
+	} {
+		if _, ok := GateSwarm(rep, SwarmThresholds{}); ok {
+			t.Errorf("%s: gate passed", name)
+		}
+	}
+
+	// Thresholds relax the absolute criteria.
+	lax := &swarm.Report{Scenario: "s", Sessions: 64, Completed: 62, Failed: 1,
+		TimedOut: 1, Chunks: 800, DeadlineMissRate: 0.2}
+	if _, ok := GateSwarm(lax, SwarmThresholds{MaxMissRate: 0.3, MaxFailed: 1, MaxTimedOut: 1}); !ok {
+		t.Fatal("relaxed thresholds still failed")
+	}
+}
+
+func TestGateSwarmMTTR(t *testing.T) {
+	base := func() *swarm.Report {
+		return &swarm.Report{Scenario: "chaos", Sessions: 64, Completed: 64,
+			Chunks: 800, DeadlineMissRate: 0.02,
+			Chaos: []swarm.ChaosEventReport{
+				{Kind: swarm.ChaosOriginCrash, Recovered: true, MTTRS: 1.2},
+				{Kind: swarm.ChaosOriginRestart, Recovered: true, MTTRS: 0.4},
+			},
+			MTTR: &swarm.Quantiles{P50: 0.8, P95: 1.2}}
+	}
+
+	if rows, ok := GateSwarm(base(), SwarmThresholds{MaxMTTRP95: 5}); !ok {
+		t.Fatalf("recovered chaos run failed the MTTR gate: %+v", rows)
+	}
+
+	// p95 over the bound fails.
+	slow := base()
+	slow.MTTR.P95 = 9
+	if _, ok := GateSwarm(slow, SwarmThresholds{MaxMTTRP95: 5}); ok {
+		t.Error("slow recovery passed the MTTR gate")
+	}
+	// An unrecovered event fails even with fast quantiles.
+	unrec := base()
+	unrec.Chaos[1].Recovered = false
+	if _, ok := GateSwarm(unrec, SwarmThresholds{MaxMTTRP95: 5}); ok {
+		t.Error("unrecovered event passed the MTTR gate")
+	}
+	// No chaos timeline at all fails: the gate demands the events ran.
+	empty := base()
+	empty.Chaos, empty.MTTR = nil, nil
+	if _, ok := GateSwarm(empty, SwarmThresholds{MaxMTTRP95: 5}); ok {
+		t.Error("chaos-free report passed the MTTR gate")
+	}
+	// Quantiles missing while events recovered: still a failure.
+	noq := base()
+	noq.MTTR = nil
+	if _, ok := GateSwarm(noq, SwarmThresholds{MaxMTTRP95: 5}); ok {
+		t.Error("report without MTTR quantiles passed the gate")
+	}
+	// Without the threshold the same reports are not recovery-gated.
+	if _, ok := GateSwarm(empty, SwarmThresholds{}); !ok {
+		t.Error("chaos-free report failed without an MTTR threshold")
+	}
+}
+
+func TestGateSwarmAudit(t *testing.T) {
+	rep := &swarm.Report{Scenario: "s", Sessions: 64, Completed: 64,
+		Chunks: 800, Audit: &audit.Result{Watermark: 10, Settled: 10}}
+	if rows, ok := GateSwarm(rep, SwarmThresholds{}); !ok {
+		t.Fatalf("clean audited report failed: %+v", rows)
+	}
+	rep.Audit.Violations = []audit.Violation{{Invariant: audit.InvLeak, Detail: "leak"}}
+	if _, ok := GateSwarm(rep, SwarmThresholds{}); ok {
+		t.Error("audited report with violations passed")
+	}
+}
 
 func TestGateSwarmMinThroughput(t *testing.T) {
 	rep := func(wallS float64) *swarm.Report {
@@ -77,6 +163,12 @@ func TestCompareSwarm(t *testing.T) {
 			Chunks: 800, DeadlineMissRate: 0.08, WastedCellularBytes: 1 << 20},
 		"no traffic": {Scenario: "drop", Sessions: 64, Completed: 64,
 			DeadlineMissRate: 0.08, WastedCellularBytes: 1 << 20},
+		// A baseline of another run proves nothing, however much better
+		// the report looks against it.
+		"other scenario": {Scenario: "spike", Sessions: 64, Completed: 64,
+			Chunks: 800, DeadlineMissRate: 0.08, WastedCellularBytes: 1 << 20},
+		"other population": {Scenario: "drop", Sessions: 128, Completed: 128,
+			Chunks: 1600, DeadlineMissRate: 0.08, WastedCellularBytes: 1 << 20},
 	} {
 		if _, ok := CompareSwarm(base, fresh); ok {
 			t.Errorf("%s: comparison passed", name)

@@ -190,3 +190,42 @@ func TestHoltWintersBoundedOnBoundedInput(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// hwSample is a level shift plus a deterministic sawtooth, exercising
+// both the level and the trend term.
+func hwSample(i int) float64 {
+	base := 20e6
+	if i%97 > 48 {
+		base = 8e6
+	}
+	return base + float64(i%13)*250e3
+}
+
+// TestHoltWintersPinnedAndAllocFree: 500 samples of hwSample give a
+// forecast and a one-step mean absolute error pinned to the last bit, and
+// no update allocates.
+func TestHoltWintersPinnedAndAllocFree(t *testing.T) {
+	const wantForecast, wantMAE = 20711782.106538966, 1196480.4352405951
+	h := NewDefaultHoltWinters()
+	var absErr float64
+	for i := 0; i < 500; i++ {
+		if i > 0 {
+			absErr += math.Abs(h.Predict() - hwSample(i))
+		}
+		h.Observe(hwSample(i))
+	}
+	if got, mae := h.Predict(), absErr/499; got != wantForecast || mae != wantMAE {
+		t.Errorf("forecast %v, MAE %v; want %v and %v", got, mae, wantForecast, wantMAE)
+	}
+	// One run is 64,000 updates: no allocation at all, so no byte either.
+	i := 0
+	if n := testing.AllocsPerRun(1, func() {
+		for k := 0; k < 64_000; k++ {
+			h.Observe(hwSample(i))
+			i++
+		}
+		_ = h.Predict()
+	}); n != 0 {
+		t.Errorf("64,000 Holt-Winters updates allocated %v times, want 0", n)
+	}
+}
