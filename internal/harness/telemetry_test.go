@@ -148,8 +148,8 @@ func TestRealSocketTelemetryAcceptance(t *testing.T) {
 	timeline := tl.String()
 	for _, want := range []string{
 		"chunk 0", "chunk 7", // every chunk present
-		"ENGAGE",       // subflow toggles...
-		"est=",         // ...with the driving estimate
+		"ENGAGE", // subflow toggles...
+		"est=",   // ...with the driving estimate
 		": start size=",
 		": done in",
 	} {

@@ -80,6 +80,9 @@ type Fetcher struct {
 	st   fetchState
 	job  chunkJob
 	redo []int // fetchRun's segments left to fetch one at a time; reused
+	// carry is what the last clean chunk left the preferred path; only
+	// FetchChunk's goroutine touches it.
+	carry runCarry
 	// secondaries[k-1] is the worker of paths[k]; workers counts the live
 	// worker goroutines, which Close joins.
 	secondaries []*secondary
@@ -297,9 +300,9 @@ type FetchResult struct {
 // empty queue — in-flight segments may yet fail back into the queue.
 //
 // The Fetcher owns one ledger and resets it per chunk. Every change a
-// parked party waits for — a segment completed, requeued or released,
-// the doom verdict, the chunk finishing, Close, a standing-by tick —
-// broadcasts on cond, so no party polls.
+// parked party waits for — a segment requeued or released, the doom
+// verdict, the chunk finishing, a worker letting go, Close, a standing-by
+// tick — broadcasts on cond, so no party polls.
 type fetchState struct {
 	mu            sync.Mutex
 	cond          sync.Cond // L = &mu
@@ -319,8 +322,10 @@ type fetchState struct {
 	errs                         []error // fatal path errors
 	holders                      int     // workers still holding the chunk
 	// engaged counts the engaged secondaries: driveSecondary toggles it
-	// outside the lock, claimRunFor reads it.
-	engaged atomic.Int32
+	// outside the lock, claimRunFor reads it; engagedAny holds once one has.
+	engaged    atomic.Int32
+	engagedAny atomic.Bool
+	reach      int64 // the preferred path's largest delivered + claimed bytes
 	// doomArmed holds while the doom timer is armed or its callback runs;
 	// doomOff, set as the chunk winds down, stops it re-arming.
 	doomArmed, doomOff bool
@@ -342,8 +347,9 @@ func (st *fetchState) resetLocked(total, requeueBudget int) {
 	st.requeueBudget, st.requeueCount = requeueBudget, 0
 	st.primaryBytes, st.secondaryBytes = 0, 0
 	st.errs = st.errs[:0]
-	st.doomOff = false
+	st.doomOff, st.reach = false, 0
 	st.engaged.Store(0)
+	st.engagedAny.Store(false)
 }
 
 // stoppedLocked reports whether the workers should wind down.
@@ -367,11 +373,12 @@ func (st *fetchState) takeRequeuedLocked(pc *pathConn, selfOK bool) (int, bool) 
 
 // claimRunFor hands the preferred path pc a run of n segments from first,
 // n = 0 when nothing is claimable. A requeued segment runs alone; a fresh
-// run is the least of the fresh segments, pc's delivered ones (slow start)
-// and a controllerTick of work at the lesser of rate (the forecast) and
-// pc's delivered rate over elapsed — and one while a secondary is engaged
-// or pc can hedge (DESIGN.md §6).
-func (st *fetchState) claimRunFor(pc *pathConn, segSize int64, rate float64, elapsed time.Duration, hedges bool) (first, n int) {
+// run is the least of the fresh segments, the greater of pc's delivered
+// ones (slow start) and the carried window up to half the fresh ones, and
+// a controllerTick of work at the lesser of rate (the forecast) and pc's
+// delivered rate over elapsed, the carried rate until pc has delivered —
+// and one while a secondary is engaged or pc can hedge (DESIGN.md §6).
+func (st *fetchState) claimRunFor(pc *pathConn, segSize int64, rate float64, elapsed time.Duration, hedges bool, carry runCarry) (first, n int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.stoppedLocked() {
@@ -382,12 +389,20 @@ func (st *fetchState) claimRunFor(pc *pathConn, segSize int64, rate float64, ela
 	}
 	if st.front <= st.back {
 		if elapsed > 0 {
-			rate = min(rate, float64(st.primaryBytes)/elapsed.Seconds())
+			got := float64(st.primaryBytes) / elapsed.Seconds()
+			if st.primaryBytes == 0 {
+				got = carry.rate
+			}
+			rate = min(rate, got)
 		}
-		n = min(st.back-st.front+1, int(st.primaryBytes/segSize), int(rate*controllerTick.Seconds()/float64(segSize)))
+		// The carried window takes at most half the fresh segments, so a
+		// path that degrades inside its run leaves a secondary as many.
+		fresh := st.back - st.front + 1
+		n = min(fresh, max(int(st.primaryBytes/segSize), min(int(carry.win/segSize), fresh/2)), int(rate*controllerTick.Seconds()/float64(segSize)))
 		if n < 1 || st.engaged.Load() > 0 || hedges {
 			n = 1
 		}
+		st.reach = max(st.reach, st.primaryBytes+int64(n)*segSize)
 		first = st.front
 		st.front += n
 		st.inflight += n
@@ -433,7 +448,9 @@ func (st *fetchState) complete(primary bool, n int64) {
 	} else {
 		st.secondaryBytes += n
 	}
-	st.cond.Broadcast()
+	if st.done == st.total { // no parked party waits on a mere segment
+		st.cond.Broadcast()
+	}
 }
 
 // requeue returns a claimed segment to the ledger after pc failed it;
@@ -546,6 +563,17 @@ type chunkJob struct {
 	abort         AbortPolicy
 }
 
+// runCarry is what a clean chunk leaves the preferred path for the next,
+// as TCP's cwnd outlives a keep-alive connection's short gaps: the largest
+// run window it reached (delivered + claimed bytes) and its verified
+// primary bytes over its duration, good for a chunk that starts before
+// until, one controllerTick after it ended. The zero value is a cold start.
+type runCarry struct {
+	win   int64
+	rate  float64
+	until time.Time
+}
+
 // segRange returns segment seg's byte range [from, to].
 func (j *chunkJob) segRange(seg int) (from, to int64) {
 	from = int64(seg) * j.segSize
@@ -599,6 +627,12 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	ret0, red0, waste0, fo0 := f.faultCounters()
 	hi0, hw0, hc0, hwb0 := f.hedge.snapshot()
 
+	// The preferred path's run window carries into a chunk that starts
+	// within a controllerTick of a clean one; only a clean finish below
+	// leaves a new one.
+	if !start.Before(f.carry.until) {
+		f.carry = runCarry{}
+	}
 	pol := f.Retry.withDefaults()
 	f.job = chunkJob{index: index, level: level, size: size, segSize: segSize, d: d, alpha: alpha,
 		pol: pol, start: start, dlAt: dlAt, ctr: ctr, fo: fo, abort: f.Abort.withDefaults()}
@@ -623,7 +657,9 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	res.PrimaryBytes, res.SecondaryBytes, res.Requeued = st.primaryBytes, st.secondaryBytes, st.requeueCount
 	finished, doomed, exhausted, closed := st.done == st.total, st.doomed, st.failed, st.closed
 	pathErr := errors.Join(st.errs...)
+	win := max(f.carry.win, st.reach)
 	st.mu.Unlock()
+	f.carry = runCarry{}
 	live := f.livePaths()
 	res.Degraded = live < len(f.paths)
 
@@ -664,7 +700,13 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 		// connections — restore them and drop the stale cancel flags.
 		f.restoreAfterAbort(pol)
 	}
-	res.Duration = f.clk.now().Sub(start)
+	end := f.clk.now()
+	res.Duration = end.Sub(start)
+	// A clean chunk leaves the preferred path a warm run window: one with
+	// no secondary engaged, no fault charged, redial or requeue, no doom.
+	if !doomed && res.Retries+res.Redials+res.Requeued == 0 && !st.engagedAny.Load() && res.Duration > 0 {
+		f.carry = runCarry{win: win, rate: float64(res.PrimaryBytes) / res.Duration.Seconds(), until: end.Add(controllerTick)}
+	}
 	if res.Duration > d {
 		res.MissedBy = res.Duration - d
 	}
@@ -731,7 +773,7 @@ func (f *Fetcher) drivePrimary() {
 	pc, st, j := f.paths[0], &f.st, &f.job
 	hedges := pc.set.Size() > 1
 	for {
-		if seg, n := st.claimRunFor(pc, j.segSize, f.hedge.predictedRate(), f.clk.now().Sub(j.start), hedges); n > 0 {
+		if seg, n := st.claimRunFor(pc, j.segSize, f.hedge.predictedRate(), f.clk.now().Sub(j.start), hedges, f.carry); n > 0 {
 			if !f.fetchRun(pc, seg, n) {
 				return
 			}
@@ -780,6 +822,7 @@ func (f *Fetcher) driveSecondary(w *secondary) {
 			engaged = on
 			if on {
 				st.engaged.Add(1)
+				st.engagedAny.Store(true)
 			} else {
 				st.engaged.Add(-1)
 			}

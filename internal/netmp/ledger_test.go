@@ -7,6 +7,7 @@ package netmp
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -24,16 +25,18 @@ func newFetchState(total, requeueBudget int) *fetchState {
 // claimFront claims a run of one from the front, -1 when nothing is
 // claimable.
 func claimFront(st *fetchState, pc *pathConn) int {
-	if seg, n := st.claimRunFor(pc, 1, 0, 0, false); n > 0 {
+	if seg, n := st.claimRunFor(pc, 1, 0, 0, false, runCarry{}); n > 0 {
 		return seg
 	}
 	return -1
 }
 
 // TestLedgerRunBounds: a fresh run is the least of the fresh segments,
-// the preferred path's delivered segments, and one controllerTick of work
-// at the lesser of the forecast and the rate delivered so far; a requeued
-// segment, an engaged secondary or a path that can hedge each make it one.
+// the greater of the preferred path's delivered segments and its carried
+// window up to half the fresh ones, and one controllerTick of work at the lesser of the forecast and
+// the rate delivered so far (the carried rate before the first delivery);
+// a requeued segment, an engaged secondary or a path that can hedge each
+// make it one.
 func TestLedgerRunBounds(t *testing.T) {
 	const seg = 1000
 	fast := 1e12 // bytes/s: a forecast that never binds
@@ -44,6 +47,8 @@ func TestLedgerRunBounds(t *testing.T) {
 		delivered int           // segments the preferred path has delivered
 		elapsed   time.Duration // since the chunk started; 0 = a microsecond
 		rate      float64
+		carryWin  int     // segments of carried window
+		carryRate float64 // carried first-run rate
 		engaged   int
 		hedges    bool
 		requeued  bool
@@ -59,6 +64,17 @@ func TestLedgerRunBounds(t *testing.T) {
 		{name: "no forecast", total: 32, delivered: 16, want: 1},
 		{name: "delivered rate caps a burst-inflated forecast", total: 32, delivered: 16, elapsed: 5 * controllerTick, rate: fast, want: 3},
 		{name: "fresh segments cap", total: 5, delivered: 16, rate: fast, want: 5},
+		{name: "carried window", total: 32, rate: fast, carryWin: 8, carryRate: fast, want: 8},
+		{name: "carried window over fewer delivered", total: 32, delivered: 4, rate: fast, carryWin: 16, carryRate: fast, want: 16},
+		{name: "delivered over a smaller carried window", total: 32, delivered: 8, rate: fast, carryWin: 4, carryRate: fast, want: 8},
+		{name: "carried rate caps the first run", total: 32, rate: fast, carryWin: 32, carryRate: 3.5 * seg / controllerTick.Seconds(), want: 3},
+		{name: "delivered rate, not the carried one, after the first run", total: 32, delivered: 2, elapsed: controllerTick, rate: fast, carryWin: 32, carryRate: fast, want: 2},
+		{name: "cold carry", total: 32, rate: fast, want: 1},
+		{name: "half the fresh segments cap a carried window", total: 32, rate: fast, carryWin: 32, carryRate: fast, want: 16},
+		{name: "half of an odd count caps a carried window", total: 5, rate: fast, carryWin: 32, carryRate: fast, want: 2},
+		{name: "forecast caps a carried window", total: 32, rate: 3.5 * seg / controllerTick.Seconds(), carryWin: 32, carryRate: fast, want: 3},
+		{name: "secondary engaged under a carried window", total: 32, rate: fast, carryWin: 32, carryRate: fast, engaged: 1, want: 1},
+		{name: "path can hedge under a carried window", total: 32, rate: fast, carryWin: 32, carryRate: fast, hedges: true, want: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newFetchState(tc.total, 3)
@@ -70,9 +86,13 @@ func TestLedgerRunBounds(t *testing.T) {
 			if tc.requeued {
 				st.requeue(st.claimBackFor(b), b, nil)
 			}
-			first, n := st.claimRunFor(a, seg, tc.rate, tc.elapsed, tc.hedges)
+			carry := runCarry{win: int64(tc.carryWin) * seg, rate: tc.carryRate}
+			first, n := st.claimRunFor(a, seg, tc.rate, tc.elapsed, tc.hedges, carry)
 			if n != tc.want {
 				t.Fatalf("run of %d, want %d", n, tc.want)
+			}
+			if !tc.requeued && st.reach != int64(tc.delivered+n)*seg {
+				t.Errorf("reach %d bytes after a run of %d on %d delivered", st.reach, n, tc.delivered)
 			}
 			if st.inflight != n {
 				t.Errorf("inflight %d after claiming %d", st.inflight, n)
@@ -84,6 +104,44 @@ func TestLedgerRunBounds(t *testing.T) {
 				t.Errorf("claimed [%d, +%d), front now %d", first, n, st.front)
 			}
 		})
+	}
+}
+
+// TestLedgerCompleteWakesOnlyAtTheEnd: every party parked on the ledger
+// waits for claimable work, a tick, a let-go or the chunk's end, so a
+// completed segment wakes none of them until it is the last.
+func TestLedgerCompleteWakesOnlyAtTheEnd(t *testing.T) {
+	const total = 32
+	b := &pathConn{name: "b"}
+	st := newFetchState(total, 3)
+	for i := 0; i < total; i++ {
+		st.claimBackFor(b)
+	}
+	parked, wakes, done := false, 0, make(chan struct{})
+	go func() {
+		defer close(done)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		for parked = true; !st.stoppedLocked(); wakes++ {
+			st.cond.Wait()
+		}
+	}()
+	for {
+		st.mu.Lock()
+		p := parked
+		st.mu.Unlock()
+		if p {
+			break
+		}
+		runtime.Gosched()
+	}
+	for i := 0; i < total; i++ {
+		st.complete(false, 1)
+		time.Sleep(50 * time.Microsecond) // a woken waiter re-parks before the next
+	}
+	<-done
+	if wakes != 1 {
+		t.Errorf("%d wake-ups over %d completions, want 1", wakes, total)
 	}
 }
 

@@ -2,7 +2,9 @@ package netmp
 
 // Pipelined runs on the preferred path: one write carries a run's range
 // requests, the 206s come back in order, and a fault inside a run is
-// charged and recovered exactly as it is for a lone request.
+// charged and recovered exactly as it is for a lone request. A chunk that
+// starts back to back with a clean one carries its run window; any other
+// starts cold.
 
 import (
 	"errors"
@@ -19,10 +21,13 @@ import (
 )
 
 // The measured chunk is chunk 1 at level 1 of Big Buck Bunny, cut into
-// runSegs segments; at slow start its runs are 1, 1, 2, 4, 8 and 16
-// segments. The warm-up before it is chunk 0 at level 0, so the predictor
-// has a sample. midRun is the measured chunk's request that lands in the
-// middle of its run of eight.
+// runSegs segments. Cold, its runs are 1, 1, 2, 4, 8 and 16 segments: 6
+// request writes. Warm, right after a clean fetch of itself, it is two
+// runs of runSegs/2, as the carried window takes at most half the fresh
+// segments: 2 writes. The warm-up before it is chunk 0 at level 0, so the
+// predictor has a sample, followed by an idle gap (idleClock) so the
+// measured chunk starts cold. midRun is the cold chunk's request that
+// lands in the middle of its run of eight.
 const (
 	runSegs = 32
 	midRun  = 12
@@ -34,6 +39,26 @@ func runSegSize(v *dash.Video) (seg int64, warm int) {
 	size := v.ChunkSize(1, 1)
 	seg = (size + runSegs - 1) / runSegs
 	return seg, int((v.ChunkSize(0, 0) + seg - 1) / seg)
+}
+
+// idleClock gives f a wall clock that idle moves on by two controllerTicks,
+// so the next chunk starts after an idle gap without the test sleeping.
+func idleClock(f *Fetcher) (idle func()) {
+	var skew atomic.Int64
+	f.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
+	return func() { skew.Add(int64(2 * controllerTick)) }
+}
+
+// warmUp fetches the warm-up chunk on f and lets the path go idle,
+// returning f's idleClock.
+func warmUp(t *testing.T, f *Fetcher) (idle func()) {
+	t.Helper()
+	idle = idleClock(f)
+	if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	idle()
+	return idle
 }
 
 // countingListener counts the data-bearing Reads of every connection it
@@ -85,13 +110,15 @@ func TestPrimaryPipelinesRuns(t *testing.T) {
 		name        string
 		mbps        float64
 		secondaries []string
-		runs        bool // false: every request is a write of its own
+		warm        bool  // fetch the measured chunk once, back to back, before measuring it
+		writes      int64 // request writes; 0: one per request
 	}{
-		{"unshaped", 0, []string{secondary.Addr()}, true},
+		{"unshaped", 0, []string{secondary.Addr()}, false, 6},
+		{"unshaped warm", 0, []string{secondary.Addr()}, true, 2},
 		// A tick's work is 10 kB, under one segment. The path runs alone:
 		// a secondary would engage before the first segment lands, and
 		// then it, not the forecast, would keep the runs at one.
-		{"4 Mbps", 4, nil, false},
+		{"4 Mbps", 4, nil, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -107,8 +134,11 @@ func TestPrimaryPipelinesRuns(t *testing.T) {
 			}
 			defer f.Close()
 			f.SegmentSize = seg
-			if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
-				t.Fatal(err)
+			warmUp(t, f)
+			if tc.warm {
+				if _, err := f.FetchChunk(1, 1, 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
 			}
 			reads0, reqs0 := cl.reads.Load(), src.requests.Load()
 			res, err := f.FetchChunk(1, 1, 10*time.Second)
@@ -124,14 +154,165 @@ func TestPrimaryPipelinesRuns(t *testing.T) {
 			if reqs != runSegs {
 				t.Errorf("%d range requests, want one per segment (%d)", reqs, runSegs)
 			}
-			if tc.runs && reads > 6 {
-				t.Errorf("%d request writes, want at most 6 (runs 1, 1, 2, 4, 8, 16)", reads)
+			if tc.writes > 0 && reads != tc.writes {
+				t.Errorf("%d request writes, want %d", reads, tc.writes)
 			}
-			if !tc.runs && reads != reqs {
+			if tc.writes == 0 && reads != reqs {
 				t.Errorf("%d request writes for %d requests, want one each", reads, reqs)
 			}
 		})
 	}
+}
+
+// TestRunWindowRestartsCold: the path is warm after a clean fetch of the
+// measured chunk; then each restart rule, applied in between, leaves the
+// next fetch of it cold, at 6 request writes.
+func TestRunWindowRestartsCold(t *testing.T) {
+	v := dash.BigBuckBunny()
+	seg, warm := runSegSize(v)
+	third := warm + runSegs // requests before the chunk that applies the rule
+	for _, tc := range []struct {
+		name  string
+		plan  *FaultPlan
+		apply func(t *testing.T, f *Fetcher, idle func())
+	}{
+		{"idle gap", nil, func(_ *testing.T, _ *Fetcher, idle func()) { idle() }},
+		// The stall holds the chunk open while the secondary, past its
+		// deadline at once, engages.
+		{"secondary engaged", &FaultPlan{Script: map[int]FaultKind{third + 1: FaultStall}, StallFor: 100 * time.Millisecond},
+			func(t *testing.T, f *Fetcher, _ func()) {
+				if fetchMeasured(t, f, time.Nanosecond); !f.st.engagedAny.Load() {
+					t.Fatal("the secondary never engaged")
+				}
+			}},
+		{"corrupt body", &FaultPlan{Script: map[int]FaultKind{third + midRun: FaultCorrupt}},
+			func(t *testing.T, f *Fetcher, _ func()) {
+				if res := fetchMeasured(t, f, 10*time.Second); res.Retries == 0 || res.Redials != 0 {
+					t.Fatalf("retries %d, redials %d: want the corrupt body charged, no redial", res.Retries, res.Redials)
+				}
+			}},
+		{"redial", &FaultPlan{Script: map[int]FaultKind{third + midRun: FaultReset}},
+			func(t *testing.T, f *Fetcher, _ func()) {
+				if res := fetchMeasured(t, f, 10*time.Second); res.Redials == 0 {
+					t.Fatal("the reset cost no redial")
+				}
+			}},
+		// The stall holds the chunk open past the doom test's progress gate;
+		// then the forecast collapses and the next doom test dooms it. The
+		// forecast is put back for the measured fetch.
+		{"doomed", &FaultPlan{Script: map[int]FaultKind{third + 1: FaultStall}, StallFor: 250 * time.Millisecond},
+			func(t *testing.T, f *Fetcher, _ func()) {
+				f.Abort = AbortPolicy{Enabled: true, MinProgress: 0.05}
+				rate := f.PredictedRate()
+				collapse := time.AfterFunc(80*time.Millisecond, func() { seedForecast(f, 1000) })
+				defer collapse.Stop()
+				if _, err := f.FetchChunk(1, 1, time.Second); !errors.Is(err, ErrChunkDoomed) {
+					t.Fatalf("err = %v, want ErrChunkDoomed", err)
+				}
+				f.Abort = AbortPolicy{}
+				seedForecast(f, rate)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := &countingListener{Listener: ln}
+			ps := &ChunkServer{start: time.Now(), plan: tc.plan}
+			if tc.plan != nil {
+				ps.faultRN = newFaultRand(tc.plan.Seed)
+			}
+			ps.front = newFront(v, cl, 0, ps)
+			defer ps.Close()
+			ss, err := NewChunkServer(v, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ss.Close()
+			f, err := NewFetcher(v, ps.Addr(), ss.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			f.SegmentSize, f.Retry = seg, fastRetry()
+			idle := warmUp(t, f)
+			fetchMeasured(t, f, 10*time.Second)
+			tc.apply(t, f, idle)
+			reads0 := cl.reads.Load()
+			checkComplete(t, fetchMeasured(t, f, 10*time.Second))
+			if reads := cl.reads.Load() - reads0; reads != 6 {
+				t.Errorf("%d request writes after the %s, want 6 (a cold start)", reads, tc.name)
+			}
+		})
+	}
+}
+
+// TestWarmRunOnADegradingPath: the preferred path drops to 2 Mbps as the
+// measured chunk starts, so it alone would miss the deadline. Cold or
+// warm, the secondary takes part of the chunk and the deadline is met: a
+// warm first run holds half the chunk, which leaves the secondary the rest.
+// (Were it to hold the whole chunk, the secondary would find nothing to
+// take and the chunk would miss by some 0.6 s.)
+func TestWarmRunOnADegradingPath(t *testing.T) {
+	v := dash.BigBuckBunny()
+	seg, _ := runSegSize(v)
+	const deadline = 1200 * time.Millisecond
+	for _, warm := range []bool{false, true} {
+		t.Run(map[bool]string{false: "cold", true: "warm"}[warm], func(t *testing.T) {
+			ps, err := NewChunkServer(v, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ps.Close()
+			ss, err := NewChunkServer(v, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ss.Close()
+			f, err := NewFetcher(v, ps.Addr(), ss.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			// The secondary stands by until the path alone would miss
+			// 0.8 of the deadline: slack for a loaded host.
+			f.SegmentSize, f.Alpha = seg, 0.8
+			idle := warmUp(t, f)
+			fetchMeasured(t, f, 10*time.Second)
+			if !warm {
+				idle()
+			}
+			ps.SetRateMbps(2)
+			res := fetchMeasured(t, f, deadline)
+			checkComplete(t, res)
+			t.Logf("%v, %d primary + %d secondary bytes", res.Duration, res.PrimaryBytes, res.SecondaryBytes)
+			if res.SecondaryBytes == 0 {
+				t.Error("the secondary delivered nothing")
+			}
+			if res.MissedBy > 0 {
+				t.Errorf("missed the %v deadline by %v", deadline, res.MissedBy)
+			}
+		})
+	}
+}
+
+// fetchMeasured fetches the measured chunk with deadline d.
+func fetchMeasured(t *testing.T, f *Fetcher, d time.Duration) *FetchResult {
+	t.Helper()
+	res, err := f.FetchChunk(1, 1, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// seedForecast restarts f's service-rate forecast at rate bytes/s.
+func seedForecast(f *Fetcher, rate float64) {
+	f.hedge.mu.Lock()
+	f.hedge.hw.Reset()
+	f.hedge.hw.Seed(rate)
+	f.hedge.mu.Unlock()
 }
 
 // writeSyscalls returns the process's write syscalls so far (syscw in
@@ -158,21 +339,25 @@ func writeSyscalls(t *testing.T) int64 {
 // syscalls, client and server together, on a lone origin. It runs on one
 // P: then no thread sleeps in the netpoller while another arms a timer,
 // the runtime's wake-up writes drop out and the count repeats exactly.
-// Unshaped, the 206s of a run leave in writevs of up to 64 KiB (70 writes
-// when every 206 block was a write of its own). At 4 Mbps runs are 1 and
-// every block past the burst waits on the shaper and leaves on its own,
-// so the count stays where it was: 96 then, bounded here at 10 % over.
+// Unshaped, the 206s of a run leave in writevs of up to 64 KiB: 20 writes
+// cold (70 when every 206 block was a write of its own), 14 warm, where
+// the 6 request writes are two. At 4 Mbps runs are 1 and every block past
+// the burst waits on the shaper and leaves on its own, so the count stays
+// where it was: 96 then, bounded here at 10 % over.
 func TestPipelinedRunWriteSyscalls(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	v := dash.BigBuckBunny()
 	seg, _ := runSegSize(v)
 	for _, tc := range []struct {
-		name string
-		mbps float64
-		most int64
+		name  string
+		mbps  float64
+		warm  bool
+		exact bool
+		want  int64
 	}{
-		{"unshaped", 0, 24},
-		{"4 Mbps", 4, 105},
+		{"unshaped", 0, false, true, 20},
+		{"unshaped warm", 0, true, true, 14},
+		{"4 Mbps", 4, false, false, 105},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewChunkServer(v, tc.mbps)
@@ -186,8 +371,9 @@ func TestPipelinedRunWriteSyscalls(t *testing.T) {
 			}
 			defer f.Close()
 			f.SegmentSize = seg
-			if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
-				t.Fatal(err)
+			warmUp(t, f)
+			if tc.warm {
+				fetchMeasured(t, f, 10*time.Second)
 			}
 			w0 := writeSyscalls(t)
 			res, err := f.FetchChunk(1, 1, 10*time.Second)
@@ -197,25 +383,26 @@ func TestPipelinedRunWriteSyscalls(t *testing.T) {
 			}
 			checkComplete(t, res)
 			t.Logf("%d-segment chunk: %d write syscalls", runSegs, w)
-			if w > tc.most {
-				t.Errorf("%d write syscalls, want at most %d", w, tc.most)
+			if tc.exact && w != tc.want {
+				t.Errorf("%d write syscalls, want %d", w, tc.want)
+			}
+			if !tc.exact && w > tc.want {
+				t.Errorf("%d write syscalls, want at most %d", w, tc.want)
 			}
 		})
 	}
 }
 
 // runFaultRig is an unshaped primary and a clean secondary whose fetcher
-// has fetched the warm-up chunk; the primary injects fault at the measured
-// chunk's midRun-th request.
+// has fetched the warm-up chunk and gone idle; the primary injects fault
+// at the measured chunk's midRun-th request.
 func runFaultRig(t *testing.T, fault FaultKind) (*ChunkServer, *Fetcher) {
 	t.Helper()
 	v := dash.BigBuckBunny()
 	seg, warm := runSegSize(v)
 	ps, _, f := faultRig(t, 0, 0, &FaultPlan{Script: map[int]FaultKind{warm + midRun: fault}, StallFor: 1500 * time.Millisecond})
 	f.SegmentSize = seg
-	if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	warmUp(t, f)
 	return ps, f
 }
 

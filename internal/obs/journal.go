@@ -250,27 +250,39 @@ func (j *Journal) Flush() error {
 // mid-write — returns the parsed prefix wrapped around ErrTruncatedTail
 // so callers can keep the events and downgrade the error to a warning.
 func ReadJournal(r io.Reader) ([]Event, error) {
-	var out []Event
+	return readJSONL[Event](r, "journal", 4<<20)
+}
+
+// readJSONL decodes a JSONL stream of T, in order, with lines of up to
+// maxLine bytes. Blank lines are skipped, so a malformed line is final —
+// ErrTruncatedTail — when no non-blank line follows it.
+func readJSONL[T any](r io.Reader, what string, maxLine int) ([]T, error) {
+	var out []T
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
-	line := 0
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	line, bad := 0, 0
+	var badErr error
 	for sc.Scan() {
 		line++
 		b := sc.Bytes()
 		if len(b) == 0 {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(b, &e); err != nil {
-			if !sc.Scan() {
-				return out, fmt.Errorf("obs: journal line %d: %w", line, ErrTruncatedTail)
-			}
-			return out, fmt.Errorf("obs: journal line %d: %w", line, err)
+		if badErr != nil {
+			return out, fmt.Errorf("obs: %s line %d: %w", what, bad, badErr)
 		}
-		out = append(out, e)
+		var v T
+		if err := json.Unmarshal(b, &v); err != nil {
+			bad, badErr = line, err
+			continue
+		}
+		out = append(out, v)
 	}
 	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("obs: journal read: %w", err)
+		return out, fmt.Errorf("obs: %s read: %w", what, err)
+	}
+	if badErr != nil {
+		return out, fmt.Errorf("obs: %s line %d: %w", what, bad, ErrTruncatedTail)
 	}
 	return out, nil
 }

@@ -643,27 +643,10 @@ func WriteChromeTrace(w io.Writer, recs []*TraceRecord) error {
 // Like ReadJournal it tolerates a truncated final line, returning the
 // parsed prefix wrapped around ErrTruncatedTail.
 func ReadTraceJSONL(r io.Reader) ([]*TraceRecord, error) {
-	var out []*TraceRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var rec TraceRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			if !sc.Scan() {
-				return out, fmt.Errorf("obs: trace line %d: %w", line, ErrTruncatedTail)
-			}
-			return out, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		out = append(out, &rec)
+	recs, err := readJSONL[TraceRecord](r, "trace", 16<<20)
+	out := make([]*TraceRecord, len(recs))
+	for i := range recs {
+		out[i] = &recs[i]
 	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("obs: trace read: %w", err)
-	}
-	return out, nil
+	return out, err
 }
