@@ -296,41 +296,37 @@ type Table4Row struct {
 	AvgBitrate float64
 }
 
-// table4Session runs one Table 4 arm with the GPAC player.
-func table4Session(scheme harness.Scheme, throttle float64, chunks int) (*harness.SessionResult, error) {
+// table4Config is one Table 4 arm with the GPAC player.
+func table4Config(scheme harness.Scheme, throttle float64, chunks int) harness.SessionConfig {
 	wifi, lte := LabConditions()[0].Traces()
-	return harness.RunSession(harness.SessionConfig{
+	return harness.SessionConfig{
 		WiFi: wifi, LTE: lte,
 		Algorithm: harness.GPAC, Scheme: scheme, ThrottleMbps: throttle, Chunks: chunks,
-	})
+	}
 }
 
 // Table4Throttling reproduces Table 4: default MPTCP, 700 kbps and 1 Mbps
 // cellular throttling, and MP-DASH (rate-based), all under GPAC.
 func Table4Throttling(chunks int) ([]Table4Row, error) {
-	arms := []struct {
-		name     string
-		scheme   harness.Scheme
-		throttle float64
-	}{
-		{"Default", harness.Baseline, 0},
-		{"700 K", harness.ThrottleLTE, 0.7},
-		{"1000 K", harness.ThrottleLTE, 1.0},
-		{"MP-DASH", harness.MPDashRate, 0},
+	names := []string{"Default", "700 K", "1000 K", "MP-DASH"}
+	results, err := harness.RunSessions([]harness.SessionConfig{
+		table4Config(harness.Baseline, 0, chunks),
+		table4Config(harness.ThrottleLTE, 0.7, chunks),
+		table4Config(harness.ThrottleLTE, 1.0, chunks),
+		table4Config(harness.MPDashRate, 0, chunks),
+	})
+	if err != nil {
+		return nil, err
 	}
 	var rows []Table4Row
-	for _, arm := range arms {
-		res, err := table4Session(arm.scheme, arm.throttle, chunks)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		total := res.Report.TotalBytes()
 		pct := 0.0
 		if total > 0 {
 			pct = float64(res.LTEBytes()) / float64(total) * 100
 		}
 		rows = append(rows, Table4Row{
-			Config:     arm.name,
+			Config:     names[i],
 			CellMB:     mb(res.LTEBytes()),
 			CellPct:    pct,
 			EnergyJ:    res.RadioJ(),
@@ -343,22 +339,19 @@ func Table4Throttling(chunks int) ([]Table4Row, error) {
 // Fig6TrafficPatterns reproduces Figure 6: LTE traffic series under
 // 700 kbps throttling, MP-DASH, and default MPTCP.
 func Fig6TrafficPatterns(chunks int) (*SeriesSet, error) {
+	results, err := harness.RunSessions([]harness.SessionConfig{
+		table4Config(harness.ThrottleLTE, 0.7, chunks),
+		table4Config(harness.MPDashRate, 0, chunks),
+		table4Config(harness.Baseline, 0, chunks),
+	})
+	if err != nil {
+		return nil, err
+	}
 	var series [][]float64
-	names := []string{"throttle-700k", "mp-dash", "default"}
-	for _, arm := range []struct {
-		scheme   harness.Scheme
-		throttle float64
-	}{
-		{harness.ThrottleLTE, 0.7},
-		{harness.MPDashRate, 0},
-		{harness.Baseline, 0},
-	} {
-		res, err := table4Session(arm.scheme, arm.throttle, chunks)
-		if err != nil {
-			return nil, err
-		}
+	for _, res := range results {
 		series = append(series, res.LTESeries)
 	}
+	names := []string{"throttle-700k", "mp-dash", "default"}
 	return &SeriesSet{Window: mptcp.DefaultMeterWindow, Names: names, Series: series}, nil
 }
 
@@ -379,35 +372,36 @@ type Fig7Row struct {
 // under the three §7.3.2 network conditions × {baseline, duration-based,
 // rate-based}.
 func Fig7ResourceSavings(chunks int) ([]Fig7Row, error) {
+	arms := []struct {
+		name   string
+		scheme harness.Scheme
+	}{
+		{"Baseline", harness.Baseline},
+		{"Duration", harness.MPDashDuration},
+		{"Rate", harness.MPDashRate},
+	}
 	var rows []Fig7Row
+	var cfgs []harness.SessionConfig
 	for _, cond := range LabConditions() {
 		wifi, lte := cond.Traces()
 		for _, algo := range []harness.Algorithm{harness.FESTIVE, harness.BBA, harness.BBAC} {
-			for _, arm := range []struct {
-				name   string
-				scheme harness.Scheme
-			}{
-				{"Baseline", harness.Baseline},
-				{"Duration", harness.MPDashDuration},
-				{"Rate", harness.MPDashRate},
-			} {
-				res, err := harness.RunSession(harness.SessionConfig{
+			for _, arm := range arms {
+				rows = append(rows, Fig7Row{Condition: cond.Name, Algorithm: string(algo), Scheme: arm.name})
+				cfgs = append(cfgs, harness.SessionConfig{
 					WiFi: wifi, LTE: lte, Algorithm: algo, Scheme: arm.scheme, Chunks: chunks,
-				})
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, Fig7Row{
-					Condition:  cond.Name,
-					Algorithm:  string(algo),
-					Scheme:     arm.name,
-					LTEMB:      mb(res.LTEBytes()),
-					EnergyJ:    res.RadioJ(),
-					AvgBitrate: res.Report.SteadyStateAvgBitrateMbps,
-					Stalls:     res.Report.Stalls,
 				})
 			}
 		}
+	}
+	results, err := harness.RunSessions(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		rows[i].LTEMB = mb(res.LTEBytes())
+		rows[i].EnergyJ = res.RadioJ()
+		rows[i].AvgBitrate = res.Report.SteadyStateAvgBitrateMbps
+		rows[i].Stalls = res.Report.Stalls
 	}
 	return rows, nil
 }
@@ -419,14 +413,18 @@ func Fig7ResourceSavings(chunks int) ([]Fig7Row, error) {
 // duration-based under FESTIVE. It returns ASCII renderings and SVGs.
 func Fig8Visualization(chunks int) (ascii []string, svg [][]byte, err error) {
 	wifi, lte := LabConditions()[0].Traces()
+	var cfgs []harness.SessionConfig
 	for _, scheme := range []harness.Scheme{harness.Baseline, harness.MPDashRate, harness.MPDashDuration} {
-		res, err := harness.RunSession(harness.SessionConfig{
+		cfgs = append(cfgs, harness.SessionConfig{
 			WiFi: wifi, LTE: lte, Algorithm: harness.FESTIVE, Scheme: scheme, Chunks: chunks,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		ascii = append(ascii, fmt.Sprintf("--- %s ---\n%s", scheme, analysis.RenderChunksASCII(res.Report, "lte", 2)))
+	}
+	results, err := harness.RunSessions(cfgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, res := range results {
+		ascii = append(ascii, fmt.Sprintf("--- %s ---\n%s", res.Config.Scheme, analysis.RenderChunksASCII(res.Report, "lte", 2)))
 		svg = append(svg, analysis.RenderChunksSVG(res.Report, "lte"))
 	}
 	return ascii, svg, nil
@@ -537,23 +535,17 @@ func Fig11MobilityExperiment(chunks int) (*Fig11Result, error) {
 	slot := 100 * time.Millisecond
 	wifi := trace.Mobility("walk-wifi", 5.0, 60*time.Second, slot, 12000, 4242)
 	lte := trace.Constant("lte", 5.0, time.Second, 1)
-	run := func(scheme harness.Scheme) (*harness.SessionResult, error) {
-		return harness.RunSession(harness.SessionConfig{
+	var cfgs []harness.SessionConfig
+	for _, scheme := range []harness.Scheme{harness.MPDashRate, harness.Baseline, harness.WiFiOnly} {
+		cfgs = append(cfgs, harness.SessionConfig{
 			WiFi: wifi, LTE: lte, Algorithm: harness.FESTIVE, Scheme: scheme, Chunks: chunks,
 		})
 	}
-	mp, err := run(harness.MPDashRate)
+	results, err := harness.RunSessions(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	def, err := run(harness.Baseline)
-	if err != nil {
-		return nil, err
-	}
-	wo, err := run(harness.WiFiOnly)
-	if err != nil {
-		return nil, err
-	}
+	mp, def, wo := results[0], results[1], results[2]
 	set := func(r *harness.SessionResult) *SeriesSet {
 		return &SeriesSet{
 			Window: r.MeterWindow,
@@ -594,21 +586,22 @@ func Table6HDVideo(chunks int) ([]Table6Row, error) {
 	wifi := trace.Field("supermarket-wifi", 4.6, 0.55, slot, 12000, 5150)
 	lte := trace.Field("supermarket-lte", 3.9, 0.9, slot, 12000, 5151)
 	video := dash.TearsOfSteelHD()
-	var rows []Table6Row
+	var cfgs []harness.SessionConfig
 	for _, algo := range []harness.Algorithm{harness.FESTIVE, harness.BBAC} {
-		base, err := harness.RunSession(harness.SessionConfig{
-			WiFi: wifi, LTE: lte, Video: video, Algorithm: algo, Scheme: harness.Baseline, Chunks: chunks,
-		})
-		if err != nil {
-			return nil, err
+		for _, scheme := range []harness.Scheme{harness.Baseline, harness.MPDashRate} {
+			cfgs = append(cfgs, harness.SessionConfig{
+				WiFi: wifi, LTE: lte, Video: video, Algorithm: algo, Scheme: scheme, Chunks: chunks,
+			})
 		}
-		mp, err := harness.RunSession(harness.SessionConfig{
-			WiFi: wifi, LTE: lte, Video: video, Algorithm: algo, Scheme: harness.MPDashRate, Chunks: chunks,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := Table6Row{Algorithm: string(algo), Stalls: mp.Report.Stalls}
+	}
+	results, err := harness.RunSessions(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Table6Row
+	for i := 0; i < len(results); i += 2 {
+		base, mp := results[i], results[i+1]
+		row := Table6Row{Algorithm: string(base.Config.Algorithm), Stalls: mp.Report.Stalls}
 		if b := base.Report.SteadyStateAvgBitrateMbps; b > 0 {
 			row.BitrateChangePct = (mp.Report.SteadyStateAvgBitrateMbps/b - 1) * 100
 		}
@@ -647,19 +640,23 @@ func AblationPhiOmega(chunks int) ([]AblationRow, error) {
 		{"no-low-buffer-guard", false, true},
 		{"neither", true, true},
 	}
-	var rows []AblationRow
-	for _, arm := range arms {
-		res, err := harness.RunSession(harness.SessionConfig{
+	cfgs := make([]harness.SessionConfig, len(arms))
+	for i, arm := range arms {
+		cfgs[i] = harness.SessionConfig{
 			WiFi: wifi, LTE: lte,
 			Algorithm: harness.FESTIVE, Scheme: harness.MPDashRate, Chunks: chunks,
 			DisableExtension:      arm.disableExt,
 			DisableLowBufferGuard: arm.disableLB,
-		})
-		if err != nil {
-			return nil, err
 		}
+	}
+	results, err := harness.RunSessions(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	var rows []AblationRow
+	for i, res := range results {
 		rows = append(rows, AblationRow{
-			Name:    arm.name,
+			Name:    arms[i].name,
 			LTEMB:   mb(res.LTEBytes()),
 			EnergyJ: res.RadioJ(),
 			Stalls:  res.Report.Stalls,

@@ -75,7 +75,7 @@ func TestJitterDigestPinned(t *testing.T) {
 	}
 	const slot, traceSlots = 100 * time.Millisecond, 9000
 	wifi, lte := loc.WiFiTrace(slot, traceSlots), loc.LTETrace(slot, traceSlots)
-	h := stats.FNVOffset
+	var cfgs []harness.SessionConfig
 	for _, arm := range []struct {
 		scheme harness.Scheme
 		algo   harness.Algorithm
@@ -84,13 +84,17 @@ func TestJitterDigestPinned(t *testing.T) {
 		{harness.MPDashRate, harness.FESTIVE},
 		{harness.MPDashDuration, harness.BBA},
 	} {
-		r, err := harness.RunSession(harness.SessionConfig{
+		cfgs = append(cfgs, harness.SessionConfig{
 			WiFi: wifi, LTE: lte, WiFiRTT: loc.WiFiRTT, LTERTT: loc.LTERTT,
 			Algorithm: arm.algo, Scheme: arm.scheme, Chunks: 20, RTTJitterFrac: 0.3,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+	rs, err := harness.RunSessions(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := stats.FNVOffset
+	for _, r := range rs {
 		h = sessionDigest(h, r)
 	}
 	if h != jitterDigest {

@@ -164,8 +164,10 @@ func (r *StudyResult) Outcome(name string) *LocationOutcome {
 	return nil
 }
 
-// RunStudy executes the experiment matrix. Sessions are deterministic per
-// location seed, so repeated studies agree bit-for-bit.
+// RunStudy executes the experiment matrix: every location × arm goes
+// into one harness.RunSessions batch, so the sessions spread over every
+// core. Sessions are deterministic per location seed, so repeated studies
+// agree bit-for-bit whatever GOMAXPROCS is.
 func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	locs := cfg.Locations
 	if locs == nil {
@@ -175,50 +177,48 @@ func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	if slot == 0 {
 		slot = 100 * time.Millisecond
 	}
+	// Trace long enough for any session (sessions wrap if they outlive it).
+	const traceSlots = 9000 // 15 min at 100 ms
+	baselines := []harness.Algorithm{harness.FESTIVE, harness.BBA}
+	keys := SchemeKeys()
+	cfgs := make([]harness.SessionConfig, 0, len(locs)*(len(baselines)+len(keys)))
+	for _, loc := range locs {
+		wifi := loc.WiFiTrace(slot, traceSlots)
+		lte := loc.LTETrace(slot, traceSlots)
+		arm := func(algo harness.Algorithm, scheme harness.Scheme) harness.SessionConfig {
+			return harness.SessionConfig{
+				WiFi: wifi, LTE: lte,
+				WiFiRTT: loc.WiFiRTT, LTERTT: loc.LTERTT,
+				Video: cfg.Video, Algorithm: algo, Scheme: scheme, Chunks: cfg.Chunks,
+			}
+		}
+		for _, algo := range baselines {
+			cfgs = append(cfgs, arm(algo, harness.Baseline))
+		}
+		for _, k := range keys {
+			cfgs = append(cfgs, arm(k.algorithm(), k.scheme()))
+		}
+	}
+	rs, err := harness.RunSessions(cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("field: %w", err)
+	}
 	res := &StudyResult{}
 	for _, loc := range locs {
-		out, err := runLocation(loc, cfg, slot)
-		if err != nil {
-			return nil, fmt.Errorf("field: %s: %w", loc.Name, err)
+		out := &LocationOutcome{
+			Location: loc,
+			Baseline: map[harness.Algorithm]*harness.SessionResult{},
+			MPDash:   map[SchemeKey]*harness.SessionResult{},
+		}
+		for _, algo := range baselines {
+			out.Baseline[algo], rs = rs[0], rs[1:]
+		}
+		for _, k := range keys {
+			out.MPDash[k], rs = rs[0], rs[1:]
 		}
 		res.Outcomes = append(res.Outcomes, out)
 	}
 	return res, nil
-}
-
-func runLocation(loc Location, cfg StudyConfig, slot time.Duration) (*LocationOutcome, error) {
-	// Trace long enough for any session (sessions wrap if they outlive it).
-	const traceSlots = 9000 // 15 min at 100 ms
-	wifi := loc.WiFiTrace(slot, traceSlots)
-	lte := loc.LTETrace(slot, traceSlots)
-
-	out := &LocationOutcome{
-		Location: loc,
-		Baseline: map[harness.Algorithm]*harness.SessionResult{},
-		MPDash:   map[SchemeKey]*harness.SessionResult{},
-	}
-	mk := func(algo harness.Algorithm, scheme harness.Scheme) (*harness.SessionResult, error) {
-		return harness.RunSession(harness.SessionConfig{
-			WiFi: wifi, LTE: lte,
-			WiFiRTT: loc.WiFiRTT, LTERTT: loc.LTERTT,
-			Video: cfg.Video, Algorithm: algo, Scheme: scheme, Chunks: cfg.Chunks,
-		})
-	}
-	for _, algo := range []harness.Algorithm{harness.FESTIVE, harness.BBA} {
-		r, err := mk(algo, harness.Baseline)
-		if err != nil {
-			return nil, err
-		}
-		out.Baseline[algo] = r
-	}
-	for _, k := range SchemeKeys() {
-		r, err := mk(k.algorithm(), k.scheme())
-		if err != nil {
-			return nil, err
-		}
-		out.MPDash[k] = r
-	}
-	return out, nil
 }
 
 // wifiSupportsTop is a helper reused by tests and the tables tool: does

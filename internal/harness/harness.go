@@ -6,6 +6,9 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpdash/internal/abr"
@@ -288,4 +291,37 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 		res.DeadlineMisses = sched.DeadlineMisses()
 	}
 	return res, nil
+}
+
+// RunSessions runs every config and returns the results in input order.
+// Sessions are independent, so they run concurrently on
+// min(GOMAXPROCS, len(cfgs)) goroutines; each session is single-threaded
+// and deterministic, so result i is exactly what RunSession(cfgs[i])
+// returns, whatever the worker count. Configs may share read-only inputs
+// (traces, a *dash.Video). A config's Recorder belongs to that config
+// alone: it is called from its session's goroutine and must not be shared
+// with another config in the batch. If any session fails, RunSessions
+// returns the error of the lowest-index failed config, wrapped with its
+// index, and no results.
+func RunSessions(cfgs []SessionConfig) ([]*SessionResult, error) {
+	out := make([]*SessionResult, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(cfgs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cfgs); i = int(next.Add(1) - 1) {
+				out[i], errs[i] = RunSession(cfgs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("harness: session %d: %w", i, err)
+		}
+	}
+	return out, nil
 }

@@ -17,8 +17,11 @@
 package swarm
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"time"
@@ -406,9 +409,25 @@ func LoadScenario(path string) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("swarm: scenario: %w", err)
 	}
-	var s Scenario
-	if err := json.Unmarshal(b, &s); err != nil {
+	s, err := decodeScenario(b)
+	if err != nil {
 		return nil, fmt.Errorf("swarm: scenario %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// decodeScenario decodes one scenario object strictly: an unknown key (a
+// misspelled field would otherwise run with its default) or anything but
+// white space after the object is an error.
+func decodeScenario(b []byte) (*Scenario, error) {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var s Scenario
+	if err := dec.Decode(&s); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the scenario object")
 	}
 	return &s, nil
 }

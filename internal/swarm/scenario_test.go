@@ -102,3 +102,64 @@ func TestLoadScenarioRoundTrip(t *testing.T) {
 		t.Errorf("bad JSON: %v", err)
 	}
 }
+
+// TestLoadScenarioStrict: a misspelled key or trailing data fails the load
+// instead of running with defaults.
+func TestLoadScenarioStrict(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"misspelled.json": `{"sessions": 4, "max_actve": 2}`,
+		"nested.json":     `{"sessions": 4, "arrival": {"kind": "uniform", "ovr": "1s"}}`,
+		"trailing.json":   `{"sessions": 4} {"sessions": 5}`,
+		"garbage.json":    `{"sessions": 4}]`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadScenario(path); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: got %v, want an error naming the file", name, err)
+		}
+	}
+	path := filepath.Join(dir, "ok.json")
+	if err := os.WriteFile(path, []byte("{\"sessions\": 4, \"max_active\": 2}\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := LoadScenario(path); err != nil || s.MaxActive != 2 {
+		t.Errorf("trailing white space: %+v, %v", s, err)
+	}
+}
+
+// FuzzDecodeScenario: the scenario decoder never panics, and a scenario
+// it accepts that validates (after defaults) also plans, without a panic,
+// into one spec per session. Seeded with every committed scenario.
+func FuzzDecodeScenario(f *testing.F) {
+	seeds, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range append(seeds, "testdata/paced-swarm.json") {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		scn, err := decodeScenario(b)
+		if err != nil {
+			return
+		}
+		// Planning is linear in sessions; keep an iteration fast.
+		if d := scn.withDefaults(); d.Sessions > 5000 || d.Validate() != nil {
+			return
+		}
+		specs, err := Plan(*scn)
+		if err != nil {
+			t.Fatalf("validated scenario does not plan: %v", err)
+		}
+		if len(specs) != scn.Sessions {
+			t.Fatalf("%d specs for %d sessions", len(specs), scn.Sessions)
+		}
+	})
+}
