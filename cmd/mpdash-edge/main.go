@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"mpdash/internal/cache"
@@ -54,13 +53,10 @@ func run() int {
 	)
 	flag.Parse()
 
-	if *origins == "" {
+	originList := netmp.SplitOrigins(*origins)
+	if len(originList) == 0 {
 		fmt.Fprintln(os.Stderr, "need -origins (comma-separated ranked origin addresses)")
 		return 2
-	}
-	originList := strings.Split(*origins, ",")
-	for i := range originList {
-		originList[i] = strings.TrimSpace(originList[i])
 	}
 
 	video, err := dash.Lookup(*videoName)

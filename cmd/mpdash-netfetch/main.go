@@ -27,10 +27,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"mpdash/internal/abr"
@@ -73,8 +71,8 @@ func run() int {
 		quiet       = flag.Bool("quiet", false, "suppress informational output (errors still print)")
 	)
 	flag.Parse()
-	wifi := splitOrigins(*wifiAddrs)
-	lte := splitOrigins(*lteAddrs)
+	wifi := netmp.SplitOrigins(*wifiAddrs)
+	lte := netmp.SplitOrigins(*lteAddrs)
 	if len(wifi) == 0 || len(lte) == 0 {
 		flag.Usage()
 		return 2
@@ -157,8 +155,8 @@ func run() int {
 	if tracer != nil {
 		// Export even after a failed session: the bad traces are the
 		// interesting ones.
-		if terr := exportTraces(tracer, *tracePath, *traceChrome); terr != nil {
-			fmt.Fprintln(os.Stderr, terr)
+		if terr := tracer.Export(*tracePath, *traceChrome); terr != nil {
+			fmt.Fprintln(os.Stderr, "mpdash-netfetch:", terr)
 		} else {
 			ts := tracer.Stats()
 			infof("traces: kept %d of %d (%d bad, %d sampled)\n",
@@ -216,42 +214,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// exportTraces writes the tracer's kept traces: JSONL to tracePath and
-// Chrome trace-event JSON to chromePath (either may be empty).
-func exportTraces(tracer *obs.Tracer, tracePath, chromePath string) error {
-	write := func(path string, fn func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("mpdash-netfetch: trace: %w", err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("mpdash-netfetch: trace %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if tracePath != "" {
-		if err := write(tracePath, tracer.WriteJSONL); err != nil {
-			return err
-		}
-	}
-	if chromePath != "" {
-		if err := write(chromePath, tracer.WriteChrome); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// splitOrigins parses a comma-separated origin list, dropping empties.
-func splitOrigins(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -38,7 +38,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -244,8 +243,8 @@ func run() int {
 	}
 	if tracer != nil {
 		rep.Trace = swarm.BuildTraceReport(tracer)
-		if err := exportTraces(tracer, *tracePath, *traceChrome); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := tracer.Export(*tracePath, *traceChrome); err != nil {
+			fmt.Fprintln(os.Stderr, "mpdash-swarm:", err)
 			return 1
 		}
 		if !*quiet && *tracePath != "" {
@@ -287,33 +286,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// exportTraces writes the tracer's kept traces: JSONL to tracePath and
-// Chrome trace-event JSON to chromePath (either may be empty).
-func exportTraces(tracer *obs.Tracer, tracePath, chromePath string) error {
-	write := func(path string, fn func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("mpdash-swarm: trace: %w", err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("mpdash-swarm: trace %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if tracePath != "" {
-		if err := write(tracePath, tracer.WriteJSONL); err != nil {
-			return err
-		}
-	}
-	if chromePath != "" {
-		if err := write(chromePath, tracer.WriteChrome); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // loadChaos reads a chaos timeline file: a JSON array of chaos events

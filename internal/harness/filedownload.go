@@ -71,10 +71,7 @@ func RunFileDownload(cfg FileConfig) (*FileResult, error) {
 	s := sim.New()
 	conn, err := mptcp.NewConn(s, mptcp.Config{
 		Scheduler: cfg.Scheduler,
-		Paths: []mptcp.PathSpec{
-			{Name: "wifi", Rate: cfg.WiFi, RTT: cfg.WiFiRTT, Cost: 0.1, Primary: true},
-			{Name: "lte", Rate: cfg.LTE, RTT: cfg.LTERTT, Cost: 1.0},
-		},
+		Paths:     testbed(cfg.WiFi, cfg.LTE, cfg.WiFiRTT, cfg.LTERTT, 0),
 	})
 	if err != nil {
 		return nil, err

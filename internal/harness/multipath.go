@@ -77,84 +77,141 @@ func RunMultiSession(cfg MultiSessionConfig) (*MultiSessionResult, error) {
 		cfg.Alpha = core.DefaultAlpha
 	}
 
-	s := sim.New()
 	specs := make([]mptcp.PathSpec, 0, len(cfg.Paths))
 	for _, p := range cfg.Paths {
 		specs = append(specs, mptcp.PathSpec{
 			Name: p.Name, Rate: p.Trace, RTT: p.RTT, Cost: p.Cost, Primary: p.Primary,
 		})
 	}
-	conn, err := mptcp.NewConn(s, mptcp.Config{Scheduler: cfg.Scheduler, Paths: specs})
-	if err != nil {
-		return nil, err
-	}
-
 	var mgr *policy.Manager
-	if cfg.Policy != nil {
-		mgr, err = policy.NewManager(s, conn, cfg.Policy)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.PolicyInterval > 0 {
-			mgr.Interval = cfg.PolicyInterval
-		}
-		defer mgr.Stop()
-	}
-
-	algo, bba, err := newAlgorithm(cfg.Algorithm, cfg.Video)
+	ss, err := playSession(sessionSpec{
+		conn:  mptcp.Config{Scheduler: cfg.Scheduler, Paths: specs},
+		video: cfg.Video, algorithm: cfg.Algorithm, scheme: cfg.Scheme,
+		alpha: cfg.Alpha, maxCost: cfg.MaxCost, chunks: cfg.Chunks,
+		prepare: func(s *sim.Simulator, conn *mptcp.Conn) (err error) {
+			if cfg.Policy == nil {
+				return nil
+			}
+			if mgr, err = policy.NewManager(s, conn, cfg.Policy); err == nil && cfg.PolicyInterval > 0 {
+				mgr.Interval = cfg.PolicyInterval
+			}
+			return err
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	var adapter dash.Adapter
-	var sched *core.Scheduler
-	var abrAdapter *abr.Adapter
-	if cfg.Scheme != Baseline {
-		sched, err = core.NewScheduler(s, conn, cfg.Alpha)
-		if err != nil {
-			return nil, err
-		}
-		sched.MaxCost = cfg.MaxCost
-		acfg := abr.AdapterConfig{Policy: abr.RateBased}
-		if cfg.Scheme == MPDashDuration {
-			acfg.Policy = abr.DurationBased
-		}
-		if bba != nil {
-			acfg.Category = abr.BufferBased
-			acfg.BBA = bba
-		}
-		abrAdapter, err = abr.NewAdapter(sched, conn, acfg)
-		if err != nil {
-			return nil, err
-		}
-		adapter = abrAdapter
-	}
-
-	player, err := dash.NewPlayer(s, conn, cfg.Video, algo, adapter)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := player.Run(cfg.Chunks)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &MultiSessionResult{
-		Report:    rep,
-		Wall:      s.Now(),
+		Report:    ss.rep,
+		Wall:      ss.sim.Now(),
 		PathBytes: map[string]int64{},
 	}
-	for _, p := range conn.Paths() {
+	for _, p := range ss.conn.Paths() {
 		res.PathBytes[p.Name] = p.DeliveredBytes()
 	}
-	if abrAdapter != nil {
-		res.Governed = abrAdapter.Governed()
-		res.Skipped = abrAdapter.Skipped()
-	}
-	if sched != nil {
-		res.DeadlineMisses = sched.DeadlineMisses()
-	}
+	res.Governed, res.Skipped, res.DeadlineMisses = ss.counts()
 	if mgr != nil {
 		res.PolicyUpdates = mgr.Updates()
 	}
 	return res, nil
+}
+
+// sessionSpec is what playSession builds a session from, defaults applied.
+type sessionSpec struct {
+	conn      mptcp.Config
+	video     *dash.Video
+	algorithm Algorithm
+	scheme    Scheme
+	alpha     float64
+	maxCost   float64 // the scheduler's cost ceiling (0 = none)
+	// adapter holds the MP-DASH adapter's switches; playSession sets its
+	// Policy, Category and BBA.
+	adapter   abr.AdapterConfig
+	bufferCap time.Duration // 0 = the player's default
+	chunks    int
+	// prepare, when set, runs on the new connection before the player and
+	// its adapters are built.
+	prepare func(*sim.Simulator, *mptcp.Conn) error
+}
+
+// session is a played-out session: its simulator, connection and report,
+// and for the MP-DASH schemes the scheduler and the adapter.
+type session struct {
+	sim   *sim.Simulator
+	conn  *mptcp.Conn
+	rep   *dash.Report
+	sched *core.Scheduler
+	abr   *abr.Adapter
+}
+
+// playSession builds one session over sp's paths — the MPTCP connection,
+// the rate adapter and, for the MP-DASH schemes, the scheduler and its
+// adapter — and plays sp.chunks chunks.
+func playSession(sp sessionSpec) (*session, error) {
+	ss := &session{sim: sim.New()}
+	var err error
+	if ss.conn, err = mptcp.NewConn(ss.sim, sp.conn); err != nil {
+		return nil, err
+	}
+	if sp.prepare != nil {
+		if err := sp.prepare(ss.sim, ss.conn); err != nil {
+			return nil, err
+		}
+	}
+	algo, err := abr.New(string(sp.algorithm), sp.video)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	var adapter dash.Adapter
+	if sp.scheme == MPDashRate || sp.scheme == MPDashDuration {
+		if ss.sched, err = core.NewScheduler(ss.sim, ss.conn, sp.alpha); err != nil {
+			return nil, err
+		}
+		ss.sched.MaxCost = sp.maxCost
+		acfg := sp.adapter
+		acfg.Policy = abr.RateBased
+		if sp.scheme == MPDashDuration {
+			acfg.Policy = abr.DurationBased
+		}
+		if bba, ok := algo.(*abr.BBA); ok {
+			acfg.Category, acfg.BBA = abr.BufferBased, bba
+		}
+		if ss.abr, err = abr.NewAdapter(ss.sched, ss.conn, acfg); err != nil {
+			return nil, err
+		}
+		adapter = ss.abr
+	}
+	player, err := dash.NewPlayer(ss.sim, ss.conn, sp.video, algo, adapter)
+	if err != nil {
+		return nil, err
+	}
+	if sp.bufferCap > 0 {
+		player.BufferCap = sp.bufferCap
+	}
+	if ss.rep, err = player.Run(sp.chunks); err != nil {
+		return nil, err
+	}
+	return ss, nil
+}
+
+// counts returns the MP-DASH adapter's governed and skipped chunks and
+// the scheduler's deadline misses, zero under a baseline scheme.
+func (ss *session) counts() (governed, skipped, misses int64) {
+	if ss.abr != nil {
+		governed, skipped = ss.abr.Governed(), ss.abr.Skipped()
+	}
+	if ss.sched != nil {
+		misses = ss.sched.DeadlineMisses()
+	}
+	return
+}
+
+// testbed returns the two-radio testbed's paths (§7): WiFi, preferred, at
+// cost 0.1 and LTE at 1.0, each with RTT jitter of jitterFrac from its own
+// fixed stream.
+func testbed(wifi, lte *trace.Trace, wifiRTT, lteRTT time.Duration, jitterFrac float64) []mptcp.PathSpec {
+	return []mptcp.PathSpec{
+		{Name: "wifi", Rate: wifi, RTT: wifiRTT, Cost: 0.1, Primary: true, JitterFrac: jitterFrac, JitterSeed: 1},
+		{Name: "lte", Rate: lte, RTT: lteRTT, Cost: 1.0, JitterFrac: jitterFrac, JitterSeed: 2},
+	}
 }

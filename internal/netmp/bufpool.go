@@ -22,8 +22,8 @@ import "sync"
 // buffer quietly falls out of circulation instead of poisoning it.
 
 // segBufBlock is the block granularity of the segment read/write loops:
-// requestRange reads and checks bodies and the front writes them in
-// blocks of this size.
+// the fetcher's readRange reads and checks bodies and the front writes
+// them in blocks of this size.
 const segBufBlock = 16 * 1024
 
 var segBufPool = sync.Pool{

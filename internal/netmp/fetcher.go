@@ -77,9 +77,8 @@ type Fetcher struct {
 	// path, the rest are secondaries in ascending cost order.
 	paths []*pathConn
 	// st is the segment ledger and job the chunk in flight (FetchChunk).
-	st   fetchState
-	job  chunkJob
-	redo []int // fetchRun's segments left to fetch one at a time; reused
+	st  fetchState
+	job chunkJob
 	// carry is what the last clean chunk left the preferred path; only
 	// FetchChunk's goroutine touches it.
 	carry runCarry
@@ -834,7 +833,7 @@ func (f *Fetcher) driveSecondary(w *secondary) {
 		}
 		if seg := st.claimBackFor(pc); seg < 0 {
 			st.awaitWork()
-		} else if !f.fetchSeg(pc, seg) {
+		} else if !f.fetchRun(pc, seg, 1) {
 			return
 		}
 	}
@@ -859,189 +858,155 @@ func (f *Fetcher) standBy(w *secondary) {
 	}
 }
 
-// fetchSeg downloads one claimed segment on pc and settles it in the
-// ledger, reporting whether pc should keep claiming.
-func (f *Fetcher) fetchSeg(pc *pathConn, seg int) bool {
-	j, st := &f.job, &f.st
-	from, to := j.segRange(seg)
-	ssp := j.ctr.StartSpan(obs.CatSegment, "segment")
-	ssp.SetPath(pc.name)
-	ssp.SetNum("seg", float64(seg))
-	n, err := f.fetchSegHedged(pc, j.pol, j.index, j.level, from, to, j.dlAt)
-	ssp.End()
-	switch {
-	case err == nil:
-		st.complete(pc == f.paths[0], n)
-		return true
-	case errors.Is(err, errHedgeCancelled):
-		// A doomed-chunk abort cut this transfer mid-read. Not a fault:
-		// forget the claim — no requeue budget spent, no breaker fuel —
-		// and wind the worker down.
-		if st.view().doomed {
-			st.release()
-			return false
-		}
-		// Stale cancellation without a doom verdict (the chunk completed
-		// inside the cancel race): hand the segment back.
-		st.requeue(seg, pc, nil)
-		return true
-	case errors.Is(err, errSegmentFailed), errors.Is(err, errPathDown):
-		st.requeue(seg, pc, nil)
-		j.ctr.Event(obs.CatRequeue, "requeue")
-		j.ctr.MarkBad(obs.CatRequeue)
-		return errors.Is(err, errSegmentFailed)
-	default: // fatal protocol error; the path was marked down
-		st.requeue(seg, pc, err)
-		return false
+// fetchRun fetches the claimed run of n ≥ 1 segments from first on pc and
+// settles it in the ledger, reporting whether pc should keep claiming. A
+// lone segment whose path has a healthy backup origin is raced against a
+// hedge (hedge.go); anything else is supervised alone.
+func (f *Fetcher) fetchRun(pc *pathConn, first, n int) bool {
+	var err error
+	if backup := f.hedgeBackup(pc, n); backup != nil {
+		err = f.raceHedge(pc, first, backup)
+	} else {
+		_, err = f.supervise(pc, first, n, false)
 	}
+	return err == nil || f.giveBack(pc, err)
 }
 
-// fetchRun downloads the claimed run of n segments from first on pc,
-// reporting whether pc should keep claiming. A run of one is fetchSeg; a
-// longer one is one write of n pipelined range requests, whose 206s are
-// settled in order as they verify. A corrupt body is retried afterwards
-// on the same connection; any other failure is charged once and, after
-// the redial, the unsettled rest goes through fetchSeg (DESIGN.md §6).
-func (f *Fetcher) fetchRun(pc *pathConn, first, n int) bool {
-	if n == 1 {
-		return f.fetchSeg(pc, first)
-	}
+// supervise fetches the run of n ≥ 1 segments from first on pc in
+// attempts: the one place a request's faults are absorbed (DESIGN.md §6).
+// Each attempt writes the owed segments' range requests in one write and
+// reads their 206s in order, settling each segment that verifies and
+// charging each corrupt body, which stays owed: the framing is intact. An
+// I/O error is charged once and ends the attempt; the path is redialled
+// (a fatal error marks it down instead). A segment gets at most
+// SegmentBudget attempts, with a backoff before each retry. Unless held
+// (the supervised side of a hedge race, which settles its winner itself),
+// a verified segment completes in the ledger at once, and the predictor
+// observes the run once: its verified bytes over the time from its first
+// write to its last verified byte.
+//
+// It returns the verified bytes and nil once nothing is owed. Otherwise
+// pc.owed holds what is, and the error says why: errSegmentFailed once
+// the budget is spent, errPathDown when a redial failed, errHedgeCancelled
+// when a winning hedge or a doom verdict cut the attempt, or the fatal
+// error that took the path down.
+func (f *Fetcher) supervise(pc *pathConn, first, n int, held bool) (verified int64, err error) {
 	j, st := &f.job, &f.st
 	lvlID := f.Video.Levels[j.level].ID
-	pc.req = pc.req[:0]
+	pc.owed = pc.owed[:0]
 	for seg := first; seg < first+n; seg++ {
-		from, to := j.segRange(seg)
-		pc.req = AppendRangeRequest(pc.req, lvlID, j.index, from, to)
+		pc.owed = append(pc.owed, seg)
 	}
-	defer pc.conn.SetDeadline(time.Time{})
-	o, t0 := pc.set.current(), f.clk.now()
-	prev, lastOK := t0, t0
-	var got, verified int64
-	f.redo = f.redo[:0]
-	seg, err := first, f.writeRequests(pc)
-	for ; err == nil && seg < first+n; seg++ {
-		from, to := j.segRange(seg)
-		ssp := j.ctr.StartSpan(obs.CatSegment, "segment")
-		ssp.SetPath(pc.name)
-		ssp.SetNum("seg", float64(seg))
-		var ok bool
-		got, ok, err = f.readRange(pc, j.index, j.level, from, to-from+1, t0)
-		ssp.End()
-		if err != nil {
-			break
-		}
-		now := f.clk.now()
-		if ok {
-			pc.noteSuccess(got)
-			o.recordOutcome(nil, now.Sub(prev))
-			st.complete(true, got)
-			verified, lastOK = verified+got, now
-		} else {
-			pc.chargeFault(o, got, errCorruptPayload)
-			f.redo = append(f.redo, seg)
-		}
-		prev = now
-	}
-	f.observeSegRate(verified, lastOK.Sub(t0))
-	if err != nil {
-		for ; seg < first+n; seg++ {
-			f.redo = append(f.redo, seg)
-		}
-		if pc.takeCancelled() {
-			return f.giveBack(pc, f.redo, nil)
-		}
-		pc.chargeFault(o, got, err)
-		if !isTransient(err) {
-			pc.markDown()
-			f.giveBack(pc, f.redo, err)
-			return false
-		}
-		if derr := pc.redial(j.pol); derr != nil {
-			f.giveBack(pc, f.redo, nil)
-			j.ctr.Event(obs.CatRequeue, "requeue")
-			j.ctr.MarkBad(obs.CatRequeue)
-			return false
-		}
-	}
-	for i, seg := range f.redo {
-		if !f.fetchSeg(pc, seg) {
-			f.giveBack(pc, f.redo[i+1:], nil)
-			return false
-		}
-	}
-	return true
-}
-
-// giveBack hands claimed segments back unfetched, reporting whether the
-// chunk is not doomed: a doomed chunk's are released (no requeue budget
-// spent), any other's requeued by pc, err charged with the first.
-func (f *Fetcher) giveBack(pc *pathConn, segs []int, err error) bool {
-	doomed := f.st.view().doomed
-	for _, seg := range segs {
-		if doomed {
-			f.st.release()
-		} else {
-			f.st.requeue(seg, pc, err)
-			err = nil
-		}
-	}
-	return !doomed
-}
-
-// fetchSegSupervised downloads one segment on pc, absorbing transient
-// faults: a corrupted payload is re-requested on the intact connection,
-// and an I/O error triggers a redial (exponential backoff + jitter)
-// because the connection's framing state is unknown. Every attempt's
-// outcome feeds the current origin's circuit breaker, and a segment
-// whose origin breaker opens mid-flight is re-dispatched through a
-// redial to the next healthy origin. It returns the verified byte
-// count, or errSegmentFailed once the per-segment budget is spent (the
-// caller requeues the segment), or errPathDown when the path's redial
-// budget is gone or the failure was fatal, or errHedgeCancelled when a
-// winning hedge aborted the attempt.
-func (f *Fetcher) fetchSegSupervised(pc *pathConn, pol RetryPolicy, index, level int, from, to int64) (int64, error) {
+	var start, lastOK time.Time
 	for attempt := 0; ; attempt++ {
 		// A tripped origin is not worth another request: fail over now
 		// (multi-origin sets only; a sole origin keeps legacy semantics).
 		if pc.set.Size() > 1 && pc.set.CurrentState() == BreakerOpen {
-			if derr := pc.redial(pol); derr != nil {
-				return 0, derr
+			if err = pc.redial(j.pol); err != nil {
+				break
 			}
 		}
-		o := pc.set.current()
-		t0 := f.clk.now()
-		n, verified, err := f.requestRange(pc, index, level, from, to)
-		if err == nil && verified {
-			pc.noteSuccess(n)
-			o.recordOutcome(nil, f.clk.now().Sub(t0))
-			return n, nil
+		pc.req = pc.req[:0]
+		for _, seg := range pc.owed {
+			from, to := j.segRange(seg)
+			pc.req = AppendRangeRequest(pc.req, lvlID, j.index, from, to)
 		}
-		if err != nil && pc.takeCancelled() {
-			// Not a fault: the hedge twin already delivered the segment.
-			return 0, errHedgeCancelled
+		o, t0 := pc.set.current(), f.clk.now()
+		if start.IsZero() {
+			start, lastOK = t0, t0
 		}
-		fault := err
-		if fault == nil {
-			fault = errCorruptPayload
+		prev, owed, i := t0, pc.owed[:0], 0
+		var got int64
+		err = f.writeRequests(pc)
+		for ; err == nil && i < len(pc.owed); i++ {
+			seg := pc.owed[i]
+			from, to := j.segRange(seg)
+			ssp := j.ctr.StartSpan(obs.CatSegment, "segment")
+			ssp.SetPath(pc.name)
+			ssp.SetNum("seg", float64(seg))
+			var ok bool
+			got, ok, err = f.readRange(pc, j.index, j.level, from, to-from+1, t0)
+			ssp.End()
+			if err != nil {
+				break
+			}
+			now := f.clk.now()
+			if ok {
+				pc.noteSuccess(got)
+				o.recordOutcome(nil, now.Sub(prev))
+				if !held {
+					st.complete(pc == f.paths[0], got)
+				}
+				verified, lastOK = verified+got, now
+			} else {
+				pc.chargeFault(o, got, errCorruptPayload)
+				owed = append(owed, seg)
+			}
+			prev = now
 		}
-		pc.chargeFault(o, n, fault)
-		if err != nil && !isTransient(err) {
-			pc.markDown()
-			return 0, err
-		}
+		pc.owed = append(owed, pc.owed[i:]...)
 		if err != nil {
-			if derr := pc.redial(pol); derr != nil {
-				return 0, derr
+			if pc.takeCancelled() {
+				err = errHedgeCancelled
+				break
+			}
+			pc.chargeFault(o, got, err)
+			if !isTransient(err) {
+				pc.markDown()
+				break
+			}
+			if err = pc.redial(j.pol); err != nil {
+				break
 			}
 		}
-		if attempt+1 >= pol.SegmentBudget {
-			return 0, errSegmentFailed
+		if len(pc.owed) == 0 {
+			break
 		}
-		bsp := f.curTrace().StartSpan(obs.CatBackoff, "backoff")
+		if attempt+1 >= j.pol.SegmentBudget {
+			err = errSegmentFailed
+			break
+		}
+		bsp := j.ctr.StartSpan(obs.CatBackoff, "backoff")
 		bsp.SetPath(pc.name)
-		time.Sleep(pol.backoff(attempt, pc.jitterRNG(pol)))
+		time.Sleep(j.pol.backoff(attempt, pc.jitterRNG(j.pol)))
 		bsp.End()
 	}
+	pc.conn.SetDeadline(time.Time{})
+	if !held {
+		f.observeSegRate(verified, lastOK.Sub(start))
+	}
+	return verified, err
+}
+
+// giveBack hands back what pc still owes after supervise failed with err,
+// reporting whether pc should keep claiming. After a doom verdict the owed
+// segments are released: an abort is not a fault, so it spends no requeue
+// budget, and the worker winds down. Otherwise pc requeues them, a fatal
+// err charged with the first. A cancel without a doom verdict is stale
+// (the chunk completed inside the cancel race) and, like a spent budget,
+// leaves pc claiming.
+func (f *Fetcher) giveBack(pc *pathConn, err error) bool {
+	j, st := &f.job, &f.st
+	doomed := st.view().doomed
+	cancelled, failed, down := errors.Is(err, errHedgeCancelled), errors.Is(err, errSegmentFailed), errors.Is(err, errPathDown)
+	fatal := err
+	if cancelled || failed || down {
+		fatal = nil
+	}
+	for _, seg := range pc.owed {
+		if doomed {
+			st.release()
+		} else {
+			st.requeue(seg, pc, fatal)
+			fatal = nil
+		}
+	}
+	pc.owed = pc.owed[:0]
+	if failed || down {
+		j.ctr.Event(obs.CatRequeue, "requeue")
+		j.ctr.MarkBad(obs.CatRequeue)
+	}
+	return failed || cancelled && !doomed
 }
 
 // FetchManifest downloads and parses the server's MPD over a fresh
@@ -1079,21 +1044,6 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 		return nil, nil, err
 	}
 	return dash.VideoFromManifest(mpd, "remote")
-}
-
-// requestRange performs one HTTP range request on a path connection and
-// verifies the payload. Every I/O operation (the write, the status and
-// header reads, and each body block read) runs under the policy's
-// IOTimeout so a stalled path surfaces as a timeout instead of hanging
-// the worker. It returns the byte count and whether every byte matched.
-func (f *Fetcher) requestRange(pc *pathConn, index, level int, from, to int64) (int64, bool, error) {
-	defer pc.conn.SetDeadline(time.Time{})
-	pc.req = AppendRangeRequest(pc.req[:0], f.Video.Levels[level].ID, index, from, to)
-	t0 := f.clk.now()
-	if err := f.writeRequests(pc); err != nil {
-		return 0, false, err
-	}
-	return f.readRange(pc, index, level, from, to-from+1, t0)
 }
 
 // writeRequests sends pc.req's request heads in one write, under IOTimeout.

@@ -154,54 +154,63 @@ type segOutcome struct {
 	hedge bool
 }
 
-// fetchSegHedged downloads one segment on pc with hedging: the
-// supervised primary attempt races a one-shot duplicate to a backup
-// origin once the pace projects a miss. Exactly one result is returned
-// to the caller — the ledger sees a single completion — and the loser's
-// bytes are charged to the hedge budget. Falls back to the plain
-// supervised fetch when hedging is disabled, unaffordable, or no healthy
-// backup origin exists.
-func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int, from, to int64, dlAt time.Time) (int64, error) {
-	hp := f.Hedge.withDefaults()
-	var backup *origin
-	// A cache-hot chunk's slow first bytes are the edge's singleflight
-	// fill; a duplicate request would join that fill, not beat it, so
-	// hedging is suppressed above the hot threshold.
-	if !f.Hedge.Disabled && !f.cacheHot(index) && f.hedge.wasted.Load() < hp.BudgetBytes {
-		if b, ok := pc.set.backup(); ok {
-			backup = b
-		}
+// hedgeBackup returns the origin a hedge of pc's claimed run of n would
+// go to, or nil: only a lone segment hedges, and only while hedging is on,
+// affordable and has a healthy backup origin. A cache-hot chunk's slow
+// first bytes are the edge's singleflight fill; a duplicate request would
+// join that fill, not beat it, so hedging is suppressed above the hot
+// threshold.
+func (f *Fetcher) hedgeBackup(pc *pathConn, n int) *origin {
+	if n != 1 || f.Hedge.Disabled || f.cacheHot(f.job.index) || f.hedge.wasted.Load() >= f.Hedge.withDefaults().BudgetBytes {
+		return nil
 	}
-	start := f.clk.now()
-	if backup == nil {
-		n, err := f.fetchSegSupervised(pc, pol, index, level, from, to)
-		if err == nil {
-			f.observeSegRate(n, f.clk.now().Sub(start))
-		}
-		return n, err
+	if b, ok := pc.set.backup(); ok {
+		return b
 	}
+	return nil
+}
 
+// raceHedge fetches the lone claimed segment seg on pc as a race: the
+// supervised attempts (held, so they settle nothing) against a one-shot
+// duplicate to the backup origin, issued once the pace projects a miss.
+// The winner alone is settled in the ledger and observed by the predictor,
+// start to finish, and the loser's bytes are charged to the hedge budget.
+// When both fail it returns the supervised side's error, with pc.owed as
+// supervise left it, so the ledger sees exactly an unhedged failure.
+func (f *Fetcher) raceHedge(pc *pathConn, seg int, backup *origin) error {
+	j := &f.job
+	start := f.clk.now()
 	resCh := make(chan segOutcome, 2)
 	go func() {
-		n, err := f.fetchSegSupervised(pc, pol, index, level, from, to)
+		n, err := f.supervise(pc, seg, 1, true)
 		resCh <- segOutcome{n: n, err: err}
 	}()
-
-	delay := f.hedgeDelay(hp, pol, to-from+1, dlAt)
+	from, to := j.segRange(seg)
+	delay := f.hedgeDelay(f.Hedge.withDefaults(), j.pol, to-from+1, j.dlAt)
 	armCh, armTimer := SharedWheel().After(delay)
-	var first segOutcome
+	var win segOutcome
 	select {
-	case first = <-resCh:
+	case win = <-resCh:
 		// The primary finished before the hedge armed — the common case.
 		armTimer.Stop()
-		if first.err == nil {
-			f.observeSegRate(first.n, f.clk.now().Sub(start))
-		}
-		return first.n, first.err
 	case <-armCh:
+		win = f.hedgeAgainst(pc, backup, delay, from, to, resCh)
 	}
+	if win.err != nil {
+		return win.err
+	}
+	pc.owed = pc.owed[:0]
+	f.st.complete(pc == f.paths[0], win.n)
+	f.observeSegRate(win.n, f.clk.now().Sub(start))
+	return nil
+}
 
-	// Pace projects a miss: issue the duplicate to the backup origin.
+// hedgeAgainst issues the duplicate of [from, to] to the backup origin
+// while pc's supervised attempt, which reports on resCh, is in flight, and
+// returns the race's outcome once both sides have: the first verified
+// result, or the supervised side's failure when neither verified.
+func (f *Fetcher) hedgeAgainst(pc *pathConn, backup *origin, delay time.Duration, from, to int64, resCh chan segOutcome) segOutcome {
+	j := &f.job
 	f.hedge.issued.Add(1)
 	f.emitHedge(obs.NewEvent("hedge.arm").WithPath(pc.name).
 		WithStr("origin", backup.addr).WithNum("delay_s", delay.Seconds()))
@@ -211,11 +220,11 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 	defer hsp.End()
 	hedgeCancel := make(chan struct{})
 	go func() {
-		n, err := f.hedgeFetch(backup, pol, index, level, from, to, hedgeCancel)
+		n, err := f.hedgeFetch(backup, j.pol, j.index, j.level, from, to, hedgeCancel)
 		resCh <- segOutcome{n: n, err: err, hedge: true}
 	}()
 
-	first = <-resCh
+	first := <-resCh
 	if first.err == nil && !first.hedge {
 		// Primary won: cancel the hedge and drain it.
 		close(hedgeCancel)
@@ -223,14 +232,13 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 		f.hedge.noteCancelled(second.n)
 		f.emitHedge(obs.NewEvent("hedge.cancel").WithPath(pc.name).
 			WithNum("wasted_bytes", float64(second.n)))
-		f.observeSegRate(first.n, f.clk.now().Sub(start))
-		return first.n, nil
+		return first
 	}
-	if first.err == nil && first.hedge {
+	if first.err == nil {
 		// Hedge won: cancel the supervised attempt (close its conn; the
-		// supervised loop sees the flag and returns errHedgeCancelled
-		// without charging a fault), drain it, and restore the path's
-		// connection for the next segment.
+		// supervisor sees the flag and returns errHedgeCancelled without
+		// charging a fault), drain it, and restore the path's connection
+		// for the next segment.
 		pc.cancelForHedge()
 		second := <-resCh
 		f.hedge.won.Add(1)
@@ -238,10 +246,9 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 		f.emitHedge(obs.NewEvent("hedge.win").WithPath(pc.name).
 			WithNum("wasted_bytes", float64(second.n)))
 		if !pc.isDown() {
-			pc.redial(pol) // best effort; a failure marks the path down
+			pc.redial(j.pol) // best effort; a failure marks the path down
 		}
-		f.observeSegRate(first.n, f.clk.now().Sub(start))
-		return first.n, nil
+		return first
 	}
 	// First finisher failed; the other side may still deliver.
 	second := <-resCh
@@ -252,8 +259,7 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 				WithNum("wasted_bytes", float64(first.n)))
 		}
 		f.hedge.noteWasted(first.n)
-		f.observeSegRate(second.n, f.clk.now().Sub(start))
-		return second.n, nil
+		return second
 	}
 	// Both failed: charge the hedge side's partial bytes to the budget
 	// and surface the supervised attempt's error so the ledger requeue
@@ -265,7 +271,7 @@ func (f *Fetcher) fetchSegHedged(pc *pathConn, pol RetryPolicy, index, level int
 	f.hedge.noteWasted(hed.n)
 	f.emitHedge(obs.NewEvent("hedge.lose").WithPath(pc.name).
 		WithNum("wasted_bytes", float64(hed.n)))
-	return sup.n, sup.err
+	return sup
 }
 
 // emitHedge journals one hedge-race event through the fetcher's sink.
@@ -296,7 +302,12 @@ func (f *Fetcher) hedgeFetch(o *origin, pol RetryPolicy, index, level int, from,
 	}()
 	defer conn.Close()
 	hc := &pathConn{name: "hedge", conn: conn, r: bufio.NewReader(conn)}
-	n, verified, err := f.requestRange(hc, index, level, from, to)
+	hc.req = AppendRangeRequest(nil, f.Video.Levels[level].ID, index, from, to)
+	var n int64
+	verified, tw := false, f.clk.now()
+	if err = f.writeRequests(hc); err == nil {
+		n, verified, err = f.readRange(hc, index, level, from, to-from+1, tw)
+	}
 	if err == nil && !verified {
 		err = errCorruptPayload
 	}

@@ -196,7 +196,8 @@ func TestNewChunkServerValidation(t *testing.T) {
 
 func TestServerRejectsBadRange(t *testing.T) {
 	// An inverted range gets a 416, and the fetcher surfaces it as an
-	// unexpected-status error rather than hanging.
+	// unexpected-status error rather than hanging. The request is the
+	// fetcher's one-shot lone range request, as a hedge sends it.
 	video := dash.BigBuckBunny()
 	eachFront(t, video, 0, func(t *testing.T, s *front) {
 		f, err := NewFetcher(video, s.Addr(), s.Addr())
@@ -204,7 +205,7 @@ func TestServerRejectsBadRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if _, _, err := f.requestRange(f.paths[0], 0, 0, 500, 100); err == nil {
+		if _, err := f.hedgeFetch(f.paths[0].set.current(), f.Retry.withDefaults(), 0, 0, 500, 100, nil); err == nil {
 			t.Error("inverted range accepted")
 		}
 	})

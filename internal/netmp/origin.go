@@ -11,6 +11,7 @@ package netmp
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 )
@@ -34,16 +35,32 @@ type OriginSet struct {
 }
 
 // NewOriginSet builds a ranked origin set for a path. At least one
-// address is required; pol bounds every origin's breaker.
+// address is required, and none may be empty; pol bounds every origin's
+// breaker.
 func NewOriginSet(name string, addrs []string, pol BreakerPolicy) (*OriginSet, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("netmp: path %s needs at least one origin", name)
 	}
 	set := &OriginSet{name: name}
-	for _, a := range addrs {
+	for i, a := range addrs {
+		if strings.TrimSpace(a) == "" {
+			return nil, fmt.Errorf("netmp: path %s: origin %d has an empty address", name, i)
+		}
 		set.origins = append(set.origins, &origin{addr: a, breaker: NewCircuitBreaker(pol)})
 	}
 	return set, nil
+}
+
+// SplitOrigins parses a comma-separated ranked origin list, trimming
+// white space and dropping empty entries, so "a,b," is a and b.
+func SplitOrigins(list string) []string {
+	var out []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // Size returns the number of ranked origins.

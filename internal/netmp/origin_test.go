@@ -6,9 +6,12 @@ package netmp
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"mpdash/internal/cache"
 	"mpdash/internal/dash"
 )
 
@@ -189,5 +192,33 @@ func TestServerBusyIsTransient(t *testing.T) {
 	}
 	if !isTransient(errors.New("read: connection reset by peer")) {
 		t.Error("I/O error classified fatal")
+	}
+}
+
+// TestEmptyOriginRejected: a trailing comma in an origin list is no
+// origin. SplitOrigins drops the empty entry, and an empty address that
+// reaches NewOriginSet fails, naming the path, rather than becoming a
+// phantom backup that makes every fill hedgeable.
+func TestEmptyOriginRejected(t *testing.T) {
+	if got := SplitOrigins(" a:1, b:2,,"); !reflect.DeepEqual(got, []string{"a:1", "b:2"}) {
+		t.Errorf("SplitOrigins = %q, want [a:1 b:2]", got)
+	}
+	if got := SplitOrigins(" , "); got != nil {
+		t.Errorf("SplitOrigins of no address = %q, want none", got)
+	}
+	for _, addrs := range [][]string{{"a:1", ""}, {" ", "a:1"}} {
+		if _, err := NewOriginSet("wifi", addrs, BreakerPolicy{}); err == nil || !strings.Contains(err.Error(), "wifi") {
+			t.Errorf("NewOriginSet(%q) err = %v, want an error naming the path", addrs, err)
+		}
+	}
+	video := dash.BigBuckBunny()
+	origin, err := NewChunkServer(video, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	if e, err := NewEdgeServer(video, "v", []string{origin.Addr(), ""}, cache.New(cache.Config{}), EdgePolicy{}); err == nil {
+		e.Close()
+		t.Error("an edge accepted an empty origin address")
 	}
 }

@@ -89,6 +89,24 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// countedServer starts an unshaped ChunkServer that injects plan's faults
+// (nil = none) behind a countingListener, closed when t ends.
+func countedServer(t *testing.T, v *dash.Video, plan *FaultPlan) (*ChunkServer, *countingListener) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	s := &ChunkServer{start: time.Now(), plan: plan}
+	if plan != nil {
+		s.faultRN = newFaultRand(plan.Seed)
+	}
+	s.front = newFront(v, cl, 0, s)
+	t.Cleanup(func() { s.Close() })
+	return s, cl
+}
+
 // countingSource serves generated bodies and counts the range requests
 // the front parsed.
 type countingSource struct{ requests atomic.Int64 }
@@ -214,17 +232,7 @@ func TestRunWindowRestartsCold(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cl := &countingListener{Listener: ln}
-			ps := &ChunkServer{start: time.Now(), plan: tc.plan}
-			if tc.plan != nil {
-				ps.faultRN = newFaultRand(tc.plan.Seed)
-			}
-			ps.front = newFront(v, cl, 0, ps)
-			defer ps.Close()
+			ps, cl := countedServer(t, v, tc.plan)
 			ss, err := NewChunkServer(v, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -495,4 +503,68 @@ func TestPipelinedRunDoomReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkComplete(t, res2)
+}
+
+// TestSegmentBudgetHoldsInsideARun: a segment gets SegmentBudget attempts
+// on a path, inside a pipelined run as alone. Every level-1 response of
+// the one path is corrupt; with a budget of one attempt, each corrupt
+// response is one requeue, until a segment's second requeue exhausts the
+// chunk. The warm-up leaves a warm run window, so the measured chunk opens
+// with a run of many segments.
+func TestSegmentBudgetHoldsInsideARun(t *testing.T) {
+	v := dash.BigBuckBunny()
+	seg, _ := runSegSize(v)
+	ps, cl := countedServer(t, v, &FaultPlan{CorruptProb: 1, Levels: []int{1}})
+	f, err := NewFetcher(v, ps.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.SegmentSize, f.Retry = seg, fastRetry()
+	f.Retry.SegmentBudget, f.Retry.RequeueBudget = 1, 1
+	if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	reads0 := cl.reads.Load()
+	res, err := f.FetchChunk(1, 1, 10*time.Second)
+	if !errors.Is(err, ErrChunkExhausted) {
+		t.Fatalf("err = %v, want ErrChunkExhausted", err)
+	}
+	corrupt, writes := ps.FaultStats().Corruptions, cl.reads.Load()-reads0
+	t.Logf("%d corrupt responses in %d request writes, %d requeues", corrupt, writes, res.Requeued)
+	if writes >= corrupt {
+		t.Errorf("%d request writes for %d requests: the chunk never ran a pipelined run", writes, corrupt)
+	}
+	if corrupt != res.Requeued {
+		t.Errorf("%d corrupt responses for %d requeues, want one attempt per requeue", corrupt, res.Requeued)
+	}
+}
+
+// TestRunResetRetriesOwedTogether: a reset in the middle of the cold
+// chunk's run of eight costs one redial, and the run's owed rest (the
+// segment the reset cut and those after it) leaves in one request write:
+// runs of 1, 1, 2, 4, the cut 8, the owed 5 and then 16 are 7 writes.
+func TestRunResetRetriesOwedTogether(t *testing.T) {
+	v := dash.BigBuckBunny()
+	seg, warm := runSegSize(v)
+	ps, cl := countedServer(t, v, &FaultPlan{Script: map[int]FaultKind{warm + midRun: FaultReset}})
+	f, err := NewFetcher(v, ps.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.SegmentSize, f.Retry = seg, fastRetry()
+	warmUp(t, f)
+	reads0 := cl.reads.Load()
+	res := fetchMeasured(t, f, 10*time.Second)
+	checkComplete(t, res)
+	if res.Redials != 1 || res.Retries != 1 {
+		t.Errorf("redials %d, retries %d: want the reset charged once and redialled once", res.Redials, res.Retries)
+	}
+	if got := ps.FaultStats().Resets; got != 1 {
+		t.Errorf("server injected %d resets, want 1", got)
+	}
+	if reads := cl.reads.Load() - reads0; reads != 7 {
+		t.Errorf("%d request writes, want 7: the owed rest of the cut run in one", reads)
+	}
 }

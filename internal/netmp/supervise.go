@@ -191,6 +191,7 @@ type pathConn struct {
 	conn   net.Conn   // owned by the single worker goroutine using the path
 	r      *bufio.Reader
 	req    []byte     // request-head scratch; owner-goroutine only
+	owed   []int      // the supervised run's unsettled segments; owner-goroutine only
 	rng    *rand.Rand // jitter; owner-goroutine only
 	closed bool       // set by Close; owner/Close coordination via mu
 	clk    Clock      // injectable wall clock (nil = time.Now)

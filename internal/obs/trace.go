@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -561,6 +562,31 @@ func (tr *Tracer) WriteChrome(w io.Writer) error {
 		return nil
 	}
 	return WriteChromeTrace(w, tr.Records())
+}
+
+// Export writes the kept traces to files: JSONL to jsonlPath and Chrome
+// trace-event JSON to chromePath. An empty path skips its file.
+func (tr *Tracer) Export(jsonlPath, chromePath string) error {
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{jsonlPath, tr.WriteJSONL}, {chromePath, tr.WriteChrome}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			return fmt.Errorf("obs: trace: %w", err)
+		}
+		if err := out.write(f); err != nil {
+			f.Close()
+			return fmt.Errorf("obs: trace %s: %w", out.path, err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("obs: trace %s: %w", out.path, err)
+		}
+	}
+	return nil
 }
 
 // chromeEvent is one Chrome trace-event ("X" = complete event).

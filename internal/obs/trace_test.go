@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -429,6 +432,45 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if instants == 0 || completes == 0 {
 		t.Errorf("instants/completes = %d/%d, want both", instants, completes)
+	}
+}
+
+// TestTracerExport: Export writes both files, the JSONL reads back with
+// ReadTraceJSONL as the kept records, the Chrome file is the same bytes
+// WriteChrome renders, and an empty path writes nothing.
+func TestTracerExport(t *testing.T) {
+	tr := NewTracer(TraceConfig{HeadSampleRate: 1, Seed: 1, Now: fakeClock()})
+	buildTrace(tr, 0, 0)
+	buildTrace(tr, 1, 3)
+	dir := t.TempDir()
+	jsonl, chrome := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "t.json")
+	if err := tr.Export(jsonl, chrome); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := ReadTraceJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tr.Records(); len(want) != 2 || !reflect.DeepEqual(recs, want) {
+		t.Errorf("read back %+v, want the kept %+v", recs, want)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(chrome); err != nil || !bytes.Equal(got, buf.Bytes()) {
+		t.Errorf("Chrome file differs from WriteChrome (err %v)", err)
+	}
+	if err := tr.Export("", ""); err != nil {
+		t.Errorf("Export with no paths: %v", err)
+	}
+	if err := tr.Export(filepath.Join(dir, "missing", "t.jsonl"), ""); err == nil {
+		t.Error("Export into a missing directory succeeded")
 	}
 }
 

@@ -483,23 +483,11 @@ func (sw *Swarm) runSession(ctx context.Context, spec SessionSpec, video *dash.V
 	return out
 }
 
-// newABR builds a fresh rate-adaptation instance per session.
+// newABR builds a fresh rate-adaptation instance per session; a profile
+// that names none runs gpac.
 func newABR(name string, video *dash.Video) (dash.RateAdapter, error) {
-	switch name {
-	case "", "gpac":
-		return abr.NewGPAC(), nil
-	case "bba":
-		return abr.NewBBA(), nil
-	case "bbac":
-		return abr.NewBBAC(), nil
-	case "festive":
-		return abr.NewFESTIVE(), nil
-	case "mpc":
-		return abr.NewMPC(), nil
-	case "fastmpc":
-		return abr.NewFastMPC(video), nil
-	case "svaa":
-		return abr.NewSVAA(), nil
+	if name == "" {
+		name = "gpac"
 	}
-	return nil, fmt.Errorf("swarm: unknown abr %q", name)
+	return abr.New(name, video)
 }
