@@ -1,16 +1,21 @@
 package netmp
 
-import "sync"
+import (
+	"bufio"
+	"sync"
+)
 
-// Buffer pooling for the per-segment hot path. Every range request on
-// the client side reads its body in 16 KiB blocks and checks each
-// against a second block filled with the expected bytes
-// (checkChunkBody), and every origin response fills its body into the
-// same blocks (fillChunkBody), which its connection's write queue holds
-// until the flush that writes them (front.go); at swarm scale those
-// per-request allocations would dominate
-// the heap churn (thousands of sessions × segments × retries), so the
-// blocks are pooled. (Request and response heads: wire.go.)
+// Buffer pooling for the per-segment hot path. Every origin response
+// fills its body into 16 KiB blocks (fillChunkBody), which its
+// connection's write queue holds until the flush that writes them
+// (front.go). The client checks each body where the read put it
+// (checkChunkBody writes nothing): in its reader's buffer, or, for a
+// body the buffer cannot hold, in a block read straight from the socket.
+// A pipelined attempt reads through a 64 KiB window lent from a second
+// pool (pathConn.lend). At swarm scale those per-request allocations
+// would dominate the heap churn (thousands of sessions × segments ×
+// retries), so blocks and windows are pooled. (Request and response
+// heads: wire.go.)
 //
 // Ownership contract (DESIGN.md §16): AcquireSegBuf transfers exclusive
 // ownership of the returned buffer to the caller. The caller must stop
@@ -50,4 +55,52 @@ func ReleaseSegBuf(b *[]byte) {
 	}
 	*b = (*b)[:segBufBlock]
 	segBufPool.Put(b)
+}
+
+// windowPool holds the read windows pipelined attempts borrow: one
+// read can take a whole server writev (queueMax payload bytes).
+var windowPool = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(nil, queueMax) },
+}
+
+// Test hooks, nil outside tests: testHookWindow sees every window as it
+// is lent (out) and as it goes back to windowPool; testHookBlock sees
+// every body read into a segment block.
+var (
+	testHookWindow func(w *bufio.Reader, out bool)
+	testHookBlock  func()
+)
+
+// lend gives pc a window from windowPool for the 206s of an attempt that
+// wrote two or more range requests. A path reading through its own
+// reader borrows only while that holds nothing; one whose window kept
+// bytes from the last attempt reads on through it.
+// Owner-goroutine only.
+func (pc *pathConn) lend() {
+	if pc.r != pc.own || pc.r.Buffered() > 0 {
+		return
+	}
+	w := windowPool.Get().(*bufio.Reader)
+	w.Reset(pc.conn)
+	if testHookWindow != nil {
+		testHookWindow(w, true)
+	}
+	pc.r = w
+}
+
+// unlend puts pc back on its own reader. The window goes back to
+// windowPool only when it holds nothing — the bytes it holds are the
+// connection's — unless drop says the connection is gone, when it is
+// emptied first. Owner-goroutine only.
+func (pc *pathConn) unlend(drop bool) {
+	w := pc.r
+	if w == pc.own || w.Buffered() > 0 && !drop {
+		return
+	}
+	w.Reset(nil)
+	if testHookWindow != nil {
+		testHookWindow(w, false)
+	}
+	windowPool.Put(w)
+	pc.r = pc.own
 }

@@ -30,7 +30,7 @@ func eachFillPath(t *testing.T, f func(t *testing.T)) {
 
 // FuzzChunkBodyFill holds the payload helpers to the per-byte definition,
 // ChunkBody, at arbitrary (index, level, off, n) on each fill path — the
-// kernel's 32-byte runs and the add-per-byte loop below 2^33, the
+// kernel's 32-byte runs and the eight-byte loops below 2^33, the
 // definition above it, and every range straddling the boundary.
 // checkChunkBody must accept exactly those bytes: a flipped byte, a
 // shift of 1–15 bytes and a neighbouring chunk's or level's bytes are
@@ -64,33 +64,46 @@ func checkFillPair(t *testing.T, index, level int, off int64, n, flip uint32) {
 			t.Fatalf("fill of %d bytes wrote past the end, at +%d", n, i)
 		}
 	}
-	scratch := make([]byte, n)
-	if !checkChunkBody(got, scratch, index, level, off) {
+	if !checkChunkBody(got, index, level, off) {
 		t.Fatal("check rejects the fill's own bytes")
 	}
 	if n == 0 {
 		return
 	}
-	for _, p := range []uint32{0, n - 1, flip % n} {
-		mask := byte(flip>>24) | 1
+	mask := byte(flip>>24) | 1
+	flipAt := func(p uint32) {
 		got[p] ^= mask
-		if checkChunkBody(got, scratch, index, level, off) {
-			t.Fatalf("check accepts byte %d flipped by %#x", p, mask)
+		if checkChunkBody(got, index, level, off) {
+			t.Fatalf("check accepts byte %d of %d flipped by %#x", p, n, mask)
 		}
 		got[p] ^= mask
+	}
+	for _, p := range []uint32{0, n - 1, flip % n} {
+		flipAt(p)
+	}
+	// One flip in every whole 32-byte run of a body up to 4 KiB, so a
+	// kernel that loses a run's difference fails, and every byte of the
+	// tail after the last whole run.
+	if n <= 4<<10 {
+		for p := flip % 32; p < n&^31; p += 32 {
+			flipAt(p)
+		}
+	}
+	for p := n &^ 31; p < n; p++ {
+		flipAt(p)
 	}
 	if n < 32 {
 		return
 	}
 	for s := int64(1); s <= 15; s++ {
 		for _, d := range []int64{s, -s} {
-			if checkChunkBody(got, scratch, index, level, off+d) {
+			if checkChunkBody(got, index, level, off+d) {
 				t.Fatalf("check at offset %d accepts the bytes of offset %d", off+d, off)
 			}
 		}
 	}
 	for _, nb := range [][2]int{{index + 1, level}, {index - 1, level}, {index, level + 1}, {index, level - 1}} {
-		if checkChunkBody(got, scratch, nb[0], nb[1], off) {
+		if checkChunkBody(got, nb[0], nb[1], off) {
 			t.Fatalf("check as chunk (%d, %d) accepts the bytes of (%d, %d)", nb[0], nb[1], index, level)
 		}
 	}

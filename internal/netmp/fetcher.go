@@ -918,6 +918,9 @@ func (f *Fetcher) supervise(pc *pathConn, first, n int, held bool) (verified int
 		prev, owed, i := t0, pc.owed[:0], 0
 		var got int64
 		err = f.writeRequests(pc)
+		if err == nil && len(pc.owed) > 1 {
+			pc.lend()
+		}
 		for ; err == nil && i < len(pc.owed); i++ {
 			seg := pc.owed[i]
 			from, to := j.segRange(seg)
@@ -945,6 +948,7 @@ func (f *Fetcher) supervise(pc *pathConn, first, n int, held bool) (verified int
 			prev = now
 		}
 		pc.owed = append(owed, pc.owed[i:]...)
+		pc.unlend(false)
 		if err != nil {
 			if pc.takeCancelled() {
 				err = errHedgeCancelled
@@ -1057,8 +1061,13 @@ func (f *Fetcher) writeRequests(pc *pathConn) error {
 
 // readRange reads and verifies the next 206 off pc, answering a request
 // for want bytes from `from` on sent at t0: the byte count and whether all
-// matched. A 206 of another length is read to its end (its framing is
-// intact) and never verifies.
+// matched. A shorter 206 is read to its end (its framing is intact) and
+// never verifies; a longer one is an error, its body unread, since a peer
+// may stream it without end. The body is checked where the read put it:
+// bytes in the reader's buffer in place, one fill at a time, and a rest
+// at least the buffer's size straight from the socket into a pooled
+// block, as bufio reads what its buffer cannot hold. The deadline is
+// extended before each read that can block.
 func (f *Fetcher) readRange(pc *pathConn, index, level int, from, want int64, t0 time.Time) (int64, bool, error) {
 	timeout := f.Retry.withDefaults().IOTimeout
 	extend := func() { pc.conn.SetDeadline(f.clk.now().Add(timeout)) }
@@ -1066,6 +1075,9 @@ func (f *Fetcher) readRange(pc *pathConn, index, level int, from, want int64, t0
 	contentLength, cacheState, err := pc.readHead("206")
 	if err != nil {
 		return 0, false, err
+	}
+	if contentLength > want {
+		return 0, false, fmt.Errorf("netmp: %s 206 of %d bytes for a %d-byte range", pc.name, contentLength, want)
 	}
 	if cacheState != "" && !f.CacheHint.Disabled {
 		hit := cacheState == "hit"
@@ -1080,24 +1092,45 @@ func (f *Fetcher) readRange(pc *pathConn, index, level int, from, want int64, t0
 			defer csp.End()
 		}
 	}
-	bp, sp := AcquireSegBuf(), AcquireSegBuf()
-	defer ReleaseSegBuf(bp)
-	defer ReleaseSegBuf(sp)
-	buf, scratch := *bp, *sp
+	r := pc.r
+	var bp *[]byte // the segment block, taken on first use
+	defer func() {
+		if bp != nil {
+			ReleaseSegBuf(bp)
+		}
+	}()
 	var got int64
 	ok := contentLength == want
 	for got < contentLength {
-		m := int64(len(buf))
-		if m > contentLength-got {
-			m = contentLength - got
+		rest := contentLength - got
+		var b []byte
+		switch {
+		case r.Buffered() > 0:
+			// b aliases r's buffer until the next read on r.
+			b, _ = r.Peek(int(min(int64(r.Buffered()), rest)))
+			r.Discard(len(b))
+		case rest >= int64(r.Size()):
+			if bp == nil {
+				bp = AcquireSegBuf()
+				if testHookBlock != nil {
+					testHookBlock()
+				}
+			}
+			extend()
+			var n int
+			n, err = io.ReadFull(r, (*bp)[:min(rest, int64(len(*bp)))])
+			b = (*bp)[:n]
+		default:
+			extend()
+			if _, err = r.Peek(1); err == nil {
+				continue // one fill: check what it brought
+			}
 		}
-		extend()
-		n, err := io.ReadFull(pc.r, buf[:m])
-		if got == 0 && n > 0 && f.firstByte.Load() {
+		if got == 0 && len(b) > 0 && f.firstByte.Load() {
 			f.noteFirstByte()
 		}
-		ok = checkChunkBody(buf[:n], scratch, index, level, from+got) && ok
-		got += int64(n)
+		ok = checkChunkBody(b, index, level, from+got) && ok
+		got += int64(len(b))
 		if err != nil {
 			return got, ok, fmt.Errorf("netmp: %s body: %w", pc.name, err)
 		}

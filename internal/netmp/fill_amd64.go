@@ -1,8 +1,8 @@
 package netmp
 
-// useAVX2 sends fillChunkBody's whole 32-byte runs to fillAVX2. It is
-// read from the CPU at start-up, not fixed at build time: the default
-// GOAMD64=v1 build may not assume AVX2.
+// useAVX2 sends fillChunkBody's whole 32-byte runs to fillAVX2, and
+// checkChunkBody's to checkAVX2. It is read from the CPU at start-up, not
+// fixed at build time: the default GOAMD64=v1 build may not assume AVX2.
 var useAVX2 = hasAVX2()
 
 // fillAVX2 writes n bytes (n > 0, a multiple of 32) of the payload
@@ -11,6 +11,14 @@ var useAVX2 = hasAVX2()
 //
 //go:noescape
 func fillAVX2(dst *byte, n int, y uint64)
+
+// checkAVX2 reports whether src (len > 0, a multiple of 32) holds the
+// payload stream whose first byte's product key·mul is y: it runs
+// fillAVX2's lanes and compares them with src in registers, writing
+// nothing.
+//
+//go:noescape
+func checkAVX2(src []byte, y uint64) bool
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

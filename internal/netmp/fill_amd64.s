@@ -34,43 +34,76 @@ GLOBL fillMask<>(SB), RODATA|NOPTR, $48
 	VPSHUFB mask(SI), t, t; \
 	VPADDQ  Y8, y, y
 
+// SETUP points SI at fillMask and, from Y0 holding y in every lane,
+// loads the lanes Y0–Y7 and the step Y8.
+#define SETUP \
+	LEAQ         fillMask<>(SB), SI; \
+	VPADDQ       fillStart<>(SB), Y0, Y0; \
+	VPBROADCASTQ fillMul2<>(SB), Y9; \
+	VPADDQ       Y9, Y0, Y1; \
+	VPADDQ       Y9, Y1, Y2; \
+	VPADDQ       Y9, Y2, Y3; \
+	VPADDQ       Y9, Y3, Y4; \
+	VPADDQ       Y9, Y4, Y5; \
+	VPADDQ       Y9, Y5, Y6; \
+	VPADDQ       Y9, Y6, Y7; \
+	VPBROADCASTQ fillMul32<>(SB), Y8
+
+// RUN puts the next 32 bytes of the stream into Y9 and steps every lane
+// on; it uses Y10–Y14.
+#define RUN \
+	LANE(Y0, 14, Y9); \
+	LANE(Y1, 12, Y10); \
+	LANE(Y2, 10, Y11); \
+	LANE(Y3, 8, Y12); \
+	VPOR Y10, Y9, Y9; \
+	VPOR Y12, Y11, Y11; \
+	LANE(Y4, 6, Y10); \
+	LANE(Y5, 4, Y12); \
+	LANE(Y6, 2, Y13); \
+	LANE(Y7, 0, Y14); \
+	VPOR Y12, Y10, Y10; \
+	VPOR Y14, Y13, Y13; \
+	VPOR Y11, Y9, Y9; \
+	VPOR Y13, Y10, Y10; \
+	VPOR Y10, Y9, Y9
+
 // func fillAVX2(dst *byte, n int, y uint64)
 TEXT ·fillAVX2(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), CX
-	LEAQ fillMask<>(SB), SI
 	VPBROADCASTQ y+16(FP), Y0
-	VPADDQ       fillStart<>(SB), Y0, Y0
-	VPBROADCASTQ fillMul2<>(SB), Y9
-	VPADDQ       Y9, Y0, Y1
-	VPADDQ       Y9, Y1, Y2
-	VPADDQ       Y9, Y2, Y3
-	VPADDQ       Y9, Y3, Y4
-	VPADDQ       Y9, Y4, Y5
-	VPADDQ       Y9, Y5, Y6
-	VPADDQ       Y9, Y6, Y7
-	VPBROADCASTQ fillMul32<>(SB), Y8
+	SETUP
 
 loop:
-	LANE(Y0, 14, Y9)
-	LANE(Y1, 12, Y10)
-	LANE(Y2, 10, Y11)
-	LANE(Y3, 8, Y12)
-	VPOR Y10, Y9, Y9
-	VPOR Y12, Y11, Y11
-	LANE(Y4, 6, Y10)
-	LANE(Y5, 4, Y12)
-	LANE(Y6, 2, Y13)
-	LANE(Y7, 0, Y14)
-	VPOR Y12, Y10, Y10
-	VPOR Y14, Y13, Y13
-	VPOR Y11, Y9, Y9
-	VPOR Y13, Y10, Y10
-	VPOR Y10, Y9, Y9
+	RUN
 	VMOVDQU Y9, (DI)
 	ADDQ $32, DI
 	SUBQ $32, CX
 	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func checkAVX2(src []byte, y uint64) bool
+//
+// Each run's difference from the source is ORed into Y15, which is zero
+// at the end only if every run matched: one test, no branch per run.
+TEXT ·checkAVX2(SB), NOSPLIT, $0-33
+	MOVQ src_base+0(FP), DI
+	MOVQ src_len+8(FP), CX
+	VPBROADCASTQ y+24(FP), Y0
+	SETUP
+	VPXOR Y15, Y15, Y15
+
+loop:
+	RUN
+	VPXOR (DI), Y9, Y9
+	VPOR  Y9, Y15, Y15
+	ADDQ  $32, DI
+	SUBQ  $32, CX
+	JNZ   loop
+	VPTEST Y15, Y15
+	SETEQ  ret+32(FP)
 	VZEROUPPER
 	RET
 

@@ -2,8 +2,9 @@ package netmp
 
 // Regression tests for fixed defects: the secondary controller's one-
 // segment-per-tick throughput cap, silent Range mis-parses,
-// case-sensitive header matching, a manifest fetch with no deadline, and
-// a 206 of the wrong length passing as verified.
+// case-sensitive header matching, a manifest fetch with no deadline, a
+// 206 of the wrong length passing as verified, and an oversized 206
+// drained without bound.
 
 import (
 	"bufio"
@@ -14,6 +15,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,10 +158,11 @@ func TestFetchManifestTimesOutOnSilentServer(t *testing.T) {
 	}
 }
 
-// wrongLengthOrigin answers every range request on a loopback port with a
-// 206 whose body is the requested range's correct bytes, but length(n)
-// of them for an n-byte range. It stops when the test ends.
-func wrongLengthOrigin(t *testing.T, video *dash.Video, length func(n int64) int64) string {
+// fakeOrigin serves range requests on a loopback port, answering each
+// with answer(c, req, ...), req counting every connection's requests from
+// 1, until answer fails or the client hangs up. It stops when the test
+// ends.
+func fakeOrigin(t *testing.T, video *dash.Video, answer func(c net.Conn, req int64, index, level int, from, to int64) error) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -174,6 +177,7 @@ func wrongLengthOrigin(t *testing.T, video *dash.Video, length func(n int64) int
 	t.Cleanup(func() {
 		conns.Range(func(c, _ any) bool { c.(net.Conn).Close(); return true })
 	})
+	var reqs atomic.Int64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -190,15 +194,7 @@ func wrongLengthOrigin(t *testing.T, video *dash.Video, length func(n int64) int
 				r := bufio.NewReader(c)
 				for {
 					index, level, from, to, _, _, ok := readChunkRequest(r, video)
-					if !ok {
-						return
-					}
-					size := video.ChunkSize(index, level)
-					m := length(to - from + 1)
-					resp := appendRangeHead(nil, m, from, from+m-1, size, "")
-					body := make([]byte, m)
-					fillChunkBody(body, index, level, from)
-					if _, err := c.Write(append(resp, body...)); err != nil {
+					if !ok || answer(c, reqs.Add(1), index, level, from, to) != nil {
 						return
 					}
 				}
@@ -208,12 +204,27 @@ func wrongLengthOrigin(t *testing.T, video *dash.Video, length func(n int64) int
 	return ln.Addr().String()
 }
 
+// wrongLengthOrigin answers every range request with a 206 whose body is
+// the requested range's correct bytes, but length(n) of them for an
+// n-byte range.
+func wrongLengthOrigin(t *testing.T, video *dash.Video, length func(n int64) int64) string {
+	return fakeOrigin(t, video, func(c net.Conn, _ int64, index, level int, from, to int64) error {
+		m := length(to - from + 1)
+		resp := appendRangeHead(nil, m, from, from+m-1, video.ChunkSize(index, level), "")
+		body := make([]byte, m)
+		fillChunkBody(body, index, level, from)
+		_, err := c.Write(append(resp, body...))
+		return err
+	})
+}
+
 // TestWrongLength206IsNotVerified pins the fix for a client that read
 // Content-Length bytes and never compared them with the range it asked
 // for: an origin answering every range with its first half passed as a
 // verified chunk of half the size, and an edge over it stored a full
-// body it had never received. A 206 of the wrong length, short or long,
-// is read out and charged as corrupt; the chunk fails, and the edge
+// body it had never received. A short 206 is read out and charged as
+// corrupt, a long one charged as a read fault, its body unread
+// (TestOversized206IsNotRead); either way the chunk fails, and the edge
 // answers 503.
 func TestWrongLength206IsNotVerified(t *testing.T) {
 	video := dash.BigBuckBunny()
@@ -259,5 +270,61 @@ func TestWrongLength206IsNotVerified(t *testing.T) {
 				t.Errorf("FillErrors = %d, want the failed fill counted", got)
 			}
 		})
+	}
+}
+
+// TestOversized206IsNotRead pins the fix for a client that read a 206 to
+// its end whatever its Content-Length said: an origin that answered a
+// 16 KiB range with a 1 TiB length and streamed held a FetchChunk with a
+// 2 s window for as long as it streamed. A 206 longer than the range
+// asked for is a read fault: charged, its connection redialled, its body
+// never read.
+func TestOversized206IsNotRead(t *testing.T) {
+	video := dash.BigBuckBunny()
+	addr := fakeOrigin(t, video, func(c net.Conn, _ int64, index, level int, from, to int64) error {
+		const huge = 1 << 40
+		if _, err := c.Write(appendRangeHead(nil, huge, from, from+huge-1, huge, "")); err != nil {
+			return err
+		}
+		block := make([]byte, segBufBlock)
+		for off := from; ; off += segBufBlock {
+			fillChunkBody(block, index, level, off)
+			if _, err := c.Write(block); err != nil {
+				return err
+			}
+		}
+	})
+	f, err := NewFetcher(video, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.SegmentSize, f.Retry = 16<<10, fastRetry()
+	f.Retry.SegmentBudget, f.Retry.RequeueBudget = 1, 1
+	type outcome struct {
+		res *FetchResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := f.FetchChunk(0, 0, 2*time.Second)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err == nil {
+			t.Fatalf("FetchChunk succeeded over oversized 206s: %d+%d bytes", o.res.PrimaryBytes, o.res.SecondaryBytes)
+		}
+		if got := o.res.PrimaryBytes + o.res.SecondaryBytes; got != 0 {
+			t.Errorf("%d bytes of oversized 206s counted as verified", got)
+		}
+		if o.res.Retries == 0 || o.res.Redials == 0 {
+			t.Errorf("retries %d, redials %d: want each oversized 206 charged and its connection redialled", o.res.Retries, o.res.Redials)
+		}
+		if o.res.WastedBytes != 0 {
+			t.Errorf("%d bytes of oversized bodies read, want none", o.res.WastedBytes)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("FetchChunk still reading an oversized 206 after 10 s")
 	}
 }

@@ -323,39 +323,76 @@ func seedForecast(f *Fetcher, rate float64) {
 	f.hedge.mu.Unlock()
 }
 
-// writeSyscalls returns the process's write syscalls so far (syscw in
-// /proc/self/io: write and writev, every goroutine's), skipping the test
-// where the file is missing.
-func writeSyscalls(t *testing.T) int64 {
+// ioSyscalls returns the process's read and write syscalls so far (syscr
+// and syscw in /proc/self/io: every goroutine's read and write, writev
+// included), skipping the test where the file is missing.
+func ioSyscalls(t *testing.T) (reads, writes int64) {
 	t.Helper()
 	b, err := os.ReadFile("/proc/self/io")
 	if err != nil {
-		t.Skipf("no write-syscall counter: %v", err)
+		t.Skipf("no syscall counters: %v", err)
 	}
+	found := 0
 	for _, line := range strings.Split(string(b), "\n") {
-		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				return n
-			}
+		k, v, _ := strings.Cut(line, ": ")
+		n, err := strconv.ParseInt(v, 10, 64)
+		switch {
+		case err != nil:
+		case k == "syscr":
+			reads, found = n, found+1
+		case k == "syscw":
+			writes, found = n, found+1
 		}
 	}
-	t.Skip("no syscw line in /proc/self/io")
-	return 0
+	if found != 2 {
+		t.Skip("no syscr and syscw lines in /proc/self/io")
+	}
+	return reads, writes
+}
+
+// measuredChunkSyscalls fetches the measured chunk from a lone origin
+// shaped to mbps (0 = unshaped), cold or warm, on one P, and returns the
+// read and write syscalls it cost, client and server together. On one P
+// no thread sleeps in the netpoller while another arms a timer, so the
+// runtime's wake-ups drop out and the counts repeat exactly.
+func measuredChunkSyscalls(t *testing.T, mbps float64, warm bool) (reads, writes int64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	v := dash.BigBuckBunny()
+	seg, _ := runSegSize(v)
+	s, err := NewChunkServer(v, mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	f, err := NewFetcher(v, s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.SegmentSize = seg
+	warmUp(t, f)
+	if warm {
+		fetchMeasured(t, f, 10*time.Second)
+	}
+	r0, w0 := ioSyscalls(t)
+	res, err := f.FetchChunk(1, 1, 10*time.Second)
+	r, w := ioSyscalls(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkComplete(t, res)
+	return r - r0, w - w0
 }
 
 // TestPipelinedRunWriteSyscalls counts the measured chunk's write
-// syscalls, client and server together, on a lone origin. It runs on one
-// P: then no thread sleeps in the netpoller while another arms a timer,
-// the runtime's wake-up writes drop out and the count repeats exactly.
+// syscalls, client and server together, on a lone origin.
 // Unshaped, the 206s of a run leave in writevs of up to 64 KiB: 20 writes
 // cold (70 when every 206 block was a write of its own), 14 warm, where
 // the 6 request writes are two. At 4 Mbps runs are 1 and every block past
 // the burst waits on the shaper and leaves on its own, so the count stays
 // where it was: 96 then, bounded here at 10 % over.
 func TestPipelinedRunWriteSyscalls(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	v := dash.BigBuckBunny()
-	seg, _ := runSegSize(v)
 	for _, tc := range []struct {
 		name  string
 		mbps  float64
@@ -368,34 +405,38 @@ func TestPipelinedRunWriteSyscalls(t *testing.T) {
 		{"4 Mbps", 4, false, false, 105},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewChunkServer(v, tc.mbps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			f, err := NewFetcher(v, s.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			f.SegmentSize = seg
-			warmUp(t, f)
-			if tc.warm {
-				fetchMeasured(t, f, 10*time.Second)
-			}
-			w0 := writeSyscalls(t)
-			res, err := f.FetchChunk(1, 1, 10*time.Second)
-			w := writeSyscalls(t) - w0
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkComplete(t, res)
+			_, w := measuredChunkSyscalls(t, tc.mbps, tc.warm)
 			t.Logf("%d-segment chunk: %d write syscalls", runSegs, w)
 			if tc.exact && w != tc.want {
 				t.Errorf("%d write syscalls, want %d", w, tc.want)
 			}
 			if !tc.exact && w > tc.want {
 				t.Errorf("%d write syscalls, want at most %d", w, tc.want)
+			}
+		})
+	}
+}
+
+// TestPipelinedRunReadSyscalls counts the measured chunk's read syscalls,
+// client and server together, on a lone unshaped origin. A pipelined
+// attempt reads its 206s through a lent 64 KiB window, so one read can
+// take a whole server writev and each body is checked where it landed:
+// 35 reads cold and 18 warm, where a 4 KiB reader and a read per 16 KiB
+// block took 90 and 74.
+func TestPipelinedRunReadSyscalls(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		warm bool
+		want int64
+	}{
+		{"cold", false, 35},
+		{"warm", true, 18},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := measuredChunkSyscalls(t, 0, tc.warm)
+			t.Logf("%d-segment chunk: %d read syscalls", runSegs, r)
+			if r != tc.want {
+				t.Errorf("%d read syscalls, want %d", r, tc.want)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package netmp
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"time"
@@ -109,6 +108,9 @@ func ChunkBody(index, level int, off int64) byte {
 	return byte(x)
 }
 
+// payloadMul is ChunkBody's multiplier.
+const payloadMul = 0xff51afd7ed558ccd
+
 // fillChunkBody writes ChunkBody(index, level, off+i) into every dst[i].
 // While the key stays below 2^33 ChunkBody's first fold is the identity,
 // so the next key's product is this one's plus the multiplier: one add
@@ -118,24 +120,23 @@ func ChunkBody(index, level int, off int64) byte {
 // Keys from 2^33 up, and the last few bytes, take the definition byte by
 // byte.
 func fillChunkBody(dst []byte, index, level int, off int64) {
-	const mul = 0xff51afd7ed558ccd // ChunkBody's
 	k := uint64(index)*1_000_003 + uint64(level)*7_777_777 + uint64(off)
 	if k < 1<<33 && uint64(len(dst)) <= 1<<33-k {
-		y := k * mul
+		y := k * payloadMul
 		if n := len(dst) &^ 31; useAVX2 && n > 0 {
 			fillAVX2(&dst[0], n, y)
-			dst, off, y = dst[n:], off+int64(n), y+uint64(n)*mul
+			dst, off, y = dst[n:], off+int64(n), y+uint64(n)*payloadMul
 		}
 		for ; len(dst) >= 8; dst, off = dst[8:], off+8 {
 			d := (*[8]byte)(dst)
-			d[0], y = byte(y^y>>33), y+mul
-			d[1], y = byte(y^y>>33), y+mul
-			d[2], y = byte(y^y>>33), y+mul
-			d[3], y = byte(y^y>>33), y+mul
-			d[4], y = byte(y^y>>33), y+mul
-			d[5], y = byte(y^y>>33), y+mul
-			d[6], y = byte(y^y>>33), y+mul
-			d[7], y = byte(y^y>>33), y+mul
+			d[0], y = byte(y^y>>33), y+payloadMul
+			d[1], y = byte(y^y>>33), y+payloadMul
+			d[2], y = byte(y^y>>33), y+payloadMul
+			d[3], y = byte(y^y>>33), y+payloadMul
+			d[4], y = byte(y^y>>33), y+payloadMul
+			d[5], y = byte(y^y>>33), y+payloadMul
+			d[6], y = byte(y^y>>33), y+payloadMul
+			d[7], y = byte(y^y>>33), y+payloadMul
 		}
 	}
 	for i := range dst {
@@ -144,12 +145,54 @@ func fillChunkBody(dst []byte, index, level int, off int64) {
 }
 
 // checkChunkBody reports whether src holds ChunkBody's bytes from offset
-// off of chunk (index, level), generating them into scratch (at least
-// len(src) long) to compare.
-func checkChunkBody(src, scratch []byte, index, level int, off int64) bool {
-	want := scratch[:len(src)]
-	fillChunkBody(want, index, level, off)
-	return bytes.Equal(src, want)
+// off of chunk (index, level). It reads src and writes nothing: below key
+// 2^33 the whole 32-byte runs go to checkAVX2 where the CPU has AVX2, the
+// rest to checkWords, eight bytes a turn; keys from 2^33 up, and the last
+// few bytes, are compared with the definition byte by byte, as the fill
+// writes them.
+func checkChunkBody(src []byte, index, level int, off int64) bool {
+	k := uint64(index)*1_000_003 + uint64(level)*7_777_777 + uint64(off)
+	if k < 1<<33 && uint64(len(src)) <= 1<<33-k {
+		y := k * payloadMul
+		if n := len(src) &^ 31; useAVX2 && n > 0 {
+			if !checkAVX2(src[:n], y) {
+				return false
+			}
+			src, off, y = src[n:], off+int64(n), y+uint64(n)*payloadMul
+		}
+		n := len(src) &^ 7
+		if !checkWords(src[:n], y) {
+			return false
+		}
+		src, off = src[n:], off+int64(n)
+	}
+	for i, b := range src {
+		if b != ChunkBody(index, level, off+int64(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkWords reports whether src, a multiple of 8 bytes long, holds the
+// payload stream whose first byte's product key·mul is y, comparing eight
+// generated bytes at a time.
+func checkWords(src []byte, y uint64) bool {
+	for ; len(src) >= 8; src = src[8:] {
+		var w [8]byte
+		w[0], y = byte(y^y>>33), y+payloadMul
+		w[1], y = byte(y^y>>33), y+payloadMul
+		w[2], y = byte(y^y>>33), y+payloadMul
+		w[3], y = byte(y^y>>33), y+payloadMul
+		w[4], y = byte(y^y>>33), y+payloadMul
+		w[5], y = byte(y^y>>33), y+payloadMul
+		w[6], y = byte(y^y>>33), y+payloadMul
+		w[7], y = byte(y^y>>33), y+payloadMul
+		if w != *(*[8]byte)(src) {
+			return false
+		}
+	}
+	return true
 }
 
 // nextFault decides the fault (if any) for a chunk request at level:

@@ -187,16 +187,17 @@ func isTransient(err error) bool {
 
 type pathConn struct {
 	name   string
-	set    *OriginSet // ranked origins with per-origin breakers
-	conn   net.Conn   // owned by the single worker goroutine using the path
-	r      *bufio.Reader
-	req    []byte     // request-head scratch; owner-goroutine only
-	owed   []int      // the supervised run's unsettled segments; owner-goroutine only
-	rng    *rand.Rand // jitter; owner-goroutine only
-	closed bool       // set by Close; owner/Close coordination via mu
-	clk    Clock      // injectable wall clock (nil = time.Now)
-	sink   obs.Sink   // telemetry journal (nil = off)
-	tref   *traceRef  // in-flight chunk's span trace (nil = off); set at construction
+	set    *OriginSet    // ranked origins with per-origin breakers
+	conn   net.Conn      // owned by the single worker goroutine using the path
+	r      *bufio.Reader // conn's reader: own, or a window lent to a pipelined attempt
+	own    *bufio.Reader // the path's 4 KiB reader; owner-goroutine only
+	req    []byte        // request-head scratch; owner-goroutine only
+	owed   []int         // the supervised run's unsettled segments; owner-goroutine only
+	rng    *rand.Rand    // jitter; owner-goroutine only
+	closed bool          // set by Close; owner/Close coordination via mu
+	clk    Clock         // injectable wall clock (nil = time.Now)
+	sink   obs.Sink      // telemetry journal (nil = off)
+	tref   *traceRef     // in-flight chunk's span trace (nil = off); set at construction
 
 	mu          sync.Mutex // guards the stats + state below
 	state       PathState
@@ -235,7 +236,8 @@ func dialOrigins(name string, addrs []string, pol BreakerPolicy) (*pathConn, err
 		conn, err := net.DialTimeout("tcp", o.addr, 5*time.Second)
 		if err == nil {
 			pc.conn = conn
-			pc.r = bufio.NewReader(conn)
+			pc.own = bufio.NewReader(conn)
+			pc.r = pc.own
 			return pc, nil
 		}
 		o.breaker.RecordFailure(err)
@@ -450,7 +452,8 @@ func (pc *pathConn) redial(pol RetryPolicy) error {
 				// ledger's doomed check instead.
 				pc.mu.Lock()
 				pc.conn = conn
-				pc.r = bufio.NewReader(conn)
+				pc.unlend(true)
+				pc.own.Reset(conn)
 				pc.reconnects++
 				pc.consecFails = 0
 				pc.cancelled = false

@@ -39,11 +39,18 @@ var (
 	cacheHit         = []byte("hit")
 )
 
-// readLine returns r's next line, trimmed. A line longer than r's buffer
-// (4 KiB) is bufio.ErrBufferFull: a peer that never sends '\n' costs a
-// bounded read, not a growing string.
+// lineMax bounds a head line, its '\n' included: a default
+// bufio.Reader's 4 KiB, also on a client's lent 64 KiB window.
+const lineMax = 4 << 10
+
+// readLine returns r's next line, trimmed. A line longer than lineMax is
+// bufio.ErrBufferFull: a peer that never sends '\n' costs a bounded read
+// (at most r's buffer), not a growing string.
 func readLine(r *bufio.Reader) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
+	if err == nil && len(line) > lineMax {
+		err = bufio.ErrBufferFull
+	}
 	if err != nil {
 		return nil, err
 	}
