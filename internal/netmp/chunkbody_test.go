@@ -1,6 +1,9 @@
 package netmp
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // kernelFound is useAVX2 as the CPU set it, before any test flips it.
 var kernelFound = useAVX2
@@ -106,5 +109,117 @@ func checkFillPair(t *testing.T, index, level int, off int64, n, flip uint32) {
 		if checkChunkBody(got, nb[0], nb[1], off) {
 			t.Fatalf("check as chunk (%d, %d) accepts the bytes of (%d, %d)", nb[0], nb[1], index, level)
 		}
+	}
+}
+
+// TestPayloadKernelEveryPhase fills and checks from 512 consecutive keys,
+// so the first run starts at each of the kernel's 512 carry-table rows
+// (k·mul mod 512 is a bijection, mul being odd), at two lengths past the
+// table's 16-run cycle, on each fill path. Both must agree with
+// ChunkBody, and a flip at any of the 32 bytes of one run must be
+// rejected: a lane out of place, or lost from the check's difference,
+// fails it.
+//
+// A wrong carry moves a lane by one at bit 9 for the rest of the call,
+// which shows in its byte only at a run where the lane's bits 9..32 have
+// just wrapped: one run in 2^24. So each of the table's 512×32 entries
+// is also driven to such a run. For the entry of a lane whose low 9 bits
+// are q, the key whose product's low 33 bits are B·2^9 + (q + 416m) mod
+// 512, with B = 0 where the carry is one and 2^24−1 where it is zero,
+// sits in that lane m runs on, where a carry off by one in either
+// direction flips bit 33; m is the first number of runs that keeps the
+// fill below key 2^33.
+func TestPayloadKernelEveryPhase(t *testing.T) {
+	inv := uint64(payloadMul) // mul's inverse mod 2^64, by Newton's method
+	for i := 0; i < 5; i++ {
+		inv *= 2 - payloadMul*inv
+	}
+	const stepLow = 32 * (payloadMul & 15) // 32·mul mod 512: 416
+	eachFillPath(t, func(t *testing.T) {
+		const index, level, k0 = 7, 2, 1 << 20
+		for _, n := range []int{17*32 + 31, 33 * 32} {
+			buf := make([]byte, n)
+			for i := 0; i < 512; i++ {
+				off := int64(k0 + i)
+				fillChunkBody(buf, index, level, off)
+				for j, b := range buf {
+					if want := ChunkBody(index, level, off+int64(j)); b != want {
+						t.Fatalf("%d bytes from offset %d: byte %d is %#x, ChunkBody %#x", n, off, j, b, want)
+					}
+				}
+				if !checkChunkBody(buf, index, level, off) {
+					t.Fatalf("%d bytes from offset %d: check rejects the fill", n, off)
+				}
+				run := i % (n / 32) * 32
+				for j := run; j < run+32; j++ {
+					mask := byte(1) << (j % 8)
+					buf[j] ^= mask
+					if checkChunkBody(buf, index, level, off) {
+						t.Fatalf("%d bytes from offset %d: check accepts byte %d flipped by %#x", n, off, j, mask)
+					}
+					buf[j] ^= mask
+				}
+			}
+		}
+		for q := uint64(0); q < 512; q++ {
+			var wrap uint64 // bits 9..32 of the lane m runs on
+			if q+stepLow < 512 {
+				wrap = 1<<24 - 1
+			}
+			for j := int64(0); j < 32; j++ {
+				m, off := int64(1), int64(-1)
+				for ; m <= 8; m++ {
+					k := int64((wrap<<9 | (q+uint64(m)*stepLow)&511) * inv & (1<<33 - 1))
+					if off = k - j - 32*m; off >= 0 && off+32*(m+1) <= 1<<33 {
+						break
+					}
+				}
+				if m > 8 {
+					t.Fatalf("no key below 2^33 drives lane %d at low bits %d", j, q)
+				}
+				n := 32 * (m + 1)
+				want := make([]byte, n)
+				for i := range want {
+					want[i] = ChunkBody(0, 0, off+int64(i))
+				}
+				got := make([]byte, n)
+				fillChunkBody(got, 0, 0, off)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%d bytes from key %d: fill %x, ChunkBody %x", n, off, got, want)
+				}
+				if !checkChunkBody(want, 0, 0, off) {
+					t.Fatalf("%d bytes from key %d: check rejects ChunkBody's bytes", n, off)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkPayloadKernel times fillChunkBody and checkChunkBody on the
+// fill path the CPU picks, at a segment's smallest and common sizes: a
+// key below 2^33, so a host with AVX2 runs the kernel over every whole
+// 32-byte run.
+func BenchmarkPayloadKernel(b *testing.B) {
+	const index, level, off = 149, 4, 16384
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"512B", 512}, {"4KiB", 4 << 10}, {"16KiB", 16 << 10}, {"64KiB", 64 << 10}} {
+		buf := make([]byte, size.n)
+		b.Run("fill/"+size.name, func(b *testing.B) {
+			b.SetBytes(int64(size.n))
+			for i := 0; i < b.N; i++ {
+				fillChunkBody(buf, index, level, off)
+			}
+		})
+		b.Run("check/"+size.name, func(b *testing.B) {
+			fillChunkBody(buf, index, level, off)
+			b.SetBytes(int64(size.n))
+			for i := 0; i < b.N; i++ {
+				if !checkChunkBody(buf, index, level, off) {
+					b.Fatal("check rejects the fill's own bytes")
+				}
+			}
+		})
 	}
 }
