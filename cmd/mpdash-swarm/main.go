@@ -70,10 +70,10 @@ func run() int {
 		cacheBackhaul = flag.Float64("cache-origin-mbps", 0, "shaped backhaul rate of each origin behind the edges (0 = unshaped; implies -cache)")
 
 		abort            = flag.Bool("abort", false, "enable doomed-chunk abort + rendition downgrade for every session")
-		abortFactor      = flag.Float64("abort-factor", 0, "doom-test scale (0 = netmp default 1)")
-		abortMinProgress = flag.Float64("abort-min-progress", 0, "window fraction before the first doom evaluation (0 = netmp default 0.25)")
+		abortFactor      = flag.Float64("abort-factor", 0, "doom-test scale (0 = netmp default 1; implies -abort)")
+		abortMinProgress = flag.Float64("abort-min-progress", 0, "window fraction before the first doom evaluation (0 = netmp default 0.25; implies -abort)")
 		board            = flag.Bool("board", false, "share a congestion board across sessions (predictor seeding + capacity-drop pre-arming)")
-		dropAt           = flag.Duration("drop-at", 0, "schedule a tier capacity drop at this offset from run start (0 = none)")
+		dropAt           = flag.Duration("drop-at", 0, "append a capacity_drop chaos event at this offset from run start (0 = none)")
 		dropWiFiFactor   = flag.Float64("drop-wifi-factor", 1, "capacity-drop multiplier for shaped WiFi origins (1 = unchanged)")
 		dropLTEFactor    = flag.Float64("drop-lte-factor", 1, "capacity-drop multiplier for shaped LTE origins (1 = unchanged)")
 
@@ -146,18 +146,11 @@ func run() int {
 			scn.Cache.OriginMbps = *cacheBackhaul
 		}
 	}
-	if *abort {
+	if *abort || *abortFactor != 0 || *abortMinProgress != 0 {
 		scn.Abort = &swarm.AbortSpec{Factor: *abortFactor, MinProgress: *abortMinProgress}
 	}
 	if *board {
 		scn.Board = true
-	}
-	if *dropAt > 0 {
-		scn.CapacityDrop = &swarm.CapacityDropSpec{
-			At:         swarm.Duration(*dropAt),
-			WiFiFactor: *dropWiFiFactor,
-			LTEFactor:  *dropLTEFactor,
-		}
 	}
 	if *chaosPath != "" {
 		events, err := loadChaos(*chaosPath)
@@ -166,6 +159,14 @@ func run() int {
 			return 1
 		}
 		scn.Chaos = events
+	}
+	if *dropAt > 0 {
+		scn.Chaos = append(scn.Chaos, swarm.ChaosEvent{
+			At:         swarm.Duration(*dropAt),
+			Kind:       swarm.ChaosCapacityDrop,
+			WiFiFactor: *dropWiFiFactor,
+			LTEFactor:  *dropLTEFactor,
+		})
 	}
 	if scn.Sessions <= 0 {
 		fmt.Fprintln(os.Stderr, "mpdash-swarm: need -sessions (or a -scenario file that sets them)")

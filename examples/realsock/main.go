@@ -118,7 +118,7 @@ func main() {
 		BaseBackoff: 10 * time.Millisecond,
 		MaxRedials:  3,
 	}
-	time.AfterFunc(1200*time.Millisecond, wifiSrv3.Blackhole)
+	time.AfterFunc(1200*time.Millisecond, wifiSrv3.Crash)
 	st3 := &netmp.Streamer{Fetcher: f3, ABR: abr.NewGPAC(), RateBased: true}
 	res3, err := st3.Stream(8)
 	if err != nil {

@@ -52,16 +52,6 @@ type AdapterConfig struct {
 	// BBA must be set for BufferBased: the adapter reads the buffer→rate
 	// map to place Ω at e_l + one chunk duration (§5.2.2).
 	BBA *BBA
-	// PhiFrac is the deadline-extension threshold Φ as a fraction of
-	// buffer capacity for ThroughputBased (default 0.8, §5.2.1).
-	PhiFrac float64
-	// OmegaMinFrac floors Ω at this fraction of capacity for
-	// ThroughputBased (default 0.4, §5.2.1).
-	OmegaMinFrac float64
-	// TWindowFactor is T as a multiple of the buffer duration in the Ω
-	// formula (default 2; the paper notes 1x and 3x do not change the
-	// results qualitatively).
-	TWindowFactor float64
 	// DisableExtension turns off deadline extension (ablation).
 	DisableExtension bool
 	// DisableLowBufferGuard turns off the Ω guard (ablation).
@@ -118,18 +108,6 @@ func NewAdapter(sched *core.Scheduler, conn *mptcp.Conn, cfg AdapterConfig) (*Ad
 	if cfg.Category == BufferBased && cfg.BBA == nil {
 		return nil, fmt.Errorf("abr: buffer-based adapter requires the BBA instance")
 	}
-	if cfg.PhiFrac == 0 {
-		cfg.PhiFrac = 0.8
-	}
-	if cfg.OmegaMinFrac == 0 {
-		cfg.OmegaMinFrac = 0.4
-	}
-	if cfg.TWindowFactor == 0 {
-		cfg.TWindowFactor = 2
-	}
-	if cfg.PhiFrac < 0 || cfg.PhiFrac > 1 || cfg.OmegaMinFrac < 0 || cfg.OmegaMinFrac > 1 {
-		return nil, fmt.Errorf("abr: thresholds outside [0,1]: phi=%v omegaMin=%v", cfg.PhiFrac, cfg.OmegaMinFrac)
-	}
 	return &Adapter{cfg: cfg, sched: sched, conn: conn}, nil
 }
 
@@ -163,7 +141,7 @@ func (a *Adapter) phi(st dash.PlayerState) time.Duration {
 		return st.BufferCap - st.Video.ChunkDuration
 	default:
 		// §5.2.1: 80% of capacity.
-		return time.Duration(a.cfg.PhiFrac * float64(st.BufferCap))
+		return time.Duration(core.PhiFrac * float64(st.BufferCap))
 	}
 }
 
@@ -190,10 +168,11 @@ func (a *Adapter) omega(st dash.PlayerState) time.Duration {
 		el := a.cfg.BBA.LevelLowerBuffer(st, level)
 		return el + st.Video.ChunkDuration
 	default:
-		// §5.2.1: over a window T = factor × buffer duration, T' is the
+		// §5.2.1: over a window T = 2 × buffer duration, T' is the
 		// content downloadable at the lowest bitrate; Ω = T − T',
-		// floored at OmegaMinFrac of capacity.
-		T := time.Duration(a.cfg.TWindowFactor * float64(st.BufferCap))
+		// floored at 40% of capacity. (The paper notes that T at 1× or
+		// 3× the buffer does not change the results qualitatively.)
+		T := time.Duration(2 * float64(st.BufferCap))
 		lowest := st.Video.Levels[0].AvgBitrateMbps * 1e6
 		est := a.TransportEstimate()
 		tPrime := time.Duration(float64(T) * est / lowest)
@@ -201,7 +180,7 @@ func (a *Adapter) omega(st dash.PlayerState) time.Duration {
 		if omega < 0 {
 			omega = 0
 		}
-		if min := time.Duration(a.cfg.OmegaMinFrac * float64(st.BufferCap)); omega < min {
+		if min := time.Duration(0.4 * float64(st.BufferCap)); omega < min {
 			omega = min
 		}
 		return omega

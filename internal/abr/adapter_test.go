@@ -59,7 +59,7 @@ func basicState(v *dash.Video, buffer time.Duration, last int) dash.PlayerState 
 func TestThroughputPhiIs80PercentOfCap(t *testing.T) {
 	a, _ := adapterRig(t, AdapterConfig{Category: ThroughputBased}, 3.8, 3.0)
 	st := basicState(dash.BigBuckBunny(), 20*time.Second, 3)
-	want := time.Duration(0.8 * float64(st.BufferCap))
+	want := time.Duration(core.PhiFrac * float64(st.BufferCap))
 	if got := a.phi(st); got != want {
 		t.Errorf("phi = %v, want %v", got, want)
 	}

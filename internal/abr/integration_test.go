@@ -75,9 +75,6 @@ func TestNewAdapterValidation(t *testing.T) {
 	if _, err := NewAdapter(sched, conn, AdapterConfig{Category: BufferBased}); err == nil {
 		t.Error("buffer-based without BBA accepted")
 	}
-	if _, err := NewAdapter(sched, conn, AdapterConfig{PhiFrac: 1.5}); err == nil {
-		t.Error("phi > 1 accepted")
-	}
 	if a, err := NewAdapter(sched, conn, AdapterConfig{}); err != nil || a == nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

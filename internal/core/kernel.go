@@ -8,10 +8,10 @@ import "time"
 // sockets), abr.Adapter and netmp.Streamer — only gather inputs and
 // apply the answer.
 
-// DefaultHitDamp is the default ceiling on cache-hint demand shrinkage:
-// even a certain hit keeps 30% of the demand in the pressure test, so a
-// mispredicted edge eviction degrades to a late engage, not a miss.
-const DefaultHitDamp = 0.7
+// HitDamp is the ceiling on cache-hint demand shrinkage: even a certain
+// hit keeps 30% of the demand in the pressure test, so a mispredicted
+// edge eviction degrades to a late engage, not a miss.
+const HitDamp = 0.7
 
 // Engage is Algorithm 1 lines 13–21, generalized to N paths in cost order
 // (§4 "Optimality"): feed data from low-cost to high-cost interfaces and
@@ -45,21 +45,21 @@ func Engage(need, windowSec float64, est []float64) int {
 
 // DemandFactor is the cache-aware damping of Engage's need: bytes an edge
 // serves from its store arrive far faster than the origin-path estimate
-// predicts, so the expected hit fraction is discounted as 1 − damp·hitProb.
-// hitProb is clamped to [0, 1]; damp outside (0, 1] selects
-// DefaultHitDamp.
-func DemandFactor(hitProb, damp float64) float64 {
+// predicts, so the expected hit fraction is discounted as
+// 1 − HitDamp·hitProb. hitProb is clamped to [0, 1].
+func DemandFactor(hitProb float64) float64 {
 	if hitProb <= 0 {
 		return 1
 	}
 	if hitProb > 1 {
 		hitProb = 1
 	}
-	if damp <= 0 || damp > 1 {
-		damp = DefaultHitDamp
-	}
-	return 1 - damp*hitProb
+	return 1 - HitDamp*hitProb
 }
+
+// PhiFrac places the deadline-extension threshold Φ at this fraction of
+// the buffer capacity (§5.2.1); abr.Adapter and netmp.Streamer share it.
+const PhiFrac = 0.8
 
 // ChunkDeadline is the §5.1 deadline rule. The base window D is the
 // chunk's playout duration (duration-based: stable buffer in the short

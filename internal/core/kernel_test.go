@@ -38,26 +38,23 @@ func TestEngageTable(t *testing.T) {
 }
 
 func TestDemandFactorBounds(t *testing.T) {
-	// keep computes 1 − damp·hitProb at run time, as the kernel does
-	// (constant folding would round differently).
-	keep := func(damp, hitProb float64) float64 { return 1 - damp*hitProb }
-	def := DefaultHitDamp
+	// keep computes 1 − HitDamp·hitProb at run time, as the kernel does
+	// (constant folding would round differently), with HitDamp's pinned
+	// value: a certain hit keeps 30% of the demand.
+	damp := 0.7
+	keep := func(hitProb float64) float64 { return 1 - damp*hitProb }
 	cases := []struct {
-		hitProb, damp, want float64
+		hitProb, want float64
 	}{
-		{0, 0.7, 1},                // no hint: demand untouched
-		{-1, 0.7, 1},               // nonsense probability: untouched
-		{1, 0.7, keep(0.7, 1)},     // certain hit, explicit damp
-		{0.5, 0.4, keep(0.4, 0.5)}, // partial
-		{5, 0.7, keep(0.7, 1)},     // probability clamps to 1
-		{1, 0, keep(def, 1)},       // damp 0 selects the default
-		{1, 1.5, keep(def, 1)},     // damp > 1 selects the default
-		{1, 1, 0},                  // damp 1 is legal: a certain hit needs nothing
-		{0.5, -2, keep(def, 0.5)},  // negative damp selects the default
+		{0, 1},           // no hint: demand untouched
+		{-1, 1},          // nonsense probability: untouched
+		{1, keep(1)},     // certain hit
+		{0.5, keep(0.5)}, // partial
+		{5, keep(1)},     // probability clamps to 1
 	}
 	for _, c := range cases {
-		if got := DemandFactor(c.hitProb, c.damp); got != c.want {
-			t.Errorf("DemandFactor(%v, %v) = %v, want %v", c.hitProb, c.damp, got, c.want)
+		if got := DemandFactor(c.hitProb); got != c.want {
+			t.Errorf("DemandFactor(%v) = %v, want %v", c.hitProb, got, c.want)
 		}
 	}
 }
@@ -135,7 +132,7 @@ func TestKernelAndTickAllocFree(t *testing.T) {
 	var sink int
 	if n := testing.AllocsPerRun(100, func() {
 		sink += Engage(4e7, 4, est)
-		sink += int(DemandFactor(0.5, 0) * 10)
+		sink += int(DemandFactor(0.5) * 10)
 		d, _ := ChunkDeadline(true, 2_000_000, 4e6, 4*time.Second, 30*time.Second, 24*time.Second)
 		sink += int(d)
 	}); n != 0 {

@@ -34,25 +34,11 @@ type Scheduler struct {
 
 	// Alpha is the safety factor in (0, 1].
 	Alpha float64
-	// EvalInterval bounds how stale a decision can get when no data is
-	// arriving (e.g. during a WiFi blackout). Defaults to the connection
-	// sample interval via NewScheduler.
-	EvalInterval time.Duration
 	// MaxCost, when positive, is a hard ceiling: secondary paths whose
 	// current cost exceeds it are never enabled, even at the price of a
 	// missed deadline. Policies (internal/policy) use it to express
 	// "quota exhausted — degrade rather than pay".
 	MaxCost float64
-	// HitProbability is the transfer's edge-cache hit probability in
-	// [0, 1]: the fraction of the remaining bytes expected to arrive at
-	// local-store speed rather than origin-path speed. The evaluation
-	// shrinks the demanded bytes by HitDamp·HitProbability before the
-	// prefix-cover walk, so cache-hot transfers keep costly secondaries
-	// parked. Zero (the default) leaves Algorithm 1 untouched.
-	HitProbability float64
-	// HitDamp bounds how much a certain hit can shrink the demand.
-	// Non-positive or >1 selects DefaultHitDamp.
-	HitDamp float64
 
 	active     bool
 	size       int64
@@ -131,11 +117,10 @@ func NewScheduler(s *sim.Simulator, conn *mptcp.Conn, alpha float64) (*Scheduler
 		return nil, fmt.Errorf("core: alpha %v outside (0, 1]", alpha)
 	}
 	sch := &Scheduler{
-		sim:          s,
-		conn:         conn,
-		Alpha:        alpha,
-		EvalInterval: mptcp.DefaultSampleInterval,
-		desired:      make(map[string]bool),
+		sim:     s,
+		conn:    conn,
+		Alpha:   alpha,
+		desired: make(map[string]bool),
 	}
 	sch.tickFn = sch.tick
 	return sch, nil
@@ -246,21 +231,23 @@ func (s *Scheduler) Govern(t *mptcp.Transfer) {
 	}
 }
 
-// scheduleTick keeps evaluating during data droughts.
+// scheduleTick keeps evaluating during data droughts, once per
+// connection sample interval: that bounds how stale a decision can get
+// when no data is arriving (e.g. during a WiFi blackout).
 //
 // Known defect, kept on purpose: Enable starts a new chain per governed
 // transfer and a chain only dies if it fires while !s.active, so when a
-// transfer is enabled less than EvalInterval after the previous one was
-// disabled (every back-to-back fetch during buffer fill) the old chain
-// survives beside the new one and evaluations multiply. Tying the chain to
-// the activation number fixes it but moves the field study's pinned
-// results (bench/field.go), so the fix waits for a benchmark re-pin — see
-// ROADMAP's conformance item.
+// transfer is enabled less than a sample interval after the previous one
+// was disabled (every back-to-back fetch during buffer fill) the old
+// chain survives beside the new one and evaluations multiply. Tying the
+// chain to the activation number fixes it but moves the field study's
+// pinned results (bench/field.go), so the fix waits for a benchmark
+// re-pin — see ROADMAP's conformance item.
 func (s *Scheduler) scheduleTick() {
 	if !s.active {
 		return
 	}
-	s.sim.Schedule(s.EvalInterval, s.tickFn)
+	s.sim.Schedule(mptcp.DefaultSampleInterval, s.tickFn)
 }
 
 func (s *Scheduler) tick() {
@@ -272,9 +259,9 @@ func (s *Scheduler) tick() {
 }
 
 // evaluate is the simulator's driver around Engage: it checks the two
-// deactivation conditions, gathers the window left of α·D, the (cache-
-// damped) remaining bits and the Holt-Winters estimate of every path the
-// cost ceiling allows, and applies the kernel's answer to the
+// deactivation conditions, gathers the window left of α·D, the remaining
+// bits and the Holt-Winters estimate of every path the cost ceiling
+// allows, and applies the kernel's answer to the
 // connection's secondaries in cost order.
 func (s *Scheduler) evaluate() {
 	now := s.sim.Now()
@@ -298,7 +285,7 @@ func (s *Scheduler) evaluate() {
 	}
 	// Target window per Algorithm 1: α·D − timeSpent.
 	window := time.Duration(s.Alpha*float64(s.deadlineAt-s.enabledAt)) - (now - s.enabledAt)
-	need := float64(remaining*8) * DemandFactor(s.HitProbability, s.HitDamp)
+	need := float64(remaining * 8)
 
 	paths := s.orderedPaths()
 	est := s.est[:0]

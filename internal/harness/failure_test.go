@@ -271,7 +271,7 @@ func TestRealSocketPreferredPathDeathMidSession(t *testing.T) {
 	// and the degraded interval.
 	video := chaosVideo()
 	ps, _, f := realSocketRig(t, video, 8, nil, nil)
-	time.AfterFunc(60*time.Millisecond, ps.Blackhole)
+	time.AfterFunc(60*time.Millisecond, ps.Crash)
 
 	st := &netmp.Streamer{Fetcher: f, ABR: abr.NewGPAC(), RateBased: true}
 	res, err := st.Stream(10)

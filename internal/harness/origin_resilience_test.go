@@ -72,7 +72,7 @@ func TestRealSocketOriginFailoverAndHedging(t *testing.T) {
 
 	// The preferred origin dies for good mid-stream; the path must fail
 	// over to B/C instead of going down.
-	time.AfterFunc(500*time.Millisecond, originA.Blackhole)
+	time.AfterFunc(500*time.Millisecond, originA.Crash)
 
 	st := &netmp.Streamer{Fetcher: f, ABR: abr.NewGPAC(), RateBased: true}
 	res, err := st.Stream(12)

@@ -1,14 +1,13 @@
 package netmp
 
 // Per-origin circuit breaker: the client-side health gate of the origin
-// tier. Each origin's recent request outcomes (success/failure plus
-// latency) feed a rolling window; when the windowed error rate — or the
-// mean success latency — crosses the trip threshold, the breaker opens
-// and the origin stops receiving traffic. After a cooldown it admits a
-// single half-open probe: a verified success closes the breaker, a
-// failure reopens it. The design follows QAware's continuously-observed
-// per-endpoint quality signals, applied at origin rather than queue
-// granularity.
+// tier. Each origin's recent request outcomes (success or failure) feed a
+// rolling window; when the windowed error rate crosses the trip
+// threshold, the breaker opens and the origin stops receiving traffic.
+// After a cooldown it admits a single half-open probe: a verified
+// success closes the breaker, a failure reopens it. The design follows
+// QAware's continuously-observed per-endpoint quality signals, applied
+// at origin rather than queue granularity.
 
 import (
 	"fmt"
@@ -55,15 +54,9 @@ type BreakerPolicy struct {
 	// TripErrorRate opens the breaker when the windowed error rate
 	// reaches it. Default 0.5.
 	TripErrorRate float64
-	// TripLatency opens the breaker when the windowed mean success
-	// latency exceeds it. Zero disables the latency trip.
-	TripLatency time.Duration
 	// Cooldown is how long an open breaker refuses traffic before
 	// admitting a half-open probe. Default 1s.
 	Cooldown time.Duration
-	// ProbeSuccesses is how many consecutive half-open probe successes
-	// close the breaker. Default 1.
-	ProbeSuccesses int
 }
 
 func (p BreakerPolicy) withDefaults() BreakerPolicy {
@@ -79,15 +72,7 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	if p.Cooldown <= 0 {
 		p.Cooldown = time.Second
 	}
-	if p.ProbeSuccesses <= 0 {
-		p.ProbeSuccesses = 1
-	}
 	return p
-}
-
-type breakerSample struct {
-	ok      bool
-	latency time.Duration // successes only
 }
 
 // CircuitBreaker gates one origin. Safe for concurrent use.
@@ -97,11 +82,10 @@ type CircuitBreaker struct {
 
 	mu        sync.Mutex
 	state     BreakerState
-	samples   []breakerSample // ring buffer of the last Window outcomes
+	samples   []bool // ring buffer of the last Window outcomes (true = success)
 	idx, n    int
 	openedAt  time.Time
 	probing   bool // a half-open probe is in flight
-	probeOKs  int  // consecutive half-open probe successes
 	trips     int64
 	lastError error
 
@@ -136,7 +120,7 @@ func NewCircuitBreaker(pol BreakerPolicy) *CircuitBreaker {
 	return &CircuitBreaker{
 		pol:     pol,
 		now:     time.Now,
-		samples: make([]breakerSample, pol.Window),
+		samples: make([]bool, pol.Window),
 	}
 }
 
@@ -166,7 +150,6 @@ func (b *CircuitBreaker) maybeHalfOpenLocked() {
 	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.pol.Cooldown {
 		b.state = BreakerHalfOpen
 		b.probing = false
-		b.probeOKs = 0
 	}
 }
 
@@ -208,19 +191,16 @@ func (b *CircuitBreaker) Healthy() bool {
 	return healthy
 }
 
-// RecordSuccess feeds one successful request with its latency.
-func (b *CircuitBreaker) RecordSuccess(latency time.Duration) {
+// RecordSuccess feeds one successful request. In half-open it is the
+// probe's verdict: the breaker closes.
+func (b *CircuitBreaker) RecordSuccess() {
 	b.mu.Lock()
 	from := b.state
 	b.maybeHalfOpenLocked()
-	b.pushLocked(breakerSample{ok: true, latency: latency})
+	b.pushLocked(true)
 	switch b.state {
 	case BreakerHalfOpen:
-		b.probing = false
-		b.probeOKs++
-		if b.probeOKs >= b.pol.ProbeSuccesses {
-			b.resetLocked()
-		}
+		b.resetLocked()
 	case BreakerClosed:
 		b.evaluateLocked()
 	}
@@ -237,7 +217,7 @@ func (b *CircuitBreaker) RecordFailure(err error) {
 	from := b.state
 	b.maybeHalfOpenLocked()
 	b.lastError = err
-	b.pushLocked(breakerSample{ok: false})
+	b.pushLocked(false)
 	switch b.state {
 	case BreakerHalfOpen:
 		// The probe failed: straight back to open, cooldown restarts.
@@ -252,37 +232,27 @@ func (b *CircuitBreaker) RecordFailure(err error) {
 }
 
 // pushLocked appends one outcome to the rolling window.
-func (b *CircuitBreaker) pushLocked(s breakerSample) {
-	b.samples[b.idx] = s
+func (b *CircuitBreaker) pushLocked(ok bool) {
+	b.samples[b.idx] = ok
 	b.idx = (b.idx + 1) % len(b.samples)
 	if b.n < len(b.samples) {
 		b.n++
 	}
 }
 
-// evaluateLocked trips a closed breaker when the windowed error rate or
-// mean success latency crosses its threshold.
+// evaluateLocked trips a closed breaker when the windowed error rate
+// reaches its threshold.
 func (b *CircuitBreaker) evaluateLocked() {
 	if b.n < b.pol.MinSamples {
 		return
 	}
 	var fails int
-	var okLatency time.Duration
-	var oks int
-	for i := 0; i < b.n; i++ {
-		s := b.samples[i]
-		if s.ok {
-			oks++
-			okLatency += s.latency
-		} else {
+	for _, ok := range b.samples[:b.n] {
+		if !ok {
 			fails++
 		}
 	}
 	if float64(fails)/float64(b.n) >= b.pol.TripErrorRate {
-		b.tripLocked()
-		return
-	}
-	if b.pol.TripLatency > 0 && oks > 0 && okLatency/time.Duration(oks) > b.pol.TripLatency {
 		b.tripLocked()
 	}
 }
@@ -292,7 +262,6 @@ func (b *CircuitBreaker) tripLocked() {
 	b.state = BreakerOpen
 	b.openedAt = b.now()
 	b.probing = false
-	b.probeOKs = 0
 	b.trips++
 }
 
@@ -302,5 +271,4 @@ func (b *CircuitBreaker) resetLocked() {
 	b.state = BreakerClosed
 	b.idx, b.n = 0, 0
 	b.probing = false
-	b.probeOKs = 0
 }

@@ -14,10 +14,9 @@ import (
 // breakerOp is one step of a transition table: an outcome fed to the
 // breaker, or a clock advance.
 type breakerOp struct {
-	op      string        // "ok", "fail", "advance", "allow", "deny"
-	latency time.Duration // for "ok"
-	d       time.Duration // for "advance"
-	want    BreakerState  // state expected after the step
+	op   string        // "ok", "fail", "advance", "allow", "deny"
+	d    time.Duration // for "advance"
+	want BreakerState  // state expected after the step
 }
 
 func runBreakerTable(t *testing.T, pol BreakerPolicy, steps []breakerOp) {
@@ -28,7 +27,7 @@ func runBreakerTable(t *testing.T, pol BreakerPolicy, steps []breakerOp) {
 	for i, s := range steps {
 		switch s.op {
 		case "ok":
-			b.RecordSuccess(s.latency)
+			b.RecordSuccess()
 		case "fail":
 			b.RecordFailure(errors.New("boom"))
 		case "advance":
@@ -137,31 +136,6 @@ func TestBreakerTransitions(t *testing.T) {
 				{op: "advance", d: 500 * time.Millisecond, want: BreakerHalfOpen},
 			},
 		},
-		{
-			name: "two probe successes required when configured",
-			pol:  BreakerPolicy{Window: 8, MinSamples: 4, TripErrorRate: 0.5, Cooldown: time.Second, ProbeSuccesses: 2},
-			steps: []breakerOp{
-				{op: "fail", want: BreakerClosed},
-				{op: "fail", want: BreakerClosed},
-				{op: "fail", want: BreakerClosed},
-				{op: "fail", want: BreakerOpen},
-				{op: "advance", d: time.Second, want: BreakerHalfOpen},
-				{op: "allow", want: BreakerHalfOpen},
-				{op: "ok", want: BreakerHalfOpen}, // 1/2 probes
-				{op: "allow", want: BreakerHalfOpen},
-				{op: "ok", want: BreakerClosed}, // 2/2 probes
-			},
-		},
-		{
-			name: "latency trip opens on slow successes",
-			pol:  BreakerPolicy{Window: 8, MinSamples: 4, TripErrorRate: 0.99, TripLatency: 100 * time.Millisecond, Cooldown: time.Second},
-			steps: []breakerOp{
-				{op: "ok", latency: 50 * time.Millisecond, want: BreakerClosed},
-				{op: "ok", latency: 50 * time.Millisecond, want: BreakerClosed},
-				{op: "ok", latency: 50 * time.Millisecond, want: BreakerClosed},
-				{op: "ok", latency: 400 * time.Millisecond, want: BreakerOpen}, // mean 137ms > 100ms
-			},
-		},
 	} {
 		t.Run(tc.name, func(t *testing.T) { runBreakerTable(t, tc.pol, tc.steps) })
 	}
@@ -206,7 +180,7 @@ func TestBreakerConcurrentUse(t *testing.T) {
 					if (i+g)%3 == 0 {
 						b.RecordFailure(fmt.Errorf("g%d i%d", g, i))
 					} else {
-						b.RecordSuccess(time.Millisecond)
+						b.RecordSuccess()
 					}
 				}
 				b.State()

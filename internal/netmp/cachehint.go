@@ -26,40 +26,15 @@ package netmp
 import (
 	"sync"
 
-	"mpdash/internal/core"
 	"mpdash/internal/obs"
 )
 
-// CacheHintPolicy bounds the fetcher's use of edge cache-hint headers.
-// The zero value selects the defaults noted on each field; with no edge
-// in front (no header ever seen) the mechanism is inert regardless.
-type CacheHintPolicy struct {
-	// Disabled ignores X-MPDash-Cache headers entirely.
-	Disabled bool
-	// Damp is the maximum fraction by which a certain hit shrinks the
-	// engage test's remaining-byte demand (core.DemandFactor). Default
-	// core.DefaultHitDamp.
-	Damp float64
-	// HotThreshold is the hit probability at or above which hedging is
-	// suppressed for a chunk. Default 0.75.
-	HotThreshold float64
-	// Alpha is the EWMA weight of each new hit/miss observation in the
-	// session prior. Default 0.3.
-	Alpha float64
-}
-
-func (p CacheHintPolicy) withDefaults() CacheHintPolicy {
-	if p.Damp <= 0 || p.Damp > 1 {
-		p.Damp = core.DefaultHitDamp
-	}
-	if p.HotThreshold <= 0 || p.HotThreshold > 1 {
-		p.HotThreshold = 0.75
-	}
-	if p.Alpha <= 0 || p.Alpha > 1 {
-		p.Alpha = 0.3
-	}
-	return p
-}
+// hintHot is the hit probability at or above which a chunk is not
+// hedged; hintAlpha is the EWMA weight of each observation in the prior.
+const (
+	hintHot   = 0.75
+	hintAlpha = 0.3
+)
 
 // Per-chunk hint states.
 const (
@@ -90,7 +65,7 @@ func (h *cacheHintState) beginChunk(index int) {
 // observe folds one X-MPDash-Cache response header in. It returns true
 // when this is the chunk's first observation (the journal-worthy one)
 // along with the updated prior.
-func (h *cacheHintState) observe(index int, hit bool, alpha float64) (first bool, prior float64) {
+func (h *cacheHintState) observe(index int, hit bool) (first bool, prior float64) {
 	x := 0.0
 	if hit {
 		x = 1
@@ -100,7 +75,7 @@ func (h *cacheHintState) observe(index int, hit bool, alpha float64) (first bool
 	if !h.seeded {
 		h.prior, h.seeded = x, true
 	} else {
-		h.prior += alpha * (x - h.prior)
+		h.prior += hintAlpha * (x - h.prior)
 	}
 	if h.chunk == index && h.state == hintUnknown {
 		if hit {
@@ -133,27 +108,15 @@ func (h *cacheHintState) hitProb(index int) float64 {
 	return h.prior
 }
 
-// cacheHitProb returns index's hit probability under the hint policy
-// (0 with hints disabled — both decisions then fall through unchanged).
-func (f *Fetcher) cacheHitProb(index int) float64 {
-	if f.CacheHint.Disabled {
-		return 0
-	}
-	return f.chint.hitProb(index)
-}
-
 // cacheHot reports whether index is hot enough to suppress hedging.
 func (f *Fetcher) cacheHot(index int) bool {
-	if f.CacheHint.Disabled {
-		return false
-	}
-	return f.chint.hitProb(index) >= f.CacheHint.withDefaults().HotThreshold
+	return f.chint.hitProb(index) >= hintHot
 }
 
 // noteCacheHeader folds one response header observation in, journaling
 // the chunk's first one.
 func (f *Fetcher) noteCacheHeader(pc *pathConn, index, level int, hit bool) {
-	first, prior := f.chint.observe(index, hit, f.CacheHint.withDefaults().Alpha)
+	first, prior := f.chint.observe(index, hit)
 	if !first {
 		return
 	}

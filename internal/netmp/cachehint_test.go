@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestCacheHintPolicyDefaults(t *testing.T) {
-	p := CacheHintPolicy{}.withDefaults()
-	if p.Damp != 0.7 || p.HotThreshold != 0.75 || p.Alpha != 0.3 {
-		t.Errorf("defaults = %+v", p)
-	}
-	// Out-of-range knobs snap back to defaults, explicit valid ones hold.
-	p = CacheHintPolicy{Damp: 1.5, HotThreshold: -1, Alpha: 2}.withDefaults()
-	if p.Damp != 0.7 || p.HotThreshold != 0.75 || p.Alpha != 0.3 {
-		t.Errorf("out-of-range knobs kept: %+v", p)
-	}
-	p = CacheHintPolicy{Damp: 0.5, HotThreshold: 0.9, Alpha: 0.1}.withDefaults()
-	if p.Damp != 0.5 || p.HotThreshold != 0.9 || p.Alpha != 0.1 {
-		t.Errorf("valid knobs overridden: %+v", p)
-	}
-}
-
 func TestCacheHintStateLifecycle(t *testing.T) {
 	var h cacheHintState
 	// A session that has never seen a header predicts 0 for everything.
@@ -29,7 +13,7 @@ func TestCacheHintStateLifecycle(t *testing.T) {
 	}
 	h.beginChunk(0)
 	// First observation seeds the prior outright and is chunk 0's first.
-	first, prior := h.observe(0, true, 0.3)
+	first, prior := h.observe(0, true)
 	if !first || prior != 1 {
 		t.Fatalf("first observe = (%v, %v)", first, prior)
 	}
@@ -38,7 +22,7 @@ func TestCacheHintStateLifecycle(t *testing.T) {
 		t.Errorf("known-hit chunk hitProb = %v", got)
 	}
 	// A second segment's header for the same chunk is not "first" again.
-	if again, _ := h.observe(0, true, 0.3); again {
+	if again, _ := h.observe(0, true); again {
 		t.Error("second observation of the chunk reported first=true")
 	}
 	// A different chunk falls back to the session prior.
@@ -48,11 +32,11 @@ func TestCacheHintStateLifecycle(t *testing.T) {
 
 	// New chunk, miss header: exact 0 for the chunk, EWMA for the prior.
 	h.beginChunk(1)
-	first, prior = h.observe(1, false, 0.3)
+	first, prior = h.observe(1, false)
 	if !first {
 		t.Error("new chunk's first observation not flagged")
 	}
-	if want := 1 + 0.3*(0-1.0); math.Abs(prior-want) > 1e-12 {
+	if want := 1 + hintAlpha*(0-1.0); math.Abs(prior-want) > 1e-12 {
 		t.Errorf("EWMA prior = %v, want %v", prior, want)
 	}
 	if got := h.hitProb(1); got != 0 {
@@ -71,29 +55,21 @@ func TestCacheHintStateLifecycle(t *testing.T) {
 func TestCacheHotThreshold(t *testing.T) {
 	f := &Fetcher{}
 	f.chint.beginChunk(0)
-	f.chint.observe(0, true, 0.3)
+	f.chint.observe(0, true)
 	if !f.cacheHot(0) {
-		t.Error("known-hit chunk (prob 1) not hot at default threshold 0.75")
+		t.Error("known-hit chunk (prob 1) not hot at threshold 0.75")
 	}
-	if p := f.cacheHitProb(0); p != 1 {
-		t.Errorf("cacheHitProb = %v", p)
+	if p := f.chint.hitProb(0); p != 1 {
+		t.Errorf("hitProb = %v", p)
 	}
 	// Another chunk rides the prior (1.0 here) — still hot.
 	if !f.cacheHot(5) {
 		t.Error("prior-backed hot chunk not hot")
 	}
-	// Disabling the policy zeroes both decisions.
-	f.CacheHint.Disabled = true
-	if f.cacheHot(0) || f.cacheHitProb(0) != 0 {
-		t.Error("disabled policy still reports cache heat")
-	}
-	// A raised threshold above the prior parks the hedge suppression.
-	g := &Fetcher{CacheHint: CacheHintPolicy{HotThreshold: 0.8}}
-	g.chint.beginChunk(0)
-	g.chint.observe(0, true, 0.3)
-	g.chint.beginChunk(1)
-	g.chint.observe(1, false, 0.3) // prior falls to 0.7 < 0.8
-	if g.cacheHot(2) {
-		t.Error("prior 0.7 hot under threshold 0.8")
+	// A prior that falls below the threshold parks the hedge suppression.
+	f.chint.beginChunk(1)
+	f.chint.observe(1, false) // prior falls to 0.7 < 0.75
+	if f.cacheHot(2) {
+		t.Error("prior 0.7 hot under threshold 0.75")
 	}
 }

@@ -171,7 +171,7 @@ func TestPreferredPathDeathMidChunk(t *testing.T) {
 	// The fetcher must finish the chunk in degraded single-path mode on
 	// the secondary, inverting the cost preference.
 	ps, _, f := faultRig(t, 2, 16, nil)
-	time.AfterFunc(150*time.Millisecond, ps.Blackhole)
+	time.AfterFunc(150*time.Millisecond, ps.Crash)
 	res, err := f.FetchChunk(0, 2, 3*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestSecondaryPathDeathPrimaryFinishes(t *testing.T) {
 	// Kill the secondary under deadline pressure: the primary alone must
 	// complete the chunk (slower, but verified).
 	_, ss, f := faultRig(t, 16, 2, nil)
-	time.AfterFunc(100*time.Millisecond, ss.Blackhole)
+	time.AfterFunc(100*time.Millisecond, ss.Crash)
 	res, err := f.FetchChunk(1, 2, 300*time.Millisecond) // tight: secondary engaged
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +221,8 @@ func TestSecondaryPathDeathPrimaryFinishes(t *testing.T) {
 
 func TestBothPathsDeadErrors(t *testing.T) {
 	ps, ss, f := faultRig(t, 16, 16, nil)
-	ps.Blackhole()
-	ss.Blackhole()
+	ps.Crash()
+	ss.Crash()
 	if _, err := f.FetchChunk(0, 0, time.Second); !errors.Is(err, ErrAllPathsDown) {
 		t.Fatalf("err = %v, want ErrAllPathsDown", err)
 	}
@@ -405,7 +405,7 @@ func TestStreamSurvivesPreferredPathDeath(t *testing.T) {
 	}
 	defer f.Close()
 	f.Retry = fastRetry()
-	time.AfterFunc(60*time.Millisecond, ps.Blackhole)
+	time.AfterFunc(60*time.Millisecond, ps.Crash)
 
 	st := &Streamer{Fetcher: f, ABR: fixedABR(1), RateBased: true}
 	res, err := st.Stream(8)
@@ -454,7 +454,7 @@ func TestMultiFetchSurvivesPrimaryDeath(t *testing.T) {
 		}
 	})
 	m.Retry = fastRetry()
-	time.AfterFunc(80*time.Millisecond, servers[0].Blackhole)
+	time.AfterFunc(80*time.Millisecond, servers[0].Crash)
 	res, err := m.FetchChunk(0, 2, 3*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +503,7 @@ func TestMultiFetchSurvivesExtraSecondaryDeath(t *testing.T) {
 		}
 	})
 	m.Retry = fastRetry()
-	time.AfterFunc(60*time.Millisecond, servers[2].Blackhole)
+	time.AfterFunc(60*time.Millisecond, servers[2].Crash)
 	res, err := m.FetchChunk(0, 2, 200*time.Millisecond) // tight: all paths engage
 	if err != nil {
 		t.Fatal(err)

@@ -41,11 +41,9 @@ type EdgePolicy struct {
 	// FillWindow is the deadline window handed to each whole-chunk
 	// origin fill. Default 15s.
 	FillWindow time.Duration
-	// Breaker, Retry and Hedge bound the fill fetchers' origin
-	// machinery; zero values select the package defaults.
-	Breaker BreakerPolicy
-	Retry   RetryPolicy
-	Hedge   HedgePolicy
+	// Retry bounds the fill fetchers' request supervision; their
+	// breakers and hedging run at the package defaults.
+	Retry RetryPolicy
 }
 
 func (p EdgePolicy) withDefaults() EdgePolicy {
@@ -121,15 +119,11 @@ func NewEdgeServer(video *dash.Video, name string, origins []string, store *cach
 // ranked origins. A fill is one whole chunk from one tier — no costlier
 // path to hold back, so no worker goroutine either.
 func (e *EdgeServer) dialFetcher() (*Fetcher, error) {
-	f, err := NewFetcherOrigins(e.Video, e.pol.Breaker, e.origins)
+	f, err := NewFetcherOrigins(e.Video, BreakerPolicy{}, e.origins)
 	if err != nil {
 		return nil, err
 	}
 	f.Retry = e.pol.Retry
-	f.Hedge = e.pol.Hedge
-	// The fill path is origin-facing: the edge must not interpret its own
-	// hint headers (origins send none, but a cascaded edge tier would).
-	f.CacheHint.Disabled = true
 	return f, nil
 }
 

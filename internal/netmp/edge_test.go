@@ -49,7 +49,7 @@ func TestEdgeValidation(t *testing.T) {
 func TestEdgeServesVerifiedChunksAndHints(t *testing.T) {
 	// Hedging off end to end: the byte ledgers below are exact only when
 	// no duplicate (loser) requests can be issued.
-	origin, edge, store := edgeRig(t, EdgePolicy{Hedge: HedgePolicy{Disabled: true}})
+	origin, edge, store := edgeRig(t, EdgePolicy{})
 	video := edge.Video
 	f, err := NewFetcher(video, edge.Addr(), edge.Addr())
 	if err != nil {
@@ -93,7 +93,7 @@ func TestEdgeServesVerifiedChunksAndHints(t *testing.T) {
 	if got := edge.OriginBytes(); got != size {
 		t.Errorf("warm fetch pulled origin bytes: %d", got)
 	}
-	if p := f.cacheHitProb(0); p != 1 {
+	if p := f.chint.hitProb(0); p != 1 {
 		t.Errorf("hit-hinted chunk probability = %v, want 1", p)
 	}
 	if !f.cacheHot(0) {
@@ -109,7 +109,7 @@ func TestEdgeServesVerifiedChunksAndHints(t *testing.T) {
 // origin request, and every client still gets byte-for-byte verified
 // payload (zero ledger violations).
 func TestEdgeSingleflight64Fetchers(t *testing.T) {
-	origin, edge, store := edgeRig(t, EdgePolicy{FillFetchers: 2, Hedge: HedgePolicy{Disabled: true}})
+	origin, edge, store := edgeRig(t, EdgePolicy{FillFetchers: 2})
 	video := edge.Video
 	const n = 64
 
@@ -199,7 +199,6 @@ func TestEdgeRecoversAfterOriginOutage(t *testing.T) {
 	edge, err := NewEdgeServer(video, "bbb", []string{origin.Addr()}, cache.New(cache.Config{}), EdgePolicy{
 		FillWindow: time.Second,
 		Retry:      RetryPolicy{IOTimeout: 200 * time.Millisecond, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, MaxRedials: 2},
-		Hedge:      HedgePolicy{Disabled: true},
 	})
 	if err != nil {
 		origin.Close()

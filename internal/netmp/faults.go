@@ -47,8 +47,8 @@ func (k FaultKind) String() string {
 
 // Blackout is a wall-clock window, relative to server start, during
 // which every chunk request is reset — the real-radio "WiFi blackout".
-// Redials still connect (the listener stays up); use
-// ChunkServer.Blackhole for permanent path death.
+// Redials still connect (the listener stays up); use ChunkServer.Crash
+// for path death.
 type Blackout struct {
 	From, To time.Duration
 }

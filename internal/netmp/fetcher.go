@@ -67,11 +67,6 @@ type Fetcher struct {
 	// the mechanism off. Aborts engage only above the lowest rendition —
 	// with nothing to downgrade to, a doomed level-0 chunk rides out.
 	Abort AbortPolicy
-	// CacheHint bounds how edge X-MPDash-Cache headers damp the engage
-	// test and suppress hedging (cachehint.go); the zero value selects
-	// the defaults, and a session that never sees the header behaves
-	// exactly as before.
-	CacheHint CacheHintPolicy
 
 	// paths are the supervised connections: paths[0] is the preferred
 	// path, the rest are secondaries in ascending cost order.
@@ -106,7 +101,8 @@ type Fetcher struct {
 	firstByte atomic.Bool // an instrumented chunk awaits its first byte (noteFirstByte)
 
 	// chint is the cache-hint memory fed by X-MPDash-Cache response
-	// headers (cachehint.go).
+	// headers (cachehint.go); a session that never sees the header keeps
+	// hit probability 0, and its engage and hedge decisions are untouched.
 	chint cacheHintState
 
 	// tref names the in-flight chunk's span trace (tracing.go); shared
@@ -810,7 +806,7 @@ func (f *Fetcher) driveSecondary(w *secondary) {
 		// its store moves far faster than the path rate history suggests,
 		// so the demand shrinks with the hit probability. A known miss (or
 		// no edge at all) leaves it untouched.
-		need *= core.DemandFactor(f.cacheHitProb(j.index), f.CacheHint.Damp)
+		need *= core.DemandFactor(f.chint.hitProb(j.index))
 		on, reason, rate, window := true, "primary-down", 0.0, 0.0
 		if rank := liveCount(cheaper); rank > 0 {
 			var n int
@@ -915,7 +911,7 @@ func (f *Fetcher) supervise(pc *pathConn, first, n int, held bool) (verified int
 		if start.IsZero() {
 			start, lastOK = t0, t0
 		}
-		prev, owed, i := t0, pc.owed[:0], 0
+		owed, i := pc.owed[:0], 0
 		var got int64
 		err = f.writeRequests(pc)
 		if err == nil && len(pc.owed) > 1 {
@@ -936,7 +932,7 @@ func (f *Fetcher) supervise(pc *pathConn, first, n int, held bool) (verified int
 			now := f.clk.now()
 			if ok {
 				pc.noteSuccess(got)
-				o.recordOutcome(nil, now.Sub(prev))
+				o.recordOutcome(nil)
 				if !held {
 					st.complete(pc == f.paths[0], got)
 				}
@@ -945,7 +941,6 @@ func (f *Fetcher) supervise(pc *pathConn, first, n int, held bool) (verified int
 				pc.chargeFault(o, got, errCorruptPayload)
 				owed = append(owed, seg)
 			}
-			prev = now
 		}
 		pc.owed = append(owed, pc.owed[i:]...)
 		pc.unlend(false)
@@ -1079,7 +1074,7 @@ func (f *Fetcher) readRange(pc *pathConn, index, level int, from, want int64, t0
 	if contentLength > want {
 		return 0, false, fmt.Errorf("netmp: %s 206 of %d bytes for a %d-byte range", pc.name, contentLength, want)
 	}
-	if cacheState != "" && !f.CacheHint.Disabled {
+	if cacheState != "" {
 		hit := cacheState == "hit"
 		f.noteCacheHeader(pc, index, level, hit)
 		if !hit {

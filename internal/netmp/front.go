@@ -258,8 +258,8 @@ const crashQuiesce = 2 * time.Second
 
 // Crash kills the server the way a machine loss looks from outside: the
 // listener closes (new dials are refused), every admitted connection is
-// reset (RST), and in-flight shaped writes abort. Unlike Blackhole the
-// death is recoverable — Restart brings the same address back. Crash
+// reset (RST), and in-flight shaped writes abort. Without a Restart the
+// death is permanent; Restart brings the same address back. Crash
 // waits (bounded) for the reset handlers to exit so a crash→restart
 // sequence observes a quiet server in between. Idempotent.
 func (f *front) Crash() {
@@ -343,15 +343,6 @@ func (f *front) Drain() error {
 	}
 	f.wg.Wait()
 	return err
-}
-
-// Blackhole kills the path permanently mid-session: the listener closes
-// so client redials are refused, and every active connection is reset.
-// The server object remains valid (Close is still required).
-func (f *front) Blackhole() {
-	f.closeListener()
-	f.cancelWrites() // unblock shaped writes
-	f.resetConns()
 }
 
 // Close stops the server and waits for handlers to finish. Active

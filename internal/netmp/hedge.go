@@ -33,9 +33,6 @@ type HedgePolicy struct {
 	// longer than Factor × the Holt-Winters-predicted service time is
 	// hedged. Default 2.
 	Factor float64
-	// MinDelay floors the hedge arming delay so a noisy first estimate
-	// cannot hedge instantly. Default 10ms.
-	MinDelay time.Duration
 	// BudgetBytes caps the payload bytes wasted on hedge losers across
 	// the fetcher's lifetime; once spent, no further hedges are issued.
 	// Default 4 MiB.
@@ -46,14 +43,15 @@ func (p HedgePolicy) withDefaults() HedgePolicy {
 	if p.Factor <= 0 {
 		p.Factor = 2
 	}
-	if p.MinDelay <= 0 {
-		p.MinDelay = 10 * time.Millisecond
-	}
 	if p.BudgetBytes <= 0 {
 		p.BudgetBytes = 4 << 20
 	}
 	return p
 }
+
+// hedgeMinDelay floors the hedge arming delay so a noisy first estimate
+// cannot hedge instantly.
+const hedgeMinDelay = 10 * time.Millisecond
 
 // hedgeState is the fetcher-wide hedging runtime: the pace predictor
 // (built by NewFetcherOrigins, guarded by mu) and the session counters —
@@ -127,9 +125,9 @@ func (h *hedgeState) snapshot() (issued, won, cancelled, wasted int64) {
 
 // hedgeDelay computes how long to let the primary attempt run before
 // arming the hedge: Factor × the predicted service time (half the I/O
-// timeout before any sample exists), floored at MinDelay — and, deadline
-// permitting, never past the last instant a backup fetch could still
-// finish inside the chunk's α·D window.
+// timeout before any sample exists), floored at hedgeMinDelay — and,
+// deadline permitting, never past the last instant a backup fetch could
+// still finish inside the chunk's α·D window.
 func (f *Fetcher) hedgeDelay(pol HedgePolicy, retry RetryPolicy, segBytes int64, dlAt time.Time) time.Duration {
 	predicted := f.hedge.predictedServiceTime(segBytes)
 	if predicted <= 0 {
@@ -141,8 +139,8 @@ func (f *Fetcher) hedgeDelay(pol HedgePolicy, retry RetryPolicy, segBytes int64,
 			delay = latest
 		}
 	}
-	if delay < pol.MinDelay {
-		delay = pol.MinDelay
+	if delay < hedgeMinDelay {
+		delay = hedgeMinDelay
 	}
 	return delay
 }
@@ -285,7 +283,6 @@ func (f *Fetcher) emitHedge(e obs.Event) {
 // connection to the backup origin. The outcome feeds the backup's
 // circuit breaker; closing cancel aborts the transfer mid-read.
 func (f *Fetcher) hedgeFetch(o *origin, pol RetryPolicy, index, level int, from, to int64, cancel <-chan struct{}) (int64, error) {
-	t0 := f.clk.now()
 	conn, err := net.DialTimeout("tcp", o.addr, pol.IOTimeout)
 	if err != nil {
 		o.breaker.RecordFailure(err)
@@ -311,6 +308,6 @@ func (f *Fetcher) hedgeFetch(o *origin, pol RetryPolicy, index, level int, from,
 	if err == nil && !verified {
 		err = errCorruptPayload
 	}
-	o.recordOutcome(err, f.clk.now().Sub(t0))
+	o.recordOutcome(err)
 	return n, err
 }

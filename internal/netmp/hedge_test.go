@@ -54,7 +54,7 @@ func TestHedgeWinsOnStalledOrigin(t *testing.T) {
 	// predictor seeded, every stalled segment must be hedged and won by
 	// the backup — and the chunk still assembles exactly once.
 	f := hedgeRig(t, &FaultPlan{StallProb: 1, StallFor: 5 * time.Second, Seed: 9})
-	f.Hedge = HedgePolicy{MinDelay: 5 * time.Millisecond, BudgetBytes: 1 << 30}
+	f.Hedge = HedgePolicy{BudgetBytes: 1 << 30}
 	// Seed the service-rate predictor so hedges arm at the floor delay
 	// instead of waiting out half the I/O timeout.
 	f.hedge.observe(1<<20, 10*time.Millisecond)
@@ -83,13 +83,13 @@ func TestHedgeExactlyOnceUnderRace(t *testing.T) {
 		t.Skip("hedge race test in -short mode")
 	}
 	// The preferred origin pauses each response for about two timer-wheel
-	// ticks and hedges arm on the first tick, so every segment is a
-	// genuine two-way race. Whichever side wins, the ledger must see each
+	// ticks past the hedge floor and hedges arm at the floor, so every
+	// segment is a genuine two-way race. Whichever side wins, the ledger must see each
 	// segment exactly once: byte sums equal the chunk size, every byte
 	// verifies, and no chunk double-counts a cancelled loser's partial
 	// payload.
-	f := hedgeRig(t, &FaultPlan{StallProb: 1, StallFor: 12 * time.Millisecond, Seed: 9})
-	f.Hedge = HedgePolicy{Factor: 0.01, MinDelay: time.Nanosecond, BudgetBytes: 1 << 30}
+	f := hedgeRig(t, &FaultPlan{StallProb: 1, StallFor: hedgeMinDelay + 2*defaultWheelTick, Seed: 9})
+	f.Hedge = HedgePolicy{Factor: 0.01, BudgetBytes: 1 << 30}
 	f.hedge.observe(1<<20, 10*time.Millisecond)
 
 	for i := 0; i < 4; i++ {
@@ -123,7 +123,7 @@ func TestHedgeDisabledIssuesNone(t *testing.T) {
 
 func TestHedgeBudgetStopsHedging(t *testing.T) {
 	f := hedgeRig(t, nil)
-	f.Hedge = HedgePolicy{Factor: 0.01, MinDelay: time.Nanosecond, BudgetBytes: 1}
+	f.Hedge = HedgePolicy{Factor: 0.01, BudgetBytes: 1}
 	f.hedge.observe(1<<20, 10*time.Millisecond)
 	f.hedge.noteWasted(2) // budget already spent
 	res, err := f.FetchChunk(0, 2, 5*time.Second)
@@ -138,7 +138,7 @@ func TestHedgeBudgetStopsHedging(t *testing.T) {
 
 func TestHedgeDelayDeadlineClamp(t *testing.T) {
 	f := hedgeRig(t, nil)
-	pol := HedgePolicy{Factor: 4, MinDelay: time.Millisecond}.withDefaults()
+	pol := HedgePolicy{Factor: 4}.withDefaults()
 	retry := fastRetry().withDefaults()
 	f.hedge.observe(100<<10, 100*time.Millisecond) // ~1 MB/s
 
@@ -155,7 +155,7 @@ func TestHedgeDelayDeadlineClamp(t *testing.T) {
 	}
 	// The floor still holds with the deadline already blown.
 	blown := f.hedgeDelay(pol, retry, 100<<10, time.Now().Add(-time.Second))
-	if blown != pol.MinDelay {
-		t.Errorf("blown-deadline delay = %v, want MinDelay %v", blown, pol.MinDelay)
+	if blown != hedgeMinDelay {
+		t.Errorf("blown-deadline delay = %v, want hedgeMinDelay %v", blown, hedgeMinDelay)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 )
 
 // origin is one ranked member of an OriginSet.
@@ -193,9 +192,9 @@ func (s *OriginSet) Stats() []OriginStats {
 }
 
 // recordOutcome feeds one request outcome on o into its breaker.
-func (o *origin) recordOutcome(err error, latency time.Duration) {
+func (o *origin) recordOutcome(err error) {
 	if err == nil {
-		o.breaker.RecordSuccess(latency)
+		o.breaker.RecordSuccess()
 	} else {
 		o.breaker.RecordFailure(err)
 	}

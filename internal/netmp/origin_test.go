@@ -60,7 +60,7 @@ func TestOriginSetFailoverAndFailback(t *testing.T) {
 	if !ok || o.addr != "a:1" {
 		t.Fatalf("post-cooldown pick = %v %v, want a:1 (half-open probe)", o, ok)
 	}
-	o.breaker.RecordSuccess(time.Millisecond)
+	o.breaker.RecordSuccess()
 	if st := set.origins[0].breaker.State(); st != BreakerClosed {
 		t.Fatalf("a breaker = %v after probe success", st)
 	}
@@ -155,7 +155,7 @@ func TestFetchFailsOverToBackupOrigin(t *testing.T) {
 	f.Retry = pol
 	f.Hedge.Disabled = true // isolate failover from hedging
 
-	time.AfterFunc(80*time.Millisecond, origA.Blackhole)
+	time.AfterFunc(80*time.Millisecond, origA.Crash)
 	res, err := f.FetchChunk(0, 2, 3*time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -28,12 +28,9 @@ type Streamer struct {
 	Fetcher *Fetcher
 	ABR     dash.RateAdapter
 	// RateBased selects the rate-based deadline policy (else duration).
+	// The buffer holds 8 chunk durations, and the deadline-extension
+	// threshold Φ sits at core.PhiFrac of it.
 	RateBased bool
-	// BufferCap defaults to 8 chunk durations.
-	BufferCap time.Duration
-	// PhiFrac is the deadline-extension threshold as a fraction of
-	// BufferCap (default 0.8).
-	PhiFrac float64
 	// OnChunk, when set, is called synchronously after every chunk
 	// resolves: landed chunks report whether they missed their playback
 	// deadline, and lost chunks (lifeline exhausted) report missed=true.
@@ -145,14 +142,8 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 	if n <= 0 || n > video.NumChunks {
 		n = video.NumChunks
 	}
-	bufferCap := s.BufferCap
-	if bufferCap == 0 {
-		bufferCap = 8 * video.ChunkDuration
-	}
-	phiFrac := s.PhiFrac
-	if phiFrac == 0 {
-		phiFrac = 0.8
-	}
+	bufferCap := 8 * video.ChunkDuration
+	phi := time.Duration(core.PhiFrac * float64(bufferCap))
 
 	res := &StreamResult{AllVerified: true}
 	clk := s.Fetcher.clk
@@ -203,7 +194,6 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 		}
 
 		size := s.Fetcher.chunkSize(i, level)
-		phi := time.Duration(phiFrac * float64(bufferCap))
 		deadline, ext := core.ChunkDeadline(s.RateBased, size, video.Levels[level].AvgBitrateMbps*1e6, video.ChunkDuration, buffer, phi)
 		if ext > 0 {
 			s.sobs.emitExtend(i, level, ext, buffer, phi)

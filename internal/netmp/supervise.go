@@ -67,9 +67,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential backoff. Default 2s.
 	MaxBackoff time.Duration
-	// JitterFrac adds a uniform random fraction of the backoff on top of
-	// it, decorrelating the two paths' retries. Default 0.2.
-	JitterFrac float64
 	// MaxRedials is the number of consecutive failed reconnect attempts
 	// before the path is declared down. Default 5.
 	MaxRedials int
@@ -94,9 +91,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 2 * time.Second
 	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = 0.2
-	}
 	if p.MaxRedials <= 0 {
 		p.MaxRedials = 5
 	}
@@ -113,13 +107,14 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // backoff returns the delay before the n-th (0-based) consecutive retry,
-// exponential with jitter, capped at MaxBackoff.
+// exponential, capped at MaxBackoff, plus a uniform random fifth of it on
+// top to decorrelate the two paths' retries.
 func (p RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
 	d := p.BaseBackoff << uint(n)
 	if d <= 0 || d > p.MaxBackoff {
 		d = p.MaxBackoff
 	}
-	return d + time.Duration(rng.Float64()*p.JitterFrac*float64(d))
+	return d + time.Duration(rng.Float64()*0.2*float64(d))
 }
 
 // PathStats is a snapshot of one supervised path's health counters.
@@ -326,7 +321,7 @@ func (pc *pathConn) noteFault(wasted int64) {
 // bytes, breaker fuel for the origin o that served it, and a fetch.fault.
 func (pc *pathConn) chargeFault(o *origin, wasted int64, fault error) {
 	pc.noteFault(wasted)
-	o.recordOutcome(fault, 0)
+	o.recordOutcome(fault)
 	pc.emitFault(fault)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mpdash/internal/core"
 	"mpdash/internal/dash"
 	"mpdash/internal/obs"
 )
@@ -179,14 +180,17 @@ func TestUninstrumentedFetchEmitsNothing(t *testing.T) {
 
 // TestStreamerInstrument checks the streamer-level series land in the
 // registry and the journal sees stream-side events alongside the
-// fetcher's.
+// fetcher's. The session is long enough to fill the buffer past Φ, and
+// every extension names the one Φ the simulator's adapter uses too:
+// core.PhiFrac of a buffer of 8 chunk durations.
 func TestStreamerInstrument(t *testing.T) {
+	const chunks = 10
 	_, _, f := streamRig(t, 50, 50)
 	st := &Streamer{Fetcher: f, ABR: constABR(1)}
 	tel := obs.New()
 	st.Instrument(tel)
 
-	if _, err := st.Stream(3); err != nil {
+	if _, err := st.Stream(chunks); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,16 +208,26 @@ func TestStreamerInstrument(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// All three chunks completed one way or another (the startup chunk's
+	// Every chunk completed one way or another (the startup chunk's
 	// deliberately minimal deadline may count as missed, never failed).
-	var done int
+	wantPhi := time.Duration(core.PhiFrac * float64(8*f.Video.ChunkDuration)).Seconds()
+	var done, extends int
 	for _, e := range tel.Journal.Events() {
-		if e.Type == "chunk.done" {
+		switch e.Type {
+		case "chunk.done":
 			done++
+		case "stream.extend":
+			extends++
+			if got := e.Num["phi_s"]; got != wantPhi {
+				t.Errorf("chunk %d: stream.extend phi_s = %v, want %v", e.Chunk, got, wantPhi)
+			}
 		}
 	}
-	if done != 3 {
-		t.Errorf("chunk.done events = %d, want 3", done)
+	if done != chunks {
+		t.Errorf("chunk.done events = %d, want %d", done, chunks)
+	}
+	if extends == 0 {
+		t.Error("no stream.extend event: the buffer never passed Φ")
 	}
 	if strings.Contains(out, `result="failed"} 1`) {
 		t.Error("a chunk failed on clean paths")

@@ -6,11 +6,11 @@ import (
 )
 
 // The chaos timeline: an ordered list of scheduled events executed
-// against the shared server tier mid-run. It generalizes the single
-// capacity_drop of earlier scenarios into correlated, time-phased
-// failure stories — an edge dying and coming back, a fault storm that
-// passes, a path blacking out and healing — so population recovery
-// (MTTR) can be measured, not just survival.
+// against the shared server tier mid-run. Its events compose into
+// correlated, time-phased failure stories (a capacity drop, an edge dying
+// and coming back, a fault storm that passes, a path blacking out and
+// healing) so population recovery (MTTR) can be measured, not just
+// survival.
 
 // ChaosKind names one scheduled tier mutation.
 type ChaosKind string
@@ -30,7 +30,7 @@ const (
 	ChaosFaultClear ChaosKind = "fault_clear"
 	// ChaosBlackout crashes every origin of the selected path class(es):
 	// listeners close, admitted connections are reset. Recoverable via
-	// ChaosHeal (unlike netmp's permanent Blackhole).
+	// ChaosHeal.
 	ChaosBlackout ChaosKind = "blackout"
 	// ChaosHeal restarts every origin a prior blackout crashed.
 	ChaosHeal ChaosKind = "heal"
@@ -92,20 +92,10 @@ func (r *RecoverySpec) withDefaults() RecoverySpec {
 	return out
 }
 
-// chaosTimeline merges the declared chaos events with the legacy
-// capacity_drop shorthand and returns them sorted by At. The merge
-// happens at use time (not in withDefaults) so defaulting a scenario
-// twice cannot duplicate the translated drop.
+// chaosTimeline returns a copy of the declared chaos events sorted by At
+// (stable: events at one instant run in declared order).
 func (s *Scenario) chaosTimeline() []ChaosEvent {
 	events := append([]ChaosEvent(nil), s.Chaos...)
-	if d := s.CapacityDrop; d != nil {
-		events = append(events, ChaosEvent{
-			At:         d.At,
-			Kind:       ChaosCapacityDrop,
-			WiFiFactor: d.WiFiFactor,
-			LTEFactor:  d.LTEFactor,
-		})
-	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	return events
 }
@@ -174,17 +164,11 @@ func (s *Scenario) validateChaos() error {
 			}
 		case ChaosCapacityRestore, ChaosFaultClear, ChaosBlackout, ChaosHeal:
 		case ChaosFaultSurge:
-			f := ev.Faults
-			if f == nil {
+			if ev.Faults == nil {
 				return fmt.Errorf("swarm: chaos[%d] fault_surge: needs a faults mix", i)
 			}
-			for name, p := range map[string]float64{
-				"reset_prob": f.ResetProb, "stall_prob": f.StallProb,
-				"close_prob": f.CloseProb, "corrupt_prob": f.CorruptProb,
-			} {
-				if p < 0 || p > 1 {
-					return fmt.Errorf("swarm: chaos[%d] fault_surge: %s %g (want [0,1])", i, name, p)
-				}
+			if err := ev.Faults.validate(); err != nil {
+				return fmt.Errorf("swarm: chaos[%d] fault_surge: %w", i, err)
 			}
 		case ChaosOriginCrash, ChaosOriginRestart:
 			if ev.Origin < -1 {
@@ -204,8 +188,7 @@ func (s *Scenario) validateChaos() error {
 	// Pairing simulation: walk the timeline in At order and track which
 	// targets are down. Crashes must not overlap an outstanding crash;
 	// restarts/heals must exactly match one.
-	timeline := append([]ChaosEvent(nil), s.Chaos...)
-	sort.SliceStable(timeline, func(i, j int) bool { return timeline[i].At < timeline[j].At })
+	timeline := s.chaosTimeline()
 	var down []crashTarget
 	crash := func(ev ChaosEvent, tg crashTarget) error {
 		for _, d := range down {

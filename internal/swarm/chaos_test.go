@@ -7,28 +7,31 @@ import (
 	"time"
 )
 
-func TestChaosTimelineMergesLegacyDrop(t *testing.T) {
+func TestChaosTimelineSortsByAt(t *testing.T) {
 	scn := tinyScenario(4)
-	scn.CapacityDrop = &CapacityDropSpec{At: Duration(300 * time.Millisecond), WiFiFactor: 0.5}
 	scn.Chaos = []ChaosEvent{
 		{At: Duration(500 * time.Millisecond), Kind: ChaosCapacityRestore},
+		{At: Duration(300 * time.Millisecond), Kind: ChaosCapacityDrop, WiFiFactor: 0.5},
 		{At: Duration(100 * time.Millisecond), Kind: ChaosFaultSurge, Faults: &FaultSpec{ResetProb: 0.1}},
+		{At: Duration(300 * time.Millisecond), Kind: ChaosFaultClear},
 	}
 	tl := scn.chaosTimeline()
-	if len(tl) != 3 {
-		t.Fatalf("timeline has %d events, want 3", len(tl))
+	// Sorted by At; the two events at 300ms keep their declared order.
+	want := []ChaosKind{ChaosFaultSurge, ChaosCapacityDrop, ChaosFaultClear, ChaosCapacityRestore}
+	if len(tl) != len(want) {
+		t.Fatalf("timeline has %d events, want %d", len(tl), len(want))
 	}
-	// Sorted by At, with the legacy drop translated in place.
-	if tl[0].Kind != ChaosFaultSurge || tl[1].Kind != ChaosCapacityDrop || tl[2].Kind != ChaosCapacityRestore {
-		t.Fatalf("timeline order: %s, %s, %s", tl[0].Kind, tl[1].Kind, tl[2].Kind)
+	for i, k := range want {
+		if tl[i].Kind != k {
+			t.Fatalf("timeline[%d] = %s, want %s", i, tl[i].Kind, k)
+		}
 	}
 	if tl[1].WiFiFactor != 0.5 {
-		t.Fatalf("translated drop lost its factor: %+v", tl[1])
+		t.Fatalf("drop lost its factor: %+v", tl[1])
 	}
-	// Defaulting twice must not duplicate the translated drop.
-	dd := scn.withDefaults().withDefaults()
-	if got := len(dd.chaosTimeline()); got != 3 {
-		t.Fatalf("double-defaulted timeline has %d events, want 3", got)
+	// The scenario's own slice is left in declared order.
+	if scn.Chaos[0].Kind != ChaosCapacityRestore {
+		t.Fatalf("chaosTimeline reordered the scenario: %+v", scn.Chaos)
 	}
 }
 

@@ -98,9 +98,9 @@ func dropScenario(n int, degrade bool) Scenario {
 			{Name: "wifi", Weight: 0.7, ABR: "gpac"},
 			{Name: "lte", Weight: 0.3, ABR: "gpac", Preference: "lte"},
 		},
-		CapacityDrop: &CapacityDropSpec{
-			At: Duration(300 * time.Millisecond), WiFiFactor: 0.1, LTEFactor: 0.1,
-		},
+		Chaos: []ChaosEvent{{
+			At: Duration(300 * time.Millisecond), Kind: ChaosCapacityDrop, WiFiFactor: 0.1, LTEFactor: 0.1,
+		}},
 	}
 	scn.Servers.WiFiMbps = 16
 	scn.Servers.LTEMbps = 16

@@ -125,19 +125,8 @@ type Profile struct {
 	// Preference is the preferred (primary) path: "wifi" (default) or
 	// "lte". Cellular-byte accounting follows the LTE path either way.
 	Preference string `json:"preference,omitempty"`
-	// DurationDeadlines selects duration-based deadlines (default: rate).
-	DurationDeadlines bool `json:"duration_deadlines,omitempty"`
 	// Chunks caps the session length (0 = whole video).
 	Chunks int `json:"chunks,omitempty"`
-	// Alpha is the MP-DASH safety factor (0 = fetcher default 1).
-	Alpha float64 `json:"alpha,omitempty"`
-	// BufferChunks sets the playback buffer cap in chunk durations
-	// (0 = streamer default 8).
-	BufferChunks int `json:"buffer_chunks,omitempty"`
-	// SegmentKB sets the range-request granularity (0 = default 32 KiB).
-	SegmentKB int `json:"segment_kb,omitempty"`
-	// NoHedge disables hedged requests for this profile.
-	NoHedge bool `json:"no_hedge,omitempty"`
 	// WiFiMbps / LTEMbps select the profile's link class: sessions of
 	// this profile stream from a server group shaped to these per-origin
 	// rates (0 = the scenario's Servers default). Groups are shared
@@ -157,6 +146,23 @@ type FaultSpec struct {
 	StallForMs  int     `json:"stall_for_ms,omitempty"`
 }
 
+// validate checks that every probability of the mix is in [0, 1]: the
+// one check for the base mix and for every fault surge.
+func (f *FaultSpec) validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"reset_prob", f.ResetProb}, {"stall_prob", f.StallProb},
+		{"close_prob", f.CloseProb}, {"corrupt_prob", f.CorruptProb},
+	} {
+		if p.v < 0 || p.v > 1 {
+			return fmt.Errorf("%s %g (want [0,1])", p.name, p.v)
+		}
+	}
+	return nil
+}
+
 // AbortSpec enables doomed-chunk abort (netmp.AbortPolicy) for every
 // session of the run. Zero fields inherit the netmp defaults.
 type AbortSpec struct {
@@ -165,18 +171,6 @@ type AbortSpec struct {
 	// MinProgress is the fraction of the deadline window that must
 	// elapse before the first doom evaluation (default 0.25).
 	MinProgress float64 `json:"min_progress,omitempty"`
-}
-
-// CapacityDropSpec schedules a mid-run capacity drop on the shared tier:
-// at offset At from run start, every shaped origin's rate is multiplied
-// by its link class's factor. Unshaped origins (rate 0) are unaffected.
-type CapacityDropSpec struct {
-	// At is the drop instant as an offset from run start.
-	At Duration `json:"at"`
-	// WiFiFactor / LTEFactor multiply the shaped per-origin rates
-	// (0 or 1 = that class unchanged; 0.5 = halved).
-	WiFiFactor float64 `json:"wifi_factor,omitempty"`
-	LTEFactor  float64 `json:"lte_factor,omitempty"`
 }
 
 // CacheSpec puts a shared edge-cache tier between the sessions and the
@@ -267,10 +261,6 @@ type Scenario struct {
 	// keyed per origin group: predictors seed from neighbors and a
 	// capacity drop seen by one session pre-arms the rest.
 	Board bool `json:"board,omitempty"`
-	// CapacityDrop schedules a mid-run tier-wide capacity drop
-	// (nil = none). It is legacy shorthand for a one-event Chaos
-	// timeline and merges into it (see chaosTimeline).
-	CapacityDrop *CapacityDropSpec `json:"capacity_drop,omitempty"`
 	// Chaos is the ordered timeline of scheduled tier mutations —
 	// capacity drops/restores, fault surges/clears, path blackouts/
 	// heals, origin crashes/restarts — executed mid-run.
@@ -389,12 +379,9 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("swarm: abort: factor %g, min_progress %g (want factor >= 0, min_progress in [0,1])", a.Factor, a.MinProgress)
 		}
 	}
-	if d := s.CapacityDrop; d != nil {
-		if d.At <= 0 {
-			return fmt.Errorf("swarm: capacity_drop: at must be > 0, got %v", d.At.D())
-		}
-		if d.WiFiFactor < 0 || d.WiFiFactor > 1 || d.LTEFactor < 0 || d.LTEFactor > 1 {
-			return fmt.Errorf("swarm: capacity_drop: factors must be in [0,1], got wifi %g lte %g", d.WiFiFactor, d.LTEFactor)
+	if f := s.Servers.Faults; f != nil {
+		if err := f.validate(); err != nil {
+			return fmt.Errorf("swarm: servers: faults: %w", err)
 		}
 	}
 	if err := s.validateChaos(); err != nil {

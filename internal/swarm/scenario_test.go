@@ -36,6 +36,10 @@ func TestScenarioValidation(t *testing.T) {
 		{Sessions: 5, Profiles: []Profile{{Name: "p", Weight: 1, ABR: "nope"}}},
 		{Sessions: 5, Profiles: []Profile{{Name: "p", Weight: 1, Preference: "satellite"}}},
 		{Sessions: 5, Profiles: []Profile{{Name: "p", Weight: -1}}},
+		{Sessions: 5, Servers: Servers{Faults: &FaultSpec{ResetProb: 1.5}}},
+		{Sessions: 5, Servers: Servers{Faults: &FaultSpec{CorruptProb: -2}}},
+		{Sessions: 5, Servers: Servers{Faults: &FaultSpec{StallProb: 1.01}}},
+		{Sessions: 5, Servers: Servers{Faults: &FaultSpec{CloseProb: -0.1}}},
 	}
 	for i, s := range bad {
 		if err := s.withDefaults().Validate(); err == nil {
@@ -132,7 +136,8 @@ func TestLoadScenarioStrict(t *testing.T) {
 
 // FuzzDecodeScenario: the scenario decoder never panics, and a scenario
 // it accepts that validates (after defaults) also plans, without a panic,
-// into one spec per session. Seeded with every committed scenario.
+// into one spec per session. Seeded with every committed scenario and a
+// bad base fault mix.
 func FuzzDecodeScenario(f *testing.F) {
 	seeds, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil {
@@ -145,6 +150,8 @@ func FuzzDecodeScenario(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// A base fault mix out of [0, 1] must not validate.
+	f.Add([]byte(`{"sessions": 4, "servers": {"faults": {"reset_prob": 1.5, "corrupt_prob": -2}}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		scn, err := decodeScenario(b)
 		if err != nil {

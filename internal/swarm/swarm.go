@@ -396,13 +396,6 @@ func (sw *Swarm) runSession(ctx context.Context, spec SessionSpec, video *dash.V
 	}
 	defer f.Close()
 	f.Retry = netmp.RetryPolicy{Seed: spec.Seed}
-	f.Hedge = netmp.HedgePolicy{Disabled: prof.NoHedge}
-	if prof.Alpha > 0 {
-		f.Alpha = prof.Alpha
-	}
-	if prof.SegmentKB > 0 {
-		f.SegmentSize = int64(prof.SegmentKB) * 1024
-	}
 	if a := scn.Abort; a != nil {
 		f.Abort = netmp.AbortPolicy{Enabled: true, Factor: a.Factor, MinProgress: a.MinProgress}
 	}
@@ -414,11 +407,8 @@ func (sw *Swarm) runSession(ctx context.Context, spec SessionSpec, video *dash.V
 		out.Err = err.Error()
 		return out
 	}
-	st := &netmp.Streamer{Fetcher: f, ABR: adapter, RateBased: !prof.DurationDeadlines,
+	st := &netmp.Streamer{Fetcher: f, ABR: adapter, RateBased: true,
 		Tracer: sw.Tracer, TraceSession: spec.ID}
-	if prof.BufferChunks > 0 {
-		st.BufferCap = time.Duration(prof.BufferChunks) * video.ChunkDuration
-	}
 	if tracker != nil || sw.Audit != nil {
 		var playback func(int, bool)
 		if sw.Audit != nil {
