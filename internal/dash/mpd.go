@@ -1,9 +1,12 @@
 package dash
 
 import (
-	"encoding/xml"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // This file implements a working subset of the MPEG-DASH Media
@@ -13,14 +16,17 @@ import (
 // manifest because rate-adaptation algorithms need it; in its absence the
 // prototype falls back to HTTP Content-Length. The reproduction's manifest
 // makes the size first-class.
+//
+// The struct tags state the XML layout. EncodeMPD writes it and DecodeMPD
+// reads it by hand (mpdscan.go); encoding/xml, which reads the tags, is
+// their oracle in mpd_ref_test.go.
 
 // MPD is the root manifest element.
 type MPD struct {
-	XMLName                   xml.Name `xml:"MPD"`
-	Profiles                  string   `xml:"profiles,attr"`
-	Type                      string   `xml:"type,attr"`
-	MediaPresentationDuration string   `xml:"mediaPresentationDuration,attr"`
-	Period                    Period   `xml:"Period"`
+	Profiles                  string `xml:"profiles,attr"`
+	Type                      string `xml:"type,attr"`
+	MediaPresentationDuration string `xml:"mediaPresentationDuration,attr"`
+	Period                    Period `xml:"Period"`
 }
 
 // Period is the single period of our static presentations.
@@ -63,7 +69,7 @@ func (v *Video) Manifest() *MPD {
 	for li, l := range v.Levels {
 		rep := Representation{
 			ID:        l.ID,
-			Bandwidth: int64(l.AvgBitrateMbps * 1e6),
+			Bandwidth: int64(math.Round(l.AvgBitrateMbps * 1e6)),
 		}
 		for c := 0; c < v.NumChunks; c++ {
 			rep.Segments = append(rep.Segments, Segment{
@@ -76,18 +82,118 @@ func (v *Video) Manifest() *MPD {
 	return m
 }
 
-// EncodeMPD serializes a manifest as XML.
+// EncodeMPD serializes a manifest as indented XML: byte for byte what
+// encoding/xml's MarshalIndent(m, "", "  ") writes, appended into one
+// buffer sized up front. It never fails.
 func EncodeMPD(m *MPD) ([]byte, error) {
-	return xml.MarshalIndent(m, "", "  ")
+	as := &m.Period.AdaptationSet
+	n := 384 + len(m.Profiles) + len(m.Type) + len(m.MediaPresentationDuration) + len(as.MimeType)
+	for _, r := range as.Representations {
+		n += 128
+		for _, s := range r.Segments {
+			n += 64 + len(s.Media)
+		}
+	}
+	b := make([]byte, 0, n)
+	b = append(b, `<MPD profiles="`...)
+	b = appendAttrText(b, m.Profiles)
+	b = append(b, `" type="`...)
+	b = appendAttrText(b, m.Type)
+	b = append(b, `" mediaPresentationDuration="`...)
+	b = appendAttrText(b, m.MediaPresentationDuration)
+	b = append(b, "\">\n  <Period>\n    <AdaptationSet mimeType=\""...)
+	b = appendAttrText(b, as.MimeType)
+	b = append(b, `" segmentDurationSeconds="`...)
+	b = strconv.AppendFloat(b, as.SegmentDuration, 'g', -1, 64)
+	b = append(b, `">`...)
+	// MarshalIndent puts an end tag on its start tag's line when nothing
+	// came between them, and on a new line otherwise.
+	for _, r := range as.Representations {
+		b = append(b, "\n      <Representation id=\""...)
+		b = strconv.AppendInt(b, int64(r.ID), 10)
+		b = append(b, `" bandwidth="`...)
+		b = strconv.AppendInt(b, r.Bandwidth, 10)
+		b = append(b, "\">\n        <SegmentList>"...)
+		for _, s := range r.Segments {
+			b = append(b, "\n          <SegmentURL media=\""...)
+			b = appendAttrText(b, s.Media)
+			b = append(b, `" size="`...)
+			b = strconv.AppendInt(b, s.Size, 10)
+			b = append(b, `"></SegmentURL>`...)
+		}
+		if len(r.Segments) > 0 {
+			b = append(b, "\n        "...)
+		}
+		b = append(b, "</SegmentList>\n      </Representation>"...)
+	}
+	if len(as.Representations) > 0 {
+		b = append(b, "\n    "...)
+	}
+	b = append(b, "</AdaptationSet>\n  </Period>\n</MPD>"...)
+	return b, nil
 }
 
-// DecodeMPD parses a manifest.
-func DecodeMPD(b []byte) (*MPD, error) {
-	var m MPD
-	if err := xml.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("dash: parsing MPD: %w", err)
+// appendAttrText appends s escaped as encoding/xml escapes an attribute
+// value: the five markup characters and tab, newline and carriage return
+// as character references, and each invalid UTF-8 byte or rune outside
+// XML's Char range as U+FFFD.
+func appendAttrText(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		if attrPlain[s[i]] {
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if !isXMLChar(r) || r == utf8.RuneError && w == 1 {
+				esc = "\uFFFD"
+				break
+			}
+			i += w
+			continue
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, esc...)
+		i += w
+		last = i
 	}
-	return &m, nil
+	return append(b, s[last:]...)
+}
+
+// attrPlain marks the bytes appendAttrText copies as they are: printable
+// ASCII but the five markup characters.
+var attrPlain = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = !strings.ContainsRune(`"'&<>`, rune(c))
+	}
+	return t
+}()
+
+// isXMLChar reports whether r is in XML 1.0's Char production.
+func isXMLChar(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
 }
 
 // VideoFromManifest reconstructs a Video (with exact per-chunk sizes
@@ -104,7 +210,7 @@ func VideoFromManifest(m *MPD, name string) (*Video, [][]int64, error) {
 	n := len(reps[0].Segments)
 	v := &Video{
 		Name:          name,
-		ChunkDuration: time.Duration(m.Period.AdaptationSet.SegmentDuration * float64(time.Second)),
+		ChunkDuration: time.Duration(math.Round(m.Period.AdaptationSet.SegmentDuration * float64(time.Second))),
 		NumChunks:     n,
 	}
 	sizes := make([][]int64, len(reps))

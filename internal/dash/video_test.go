@@ -1,9 +1,7 @@
 package dash
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -175,94 +173,4 @@ func TestWithChunkDuration(t *testing.T) {
 		}
 	}()
 	v.WithChunkDuration(0)
-}
-
-func TestMPDRoundTrip(t *testing.T) {
-	v := BigBuckBunny()
-	m := v.Manifest()
-	b, err := EncodeMPD(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecodeMPD(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, sizes, err := VideoFromManifest(m2, v.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.NumChunks != v.NumChunks || v2.ChunkDuration != v.ChunkDuration || len(v2.Levels) != len(v.Levels) {
-		t.Fatalf("reconstructed video mismatch: %+v", v2)
-	}
-	for li := range v.Levels {
-		if math.Abs(v2.Levels[li].AvgBitrateMbps-v.Levels[li].AvgBitrateMbps) > 1e-9 {
-			t.Errorf("level %d bitrate %v != %v", li, v2.Levels[li].AvgBitrateMbps, v.Levels[li].AvgBitrateMbps)
-		}
-		for c := 0; c < v.NumChunks; c++ {
-			if sizes[li][c] != v.ChunkSize(c, li) {
-				t.Fatalf("manifest size level %d chunk %d: %d != %d", li, c, sizes[li][c], v.ChunkSize(c, li))
-			}
-		}
-	}
-}
-
-func TestDecodeMPDErrors(t *testing.T) {
-	if _, err := DecodeMPD([]byte("not xml at all <")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, _, err := VideoFromManifest(&MPD{}, "x"); err == nil {
-		t.Error("empty manifest accepted")
-	}
-}
-
-// TestVideoFromManifestRejectsNonPositiveSize: a segment size of zero or
-// less would hand the fetcher a chunk with no bytes to verify, or a
-// negative segment count it never finishes.
-func TestVideoFromManifestRejectsNonPositiveSize(t *testing.T) {
-	for _, size := range []int64{0, -1, -100000} {
-		m := BigBuckBunny().Manifest()
-		seg := &m.Period.AdaptationSet.Representations[2].Segments[7]
-		seg.Size = size
-		_, _, err := VideoFromManifest(m, "x")
-		if err == nil {
-			t.Fatalf("size %d accepted", size)
-		}
-		if want := fmt.Sprintf("representation 3 segment 7 (%q) has size %d", seg.Media, size); !strings.Contains(err.Error(), want) {
-			t.Errorf("size %d: error %q does not name %q", size, err, want)
-		}
-	}
-}
-
-// FuzzDecodeMPD feeds arbitrary bytes through DecodeMPD and
-// VideoFromManifest, the path a manifest read off a socket takes. Neither
-// may panic, and a manifest they accept must describe a valid video with
-// one positive size per segment of every level.
-func FuzzDecodeMPD(f *testing.F) {
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := DecodeMPD(b)
-		if err != nil {
-			return
-		}
-		v, sizes, err := VideoFromManifest(m, "fuzz")
-		if err != nil {
-			return
-		}
-		if err := v.Validate(); err != nil {
-			t.Fatalf("accepted an invalid video: %v", err)
-		}
-		if len(sizes) != len(v.Levels) {
-			t.Fatalf("%d size rows for %d levels", len(sizes), len(v.Levels))
-		}
-		for l, row := range sizes {
-			if len(row) != v.NumChunks {
-				t.Fatalf("level %d has %d sizes for %d chunks", l, len(row), v.NumChunks)
-			}
-			for c, s := range row {
-				if s <= 0 {
-					t.Fatalf("level %d chunk %d has size %d", l, c, s)
-				}
-			}
-		}
-	})
 }

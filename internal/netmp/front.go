@@ -62,6 +62,9 @@ type front struct {
 	draining bool
 	ostats   OverloadStats
 	sink     obs.Sink // telemetry journal (nil = off); guarded by connMu
+
+	manifestOnce sync.Once
+	manifest     []byte // the whole manifest response; see manifestResponse
 }
 
 // bodySource is the seam between the front and what it serves: the
@@ -497,7 +500,10 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			continue
 		}
 		if manifest {
-			if f.flush(conn, tr) != nil || writeManifest(conn, f.Video) != nil {
+			if f.flush(conn, tr) != nil {
+				return
+			}
+			if _, err := conn.Write(f.manifestResponse()); err != nil {
 				return
 			}
 			continue
@@ -562,17 +568,18 @@ func (f *front) flush(conn net.Conn, tr *connTrack) error {
 	return err
 }
 
-// writeManifest serves v's MPD (unshaped: manifests are tiny). An edge
-// synthesizes the manifest locally; the asset description is the same
-// either way.
-func writeManifest(w io.Writer, v *dash.Video) error {
-	body, err := dash.EncodeMPD(v.Manifest())
-	if err != nil {
-		return err
-	}
-	msg := fmt.Appendf(nil, "HTTP/1.1 200 OK\r\nContent-Type: application/dash+xml\r\nContent-Length: %d\r\n\r\n", len(body))
-	_, err = w.Write(append(msg, body...))
-	return err
+// manifestResponse is the 200 response carrying the Video's MPD, head
+// and body, rendered on the first manifest request and written whole to
+// every one: the Video never changes. It is written unshaped, being
+// set-up traffic fetched once a session (about 58 KB for a 256-chunk,
+// three-rung video). An edge synthesizes the manifest locally; the asset
+// description is the same either way.
+func (f *front) manifestResponse() []byte {
+	f.manifestOnce.Do(func() {
+		body, _ := dash.EncodeMPD(f.Video.Manifest()) // never fails
+		f.manifest = fmt.Appendf(nil, "HTTP/1.1 200 OK\r\nContent-Type: application/dash+xml\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	})
+	return f.manifest
 }
 
 // writeBody queues the 206 head for bytes [from, from+n) of a size-byte

@@ -642,6 +642,42 @@ func TestFrontPipelinedFraming(t *testing.T) {
 	})
 }
 
+// TestFrontRendersManifestOnce: a front renders its manifest response on
+// the first request and answers every request with it, so requests that
+// race to be first all read the whole manifest.
+func TestFrontRendersManifestOnce(t *testing.T) {
+	video := dash.BigBuckBunny()
+	eachFront(t, video, 0, func(t *testing.T, s *front) {
+		const clients = 8
+		var wg sync.WaitGroup
+		sizes := make([][][]int64, clients)
+		errs := make([]error, clients)
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, sizes[i], errs[i] = FetchManifest(s.Addr())
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+			for l := range video.Levels {
+				for c := 0; c < video.NumChunks; c++ {
+					if got := sizes[i][l][c]; got != video.ChunkSize(c, l) {
+						t.Fatalf("client %d: level %d chunk %d size %d, want %d", i, l, c, got, video.ChunkSize(c, l))
+					}
+				}
+			}
+		}
+		if want, _ := dash.EncodeMPD(video.Manifest()); !strings.HasSuffix(string(s.manifestResponse()), string(want)) {
+			t.Error("the rendered response does not end in EncodeMPD's manifest")
+		}
+	})
+}
+
 // TestFailedFlushTakesBackServedBytes closes a front while its handler
 // holds a pipelined run's first request: the handler queues responses
 // on a closed connection, every flush fails, and ServedBytes, which
