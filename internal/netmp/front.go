@@ -94,6 +94,7 @@ type connTrack struct {
 	queued int64       // payload bytes in vec
 	heads  []byte      // scratch the queued heads are rendered into
 	pooled []*[]byte   // the queued pooled blocks, released by flush
+	timer  *time.Timer // shaper waits and stalls sleep on it (sleepOn)
 }
 
 // The queue is written before it would pass queueMax payload bytes (the
@@ -614,10 +615,8 @@ func (f *front) writeBody(ctx context.Context, conn net.Conn, tr *connTrack, ind
 			if err := f.flush(conn, tr); err != nil {
 				return err
 			}
-			select {
-			case <-time.After(body.stall):
-			case <-ctx.Done():
-				return ctx.Err()
+			if err := sleepOn(ctx, body.stall, &tr.timer); err != nil {
+				return err
 			}
 		}
 		m = min(segBufBlock, end-written)
@@ -628,7 +627,7 @@ func (f *front) writeBody(ctx context.Context, conn net.Conn, tr *connTrack, ind
 			}
 		}
 		if wait {
-			if err := f.bucket.Take(ctx, int(m)); err != nil {
+			if err := f.bucket.takeOn(ctx, int(m), &tr.timer); err != nil {
 				return err
 			}
 		}

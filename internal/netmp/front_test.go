@@ -720,3 +720,56 @@ func TestFailedFlushTakesBackServedBytes(t *testing.T) {
 		}
 	})
 }
+
+// TestShapedRangeAllocatesNothing: on a front shaped so that every
+// 16 KiB block waits for the bucket, a range request still allocates
+// nothing once the connection is warm: the waits sleep on the
+// connection's one timer (sleepOn).
+func TestShapedRangeAllocatesNothing(t *testing.T) {
+	video := payloadVideo()
+	const (
+		index, level = 0, 2
+		n            = 4 * segBufBlock
+		rateMbps     = 80 // 1.6 ms a block
+	)
+	req := AppendRangeRequest(nil, video.Levels[level].ID, index, 0, n-1)
+	eachFront(t, video, rateMbps, func(t *testing.T, f *front) {
+		conn, r := dialServer(t, f)
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		body := make([]byte, n)
+		ranges := 0
+		get := func() {
+			ranges++
+			if _, err := conn.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				line, err := r.ReadSlice('\n')
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(line) <= 2 {
+					break
+				}
+			}
+			if _, err := io.ReadFull(r, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			get() // spend the burst, make the timer, warm the pools
+		}
+		start, before := time.Now(), ranges
+		allocs := testing.AllocsPerRun(20, get)
+		bits := (float64((ranges-before)*n) - f.bucket.burst) * 8
+		if floor := time.Duration(bits / rateMbps * float64(time.Microsecond)); time.Since(start) < floor {
+			t.Fatalf("%d ranges took %v, want at least %v: the shaper did not hold them", ranges-before, time.Since(start), floor)
+		}
+		if raceEnabled {
+			return // sync.Pool drops puts under the race detector
+		}
+		if allocs != 0 {
+			t.Errorf("%v allocs per shaped range request, want 0", allocs)
+		}
+	})
+}

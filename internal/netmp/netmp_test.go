@@ -2,6 +2,9 @@ package netmp
 
 import (
 	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,6 +51,94 @@ func TestTokenBucketCancel(t *testing.T) {
 	}
 	if err := tb.Take(ctx, 1); err == nil {
 		t.Error("cancelled Take returned nil")
+	}
+}
+
+// TestTokenBucketRateUnderContention: eight connections, each sleeping on
+// its own reused timer, share one bucket for 300 ms and are granted
+// what the rate and the burst allow — no more than rate × T + burst plus
+// one block of overshoot per taker, no less than rate × T less a block.
+func TestTokenBucketRateUnderContention(t *testing.T) {
+	const (
+		rate   = 2e6 // bytes/s: a 16 KiB block every 8 ms
+		burst  = 64 << 10
+		block  = 16 << 10
+		takers = 8
+		span   = 300 * time.Millisecond
+	)
+	tb := NewTokenBucket(rate, burst)
+	start := time.Now()
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(span))
+	defer cancel()
+	var granted atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < takers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tm *time.Timer
+			for ctx.Err() == nil && tb.takeOn(ctx, block, &tm) == nil {
+				granted.Add(block)
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start) // the last grant came before this
+	got := float64(granted.Load())
+	if hi := rate*elapsed.Seconds() + burst + takers*block; got > hi {
+		t.Errorf("granted %.0f bytes in %v, want at most %.0f", got, elapsed, hi)
+	}
+	if lo := rate*span.Seconds() - block; got < lo {
+		t.Errorf("granted %.0f bytes in %v, want at least %.0f", got, span, lo)
+	}
+}
+
+// TestTokenBucketTimerReuse: a wait cancelled mid-sleep leaves its timer
+// idle, so the next wait on it sleeps until its debt is paid; and a
+// cancel that races the timer's fire drains the fire, so the next sleep
+// on the timer is not cut short by it.
+func TestTokenBucketTimerReuse(t *testing.T) {
+	const rate = 100_000 // bytes/s
+	tb := NewTokenBucket(rate, 1)
+	var tm *time.Timer
+	start := time.Now()
+	if err := tb.takeOn(context.Background(), 10_000, &tm); err != nil { // on credit: 100 ms of debt
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	err := tb.takeOn(ctx, 1, &tm)
+	cancel()
+	if err == nil || tm == nil {
+		t.Fatalf("take inside the debt returned %v with timer %v, want a cancelled sleep", err, tm)
+	}
+	if err := tb.takeOn(context.Background(), 1, &tm); err != nil {
+		t.Fatal(err)
+	}
+	if paid := 10_000 * time.Second / rate; time.Since(start) < paid {
+		t.Errorf("take returned %v after a %v debt was run up", time.Since(start), paid)
+	}
+
+	// On one P, a cancel lands while the sleeper is parked and the
+	// canceller then holds the P past the timer's expiry: the sleeper
+	// wakes for the cancel with the fire already queued on the timer.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const d = 2 * time.Millisecond
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		start := time.Now()
+		go func() {
+			cancel()
+			for time.Since(start) < 2*d { // spin: no scheduling point
+			}
+		}()
+		sleepOn(ctx, d, &tm)
+		begin := time.Now()
+		if err := sleepOn(context.Background(), d, &tm); err != nil {
+			t.Fatal(err)
+		}
+		if slept := time.Since(begin); slept < d {
+			t.Fatalf("round %d: a %v sleep returned after %v: a stale fire was not drained", i, d, slept)
+		}
 	}
 }
 

@@ -45,16 +45,51 @@ func newTokenBucketClocked(rate, burst float64, clk Clock) *TokenBucket {
 // refill before the next request), which preserves the long-run rate for
 // any request size.
 func (tb *TokenBucket) Take(ctx context.Context, n int) error {
+	var t *time.Timer
+	err := tb.takeOn(ctx, n, &t)
+	if t != nil {
+		t.Stop()
+	}
+	return err
+}
+
+// takeOn is Take sleeping on *t, a timer its caller owns and reuses (see
+// sleepOn): a connection that waits on every block makes one timer in
+// its life, not one per refused poll.
+func (tb *TokenBucket) takeOn(ctx context.Context, n int, t **time.Timer) error {
 	for {
 		wait := tb.take(n)
 		if wait == 0 {
 			return nil
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(wait):
+		if err := sleepOn(ctx, wait, t); err != nil {
+			return err
 		}
+	}
+}
+
+// sleepOn sleeps d on *t, or until ctx is done, and returns ctx.Err then.
+// *t is made on the first sleep and Reset for each later one; between
+// sleeps it is idle (fired and received, or stopped and drained), so a
+// Reset never meets a stale fire. The drain after a losing Stop relies on
+// the asynchronous timer channel that go.mod's go 1.22 line keeps; under
+// the synchronous channel a Stop on an unreceived timer returns true and
+// the drain never runs.
+func sleepOn(ctx context.Context, d time.Duration, t **time.Timer) error {
+	if *t == nil {
+		*t = time.NewTimer(d)
+	} else {
+		(*t).Reset(d)
+	}
+	tm := *t
+	select {
+	case <-tm.C:
+		return nil
+	case <-ctx.Done():
+		if !tm.Stop() {
+			<-tm.C
+		}
+		return ctx.Err()
 	}
 }
 

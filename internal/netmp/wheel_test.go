@@ -72,6 +72,31 @@ func TestWheelInsertFireCancel(t *testing.T) {
 	}
 }
 
+// TestWheelAdvanceAllocs: an advance that fires an armed inline timer
+// allocates nothing, so a timer its owner re-arms costs no allocation
+// per firing. (The hour tick keeps the driver out; the warm-up gives
+// every slot its capacity.)
+func TestWheelAdvanceAllocs(t *testing.T) {
+	mc := newManualClock()
+	w := NewTimerWheel(mc.clock(), time.Hour)
+	defer w.Close()
+	fired := 0
+	tm := w.idleTimer(func() { fired++ })
+	arm := func() {
+		tm.reset(time.Minute)
+		mc.advance(w, time.Hour)
+	}
+	for i := 0; i < wheelSlots; i++ {
+		arm()
+	}
+	if allocs := testing.AllocsPerRun(100, arm); allocs != 0 {
+		t.Errorf("arming and firing an inline timer: %v allocs per advance, want 0", allocs)
+	}
+	if want := wheelSlots + 101; fired != want {
+		t.Errorf("fired %d times, want %d", fired, want)
+	}
+}
+
 // Deadlines separated by more than a tick must fire in deadline order;
 // the coarse tick only reorders within one tick.
 func TestWheelCoarseTickDeadlineOrdering(t *testing.T) {
