@@ -91,11 +91,13 @@ func (a *Adapter) Instrument(t *obs.Telemetry) {
 		obs.Labels{"decision": "skipped"}, func() float64 { return float64(a.Skipped()) })
 }
 
-// emit journals one adapter decision at the player's current time.
-func (a *Adapter) emit(e obs.Event, st dash.PlayerState) {
+// emit journals one adapter decision at the player's current time. The
+// event is built only when a sink is attached.
+func (a *Adapter) emit(event func() obs.Event, st dash.PlayerState) {
 	if a.Obs == nil {
 		return
 	}
+	e := event()
 	e.Sim = st.Now
 	a.Obs.Emit(e)
 }
@@ -194,9 +196,11 @@ func (a *Adapter) OnChunkStart(st dash.PlayerState, meta dash.ChunkMeta, tr *mpt
 			// Below Ω: MP-DASH stays out of the way; make sure the
 			// connection is in stock multipath mode.
 			a.skipped++
-			a.emit(obs.NewEvent("adapter.skip").WithChunk(meta.Index, meta.Level).
-				WithNum("buffer_s", st.Buffer.Seconds()).
-				WithNum("omega_s", omega.Seconds()), st)
+			a.emit(func() obs.Event {
+				return obs.NewEvent("adapter.skip").WithChunk(meta.Index, meta.Level).
+					WithNum("buffer_s", st.Buffer.Seconds()).
+					WithNum("omega_s", omega.Seconds())
+			}, st)
 			a.sched.Disable()
 			return
 		}
@@ -207,10 +211,12 @@ func (a *Adapter) OnChunkStart(st dash.PlayerState, meta dash.ChunkMeta, tr *mpt
 	}
 	d, ext := core.ChunkDeadline(a.cfg.Policy == RateBased, meta.Size, meta.NominalBps, meta.Duration, st.Buffer, phi)
 	if ext > 0 {
-		a.emit(obs.NewEvent("adapter.extend").WithChunk(meta.Index, meta.Level).
-			WithNum("extension_s", ext.Seconds()).
-			WithNum("buffer_s", st.Buffer.Seconds()).
-			WithNum("phi_s", phi.Seconds()), st)
+		a.emit(func() obs.Event {
+			return obs.NewEvent("adapter.extend").WithChunk(meta.Index, meta.Level).
+				WithNum("extension_s", ext.Seconds()).
+				WithNum("buffer_s", st.Buffer.Seconds()).
+				WithNum("phi_s", phi.Seconds())
+		}, st)
 	}
 	a.sched.Govern(tr)
 	if err := a.sched.Enable(meta.Size, d); err != nil {
@@ -221,9 +227,11 @@ func (a *Adapter) OnChunkStart(st dash.PlayerState, meta dash.ChunkMeta, tr *mpt
 		return
 	}
 	a.governed++
-	a.emit(obs.NewEvent("adapter.govern").WithChunk(meta.Index, meta.Level).
-		WithNum("deadline_s", d.Seconds()).
-		WithNum("size", float64(meta.Size)), st)
+	a.emit(func() obs.Event {
+		return obs.NewEvent("adapter.govern").WithChunk(meta.Index, meta.Level).
+			WithNum("deadline_s", d.Seconds()).
+			WithNum("size", float64(meta.Size))
+	}, st)
 }
 
 // OnChunkDone implements dash.Adapter. Completion already deactivates the

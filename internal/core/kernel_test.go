@@ -114,17 +114,27 @@ func TestEvaluateFiltersOverCeilingPaths(t *testing.T) {
 	if err := sch.Enable(5_000_000, 4*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !sch.desired["lte-a"] || sch.desired["lte-b"] {
-		t.Errorf("ceiling 2: desired = %v, want lte-a on, lte-b off", sch.desired)
+	if !sch.asking("lte-a") || sch.asking("lte-b") {
+		t.Errorf("ceiling 2: lte-a on %v, lte-b on %v; want on, off", sch.asking("lte-a"), sch.asking("lte-b"))
 	}
 	sch.Disable()
 	sch.MaxCost = 0.5 // both secondaries over the ceiling
 	if err := sch.Enable(5_000_000, 4*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if sch.desired["lte-a"] || sch.desired["lte-b"] {
-		t.Errorf("ceiling 0.5: desired = %v, want both off", sch.desired)
+	if sch.asking("lte-a") || sch.asking("lte-b") {
+		t.Errorf("ceiling 0.5: lte-a on %v, lte-b on %v; want both off", sch.asking("lte-a"), sch.asking("lte-b"))
 	}
+}
+
+// asking reports whether the named path was last asked to be on.
+func (s *Scheduler) asking(name string) bool {
+	for i, p := range s.asked {
+		if p.Name == name {
+			return s.askedOn[i]
+		}
+	}
+	return false
 }
 
 func TestKernelAndTickAllocFree(t *testing.T) {

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -46,14 +47,12 @@ type Scheduler struct {
 	enabledAt  time.Duration
 	deadlineAt time.Duration
 
-	// desired[name] is the state we last requested for each secondary
-	// path, so we only signal on change.
-	desired map[string]bool
-
 	// scratch and est are the reusable path-ordering and estimate buffers
 	// of evaluate(), so the per-packet decision loop stays allocation-free.
 	scratch []*mptcp.Path
 	est     []float64
+	asked   []*mptcp.Path // secondaries signalled so far,
+	askedOn []bool        // and the state each was last asked for
 
 	// Obs receives the scheduler's decision events (sched.enable /
 	// sched.toggle / sched.disable / sched.miss), stamped with simulator
@@ -99,11 +98,13 @@ func (s *Scheduler) Instrument(t *obs.Telemetry) {
 		nil, func() float64 { return float64(s.Activations()) })
 }
 
-// emit journals one decision event at the current simulator time.
-func (s *Scheduler) emit(e obs.Event) {
+// emit journals one decision event at the current simulator time. The
+// event is built only when a sink is attached.
+func (s *Scheduler) emit(event func() obs.Event) {
 	if s.Obs == nil {
 		return
 	}
+	e := event()
 	e.Sim = s.sim.Now()
 	s.Obs.Emit(e)
 }
@@ -116,12 +117,7 @@ func NewScheduler(s *sim.Simulator, conn *mptcp.Conn, alpha float64) (*Scheduler
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("core: alpha %v outside (0, 1]", alpha)
 	}
-	sch := &Scheduler{
-		sim:     s,
-		conn:    conn,
-		Alpha:   alpha,
-		desired: make(map[string]bool),
-	}
+	sch := &Scheduler{sim: s, conn: conn, Alpha: alpha}
 	sch.tickFn = sch.tick
 	return sch, nil
 }
@@ -157,9 +153,9 @@ func (s *Scheduler) Enable(size int64, window time.Duration) error {
 	s.sent = 0
 	s.enabledAt = s.sim.Now()
 	s.deadlineAt = s.enabledAt + window
-	s.emit(obs.NewEvent("sched.enable").
-		WithNum("size", float64(size)).
-		WithNum("window_s", window.Seconds()))
+	s.emit(func() obs.Event {
+		return obs.NewEvent("sched.enable").WithNum("size", float64(size)).WithNum("window_s", window.Seconds())
+	})
 	if s.Tracer != nil {
 		s.trace = s.Tracer.StartTrace(s.TraceSession, int(s.activation)-1, -1)
 		s.trace.SetDeadline(window)
@@ -180,7 +176,7 @@ func (s *Scheduler) Disable() {
 		return
 	}
 	s.active = false
-	s.emit(obs.NewEvent("sched.disable"))
+	s.emit(func() obs.Event { return obs.NewEvent("sched.disable") })
 	// Close the trace before enableAll: the stand-down toggles restore
 	// stock MPTCP and are not part of the governed transfer.
 	if s.trace != nil {
@@ -269,8 +265,9 @@ func (s *Scheduler) evaluate() {
 		// Condition (2): deadline passed. "After that both interfaces
 		// will always be used" (§7.2.2).
 		s.misses++
-		s.emit(obs.NewEvent("sched.miss").
-			WithNum("remaining_bytes", float64(s.size-s.sent)))
+		s.emit(func() obs.Event {
+			return obs.NewEvent("sched.miss").WithNum("remaining_bytes", float64(s.size-s.sent))
+		})
 		if s.trace != nil {
 			s.traceMissed = true
 			s.trace.SetOverrun(now - s.deadlineAt + 1)
@@ -291,7 +288,7 @@ func (s *Scheduler) evaluate() {
 	est := s.est[:0]
 	for _, p := range paths {
 		if !s.overCeiling(p) {
-			est = append(est, s.conn.EstimatedThroughput(p.Name))
+			est = append(est, p.Estimate())
 		}
 	}
 	s.est = est
@@ -299,10 +296,10 @@ func (s *Scheduler) evaluate() {
 	for _, p := range paths[1:] {
 		if s.overCeiling(p) {
 			// Over the ceiling: this path is off the table entirely.
-			s.setPath(p.Name, false)
+			s.setPath(p, false)
 			continue
 		}
-		s.setPath(p.Name, on > 0)
+		s.setPath(p, on > 0)
 		on--
 	}
 }
@@ -327,11 +324,7 @@ func pathLess(a, b *mptcp.Path) bool {
 // the handful of paths a connection has — this is the per-packet hot
 // loop, so it must not allocate.
 func (s *Scheduler) orderedPaths() []*mptcp.Path {
-	src := s.conn.Paths()
-	if cap(s.scratch) < len(src) {
-		s.scratch = make([]*mptcp.Path, 0, len(src))
-	}
-	paths := append(s.scratch[:0], src...)
+	paths := append(s.scratch[:0], s.conn.Paths()...)
 	for i := 1; i < len(paths); i++ {
 		p := paths[i]
 		j := i - 1
@@ -345,20 +338,23 @@ func (s *Scheduler) orderedPaths() []*mptcp.Path {
 	return paths
 }
 
-func (s *Scheduler) setPath(name string, on bool) {
-	if prev, ok := s.desired[name]; ok && prev == on {
+func (s *Scheduler) setPath(p *mptcp.Path, on bool) {
+	i := slices.Index(s.asked, p)
+	if i < 0 {
+		i, s.asked, s.askedOn = len(s.asked), append(s.asked, p), append(s.askedOn, !on)
+	} else if s.askedOn[i] == on {
 		return
 	}
-	s.desired[name] = on
+	s.askedOn[i] = on
 	s.toggles++
-	s.emit(obs.NewEvent("sched.toggle").WithPath(name).
-		WithStr("on", strconv.FormatBool(on)).
-		WithNum("estimate_bps", s.conn.EstimatedThroughput(name)).
-		WithNum("remaining_bytes", float64(s.size-s.sent)).
-		WithNum("slack_s", (s.deadlineAt - s.sim.Now()).Seconds()))
-	s.traceToggle(name, on)
+	s.emit(func() obs.Event {
+		return obs.NewEvent("sched.toggle").WithPath(p.Name).WithStr("on", strconv.FormatBool(on)).
+			WithNum("estimate_bps", p.Estimate()).WithNum("remaining_bytes", float64(s.size-s.sent)).
+			WithNum("slack_s", (s.deadlineAt - s.sim.Now()).Seconds())
+	})
+	s.traceToggle(p.Name, on)
 	// The primary path can never be disabled; mptcp enforces it too.
-	_ = s.conn.SetPathEnabled(name, on)
+	_ = s.conn.SetPathEnabled(p.Name, on)
 }
 
 // traceToggle mirrors a path toggle onto the transfer's trace: an
@@ -390,7 +386,9 @@ func (s *Scheduler) traceToggle(name string, on bool) {
 // holds even here: a path priced over the ceiling stays off when MP-DASH
 // deactivates.
 func (s *Scheduler) enableAll() {
-	for _, p := range s.conn.SecondaryPaths() {
-		s.setPath(p.Name, !s.overCeiling(p))
+	for _, p := range s.conn.Paths() {
+		if !p.Primary {
+			s.setPath(p, !s.overCeiling(p))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package dash
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mpdash/internal/mptcp"
@@ -222,7 +223,9 @@ func (p *Player) Run(numChunks int) (*Report, error) {
 		numChunks = p.video.NumChunks
 	}
 	lastLevel := -1
-	var throughputs []float64
+	throughputs := make([]float64, 0, numChunks)
+	p.results = slices.Grow(p.results, numChunks)
+	p.events = slices.Grow(p.events, 2*numChunks) // a start and a done per chunk
 
 	for i := 0; i < numChunks; i++ {
 		// Wait for buffer room: fetch the next chunk only when a full

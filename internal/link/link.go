@@ -34,6 +34,15 @@ type Link struct {
 	busyUntil       time.Duration
 	arrivals, drops flightList // packets on their way out, drop signals on their way back
 
+	// Send's memo: the service rate over the rate trace's slot
+	// [slotFrom, slotTo), and how long a txSize-byte packet takes at it.
+	// Traces are read-only, so both hold until a send starts in another
+	// slot; most packets on a link are one size.
+	slotFrom, slotTo time.Duration
+	rateBps          float64
+	txSize           int
+	txTime           time.Duration
+
 	deliveredBytes int64
 	droppedPackets int64
 	sentPackets    int64
@@ -90,24 +99,33 @@ func New(s *sim.Simulator, cfg Config) (*Link, error) {
 	return l, nil
 }
 
-// Packet is a caller-owned record for one packet. The caller fills Size,
-// Deliver and Drop, hands the record to Send, and must not touch or resend
-// it until one of the two callbacks has been entered; from then on it is
-// the caller's again and may go straight back onto a link. Until then the
+// Packet is a caller-owned record for one packet. The caller fills Size
+// and Recv, hands the record to Send, and must not touch or resend it
+// until one of Recv's methods has been entered; from then on it is the
+// caller's again and may go straight back onto a link. Until then the
 // link threads its in-flight list through the record itself, so a packet
 // costs no allocation.
 type Packet struct {
 	Size int
-	// Deliver fires at the packet's arrival time at the far end. Drop
-	// fires, for a packet the queue refused, at the time the loss becomes
-	// observable to the sender. Either may be nil.
-	Deliver, Drop func()
+	// Recv is told the packet's fate. Nil: an arrival is counted and
+	// nothing is told, and a packet the queue refuses is forgotten.
+	Recv Receiver
 
 	link       *Link         // the link that holds the record, nil when the caller does
 	at         time.Duration // when the callback is due
 	seq        uint64        // reserved at Send: the callback's place among events at the same time
 	prev, next *Packet
 	queued     bool // the record's (at, seq) is in the simulator's heap
+}
+
+// Receiver is what a packet's sender implements to learn its fate. One
+// receiver may own several records: the *Packet tells them apart.
+type Receiver interface {
+	// Arrive runs at the packet's arrival time at the far end.
+	Arrive(p *Packet)
+	// Lost runs, for a packet the queue refused, at the time the loss
+	// becomes observable to the sender.
+	Lost(p *Packet)
 }
 
 // flightList is a FIFO of records in (at, seq) order. A link's due times
@@ -174,17 +192,20 @@ func (l *Link) pop(q *flightList) *Packet {
 func (l *Link) fireArrival() {
 	p := l.pop(&l.arrivals)
 	l.deliveredBytes += int64(p.Size)
-	if p.Deliver != nil {
-		p.Deliver()
+	if p.Recv != nil {
+		p.Recv.Arrive(p)
 	}
 }
 
-func (l *Link) fireDrop() { l.pop(&l.drops).Drop() }
+func (l *Link) fireDrop() {
+	p := l.pop(&l.drops)
+	p.Recv.Lost(p)
+}
 
-// Send enqueues p. If the queue is full the packet is dropped and p.Drop
-// fires at the time the loss becomes observable to the sender (one
-// RTT-ish later would require the reverse path; as a simplification the
-// drop signal fires after the current queueing delay, standing in for
+// Send enqueues p. If the queue is full the packet is dropped and
+// p.Recv.Lost runs at the time the loss becomes observable to the sender
+// (one RTT-ish later would require the reverse path; as a simplification
+// the drop signal fires after the current queueing delay, standing in for
 // duplicate-ACK detection).
 func (l *Link) Send(p *Packet) {
 	if p.Size <= 0 {
@@ -201,20 +222,26 @@ func (l *Link) Send(p *Packet) {
 	queueDelay := start - now
 	if queueDelay > l.maxQueueDelay {
 		l.droppedPackets++
-		if p.Drop != nil {
+		if p.Recv != nil {
 			l.park(&l.drops, p, start)
 		}
 		return
 	}
-	rate := l.rate.AtBps(start)
-	if rate <= 0 {
-		rate = 1e3 // a dead link still drains, glacially
+	if start < l.slotFrom || start >= l.slotTo {
+		l.slotFrom = start / l.rate.Slot * l.rate.Slot
+		l.slotTo = l.slotFrom + l.rate.Slot
+		if l.rateBps = l.rate.AtBps(start); l.rateBps <= 0 {
+			l.rateBps = 1e3 // a dead link still drains, glacially
+		}
+		l.txSize = 0
 	}
-	txTime := time.Duration(float64(p.Size*8) / rate * float64(time.Second))
-	if txTime <= 0 {
-		txTime = time.Nanosecond
+	if p.Size != l.txSize {
+		l.txSize = p.Size
+		if l.txTime = time.Duration(float64(p.Size*8) / l.rateBps * float64(time.Second)); l.txTime <= 0 {
+			l.txTime = time.Nanosecond
+		}
 	}
-	l.busyUntil = start + txTime
+	l.busyUntil = start + l.txTime
 	l.sentPackets++
 	prop := l.propDelay
 	if l.rng != nil {

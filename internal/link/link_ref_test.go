@@ -276,8 +276,29 @@ func runOnLink(data []byte) []orderEvent {
 			return l
 		},
 		func(size int, deliver, drop func()) *Packet {
-			return &Packet{Size: size, Deliver: deliver, Drop: drop}
+			if deliver == nil && drop == nil {
+				return &Packet{Size: size}
+			}
+			return &Packet{Size: size, Recv: funcs{arrive: deliver, lost: drop}}
 		})
+}
+
+// funcs is a Receiver over two funcs, either of which may be nil. A
+// refused record whose lost is nil is held until its drop signal, where
+// refLink forgets it at once; a script cannot tell, because only a
+// record's own callbacks ever resend it.
+type funcs struct{ arrive, lost func() }
+
+func (r funcs) Arrive(*Packet) {
+	if r.arrive != nil {
+		r.arrive()
+	}
+}
+
+func (r funcs) Lost(*Packet) {
+	if r.lost != nil {
+		r.lost()
+	}
 }
 
 func runOnRef(data []byte) []orderEvent {

@@ -41,7 +41,7 @@ func TestSinglePacketLatency(t *testing.T) {
 	// so arrival at 20ms.
 	s, l := newTestLink(t, 1.0, 10*time.Millisecond)
 	var arrived time.Duration = -1
-	l.Send(&Packet{Size: 1250, Deliver: func() { arrived = s.Now() }})
+	l.Send(&Packet{Size: 1250, Recv: funcs{arrive: func() { arrived = s.Now() }}})
 	for s.Step() {
 	}
 	want := 20 * time.Millisecond
@@ -58,7 +58,7 @@ func TestSerializationQueuing(t *testing.T) {
 	s, l := newTestLink(t, 1.0, 0)
 	var times []time.Duration
 	for i := 0; i < 2; i++ {
-		l.Send(&Packet{Size: 1250, Deliver: func() { times = append(times, s.Now()) }})
+		l.Send(&Packet{Size: 1250, Recv: funcs{arrive: func() { times = append(times, s.Now()) }}})
 	}
 	if l.QueueDelay() != 20*time.Millisecond {
 		t.Errorf("QueueDelay = %v, want 20ms", l.QueueDelay())
@@ -99,7 +99,7 @@ func TestDropTail(t *testing.T) {
 	drops := 0
 	// Flood far beyond the 200ms queue cap: at 1 Mbps, 200ms holds 25kB ≈ 20 packets.
 	for i := 0; i < 100; i++ {
-		l.Send(&Packet{Size: 1250, Drop: func() { drops++ }})
+		l.Send(&Packet{Size: 1250, Recv: funcs{lost: func() { drops++ }}})
 	}
 	for s.Step() {
 	}
@@ -125,7 +125,7 @@ func TestTimeVaryingRate(t *testing.T) {
 	}
 	s.AdvanceTo(1500 * time.Millisecond)
 	var arrived time.Duration
-	l.Send(&Packet{Size: 1250, Deliver: func() { arrived = s.Now() }})
+	l.Send(&Packet{Size: 1250, Recv: funcs{arrive: func() { arrived = s.Now() }}})
 	for s.Step() {
 	}
 	want := 1500*time.Millisecond + time.Millisecond // 1250B at 10Mbps = 1ms
@@ -147,7 +147,9 @@ func TestJitterSpreadsArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arrivals []time.Duration
-	send := func() { l.Send(&Packet{Size: 100, Deliver: func() { arrivals = append(arrivals, s.Now()) }}) }
+	send := func() {
+		l.Send(&Packet{Size: 100, Recv: funcs{arrive: func() { arrivals = append(arrivals, s.Now()) }}})
+	}
 	for i := 0; i < 200; i++ {
 		send()
 		s.Advance(10 * time.Millisecond)
@@ -209,11 +211,11 @@ func TestPacketRecordOwnership(t *testing.T) {
 	resendPanics := func(p *Packet) bool { return sendPanics(l, p) }
 	trips := 0
 	p := &Packet{Size: 1250}
-	p.Deliver = func() {
+	p.Recv = funcs{arrive: func() {
 		if trips++; trips < 3 {
 			l.Send(p) // the record is ours again inside its own callback
 		}
-	}
+	}}
 	l.Send(p)
 	behind := &Packet{Size: 1250}
 	l.Send(behind)
@@ -242,7 +244,7 @@ func TestPacketRecordOwnership(t *testing.T) {
 		l.Send(&Packet{Size: 1250})
 	}
 	dropped := false
-	d := &Packet{Size: 1250, Drop: func() { dropped = true }}
+	d := &Packet{Size: 1250, Recv: funcs{lost: func() { dropped = true }}}
 	l.Send(d)
 	if !resendPanics(d) {
 		t.Error("a dropped record was accepted again before its drop signal")
@@ -254,7 +256,27 @@ func TestPacketRecordOwnership(t *testing.T) {
 	}
 	l.Send(d) // accepted: the queue has drained and the record is free
 
-	p.Deliver = nil
+	// Without a receiver a refused record is forgotten at once: no drop
+	// signal is parked, and it is the caller's again.
+	for s.Step() {
+	}
+	for l.QueueDelay() <= DefaultMaxQueueDelay {
+		l.Send(&Packet{Size: 1250})
+	}
+	pending, drops := s.Pending(), l.DroppedPackets()
+	orphan := &Packet{Size: 1250}
+	l.Send(orphan)
+	if l.DroppedPackets() != drops+1 || s.Pending() != pending {
+		t.Errorf("a receiverless refusal: %d drops, %d heap entries; want %d and %d",
+			l.DroppedPackets(), s.Pending(), drops+1, pending)
+	}
+	if sendPanics(other, orphan) {
+		t.Error("a dropped record without a receiver was still held")
+	}
+	for s.Step() {
+	}
+
+	p.Recv = nil
 	if n := testing.AllocsPerRun(100, func() {
 		l.Send(p)
 		for s.Step() {
@@ -307,7 +329,7 @@ func TestJitterOvertakesHeadTwice(t *testing.T) {
 	}
 	var order []int
 	send := func(id int) *Packet {
-		p := &Packet{Size: 100, Deliver: func() { order = append(order, id) }}
+		p := &Packet{Size: 100, Recv: funcs{arrive: func() { order = append(order, id) }}}
 		l.Send(p)
 		return p
 	}

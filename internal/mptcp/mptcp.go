@@ -95,6 +95,10 @@ type Path struct {
 	everEstimated   bool
 	lastEstimate    float64 // bits/s, responsive (scheduler-facing)
 	lastAppEstimate float64 // bits/s, smoothed (application-facing)
+
+	// signal lands a toggle at the sender: [0] disables the path, [1]
+	// enables it and pumps. Bound at NewConn, so a toggle allocates nothing.
+	signal [2]func()
 }
 
 // Enabled reports whether the MP-DASH overlay currently allows this path.
@@ -111,6 +115,11 @@ func (p *Path) SRTT() time.Duration { return p.flow.SRTT() }
 
 // Meter returns the delivery meter (per-window byte counts).
 func (p *Path) Meter() *link.Meter { return p.meter }
+
+// Estimate returns the Holt-Winters forecast of the path's goodput in
+// bits/s. Estimates persist across idle and disabled periods (the kernel
+// remembers the last time the subflow carried data).
+func (p *Path) Estimate() float64 { return p.lastEstimate }
 
 // Conn is a multipath connection (client-download oriented: data flows
 // server→client, which is the DASH direction).
@@ -244,6 +253,8 @@ func NewConn(s *sim.Simulator, cfg Config) (*Conn, error) {
 			predictor:    predict.NewDefaultHoltWinters(),
 			appPredictor: predict.NewEWMA(0.1),
 		}
+		p.signal[0] = func() { p.enabled = false }
+		p.signal[1] = func() { p.enabled = true; c.pump() }
 		idx := len(c.paths)
 		flow.OnDelivered = func(seg tcp.Segment) { c.onDelivered(p, idx, seg) }
 		flow.OnAcked = c.pump
@@ -282,17 +293,6 @@ func (c *Conn) PrimaryPath() *Path {
 	return nil // unreachable: NewConn enforces exactly one
 }
 
-// SecondaryPaths returns all non-primary paths, in declaration order.
-func (c *Conn) SecondaryPaths() []*Path {
-	var out []*Path
-	for _, p := range c.paths {
-		if !p.Primary {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // SetPathEnabled toggles a path for the packet scheduler. Following the
 // paper's function split, the decision is made at the client and takes
 // effect at the data sender one signalling delay later. Disabling a path
@@ -307,12 +307,11 @@ func (c *Conn) SetPathEnabled(name string, on bool) error {
 	if p.Primary && !on {
 		return fmt.Errorf("mptcp: cannot disable primary path %q", name)
 	}
-	c.sim.Schedule(c.signalDelay, func() {
-		p.enabled = on
-		if on {
-			c.pump()
-		}
-	})
+	if on {
+		c.sim.Schedule(c.signalDelay, p.signal[1])
+	} else {
+		c.sim.Schedule(c.signalDelay, p.signal[0])
+	}
 	return nil
 }
 
@@ -347,17 +346,6 @@ func (c *Conn) SetPathCost(name string, cost float64) error {
 	}
 	p.Cost = cost
 	return nil
-}
-
-// EstimatedThroughput returns the Holt-Winters forecast of the named
-// path's goodput in bits/s. Estimates persist across idle and disabled
-// periods (the kernel remembers the last time the subflow carried data).
-func (c *Conn) EstimatedThroughput(name string) float64 {
-	p := c.Path(name)
-	if p == nil {
-		return 0
-	}
-	return p.lastEstimate
 }
 
 // PathAppThroughput returns the named path's smoothed application-facing

@@ -77,10 +77,6 @@ func TestPathAccessors(t *testing.T) {
 	if got := c.PrimaryPath().Name; got != "wifi" {
 		t.Errorf("PrimaryPath = %q", got)
 	}
-	sec := c.SecondaryPaths()
-	if len(sec) != 1 || sec[0].Name != "lte" {
-		t.Errorf("SecondaryPaths = %v", sec)
-	}
 	if len(c.Paths()) != 2 {
 		t.Errorf("Paths len = %d", len(c.Paths()))
 	}
@@ -256,8 +252,8 @@ func TestThroughputEstimates(t *testing.T) {
 	if !tr.RunUntilComplete(60 * time.Second) {
 		t.Fatal("did not complete")
 	}
-	wifi := c.EstimatedThroughput("wifi")
-	lte := c.EstimatedThroughput("lte")
+	wifi := c.Path("wifi").Estimate()
+	lte := c.Path("lte").Estimate()
 	if wifi < 2.5e6 || wifi > 5.0e6 {
 		t.Errorf("wifi estimate = %.2f Mbps, want ≈3.8", wifi/1e6)
 	}
@@ -267,9 +263,6 @@ func TestThroughputEstimates(t *testing.T) {
 	agg := c.AggregateThroughput()
 	if agg < wifi || agg > wifi+lte+1 {
 		t.Errorf("aggregate = %v", agg)
-	}
-	if c.EstimatedThroughput("nope") != 0 {
-		t.Error("unknown path estimate should be 0")
 	}
 }
 

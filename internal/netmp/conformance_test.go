@@ -56,7 +56,7 @@ func TestEngageDriversConform(t *testing.T) {
 	}
 	var est []float64 // bits/s; frozen while no transfer is active
 	for _, n := range names {
-		est = append(est, conn.EstimatedThroughput(n))
+		est = append(est, conn.Path(n).Estimate())
 	}
 	if est[0] <= 0 || est[1] <= 0 || est[2] <= 0 {
 		t.Fatalf("warm-up left a path unmeasured: %v", est)

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -62,5 +63,47 @@ func TestSaturatedSubflowAllocatesNothing(t *testing.T) {
 	}
 	if got := f.DeliveredBytes() - before; got < 2*1_000_000 {
 		t.Errorf("only %d bytes delivered in the two measured seconds", got)
+	}
+}
+
+// TestFlightRecordAllocs: P segments in flight at once cost ⌈P/64⌉
+// allocations, the blocks their records are carved from, and sending P
+// again once all are ACKed reuses the records at no cost.
+func TestFlightRecordAllocs(t *testing.T) {
+	for _, p := range []int{1, 63, 64, 65, 200} {
+		s := sim.New()
+		fast := trace.Constant("f", 10_000, time.Second, 1)
+		fwd, _ := link.New(s, link.Config{Name: "fwd", Rate: fast, PropDelay: time.Millisecond})
+		rev, _ := link.New(s, link.Config{Name: "rev", Rate: fast, PropDelay: time.Millisecond})
+		f, err := New(s, Config{Name: "blocks", Fwd: fwd, Rev: rev, DisableIdleRestart: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ { // size the event heap before counting
+			s.Schedule(0, func() {})
+		}
+		for s.Step() {
+		}
+		burst := func() {
+			f.cwnd = float64(p)
+			for i := 0; i < p; i++ {
+				f.Send(Segment{Size: f.MSS()})
+			}
+			for s.Step() {
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		burst()
+		runtime.ReadMemStats(&after)
+		if got, want := after.Mallocs-before.Mallocs, uint64((p+63)/64); got != want {
+			t.Errorf("%d segments in flight: %d allocs, want %d", p, got, want)
+		}
+		if n := testing.AllocsPerRun(10, burst); n != 0 {
+			t.Errorf("%d segments again: %v allocs, want 0", p, n)
+		}
+		if f.freeLen() != p || f.Inflight() != 0 {
+			t.Errorf("%d segments: %d records idle, %d in flight; want %d and 0", p, f.freeLen(), f.Inflight(), p)
+		}
 	}
 }

@@ -36,18 +36,23 @@ type Segment struct {
 }
 
 // flight is the record of one segment between Send and its ACK. It owns
-// the segment's data and ACK packet records and the callbacks they fire,
-// all bound once when the record is made; a subflow keeps its idle records
-// on a free list, so the steady-state packet path allocates nothing. At
-// most one event is pending per record at any time (data on fwd, or its
-// drop signal, or the ACK on rev, or the late ACK), which is why one
-// record and one copy of the segment suffice.
+// the segment's data and ACK packet records and is their link.Receiver,
+// telling them apart by address; a subflow carves records out of blocks
+// of flightBlock and keeps its idle ones on a free list, so the
+// steady-state packet path allocates nothing. At most one event is
+// pending per record at any time (data on fwd, or its drop signal, or the
+// ACK on rev, or the late ACK), which is why one record and one copy of
+// the segment suffice.
 type flight struct {
 	f         *Subflow
 	seg       Segment
 	data, ack link.Packet
+	lateAck   func()  // onAck, bound at the record's first lost ACK
 	next      *flight // free list
 }
+
+// flightBlock is how many records one allocation makes.
+const flightBlock = 64
 
 // Subflow is a single-path TCP sender model.
 type Subflow struct {
@@ -62,7 +67,8 @@ type Subflow struct {
 	ssthresh float64
 	inflight int
 
-	free *flight // idle flight records
+	free  *flight  // idle flight records
+	block []flight // records not yet handed out
 
 	srtt   time.Duration
 	rttvar time.Duration
@@ -182,11 +188,34 @@ func (f *Subflow) Send(seg Segment) {
 }
 
 func (f *Subflow) newFlight() *flight {
-	fl := &flight{f: f}
-	fl.data.Deliver, fl.data.Drop = fl.onDataArrival, fl.onLoss
-	// Pure ACK, 40 bytes.
-	fl.ack.Size, fl.ack.Deliver, fl.ack.Drop = 40, fl.onAck, fl.onAckLost
+	if len(f.block) == 0 {
+		f.block = make([]flight, flightBlock)
+	}
+	fl := &f.block[0]
+	f.block = f.block[1:]
+	fl.f = f
+	fl.data.Recv = fl
+	fl.ack.Size, fl.ack.Recv = 40, fl // pure ACK, 40 bytes
 	return fl
+}
+
+// Arrive implements link.Receiver: the data reached the receiver, or the
+// ACK reached the sender.
+func (fl *flight) Arrive(p *link.Packet) {
+	if p == &fl.data {
+		fl.onDataArrival()
+	} else {
+		fl.onAck()
+	}
+}
+
+// Lost implements link.Receiver: a queue refused the data or the ACK.
+func (fl *flight) Lost(p *link.Packet) {
+	if p == &fl.data {
+		fl.onLoss()
+	} else {
+		fl.onAckLost()
+	}
 }
 
 func (fl *flight) onDataArrival() {
@@ -200,7 +229,12 @@ func (fl *flight) onDataArrival() {
 
 // onAckLost: in real TCP a later cumulative ACK covers a lost ACK. Model
 // that as the ACK arriving one SRTT later.
-func (fl *flight) onAckLost() { fl.f.sim.Schedule(fl.f.SRTT(), fl.ack.Deliver) }
+func (fl *flight) onAckLost() {
+	if fl.lateAck == nil {
+		fl.lateAck = fl.onAck
+	}
+	fl.f.sim.Schedule(fl.f.SRTT(), fl.lateAck)
+}
 
 func (fl *flight) onAck() {
 	f := fl.f
