@@ -21,7 +21,12 @@
 //
 // The machine-readable population report is written to -out
 // (BENCH_swarm.json by default); render it later with
-// mpdash-analyze -swarm BENCH_swarm.json.
+// mpdash-analyze -swarm BENCH_swarm.json. The run is then held to its
+// pass bar: ledger violations, panics and audit violations always fail
+// it, a scenario's "gates" stanza adds its bounds, and -baseline
+// REPORT requires a graceful-degradation run to strictly beat an
+// abort-off run of the same scenario. One row prints per checked
+// quantity, and a failed row exits 1.
 //
 // Usage:
 //
@@ -31,11 +36,11 @@
 //	mpdash-swarm -scenario scenarios/chaos-crash.json -audit -journal chaos.jsonl
 //	mpdash-swarm -scenario scenarios/zipf-cache.json -cache-mb 128
 //	mpdash-swarm -scenario scenarios/chaos-crash.json -validate
+//	mpdash-swarm -scenario scenarios/linkdrop.json -abort -board -baseline BENCH_drop_base.json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -80,6 +85,7 @@ func run() int {
 		chaosPath = flag.String("chaos", "", "chaos timeline JSON file (an array of events; replaces the scenario's chaos stanza)")
 		auditOn   = flag.Bool("audit", false, "run the runtime invariant auditor (ledger, goroutine leaks, playback monotonicity, abort pairing, waste bound); violations fail the run")
 		validate  = flag.Bool("validate", false, "validate the scenario (after flag overlays) and exit without running")
+		baseline  = flag.String("baseline", "", "report of a baseline run (same scenario and sessions, graceful degradation off) that this run must strictly beat on deadline-miss rate AND wasted cellular bytes")
 
 		out          = flag.String("out", "BENCH_swarm.json", "population report output path (empty = skip)")
 		keepSessions = flag.Bool("session-detail", false, "include per-session outcomes in the report")
@@ -153,7 +159,7 @@ func run() int {
 		scn.Board = true
 	}
 	if *chaosPath != "" {
-		events, err := loadChaos(*chaosPath)
+		events, err := swarm.LoadChaos(*chaosPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -183,6 +189,13 @@ func run() int {
 		fmt.Printf("scenario %q: valid (%d sessions, %d chaos events)\n",
 			sw.Scenario.Name, sw.Scenario.Sessions, len(sw.Scenario.Chaos))
 		return 0
+	}
+	var base *swarm.Report
+	if *baseline != "" {
+		if base, err = swarm.ReadReport(*baseline); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
 	}
 	sw.KeepSessions = *keepSessions
 	if !*quiet {
@@ -238,7 +251,7 @@ func run() int {
 	if auditor != nil {
 		// The tier is drained when Run returns; settle the goroutine
 		// check, audit the aggregated counters, and attach the verdict to
-		// the report so benchgate can gate on it.
+		// the report, whose pass bar fails the run on a violation.
 		auditor.CheckTotals(rep.LedgerViolations, rep.WastedBytes, rep.BytesTotal)
 		rep.Audit = auditor.Finish()
 	}
@@ -268,37 +281,20 @@ func run() int {
 			fmt.Printf("report: %s\n", *out)
 		}
 	}
-	// Failure accumulation: every violated criterion prints before the
-	// process exits nonzero, and any audit violation fails the run
-	// regardless of which flags attached the auditor or wrote the report
-	// (Count is nil-safe and includes truncated overflow, which OK()
-	// would miss).
-	fail := false
-	if rep.LedgerViolations > 0 || rep.Panicked > 0 {
-		fmt.Fprintf(os.Stderr, "mpdash-swarm: %d ledger violations, %d panics\n",
-			rep.LedgerViolations, rep.Panicked)
-		fail = true
+	// The pass bar: ledger violations, panics and audit violations fail
+	// every run; the scenario's gates stanza and -baseline add their rows.
+	rows, ok := rep.Judge(sw.Scenario.Gates)
+	if base != nil {
+		cmpRows, cmpOK := rep.Compare(base)
+		rows, ok = append(rows, cmpRows...), ok && cmpOK
 	}
-	if n := rep.Audit.Count(); n > 0 {
-		fmt.Fprintf(os.Stderr, "mpdash-swarm: audit FAILED — %d invariant violations\n", n)
-		fail = true
+	if err := swarm.WriteGateRows(os.Stdout, rows, *quiet); err != nil {
+		fmt.Fprintln(os.Stderr, "mpdash-swarm:", err)
+		return 1
 	}
-	if fail {
+	if !ok {
+		fmt.Fprintf(os.Stderr, "mpdash-swarm: scenario %q failed its pass bar\n", sw.Scenario.Name)
 		return 1
 	}
 	return 0
-}
-
-// loadChaos reads a chaos timeline file: a JSON array of chaos events
-// (the same schema as a scenario's "chaos" stanza).
-func loadChaos(path string) ([]swarm.ChaosEvent, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mpdash-swarm: chaos: %w", err)
-	}
-	var events []swarm.ChaosEvent
-	if err := json.Unmarshal(b, &events); err != nil {
-		return nil, fmt.Errorf("mpdash-swarm: chaos %s: %w", path, err)
-	}
-	return events, nil
 }

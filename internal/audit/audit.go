@@ -102,6 +102,14 @@ func (r *Result) Summary() string {
 // counted, not stored, so a systemic failure cannot balloon the report.
 const MaxViolations = 64
 
+// The wasted-byte bound: waste over maxWasteFraction of the bytes moved
+// is a violation, once it reaches minWasteBytes (tiny runs are all
+// noise).
+const (
+	maxWasteFraction = 0.5
+	minWasteBytes    = 1 << 20
+)
+
 // Config tunes the auditor. The zero value is usable.
 type Config struct {
 	// GoroutineSlack is how many goroutines over the watermark still
@@ -110,12 +118,6 @@ type Config struct {
 	// SettleTimeout bounds how long Finish waits for the goroutine count
 	// to recede to the watermark (default 5s).
 	SettleTimeout time.Duration
-	// MaxWasteFraction bounds wasted bytes as a fraction of total bytes
-	// moved (default 0.5).
-	MaxWasteFraction float64
-	// MinWasteBytes is the waste floor under which the fraction is not
-	// judged — tiny runs are all noise (default 1 MiB).
-	MinWasteBytes int64
 	// Sink receives audit.* journal events (violations as they are
 	// detected, the final verdict). Nil = silent.
 	Sink obs.Sink
@@ -127,12 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SettleTimeout <= 0 {
 		c.SettleTimeout = 5 * time.Second
-	}
-	if c.MaxWasteFraction <= 0 {
-		c.MaxWasteFraction = 0.5
-	}
-	if c.MinWasteBytes <= 0 {
-		c.MinWasteBytes = 1 << 20
 	}
 	return c
 }
@@ -247,10 +243,10 @@ func (a *Auditor) CheckTotals(ledgerViolations int, wastedBytes, totalBytes int6
 		a.violate(InvLedger, "%d sessions failed byte-for-byte verification (duplicate or torn delivery)",
 			ledgerViolations)
 	}
-	if totalBytes > 0 && wastedBytes >= a.cfg.MinWasteBytes {
-		if frac := float64(wastedBytes) / float64(totalBytes); frac > a.cfg.MaxWasteFraction {
+	if totalBytes > 0 && wastedBytes >= minWasteBytes {
+		if frac := float64(wastedBytes) / float64(totalBytes); frac > maxWasteFraction {
 			a.violate(InvWaste, "wasted %d of %d bytes (%.0f%% > %.0f%% bound) — waste is growing unbounded",
-				wastedBytes, totalBytes, frac*100, a.cfg.MaxWasteFraction*100)
+				wastedBytes, totalBytes, frac*100, maxWasteFraction*100)
 		}
 	}
 }

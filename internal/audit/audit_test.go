@@ -110,7 +110,7 @@ func TestWasteBound(t *testing.T) {
 		t.Fatalf("waste violation missing: %s", res.Summary())
 	}
 
-	// Under the MinWasteBytes floor the fraction is never judged.
+	// Under the minWasteBytes floor the fraction is never judged.
 	b := New(quickConfig())
 	b.Start()
 	b.CheckTotals(0, 900, 1000)

@@ -1,11 +1,5 @@
-// Package perf gates a swarm population report (BENCH_swarm.json, from
-// cmd/mpdash-swarm) against absolute success criteria and, optionally,
-// against a baseline run of the same scenario; cmd/mpdash-benchgate is
-// its command. It also fingerprints the environment a result was
-// measured in.
-//
-// Allocation counts and deterministic results are not gated here: each
-// is an ordinary test in the package it measures (DESIGN.md §11).
+// Package perf fingerprints the environment a benchmark result was
+// measured in (bench/main.go stamps it into each result file).
 package perf
 
 import (

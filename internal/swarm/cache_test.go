@@ -19,7 +19,7 @@ func TestCacheSpecDefaults(t *testing.T) {
 	if spec.CapacityMB != 0 {
 		t.Error("withDefaults mutated the caller's spec")
 	}
-	full := &CacheSpec{CapacityMB: 8, Shards: 4, MaxLevel: 1, MinSeen: 2, FillFetchers: 3, OriginMbps: 80}
+	full := &CacheSpec{CapacityMB: 8, FillFetchers: 3, OriginMbps: 80}
 	if got := full.withDefaults(); got != *full {
 		t.Errorf("explicit spec rewritten: %+v", got)
 	}
@@ -33,9 +33,6 @@ func TestScenarioValidateCacheSpec(t *testing.T) {
 	}
 	bad := []CacheSpec{
 		{CapacityMB: -1},
-		{Shards: -2},
-		{MaxLevel: -3}, // -1 (admit all) is expressed by omission, not negatives
-		{MinSeen: -1},
 		{FillFetchers: -1},
 		{OriginMbps: -5},
 	}

@@ -7,10 +7,10 @@
 //
 // A Scenario declares an open-loop arrival process (uniform, Poisson,
 // ramp, spike), a Zipf-popular multi-rendition catalog, and a weighted set
-// of session profiles (ABR choice, path preference, link class, video
-// length). Every random draw — arrival times, content choice, profile
-// choice, per-session retry jitter — descends from the scenario's single
-// Seed, so any population run is exactly reproducible.
+// of session profiles (ABR choice, path preference, video length). Every
+// random draw — arrival times, content choice, profile choice,
+// per-session retry jitter — descends from the scenario's single Seed, so
+// any population run is exactly reproducible.
 //
 // Sessions run inside a bounded worker pool with per-session timeouts and
 // panic isolation: one sick session is counted and dropped, never the run.
@@ -127,13 +127,6 @@ type Profile struct {
 	Preference string `json:"preference,omitempty"`
 	// Chunks caps the session length (0 = whole video).
 	Chunks int `json:"chunks,omitempty"`
-	// WiFiMbps / LTEMbps select the profile's link class: sessions of
-	// this profile stream from a server group shaped to these per-origin
-	// rates (0 = the scenario's Servers default). Groups are shared
-	// within a (video, link-class) pair, so same-class sessions contend
-	// for the same shaped bottleneck.
-	WiFiMbps float64 `json:"wifi_mbps,omitempty"`
-	LTEMbps  float64 `json:"lte_mbps,omitempty"`
 }
 
 // FaultSpec is the per-request fault mix applied to every server of the
@@ -174,22 +167,17 @@ type AbortSpec struct {
 }
 
 // CacheSpec puts a shared edge-cache tier between the sessions and the
-// origins: one singleflight-collapsing edge per (video, link class)
-// group and path, every edge backed by a single sharded chunk store, so
-// a chunk filled through any edge is a hit for all of them. Sessions
-// then stream from the edges — the class rates (servers.wifi_mbps /
+// origins: one singleflight-collapsing edge per video group and path,
+// every edge backed by a single sharded chunk store, so a chunk filled
+// through any edge is a hit for all of them. Sessions
+// then stream from the edges — the servers' rates (servers.wifi_mbps /
 // lte_mbps) shape the edges' client-facing downlinks — while the
 // origins behind them run at the backhaul rate (origin_mbps).
 type CacheSpec struct {
-	// CapacityMB is the shared store's capacity in MiB (default 64).
+	// CapacityMB is the shared store's capacity in MiB (default 64). The
+	// store keeps cache.Config's other defaults: default shards, every
+	// level admitted on its first fill.
 	CapacityMB int `json:"capacity_mb,omitempty"`
-	// Shards overrides the store's shard count (0 = default).
-	Shards int `json:"shards,omitempty"`
-	// MaxLevel caps the admitted rendition level (0 = admit all).
-	MaxLevel int `json:"max_level,omitempty"`
-	// MinSeen is the admission doorkeeper: misses a chunk needs before
-	// it is cached (default 1 = admit on first fill).
-	MinSeen int `json:"min_seen,omitempty"`
 	// FillFetchers bounds each edge's concurrent distinct-chunk origin
 	// fills (0 = netmp default).
 	FillFetchers int `json:"fill_fetchers,omitempty"`
@@ -269,6 +257,9 @@ type Scenario struct {
 	// event's recovery (MTTR); nil = defaults (1s window, 0.10 miss
 	// threshold, 5 chunks minimum).
 	Recovery *RecoverySpec `json:"recovery,omitempty"`
+	// Gates is the run's pass bar, checked against its report (nil = the
+	// run is judged on ledger violations, panics and audit only).
+	Gates *Gates `json:"gates,omitempty"`
 }
 
 // DefaultCatalog is a scaled-down four-item analogue of the paper's test
@@ -370,7 +361,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("swarm: profile weights sum to %g", total)
 	}
 	if c := s.Cache; c != nil {
-		if c.CapacityMB < 0 || c.Shards < 0 || c.MaxLevel < 0 || c.MinSeen < 0 || c.FillFetchers < 0 || c.OriginMbps < 0 {
+		if c.CapacityMB < 0 || c.FillFetchers < 0 || c.OriginMbps < 0 {
 			return fmt.Errorf("swarm: cache: negative field")
 		}
 	}
@@ -386,6 +377,9 @@ func (s Scenario) Validate() error {
 	}
 	if err := s.validateChaos(); err != nil {
 		return err
+	}
+	if s.Gates != nil {
+		return s.Gates.validate()
 	}
 	return nil
 }
@@ -403,18 +397,39 @@ func LoadScenario(path string) (*Scenario, error) {
 	return s, nil
 }
 
-// decodeScenario decodes one scenario object strictly: an unknown key (a
-// misspelled field would otherwise run with its default) or anything but
-// white space after the object is an error.
+// LoadChaos reads and strictly decodes a chaos timeline file: a JSON
+// array of events, the schema of a scenario's "chaos" stanza.
+func LoadChaos(path string) ([]ChaosEvent, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("swarm: chaos: %w", err)
+	}
+	var events []ChaosEvent
+	if err := decodeStrict(b, &events); err != nil {
+		return nil, fmt.Errorf("swarm: chaos %s: %w", path, err)
+	}
+	return events, nil
+}
+
 func decodeScenario(b []byte) (*Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var s Scenario
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(b, &s); err != nil {
 		return nil, err
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, errors.New("trailing data after the scenario object")
-	}
 	return &s, nil
+}
+
+// decodeStrict decodes one JSON value into v strictly: an unknown key (a
+// misspelled field would otherwise run with its default) or anything but
+// white space after the value is an error.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

@@ -136,8 +136,8 @@ func TestLoadScenarioStrict(t *testing.T) {
 
 // FuzzDecodeScenario: the scenario decoder never panics, and a scenario
 // it accepts that validates (after defaults) also plans, without a panic,
-// into one spec per session. Seeded with every committed scenario and a
-// bad base fault mix.
+// into one spec per session. Seeded with every committed scenario, a
+// bad base fault mix and bad gate bounds.
 func FuzzDecodeScenario(f *testing.F) {
 	seeds, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil {
@@ -152,6 +152,9 @@ func FuzzDecodeScenario(f *testing.F) {
 	}
 	// A base fault mix out of [0, 1] must not validate.
 	f.Add([]byte(`{"sessions": 4, "servers": {"faults": {"reset_prob": 1.5, "corrupt_prob": -2}}}`))
+	// A miss-rate bound outside [0, 1] or a negative bound must not
+	// validate.
+	f.Add([]byte(`{"sessions": 4, "gates": {"max_miss_rate": 1.5, "min_chunks_per_s": -40}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		scn, err := decodeScenario(b)
 		if err != nil {

@@ -275,7 +275,7 @@ launch:
 			queueWait := time.Since(arrived)
 			noteActive(1)
 			defer noteActive(-1)
-			out := sw.runSession(ctx, spec, videos[spec.Video], tr.groups[scn.groupFor(spec)], board, boardKey(scn.groupFor(spec)), tracker)
+			out := sw.runSession(ctx, spec, videos[spec.Video], tr.groups[spec.Video], board, boardKey(scn, spec.Video), tracker)
 			out.QueueWait = Duration(queueWait)
 			outcomes[i] = out
 			sw.sobs.observeSession(out)
@@ -351,10 +351,10 @@ func (sw *Swarm) applyChaos(tr *tier, scn *Scenario, ev ChaosEvent, at time.Dura
 // never panics out: a panic inside the session (or the libraries under
 // it) is absorbed into the outcome.
 // boardKey names one origin group's bottleneck on the congestion board:
-// sessions streaming the same video through the same link class share
-// the shaped servers, so they share a key.
-func boardKey(k groupKey) string {
-	return fmt.Sprintf("group:v%d:w%g:l%g", k.video, k.wifiMbps, k.lteM)
+// sessions streaming the same video share the shaped servers, so they
+// share a key.
+func boardKey(s *Scenario, video int) string {
+	return fmt.Sprintf("group:v%d:w%g:l%g", video, s.Servers.WiFiMbps, s.Servers.LTEMbps)
 }
 
 func (sw *Swarm) runSession(ctx context.Context, spec SessionSpec, video *dash.Video, grp originGroup, board *netmp.CongestionBoard, key string, tracker *missTracker) (out SessionOutcome) {

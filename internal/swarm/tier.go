@@ -12,18 +12,12 @@ import (
 )
 
 // The server tier: every session streams from real netmp.ChunkServers.
-// Servers are grouped by (catalog video, link class); sessions of the
-// same group share the same shaped origins, so they contend for the same
-// bottleneck the way a population behind one CDN edge does. Only the
-// groups the plan actually references are started.
+// Servers are grouped by catalog video; sessions of the same video share
+// the same shaped origins, so they contend for the same bottleneck the
+// way a population behind one CDN edge does. Only the groups the plan
+// actually references are started.
 
-// groupKey identifies one origin group.
-type groupKey struct {
-	video          int
-	wifiMbps, lteM float64
-}
-
-// originGroup is one video's origin addresses for one link class.
+// originGroup is one video's origin addresses per path.
 type originGroup struct {
 	wifi, lte []string
 }
@@ -42,25 +36,12 @@ type serverMeta struct {
 // owns the edge layer: the groups' addresses then point at the edges,
 // and the origins behind them are only reachable through miss fills.
 type tier struct {
-	groups  map[groupKey]originGroup
+	groups  map[int]originGroup // by catalog index
 	servers []*netmp.ChunkServer
 	meta    []serverMeta
 
 	store *cache.Cache // shared across every edge; nil = no cache tier
 	edges []*netmp.EdgeServer
-}
-
-// groupFor resolves the group key a spec maps to.
-func (s *Scenario) groupFor(spec SessionSpec) groupKey {
-	p := s.Profiles[spec.Profile]
-	k := groupKey{video: spec.Video, wifiMbps: s.Servers.WiFiMbps, lteM: s.Servers.LTEMbps}
-	if p.WiFiMbps > 0 {
-		k.wifiMbps = p.WiFiMbps
-	}
-	if p.LTEMbps > 0 {
-		k.lteM = p.LTEMbps
-	}
-	return k
 }
 
 // startTier launches the origin groups referenced by the plan. videos is
@@ -77,15 +58,9 @@ func startTier(s *Scenario, videos []*dash.Video, plan []SessionSpec) (*tier, er
 			StallFor:    time.Duration(f.StallForMs) * time.Millisecond,
 		}
 	}
-	t := &tier{groups: make(map[groupKey]originGroup)}
+	t := &tier{groups: make(map[int]originGroup)}
 	if s.Cache != nil {
-		c := s.Cache.withDefaults()
-		t.store = cache.New(cache.Config{
-			CapacityBytes: int64(c.CapacityMB) << 20,
-			Shards:        c.Shards,
-			MaxLevel:      c.MaxLevel,
-			MinSeen:       c.MinSeen,
-		})
+		t.store = cache.New(cache.Config{CapacityBytes: int64(s.Cache.withDefaults().CapacityMB) << 20})
 	}
 	start := func(v *dash.Video, kind string, rank int, mbps float64) (string, error) {
 		var plan *netmp.FaultPlan
@@ -107,19 +82,20 @@ func startTier(s *Scenario, videos []*dash.Video, plan []SessionSpec) (*tier, er
 		return srv.Addr(), nil
 	}
 	for _, spec := range plan {
-		k := s.groupFor(spec)
+		k := spec.Video
 		if _, ok := t.groups[k]; ok {
 			continue
 		}
-		// With a cache tier the class rates shape the edges' client-facing
-		// downlinks; the origins behind them run at the backhaul rate.
-		wifiRate, lteRate := k.wifiMbps, k.lteM
+		// With a cache tier the servers' rates shape the edges' client-
+		// facing downlinks; the origins behind them run at the backhaul
+		// rate.
+		wifiRate, lteRate := s.Servers.WiFiMbps, s.Servers.LTEMbps
 		if s.Cache != nil {
 			wifiRate, lteRate = s.Cache.OriginMbps, s.Cache.OriginMbps
 		}
 		var g originGroup
 		for o := 0; o < s.Servers.WiFiOrigins; o++ {
-			addr, err := start(videos[k.video], "wifi", o, wifiRate)
+			addr, err := start(videos[k], "wifi", o, wifiRate)
 			if err != nil {
 				t.close()
 				return nil, fmt.Errorf("swarm: start wifi origin: %w", err)
@@ -127,7 +103,7 @@ func startTier(s *Scenario, videos []*dash.Video, plan []SessionSpec) (*tier, er
 			g.wifi = append(g.wifi, addr)
 		}
 		for o := 0; o < s.Servers.LTEOrigins; o++ {
-			addr, err := start(videos[k.video], "lte", o, lteRate)
+			addr, err := start(videos[k], "lte", o, lteRate)
 			if err != nil {
 				t.close()
 				return nil, fmt.Errorf("swarm: start lte origin: %w", err)
@@ -135,7 +111,7 @@ func startTier(s *Scenario, videos []*dash.Video, plan []SessionSpec) (*tier, er
 			g.lte = append(g.lte, addr)
 		}
 		if s.Cache != nil {
-			fronted, err := t.frontWithEdges(s, videos[k.video], k, g)
+			fronted, err := t.frontWithEdges(s, videos[k], g)
 			if err != nil {
 				t.close()
 				return nil, err
@@ -150,18 +126,18 @@ func startTier(s *Scenario, videos []*dash.Video, plan []SessionSpec) (*tier, er
 // frontWithEdges starts one edge per path class over g's origins and
 // returns a group whose addresses point at the edges. Every edge shares
 // the tier's one store, so a chunk filled through any edge — either
-// path, any link class — is a hit for the whole run.
-func (t *tier) frontWithEdges(s *Scenario, v *dash.Video, k groupKey, g originGroup) (originGroup, error) {
+// path, any video — is a hit for the whole run.
+func (t *tier) frontWithEdges(s *Scenario, v *dash.Video, g originGroup) (originGroup, error) {
 	c := s.Cache.withDefaults()
 	pol := func(rate float64) netmp.EdgePolicy {
 		return netmp.EdgePolicy{RateMbps: rate, FillFetchers: c.FillFetchers}
 	}
-	we, err := netmp.NewEdgeServer(v, v.Name, g.wifi, t.store, pol(k.wifiMbps))
+	we, err := netmp.NewEdgeServer(v, v.Name, g.wifi, t.store, pol(s.Servers.WiFiMbps))
 	if err != nil {
 		return g, fmt.Errorf("swarm: start wifi edge: %w", err)
 	}
 	t.edges = append(t.edges, we)
-	le, err := netmp.NewEdgeServer(v, v.Name, g.lte, t.store, pol(k.lteM))
+	le, err := netmp.NewEdgeServer(v, v.Name, g.lte, t.store, pol(s.Servers.LTEMbps))
 	if err != nil {
 		return g, fmt.Errorf("swarm: start lte edge: %w", err)
 	}
