@@ -7,13 +7,19 @@
 // extended across sessions.
 //
 // Entries hold whole chunks; byte-range requests are served by slicing
-// (GetRange), which is what makes the collapsing effective: an MP-DASH
-// client splits one chunk into disjoint range requests across two
-// paths, and every one of them folds into a single whole-chunk fill.
+// (GetRange, Body.Block), which is what makes the collapsing effective:
+// an MP-DASH client splits one chunk into disjoint range requests across
+// two paths, and every one of them folds into a single whole-chunk fill.
+//
+// The cache owns the memory of the bodies it fills (FetchPaged): a run
+// of PageSize pages from a page pool, held by counted references — the
+// store's, and one per caller FetchPaged returned it to — and returned to
+// the pool by the last Release, so the next fill reuses them. A body a
+// caller hands in (Put, Fetch's fill) is stored as it is: never copied,
+// never recycled.
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -104,24 +110,139 @@ type Cache struct {
 	cobs atomic.Pointer[cacheObs]
 }
 
-type entry struct {
-	key  Key
-	body []byte
-	elem *list.Element
+// PageSize is the page of a filled body: FetchPaged hands its fill a run
+// of pages this size, and Body.Block never crosses one.
+const PageSize = 16 << 10
+
+type page [PageSize]byte
+
+// pagePool holds the pages of released bodies until the next fill.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
+var (
+	// poisonPages overwrites every page the pool gets back with
+	// poisonByte, so a use after release reaches a client as a corrupt
+	// body; the mpdash_poison build tag sets it (poison.go).
+	poisonPages bool
+	// testHookPage, nil outside tests, sees every page as it leaves the
+	// pool for a new body (pooled false) and as it goes back (true).
+	testHookPage func(p *page, pooled bool)
+)
+
+const poisonByte = 0xDB
+
+// Body is one stored chunk body, and the store's entry for it. It is
+// either a caller's slice (flat), which is never recycled, or a run of
+// pages the cache filled, which the last Release returns to the pool.
+// A filled body counts its holders, each owning one reference: the
+// store while the body is resident, and each caller FetchPaged returned
+// it to, collapsed waiters of its fill included (Fetch, Get and GetRange
+// hold one while they copy). A holder reads the body until its Release
+// and never after it; nobody writes to it once the fill that made it has
+// returned. A flat body is not counted: Release is a no-op on it.
+type Body struct {
+	key Key
+	// prev and next link the shard's LRU list under its lock; once the
+	// body leaves the list, next chains one eviction pass's bodies.
+	prev, next *Body
+	size       int64
+	flat       []byte
+	pages      []*page // nil for a flat body
+	refs       atomic.Int32
 }
 
-// flight is one in-progress singleflight origin fill. Waiters block on
-// done; the leader publishes body/err before closing it.
+// retain adds n references to a filled body.
+func (b *Body) retain(n int32) {
+	if b.pages != nil {
+		b.refs.Add(n)
+	}
+}
+
+func flatBody(k Key, b []byte) *Body {
+	return &Body{key: k, size: int64(len(b)), flat: b}
+}
+
+// newPagedBody takes size bytes of pages from the pool, with one
+// reference for the caller. Their contents are arbitrary.
+func newPagedBody(k Key, size int64) *Body {
+	b := &Body{key: k, size: size, pages: make([]*page, (size+PageSize-1)/PageSize)}
+	b.refs.Store(1)
+	for i := range b.pages {
+		p := pagePool.Get().(*page)
+		if testHookPage != nil {
+			testHookPage(p, false)
+		}
+		b.pages[i] = p
+	}
+	return b
+}
+
+// Len is the body's length in bytes.
+func (b *Body) Len() int64 { return b.size }
+
+// Block returns up to n bytes of the body from off, cut where off's page
+// ends: a flat body's bytes are one block, a filled body's are a block
+// per page. The bytes are the body's own, valid until the holder's
+// Release; only the fill FetchPaged hands the body to may write them.
+func (b *Body) Block(off, n int64) []byte {
+	if b.pages == nil {
+		return b.flat[off : off+n]
+	}
+	o := off % PageSize
+	return b.pages[off/PageSize][o:min(o+n, PageSize)]
+}
+
+// appendRange appends bytes [from, to) of the body to dst.
+func (b *Body) appendRange(dst []byte, from, to int64) []byte {
+	for from < to {
+		blk := b.Block(from, to-from)
+		dst = append(dst, blk...)
+		from += int64(len(blk))
+	}
+	return dst
+}
+
+// Release drops the holder's reference. The last one returns a filled
+// body's pages to the pool; a flat body is left to the garbage
+// collector.
+func (b *Body) Release() {
+	if b.pages == nil {
+		return
+	}
+	switch n := b.refs.Add(-1); {
+	case n > 0:
+		return
+	case n < 0:
+		panic("cache: Body released more often than it was held")
+	}
+	for i, p := range b.pages {
+		if poisonPages {
+			for j := range p {
+				p[j] = poisonByte
+			}
+		}
+		if testHookPage != nil {
+			testHookPage(p, true)
+		}
+		b.pages[i] = nil
+		pagePool.Put(p)
+	}
+}
+
+// flight is one in-progress singleflight fill. Waiters join under the
+// shard lock and block on done; the leader publishes body/err, and one
+// reference to the body per waiter, before closing it.
 type flight struct {
-	done chan struct{}
-	body []byte
-	err  error
+	done    chan struct{}
+	body    *Body
+	err     error
+	waiters int32
 }
 
 type shard struct {
 	mu      sync.Mutex
-	entries map[Key]*entry
-	lru     *list.List // front = most recent
+	entries map[Key]*Body
+	lru     Body // sentinel: lru.next is the most recent body, lru.prev the tail
 	bytes   int64
 	cap     int64
 	seen    map[Key]int // doorkeeper counts for not-yet-admitted keys
@@ -137,13 +258,14 @@ func New(cfg Config) *Cache {
 		per = 1
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		c.shards = append(c.shards, &shard{
-			entries: make(map[Key]*entry),
-			lru:     list.New(),
+		s := &shard{
+			entries: make(map[Key]*Body),
 			cap:     per,
 			seen:    make(map[Key]int),
 			flights: make(map[Key]*flight),
-		})
+		}
+		s.lru.next, s.lru.prev = &s.lru, &s.lru
+		c.shards = append(c.shards, s)
 	}
 	return c
 }
@@ -155,69 +277,116 @@ func (c *Cache) shardFor(k Key) *shard {
 	return c.shards[h%uint64(len(c.shards))]
 }
 
+func (s *shard) unlinkLocked(b *Body) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+}
+
+func (s *shard) pushFrontLocked(b *Body) {
+	b.prev, b.next = &s.lru, s.lru.next
+	b.next.prev, s.lru.next = b, b
+}
+
+// lookupLocked returns k's resident body with a reference for the
+// caller, refreshing its LRU position, or nil.
+func (s *shard) lookupLocked(k Key) *Body {
+	b, ok := s.entries[k]
+	if !ok {
+		return nil
+	}
+	if s.lru.next != b {
+		s.unlinkLocked(b)
+		s.pushFrontLocked(b)
+	}
+	b.retain(1)
+	return b
+}
+
 // Get returns the full cached body for k, or ok=false on a miss. A hit
-// refreshes the key's LRU position. Get alone does not feed the
-// doorkeeper — Fetch is the demand path; Get serves probes.
+// refreshes the key's LRU position. A caller's body comes back as it was
+// stored; a filled one is copied out, its pages being recycled. Get alone
+// does not feed the doorkeeper — Fetch is the demand path; Get serves
+// probes.
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	e, ok := s.entries[k]
-	if ok {
-		s.lru.MoveToFront(e.elem)
-	}
+	b := s.lookupLocked(k)
 	s.mu.Unlock()
-	if !ok {
+	if b == nil {
 		return nil, false
 	}
-	return e.body, true
+	out := b.bytes(0, b.size)
+	b.Release()
+	return out, true
 }
 
 // GetRange returns body[from:to+1] of the cached chunk, or ok=false when
-// the key is absent or the range exceeds the stored body.
+// the key is absent or the range exceeds the stored body. A caller's
+// body is sliced; a filled one is copied out.
 func (c *Cache) GetRange(k Key, from, to int64) ([]byte, bool) {
-	body, ok := c.Get(k)
-	if !ok || from < 0 || to < from || to >= int64(len(body)) {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	b := s.lookupLocked(k)
+	s.mu.Unlock()
+	if b == nil {
 		return nil, false
 	}
-	return body[from : to+1], true
+	var out []byte
+	ok := from >= 0 && to >= from && to < b.size
+	if ok {
+		out = b.bytes(from, to+1)
+	}
+	b.Release()
+	return out, ok
+}
+
+// bytes returns body[from:to] as memory the caller may keep.
+func (b *Body) bytes(from, to int64) []byte {
+	if b.pages == nil {
+		return b.flat[from:to]
+	}
+	return b.appendRange(make([]byte, 0, to-from), from, to)
 }
 
 // Put inserts k's full body, subject to the admission policy, evicting
 // from the tail of the shard's LRU list until the body fits. It reports
-// whether the body was admitted.
+// whether the body was admitted. The store keeps body itself.
 func (c *Cache) Put(k Key, body []byte) bool {
-	if !c.admitLevel(k) || int64(len(body)) > c.shardFor(k).cap {
-		return false
-	}
 	s := c.shardFor(k)
-	s.mu.Lock()
-	if !s.admitSeenLocked(k, c.cfg.MinSeen) {
-		s.mu.Unlock()
+	if !c.admitLevel(k) || int64(len(body)) > s.cap {
 		return false
 	}
-	if e, ok := s.entries[k]; ok {
-		s.bytes += int64(len(body)) - int64(len(e.body))
-		e.body = body
-		s.lru.MoveToFront(e.elem)
-		evicted := s.evictLocked()
-		s.mu.Unlock()
-		c.noteEvictions(evicted)
-		return true
-	}
-	e := &entry{key: k, body: body}
-	e.elem = s.lru.PushFront(e)
-	s.entries[k] = e
-	s.bytes += int64(len(body))
-	delete(s.seen, k)
-	evicted := s.evictLocked()
+	b := flatBody(k, body)
+	s.mu.Lock()
+	ok, old, evicted := c.admitLocked(s, b)
 	s.mu.Unlock()
-	c.noteEvictions(evicted)
-	return true
+	c.settle(old, evicted)
+	return ok
 }
 
 // admitLevel applies the per-rendition admission cap.
 func (c *Cache) admitLevel(k Key) bool {
 	return c.cfg.MaxLevel < 0 || k.Level <= c.cfg.MaxLevel
+}
+
+// admitLocked stores b under its key if the admission policy lets it,
+// with a reference for the store. It unlinks the body it replaces and
+// evicts from the LRU tail until the shard fits; the caller drops their
+// store references outside the lock (settle).
+func (c *Cache) admitLocked(s *shard, b *Body) (ok bool, old, evicted *Body) {
+	if !c.admitLevel(b.key) || b.size > s.cap || !s.admitSeenLocked(b.key, c.cfg.MinSeen) {
+		return false, nil, nil
+	}
+	if old = s.entries[b.key]; old != nil {
+		s.unlinkLocked(old)
+		s.bytes -= old.size
+	}
+	b.retain(1)
+	s.entries[b.key] = b
+	s.pushFrontLocked(b)
+	s.bytes += b.size
+	delete(s.seen, b.key)
+	return true, old, s.evictLocked()
 }
 
 // admitSeenLocked applies the doorkeeper: true once the key has been
@@ -246,31 +415,35 @@ func (s *shard) noteSeen(k Key) {
 	s.mu.Unlock()
 }
 
-// evictLocked drops LRU-tail entries until the shard fits its budget,
-// returning the evicted keys for journaling outside the lock.
-func (s *shard) evictLocked() []Key {
-	var out []Key
-	for s.bytes > s.cap {
-		tail := s.lru.Back()
-		if tail == nil {
-			break
-		}
-		e := tail.Value.(*entry)
-		s.lru.Remove(tail)
-		delete(s.entries, e.key)
-		s.bytes -= int64(len(e.body))
-		out = append(out, e.key)
+// evictLocked drops LRU-tail bodies until the shard fits its budget,
+// returning them chained through next, in eviction order, still holding
+// the store's reference.
+func (s *shard) evictLocked() *Body {
+	var head *Body
+	tail := &head
+	for s.bytes > s.cap && s.lru.prev != &s.lru {
+		b := s.lru.prev
+		s.unlinkLocked(b)
+		delete(s.entries, b.key)
+		s.bytes -= b.size
+		*tail, tail = b, &b.next
 	}
-	return out
+	return head
 }
 
-func (c *Cache) noteEvictions(keys []Key) {
-	if len(keys) == 0 {
-		return
+// settle drops the store's references to a replaced body and to an
+// eviction chain, counting and journaling the evictions.
+func (c *Cache) settle(old, evicted *Body) {
+	if old != nil {
+		old.Release()
 	}
-	c.evictions.Add(int64(len(keys)))
-	for _, k := range keys {
-		c.emitEvict(k)
+	for b := evicted; b != nil; {
+		next := b.next
+		b.next = nil
+		c.evictions.Add(1)
+		c.emitEvict(b.key)
+		b.Release()
+		b = next
 	}
 }
 
@@ -281,19 +454,56 @@ func (c *Cache) noteEvictions(keys []Key) {
 // waiters; the next Fetch after the flight clears retries from scratch.
 // hit reports whether the body came from the store without waiting on
 // an origin fill (collapsed waiters report hit=false — they paid the
-// fill latency too).
+// fill latency too). The store keeps the slice fill returns; a body
+// FetchPaged filled comes back copied out.
 func (c *Cache) Fetch(k Key, fill func() ([]byte, error)) (body []byte, hit bool, err error) {
+	b, hit, err := c.fetch(k, func() (*Body, error) {
+		body, err := fill()
+		if err != nil {
+			return nil, err
+		}
+		return flatBody(k, body), nil
+	})
+	if err != nil {
+		return nil, hit, err
+	}
+	defer b.Release()
+	return b.bytes(0, b.size), hit, nil
+}
+
+// FetchPaged is Fetch for a body the cache owns: on a miss the leader's
+// fill writes the chunk into size bytes of pages the cache hands it
+// (through Block) and returns; a fill that fails gives the pages back.
+// The body comes back with one reference held for the caller, who
+// Releases it once nothing reads it any more. Its length is the leader's
+// size, or that of whatever body is resident under k.
+func (c *Cache) FetchPaged(k Key, size int64, fill func(*Body) error) (body *Body, hit bool, err error) {
+	return c.fetch(k, func() (*Body, error) {
+		b := newPagedBody(k, size)
+		if err := fill(b); err != nil {
+			b.Release()
+			return nil, err
+		}
+		return b, nil
+	})
+}
+
+// fetch is the demand path of Fetch and FetchPaged: a hit, a collapsed
+// wait on k's flight, or a fill led, admitted and published in one pass
+// of the shard lock. fill returns its body with the leader's reference;
+// the body comes back with one for the caller.
+func (c *Cache) fetch(k Key, fill func() (*Body, error)) (*Body, bool, error) {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		s.lru.MoveToFront(e.elem)
+	if b := s.lookupLocked(k); b != nil {
 		s.mu.Unlock()
 		c.hits.Add(1)
 		c.noteVideo(k.Video, true)
 		c.emitHit(k)
-		return e.body, true, nil
+		return b, true, nil
 	}
 	if fl, ok := s.flights[k]; ok {
+		fl.waiters++
 		s.mu.Unlock()
 		c.collapsed.Add(1)
 		c.misses.Add(1)
@@ -312,15 +522,19 @@ func (c *Cache) Fetch(k Key, fill func() ([]byte, error)) (body []byte, hit bool
 	s.noteSeen(k)
 
 	c.fills.Add(1)
-	fl.body, fl.err = fill()
-	if fl.err == nil {
-		c.Put(k, fl.body)
-	}
+	b, err := fill()
+	var old, evicted *Body
 	s.mu.Lock()
+	if err == nil {
+		_, old, evicted = c.admitLocked(s, b)
+		b.retain(fl.waiters)
+	}
+	fl.body, fl.err = b, err
 	delete(s.flights, k)
 	s.mu.Unlock()
+	c.settle(old, evicted)
 	close(fl.done)
-	return fl.body, false, fl.err
+	return b, false, err
 }
 
 // noteVideo tallies one request outcome against k's video.

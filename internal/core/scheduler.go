@@ -64,10 +64,10 @@ type Scheduler struct {
 	// Tracer, when set, records one span trace per governed transfer
 	// (session TraceSession, chunk = activation ordinal): each secondary
 	// path's enabled interval becomes a sched-category span, and the
-	// transfer finishes with an ok or missed verdict. The scheduler runs
-	// in simulator time, so construct the Tracer with a Now that maps the
-	// virtual clock onto wall time (e.g. epoch.Add(sim.Now())). Nil = off
-	// — evaluate() stays allocation-free.
+	// transfer finishes with an ok or missed verdict. The Tracer stamps
+	// span boundaries in wall time; the deadline window and overrun the
+	// scheduler records are simulator time. Nil = off — evaluate() stays
+	// allocation-free.
 	Tracer       *obs.Tracer
 	TraceSession int
 

@@ -8,24 +8,13 @@ import (
 	"mpdash/internal/trace"
 )
 
-// simTracer builds a tracer whose clock maps the simulator's virtual
-// time onto a fixed epoch, the way callers are told to wire it.
-func simTracer(now func() time.Duration) *obs.Tracer {
-	epoch := time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)
-	return obs.NewTracer(obs.TraceConfig{
-		HeadSampleRate: 1,
-		Seed:           11,
-		Now:            func() time.Time { return epoch.Add(now()) },
-	})
-}
-
 func TestSchedulerTraceTightDeadline(t *testing.T) {
 	// Tight deadline: the secondary engages, so the trace must carry a
 	// sched-category path-on span for lte and finish ok.
 	w := trace.Constant("w", 3.8, time.Second, 1)
 	l := trace.Constant("l", 3.0, time.Second, 1)
-	s, c, sch := rig(t, w, l, 1)
-	sch.Tracer = simTracer(s.Now)
+	_, c, sch := rig(t, w, l, 1)
+	sch.Tracer = obs.NewTracer(obs.TraceConfig{HeadSampleRate: 1, Seed: 11})
 	sch.TraceSession = 7
 	warm(t, c)
 	governedDownload(t, c, sch, 5_000_000, 7*time.Second)
@@ -59,13 +48,9 @@ func TestSchedulerTraceMissedDeadline(t *testing.T) {
 	// An impossible deadline: the trace finishes missed with an overrun.
 	w := trace.Constant("w", 3.8, time.Second, 1)
 	l := trace.Constant("l", 3.0, time.Second, 1)
-	s, c, sch := rig(t, w, l, 1)
+	_, c, sch := rig(t, w, l, 1)
 	// Head rate 0 proves tail sampling alone keeps the missed trace.
-	epoch := time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)
-	sch.Tracer = obs.NewTracer(obs.TraceConfig{
-		Seed: 11,
-		Now:  func() time.Time { return epoch.Add(s.Now()) },
-	})
+	sch.Tracer = obs.NewTracer(obs.TraceConfig{Seed: 11})
 	warm(t, c)
 	governedDownload(t, c, sch, 5_000_000, 2*time.Second)
 	if sch.DeadlineMisses() == 0 {

@@ -3,6 +3,8 @@ package netmp
 import (
 	"bufio"
 	"sync"
+
+	"mpdash/internal/cache"
 )
 
 // Buffer pooling for the per-segment hot path. Every origin response
@@ -20,16 +22,22 @@ import (
 // Ownership contract (DESIGN.md §16): AcquireSegBuf transfers exclusive
 // ownership of the returned buffer to the caller. The caller must stop
 // touching the buffer the moment it calls ReleaseSegBuf — the buffer
-// may be handed to another goroutine immediately. Never release a
-// buffer whose bytes are still referenced (e.g. a slice of it stored in
-// a cache); buffers that escape into long-lived structures must simply
-// not be released, and the pool refuses foreign sizes so a resized
-// buffer quietly falls out of circulation instead of poisoning it.
+// may be handed to another goroutine immediately. The front releases a
+// response's pooled blocks after the writev that sends them; the pool
+// refuses foreign sizes, so a resized buffer falls out of circulation. A stored edge body is not a pooled
+// block: its pages belong to the cache, and the response holds a counted
+// reference to them instead (cache.Body, released by the same flush).
+// Built with -tags mpdash_poison, every released block is overwritten
+// (poison.go), so a use after release shows as a corrupt body.
 
 // segBufBlock is the block granularity of the segment read/write loops:
 // the fetcher's readRange reads and checks bodies and the front writes
-// them in blocks of this size.
-const segBufBlock = 16 * 1024
+// them in blocks of this size — a stored body's page, so a block-aligned
+// range never splits at one.
+const segBufBlock = cache.PageSize
+
+// poisonSegBufs is set under the mpdash_poison build tag (poison.go).
+var poisonSegBufs bool
 
 var segBufPool = sync.Pool{
 	New: func() any {
@@ -54,6 +62,11 @@ func ReleaseSegBuf(b *[]byte) {
 		return
 	}
 	*b = (*b)[:segBufBlock]
+	if poisonSegBufs {
+		for i := range *b {
+			(*b)[i] = 0xDB
+		}
+	}
 	segBufPool.Put(b)
 }
 

@@ -13,8 +13,11 @@ package netmp
 // disjoint range requests across two paths, and the cache's singleflight
 // collapses all of them (plus every concurrent session's) into a single
 // origin fetch. The fill transfers and verifies real payload bytes from
-// the origin — paying the true origin cost — and then reconstructs the
-// deterministic body for the store.
+// the origin — paying the true origin cost — and then writes the
+// deterministic body into pages the store hands it, recycled from bodies
+// it evicted. Each response holds a reference to the body it serves
+// until the writev that sends its last byte (front.go), so a fill under
+// churn allocates no body bytes.
 
 import (
 	"context"
@@ -177,38 +180,40 @@ func (e *EdgeServer) closeFetchers() error {
 }
 
 // chunk is the edge's body source: (index, level)'s whole body via the
-// shared store, filling from origin on a miss (singleflight-collapsed
-// across every concurrent request for the key, this edge's and its
-// siblings' alike), and whether it was a hit. The store is shared and
-// caller-provided, so a body of the wrong length is a failed fill, not
-// something to slice.
+// shared store, with a reference for the response, filling from origin
+// on a miss (singleflight-collapsed across every concurrent request for
+// the key, this edge's and its siblings' alike), and whether it was a
+// hit. The store is shared and caller-provided, so a body of the wrong
+// length is a failed fill, not something to slice.
 func (e *EdgeServer) chunk(index, level int) (chunkBody, error) {
 	k := cache.Key{Video: e.name, Level: level, Chunk: index}
-	body, hit, err := e.store.Fetch(k, func() ([]byte, error) {
-		return e.fillFromOrigin(index, level)
+	size := e.Video.ChunkSize(index, level)
+	body, hit, err := e.store.FetchPaged(k, size, func(b *cache.Body) error {
+		return e.fillFromOrigin(index, level, b)
 	})
 	if err != nil {
 		return chunkBody{}, err
 	}
-	if size := e.Video.ChunkSize(index, level); int64(len(body)) != size {
+	if body.Len() != size {
+		body.Release()
 		return chunkBody{}, e.fillFailed(index, level,
-			fmt.Errorf("netmp: stored body is %d bytes, chunk is %d", len(body), size))
+			fmt.Errorf("netmp: stored body is %d bytes, chunk is %d", body.Len(), size))
 	}
 	if hit {
-		return chunkBody{bytes: body, state: "hit"}, nil
+		return chunkBody{stored: body, state: "hit"}, nil
 	}
-	return chunkBody{bytes: body, state: "miss"}, nil
+	return chunkBody{stored: body, state: "miss"}, nil
 }
 
 // fillFromOrigin pulls one whole chunk through a pooled supervised
 // fetcher, charging the transferred bytes to the origin-byte ledger, and
-// reconstructs the verified deterministic body for the store.
-func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
+// writes the verified deterministic body into the store's pages.
+func (e *EdgeServer) fillFromOrigin(index, level int, body *cache.Body) error {
 	var f *Fetcher
 	select {
 	case f = <-e.pool:
 	case <-e.fillCtx.Done():
-		return nil, e.fillCtx.Err()
+		return e.fillCtx.Err()
 	}
 	if f.livePaths() == 0 && e.fillCtx.Err() == nil {
 		// A path is down for its fetcher's lifetime, so one that met an
@@ -227,12 +232,18 @@ func (e *EdgeServer) fillFromOrigin(index, level int) ([]byte, error) {
 	if err == nil && !res.Verified {
 		err = errCorruptPayload
 	}
-	if err != nil {
-		return nil, e.fillFailed(index, level, err)
+	if err == nil && res.Size != body.Len() {
+		err = fmt.Errorf("netmp: origin chunk is %d bytes, store body %d", res.Size, body.Len())
 	}
-	body := make([]byte, res.Size)
-	fillChunkBody(body, index, level, 0)
-	return body, nil
+	if err != nil {
+		return e.fillFailed(index, level, err)
+	}
+	for off := int64(0); off < res.Size; {
+		blk := body.Block(off, res.Size-off)
+		fillChunkBody(blk, index, level, off)
+		off += int64(len(blk))
+	}
+	return nil
 }
 
 // fillFailed counts and journals one failed fill and returns err.

@@ -279,3 +279,106 @@ func TestEdgeRecoversAfterOriginOutage(t *testing.T) {
 			n, watermark, slack, buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// TestEdgeHoldsBodyUntilFlush serves from a store that admits nothing,
+// so each response's reference is the last one on its fill's pages. The
+// response must hold it until the writev that sends its last byte: built
+// with -tags mpdash_poison, a page released early is overwritten before
+// the write and the client counts a corrupt body.
+func TestEdgeHoldsBodyUntilFlush(t *testing.T) {
+	v := wireVideo()
+	origin, err := NewChunkServer(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	store := cache.New(cache.Config{CapacityBytes: 16}) // one byte per shard: every Put refused
+	edge, err := NewEdgeServer(v, "wire", []string{origin.Addr()}, store, EdgePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	f, err := NewFetcher(v, edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.SegmentSize = 64 << 10 // a pipelined run of responses per chunk
+	var requests int64
+	for c := 0; c < v.NumChunks; c++ {
+		res, err := f.FetchChunk(c, 0, 10*time.Second)
+		if err != nil || !res.Verified || res.Retries != 0 || res.WastedBytes != 0 {
+			t.Fatalf("chunk %d: %+v, %v", c, res, err)
+		}
+		requests += (v.ChunkSize(c, 0) + f.SegmentSize - 1) / f.SegmentSize
+	}
+	if st := store.Stats(); st.Entries != 0 || st.Fills != requests || st.Hits != 0 {
+		t.Errorf("store %+v: want no entries, no hits and a fill for each of %d requests", st, requests)
+	}
+}
+
+// TestEdgeFillAllocs is the allocation contract of a fill: under steady
+// churn through an edge, where every chunk is a miss and every fill
+// evicts, a fill writes its body into pages the store recycled and
+// allocates none of it. A fetched chunk — client, edge, fill fetcher and
+// origin together — costs fillAllocs objects, at most fillBytes bytes:
+// two FetchChunk results, and the store's body record, its page list,
+// the flight and its channel. Half an object per fill is slack for a
+// stray runtime allocation in the window.
+func TestEdgeFillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop puts; alloc contract gated without -race")
+	}
+	const fillAllocs, fillBytes = 6, 1024
+	v := wireVideo()
+	var largest int64
+	for c := 0; c < v.NumChunks; c++ {
+		largest = max(largest, v.ChunkSize(c, 0))
+	}
+	origin, err := NewChunkServer(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	// One shard with room for the largest chunk, and fewer chunks than
+	// the video's: a cyclic sweep misses every time.
+	store := cache.New(cache.Config{CapacityBytes: largest, Shards: 1})
+	edge, err := NewEdgeServer(v, "wire", []string{origin.Addr()}, store, EdgePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	f, err := NewFetcher(v, edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fetch := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			res, err := f.FetchChunk(i%v.NumChunks, 0, 10*time.Second)
+			if err != nil || !res.Verified {
+				t.Fatalf("fetch %d: verified=%v err=%v", i, res != nil && res.Verified, err)
+			}
+		}
+	}
+	// On one P a released page is the next fill's: with several, one can
+	// sit in a P's private pool slot while another P's fill takes a new one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fetch(0, 2*v.NumChunks) // warm pools, buffers and the page pool
+	const chunks = 80
+	st0 := store.Stats()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fetch(0, chunks)
+	runtime.ReadMemStats(&after)
+	st := store.Stats()
+	if fills, ev := st.Fills-st0.Fills, st.Evictions-st0.Evictions; fills != chunks || ev < fills {
+		t.Fatalf("%d chunks made %d fills and %d evictions; want a fill per chunk, each evicting", chunks, fills, ev)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / chunks
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / chunks
+	t.Logf("per fill: %.2f allocs, %.0f B (chunks of %d KiB at most)", allocs, bytes, largest>>10)
+	if allocs > fillAllocs+0.5 || bytes > fillBytes {
+		t.Errorf("a fill costs %.2f allocs and %.0f B; want %d and at most %d", allocs, bytes, fillAllocs, fillBytes)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mpdash/internal/cache"
 	"mpdash/internal/dash"
 	"mpdash/internal/obs"
 )
@@ -76,25 +77,30 @@ type bodySource interface {
 
 // chunkBody is one resolved chunk, as data the request loop can act on.
 type chunkBody struct {
-	bytes []byte        // the whole chunk in memory; nil = the deterministic ChunkBody generator
-	state string        // X-MPDash-Cache value to advertise; "" = no header
-	fault FaultKind     // misbehaviour to inject into this response
-	stall time.Duration // how long a FaultStall freezes mid-body
+	stored *cache.Body   // the whole chunk from a store, one reference for this response; nil = the ChunkBody generator
+	state  string        // X-MPDash-Cache value to advertise; "" = no header
+	fault  FaultKind     // misbehaviour to inject into this response
+	stall  time.Duration // how long a FaultStall freezes mid-body
 }
 
 // connTrack is the front's per-connection record: admission state, and
 // the write queue, whose arrays are sized once so a range request
 // allocates nothing. 206 heads and body blocks (slices of a stored body,
 // or pooled fills) wait in vec until flush writes them in one writev.
+// A stored body's reference goes into held once its response is queued
+// to the last byte, so no intermediate flush drops it.
 type connTrack struct {
-	busy   bool        // mid-request, or holding queued responses
-	vec    net.Buffers // the queue in wire order
-	out    net.Buffers // vec's view for the writev, which consumes it
-	body   uint64      // bit i set: vec[i] is payload
-	queued int64       // payload bytes in vec
-	heads  []byte      // scratch the queued heads are rendered into
-	pooled []*[]byte   // the queued pooled blocks, released by flush
-	timer  *time.Timer // shaper waits and stalls sleep on it (sleepOn)
+	busy   bool          // mid-request, or holding queued responses
+	vec    net.Buffers   // the queue in wire order
+	out    net.Buffers   // vec's view for the writev, which consumes it
+	body   uint64        // bit i set: vec[i] is payload
+	queued int64         // payload bytes in vec
+	heads  []byte        // scratch the queued heads are rendered into
+	pooled []*[]byte     // the queued pooled blocks, released by flush
+	held   []*cache.Body // the queued responses' stored bodies, released by flush
+	timer  *time.Timer   // shaper waits and stalls sleep on it (sleepOn)
+
+	heldTo [queueVecs / 2]*cache.Body // held's array: a response queues two vecs at least
 }
 
 // The queue is written before it would pass queueMax payload bytes (the
@@ -425,6 +431,7 @@ func (f *front) acceptLoop(ln net.Listener, ctx context.Context) {
 		}
 		tr := &connTrack{vec: make(net.Buffers, 0, queueVecs), heads: make([]byte, 0, 8*rangeHeadMax),
 			pooled: make([]*[]byte, 0, queueVecs)}
+		tr.held = tr.heldTo[:0]
 		f.conns[conn] = tr
 		f.connMu.Unlock()
 		f.wg.Add(1)
@@ -526,11 +533,18 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			continue
 		}
 		if body.fault == FaultReset {
+			if body.stored != nil {
+				body.stored.Release()
+			}
 			f.flush(conn, tr) // earlier responses arrive whole
 			hardClose(conn)
 			return
 		}
-		if f.writeBody(ctx, conn, tr, index, level, from, to-from+1, size, body) != nil {
+		err = f.writeBody(ctx, conn, tr, index, level, from, to-from+1, size, body)
+		if body.stored != nil {
+			tr.held = append(tr.held, body.stored) // queued to its last byte, or cut
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -543,28 +557,32 @@ func (f *front) reply(conn net.Conn, tr *connTrack, head string) {
 	}
 }
 
-// flush writes the queue in one writev and releases its pooled blocks.
-// The queued payload is in ServedBytes already; a failed write takes
-// back the payload pieces, or their parts, that did not leave.
-func (f *front) flush(conn net.Conn, tr *connTrack) error {
-	if len(tr.vec) == 0 {
-		return nil
-	}
-	tr.out = tr.vec // WriteTo consumes out, leaving what it did not write
-	_, err := tr.out.WriteTo(conn)
-	if err != nil {
-		for i, p := range tr.out {
-			if tr.body>>(len(tr.vec)-len(tr.out)+i)&1 != 0 {
-				f.served.Add(-int64(len(p)))
+// flush writes the queue in one writev, then releases its pooled blocks
+// and the stored bodies of the responses it finished: the kernel holds
+// its own copy of what the writev took. The queued payload is in
+// ServedBytes already; a failed write takes back the payload pieces, or
+// their parts, that did not leave.
+func (f *front) flush(conn net.Conn, tr *connTrack) (err error) {
+	if len(tr.vec) != 0 {
+		tr.out = tr.vec // WriteTo consumes out, leaving what it did not write
+		if _, err = tr.out.WriteTo(conn); err != nil {
+			for i, p := range tr.out {
+				if tr.body>>(len(tr.vec)-len(tr.out)+i)&1 != 0 {
+					f.served.Add(-int64(len(p)))
+				}
 			}
 		}
 	}
 	for _, b := range tr.pooled {
 		ReleaseSegBuf(b)
 	}
+	for _, b := range tr.held {
+		b.Release()
+	}
 	clear(tr.vec)
 	clear(tr.pooled)
-	tr.vec, tr.pooled, tr.heads = tr.vec[:0], tr.pooled[:0], tr.heads[:0]
+	clear(tr.held)
+	tr.vec, tr.pooled, tr.held, tr.heads = tr.vec[:0], tr.pooled[:0], tr.held[:0], tr.heads[:0]
 	tr.body, tr.queued = 0, 0
 	return err
 }
@@ -585,13 +603,13 @@ func (f *front) manifestResponse() []byte {
 
 // writeBody queues the 206 head for bytes [from, from+n) of a size-byte
 // chunk and the bytes themselves in blocks of up to 16 KiB, through the
-// rate shaper: slices of the resolved body as they are, or filled into
-// pooled blocks when there is none. The head goes with the first block.
-// Queued bytes never wait: the queue is flushed before the shaper or a
-// stall would make them. It applies the chosen mid-body fault: a stall
+// rate shaper: slices of the stored body as they are (cut at its page
+// ends), or filled into pooled blocks when there is none. The head goes
+// with the first block. Queued bytes never wait: the queue is flushed
+// before the shaper or a stall would make them. It applies the chosen mid-body fault: a stall
 // freezes at the halfway point, a premature close cuts after half the
 // advertised length, and corruption flips a short run of generated
-// bytes in the first block (a resolved body is shared with its cache and
+// bytes in the first block (a stored body is shared with its cache and
 // never written to).
 func (f *front) writeBody(ctx context.Context, conn net.Conn, tr *connTrack, index, level int, from, n, size int64, body chunkBody) error {
 	fault := body.fault
@@ -620,6 +638,11 @@ func (f *front) writeBody(ctx context.Context, conn net.Conn, tr *connTrack, ind
 			}
 		}
 		m = min(segBufBlock, end-written)
+		var blk []byte
+		if body.stored != nil {
+			blk = body.stored.Block(from+written, m)
+			m = int64(len(blk))
+		}
 		wait := f.bucket.take(int(m)) != 0
 		if wait || tr.queued+m > queueMax || len(tr.vec)+2 > cap(tr.vec) || len(tr.heads)+rangeHeadMax > cap(tr.heads) {
 			if err := f.flush(conn, tr); err != nil {
@@ -634,15 +657,11 @@ func (f *front) writeBody(ctx context.Context, conn net.Conn, tr *connTrack, ind
 		if written == 0 {
 			head()
 		}
-		off := from + written
-		var blk []byte
-		if body.bytes != nil {
-			blk = body.bytes[off : off+m]
-		} else {
+		if body.stored == nil {
 			bp := AcquireSegBuf()
 			tr.pooled = append(tr.pooled, bp)
 			blk = (*bp)[:m]
-			fillChunkBody(blk, index, level, off)
+			fillChunkBody(blk, index, level, from+written)
 			if fault == FaultCorrupt && written == 0 {
 				for i := range blk[:min(m, 16)] {
 					blk[i] ^= 0xA5

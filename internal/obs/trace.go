@@ -50,12 +50,6 @@ type TraceConfig struct {
 	HeadSampleRate float64
 	// Seed makes trace IDs deterministic across runs (0 means 1).
 	Seed int64
-	// Now stamps span boundaries; nil means time.Now.
-	Now func() time.Time
-	// MaxKept bounds the retained trace count (0 means 1<<20). When the
-	// cap is reached, healthy head-sampled traces are dropped first;
-	// bad-verdict traces are always kept.
-	MaxKept int
 }
 
 // Tracer buffers per-chunk span traces until their terminal state and
@@ -64,9 +58,12 @@ type TraceConfig struct {
 // it hands out, is a no-op, so disabled tracing costs one nil check and
 // zero allocations on the hot path. Safe for concurrent use.
 type Tracer struct {
-	rate    float64
-	seed    uint64
-	nowFn   func() time.Time
+	rate  float64
+	seed  uint64
+	nowFn func() time.Time // stamps span boundaries: time.Now, or a test's clock
+	// maxKept bounds the retained trace count (1<<20). At the cap,
+	// healthy head-sampled traces are dropped; bad-verdict traces are
+	// always kept.
 	maxKept int
 
 	mu          sync.Mutex
@@ -85,19 +82,11 @@ func NewTracer(cfg TraceConfig) *Tracer {
 	if seed == 0 {
 		seed = 1
 	}
-	max := cfg.MaxKept
-	if max <= 0 {
-		max = 1 << 20
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	return &Tracer{
 		rate:    cfg.HeadSampleRate,
 		seed:    uint64(seed),
-		nowFn:   now,
-		maxKept: max,
+		nowFn:   time.Now,
+		maxKept: 1 << 20,
 		open:    make(map[int]*Trace),
 	}
 }

@@ -28,6 +28,13 @@ func fakeClock() func() time.Time {
 	}
 }
 
+// fakeTracer is a Tracer stamped by fakeClock.
+func fakeTracer(cfg TraceConfig) *Tracer {
+	tr := NewTracer(cfg)
+	tr.nowFn = fakeClock()
+	return tr
+}
+
 // buildTrace records one synthetic chunk life: a fetch envelope, two
 // segments, a requeue marker, and a missed deadline.
 func buildTrace(tr *Tracer, session, chunk int) {
@@ -50,7 +57,7 @@ func buildTrace(tr *Tracer, session, chunk int) {
 
 func TestTracerDeterministicIDs(t *testing.T) {
 	export := func() string {
-		tr := NewTracer(TraceConfig{HeadSampleRate: 0, Seed: 99, Now: fakeClock()})
+		tr := fakeTracer(TraceConfig{HeadSampleRate: 0, Seed: 99})
 		for s := 0; s < 3; s++ {
 			for c := 0; c < 4; c++ {
 				buildTrace(tr, s, c)
@@ -86,7 +93,7 @@ func TestTracerDeterministicIDs(t *testing.T) {
 }
 
 func TestTracerSpanOrderDeterministic(t *testing.T) {
-	tr := NewTracer(TraceConfig{HeadSampleRate: 1, Seed: 1, Now: fakeClock()})
+	tr := fakeTracer(TraceConfig{HeadSampleRate: 1, Seed: 1})
 	buildTrace(tr, 0, 0)
 	recs := tr.Records()
 	if len(recs) != 1 {
@@ -114,7 +121,7 @@ func TestTailSamplingKeepsEveryBadTrace(t *testing.T) {
 		{seed: 7, missEvery: 20},
 		{seed: 42, missEvery: 10, wantSampled: 91},
 	} {
-		tr := NewTracer(TraceConfig{HeadSampleRate: 0.1, Seed: c.seed, Now: fakeClock()})
+		tr := fakeTracer(TraceConfig{HeadSampleRate: 0.1, Seed: c.seed})
 		for i := 0; i < n; i++ {
 			tc := tr.StartTrace(0, i, 1)
 			if i%c.missEvery == 0 {
@@ -160,7 +167,8 @@ func TestTailSamplingKeepsEveryBadTrace(t *testing.T) {
 }
 
 func TestTailSamplingCapDropsOnlyHealthy(t *testing.T) {
-	tr := NewTracer(TraceConfig{HeadSampleRate: 1, Seed: 1, MaxKept: 4, Now: fakeClock()})
+	tr := fakeTracer(TraceConfig{HeadSampleRate: 1, Seed: 1})
+	tr.maxKept = 4
 	for i := 0; i < 16; i++ {
 		tc := tr.StartTrace(0, i, 1)
 		tc.Finish(TraceOK)
@@ -179,7 +187,7 @@ func TestTailSamplingCapDropsOnlyHealthy(t *testing.T) {
 }
 
 func TestFinishDanglingKeepsPanicTrace(t *testing.T) {
-	tr := NewTracer(TraceConfig{HeadSampleRate: 0, Seed: 1, Now: fakeClock()})
+	tr := fakeTracer(TraceConfig{HeadSampleRate: 0, Seed: 1})
 	tc := tr.StartTrace(3, 8, 1)
 	tc.StartSpan(CatFetch, "fetch")
 	tr.FinishDangling(3, TracePanic)
@@ -403,7 +411,7 @@ func TestBuildMissBudgetShares(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	tr := NewTracer(TraceConfig{HeadSampleRate: 1, Seed: 1, Now: fakeClock()})
+	tr := fakeTracer(TraceConfig{HeadSampleRate: 1, Seed: 1})
 	buildTrace(tr, 5, 9)
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -447,7 +455,7 @@ func TestWriteChromeTrace(t *testing.T) {
 // ReadTraceJSONL as the kept records, the Chrome file is the same bytes
 // WriteChrome renders, and an empty path writes nothing.
 func TestTracerExport(t *testing.T) {
-	tr := NewTracer(TraceConfig{HeadSampleRate: 1, Seed: 1, Now: fakeClock()})
+	tr := fakeTracer(TraceConfig{HeadSampleRate: 1, Seed: 1})
 	buildTrace(tr, 0, 0)
 	buildTrace(tr, 1, 3)
 	dir := t.TempDir()
@@ -483,7 +491,7 @@ func TestTracerExport(t *testing.T) {
 }
 
 func TestReadTraceJSONLTruncatedTail(t *testing.T) {
-	tr := NewTracer(TraceConfig{HeadSampleRate: 1, Seed: 1, Now: fakeClock()})
+	tr := fakeTracer(TraceConfig{HeadSampleRate: 1, Seed: 1})
 	buildTrace(tr, 0, 0)
 	buildTrace(tr, 0, 1)
 	var buf bytes.Buffer
