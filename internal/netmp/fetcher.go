@@ -188,7 +188,9 @@ func NewFetcherOrigins(video *dash.Video, pol BreakerPolicy, paths ...[]string) 
 
 // Close tears down every connection, reporting every failure, and returns
 // once the workers have exited; a FetchChunk in flight or after it fails.
-// Repeated calls are safe (the connections report being closed again).
+// The paths' readers go back to their pool here, or, when a FetchChunk is
+// in flight, as it returns. Repeated calls are safe (the connections
+// report being closed again).
 func (f *Fetcher) Close() error {
 	f.st.mu.Lock()
 	if !f.st.closed {
@@ -204,7 +206,21 @@ func (f *Fetcher) Close() error {
 		errs = append(errs, pc.close())
 	}
 	f.workers.Wait()
+	f.st.mu.Lock()
+	if !f.st.driving {
+		f.releasePathsLocked()
+	}
+	f.st.mu.Unlock()
 	return errors.Join(errs...)
+}
+
+// releasePathsLocked gives back every path's readers. The caller holds
+// the ledger's lock, and no goroutine reads a path: the workers have let
+// go of the chunk, or exited, and no FetchChunk is in flight.
+func (f *Fetcher) releasePathsLocked() {
+	for _, pc := range f.paths {
+		pc.release()
+	}
 }
 
 // PathStats returns health snapshots for the preferred path and then
@@ -325,6 +341,10 @@ type fetchState struct {
 	// doomOff, set as the chunk winds down, stops it re-arming.
 	doomArmed, doomOff bool
 	closed             bool // Close was called; survives resets
+	// driving holds from begin to the end of FetchChunk, whose goroutine
+	// reads the preferred path: a Close that finds it set leaves the
+	// paths' readers to that FetchChunk (Fetcher.end).
+	driving bool
 }
 
 type requeuedSeg struct {
@@ -632,6 +652,7 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 	f.job = chunkJob{index: index, level: level, size: size, segSize: segSize, d: d, alpha: alpha,
 		pol: pol, start: start, dlAt: dlAt, ctr: ctr, fo: fo, abort: f.Abort.withDefaults()}
 	f.begin(nSegs)
+	defer f.end()
 	if !f.paths[0].isDown() {
 		f.drivePrimary()
 	}
@@ -723,6 +744,7 @@ func (f *Fetcher) begin(total int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.resetLocked(total, f.job.pol.RequeueBudget)
+	st.driving = true
 	if st.closed {
 		return
 	}
@@ -739,6 +761,19 @@ func (f *Fetcher) begin(total int) {
 		st.doomArmed = true
 		f.doomT.reset(controllerTick)
 	}
+}
+
+// end is FetchChunk's last touch of the paths: every party has let go of
+// the chunk, so after a Close that found it driving, it gives back the
+// paths' readers.
+func (f *Fetcher) end() {
+	st := &f.st
+	st.mu.Lock()
+	st.driving = false
+	if st.closed {
+		f.releasePathsLocked()
+	}
+	st.mu.Unlock()
 }
 
 // awaitRelease returns once every party has let go of the chunk: the
@@ -1017,6 +1052,7 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer pc.release()
 	defer pc.conn.Close()
 	// Every I/O runs under the default IOTimeout, as a range request does.
 	timeout := RetryPolicy{}.withDefaults().IOTimeout
@@ -1045,8 +1081,15 @@ func FetchManifest(addr string) (*dash.Video, [][]int64, error) {
 	return dash.VideoFromManifest(mpd, "remote")
 }
 
+// testHookRequests, nil outside tests, sees every request write as it is
+// made.
+var testHookRequests func(pc *pathConn)
+
 // writeRequests sends pc.req's request heads in one write, under IOTimeout.
 func (f *Fetcher) writeRequests(pc *pathConn) error {
+	if testHookRequests != nil {
+		testHookRequests(pc)
+	}
 	pc.conn.SetDeadline(f.clk.now().Add(f.Retry.withDefaults().IOTimeout))
 	if _, err := pc.conn.Write(pc.req); err != nil {
 		return fmt.Errorf("netmp: %s write: %w", pc.name, err)

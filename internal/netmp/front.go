@@ -83,13 +83,16 @@ type chunkBody struct {
 	stall  time.Duration // how long a FaultStall freezes mid-body
 }
 
-// connTrack is the front's per-connection record: admission state, and
-// the write queue, whose arrays are sized once so a range request
-// allocates nothing. 206 heads and body blocks (slices of a stored body,
-// or pooled fills) wait in vec until flush writes them in one writev.
-// A stored body's reference goes into held once its response is queued
-// to the last byte, so no intermediate flush drops it.
+// connTrack is the front's per-connection record: admission state, the
+// request reader, and the write queue, whose arrays are sized once so a
+// range request allocates nothing. 206 heads and body blocks (slices of a
+// stored body, or pooled fills) wait in vec until flush writes them in
+// one writev. A stored body's reference goes into held once its response
+// is queued to the last byte, so no intermediate flush drops it. A
+// connection takes its tracker from trackPool at its accept, and its
+// handler hands it back (putTrack).
 type connTrack struct {
+	r      *bufio.Reader // the connection's requests; reads nothing between connections
 	busy   bool          // mid-request, or holding queued responses
 	vec    net.Buffers   // the queue in wire order
 	out    net.Buffers   // vec's view for the writev, which consumes it
@@ -111,6 +114,37 @@ const (
 	queueVecs    = 32
 	rangeHeadMax = 192
 )
+
+// connTrack.body is a bitmask over vec's indices, which a failed flush
+// reads to take back ServedBytes: the queue holds at most 64 iovecs. (A
+// negative array length fails the build.)
+var _ [64 - queueVecs]struct{}
+
+// trackPool recycles connection trackers, request reader included.
+var trackPool = sync.Pool{New: func() any {
+	tr := &connTrack{r: bufio.NewReaderSize(nil, 4<<10), vec: make(net.Buffers, 0, queueVecs),
+		heads: make([]byte, 0, 8*rangeHeadMax), pooled: make([]*[]byte, 0, queueVecs)}
+	tr.held = tr.heldTo[:0]
+	return tr
+}}
+
+// testHookTrack, nil outside tests, sees every tracker of f as a
+// connection takes it (out) and as its handler hands it back.
+var testHookTrack func(f *front, tr *connTrack, out bool)
+
+// putTrack hands back the tracker of a handler that has returned from
+// serve, whose last flush emptied the queue and released what it held;
+// the shaper's timer is idle between sleeps (sleepOn). A handler that
+// recovered a panic keeps its tracker: the panic may have cut a flush or
+// a sleep short.
+func putTrack(tr *connTrack) {
+	emptyReader(tr.r)
+	if poisonPools {
+		poisonBytes(tr.heads[:cap(tr.heads)])
+	}
+	tr.busy = false
+	trackPool.Put(tr)
+}
 
 // headBuffered reports whether r holds a complete request head, so that
 // parsing the next request cannot block. (A line of blanks also ends a
@@ -429,9 +463,11 @@ func (f *front) acceptLoop(ln net.Listener, ctx context.Context) {
 			go reject503(conn)
 			continue
 		}
-		tr := &connTrack{vec: make(net.Buffers, 0, queueVecs), heads: make([]byte, 0, 8*rangeHeadMax),
-			pooled: make([]*[]byte, 0, queueVecs)}
-		tr.held = tr.heldTo[:0]
+		tr := trackPool.Get().(*connTrack)
+		tr.r.Reset(conn)
+		if testHookTrack != nil {
+			testHookTrack(f, tr, true)
+		}
 		f.conns[conn] = tr
 		f.connMu.Unlock()
 		f.wg.Add(1)
@@ -439,7 +475,8 @@ func (f *front) acceptLoop(ln net.Listener, ctx context.Context) {
 			defer f.wg.Done()
 			defer func() {
 				// A handler panic is one connection's problem, not the
-				// server's: recover, count it, drop the connection.
+				// server's: recover, count it, drop the connection, and
+				// leave its tracker to the collector.
 				recovered := recover() != nil
 				f.connMu.Lock()
 				if recovered {
@@ -448,6 +485,12 @@ func (f *front) acceptLoop(ln net.Listener, ctx context.Context) {
 				delete(f.conns, conn)
 				f.connMu.Unlock()
 				conn.Close()
+				if !recovered {
+					if testHookTrack != nil {
+						testHookTrack(f, tr, false)
+					}
+					putTrack(tr)
+				}
 			}()
 			f.serve(ctx, conn, tr)
 		}()
@@ -479,7 +522,7 @@ func hardClose(conn net.Conn) {
 // Responses queue until a read could block (no complete request head
 // buffered), until writeBody must write, and when the handler exits.
 func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
-	r := bufio.NewReader(conn)
+	r := tr.r
 	defer f.flush(conn, tr)
 	for served := 0; ; served++ {
 		if !headBuffered(r) && f.flush(conn, tr) != nil {
@@ -532,9 +575,12 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			f.reply(conn, tr, head503)
 			continue
 		}
+		if body.stored != nil && testHookHold != nil {
+			testHookHold(true, 1)
+		}
 		if body.fault == FaultReset {
 			if body.stored != nil {
-				body.stored.Release()
+				tr.held = append(tr.held, body.stored) // released by the flush
 			}
 			f.flush(conn, tr) // earlier responses arrive whole
 			hardClose(conn)
@@ -578,6 +624,9 @@ func (f *front) flush(conn net.Conn, tr *connTrack) (err error) {
 	}
 	for _, b := range tr.held {
 		b.Release()
+		if testHookHold != nil {
+			testHookHold(true, -1)
+		}
 	}
 	clear(tr.vec)
 	clear(tr.pooled)

@@ -13,7 +13,6 @@ package netmp
 // could still make the deadline.
 
 import (
-	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -298,7 +297,9 @@ func (f *Fetcher) hedgeFetch(o *origin, pol RetryPolicy, index, level int, from,
 		}
 	}()
 	defer conn.Close()
-	hc := &pathConn{name: "hedge", conn: conn, r: bufio.NewReader(conn)}
+	hc := &pathConn{name: "hedge", conn: conn, own: getReader(&readerPool, conn)}
+	hc.r = hc.own
+	defer hc.release()
 	hc.req = AppendRangeRequest(nil, f.Video.Levels[level].ID, index, from, to)
 	var n int64
 	verified, tw := false, f.clk.now()

@@ -61,50 +61,35 @@ func warmUp(t *testing.T, f *Fetcher) (idle func()) {
 	return idle
 }
 
-// countingListener counts the data-bearing Reads of every connection it
-// accepts: how many request writes reached the server.
-type countingListener struct {
-	net.Listener
-	reads atomic.Int64
-}
-
-func (l *countingListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
+// countWrites counts, through the test hook, the request writes of f's
+// preferred path until t ends: one per attempt, however the server's
+// reads happen to split them.
+func countWrites(t *testing.T, f *Fetcher) *atomic.Int64 {
+	n, pc := new(atomic.Int64), f.paths[0]
+	testHookRequests = func(w *pathConn) {
+		if w == pc {
+			n.Add(1)
+		}
 	}
-	return &countingConn{Conn: c, reads: &l.reads}, nil
+	t.Cleanup(func() { testHookRequests = nil })
+	return n
 }
 
-type countingConn struct {
-	net.Conn
-	reads *atomic.Int64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.reads.Add(1)
-	}
-	return n, err
-}
-
-// countedServer starts an unshaped ChunkServer that injects plan's faults
-// (nil = none) behind a countingListener, closed when t ends.
-func countedServer(t *testing.T, v *dash.Video, plan *FaultPlan) (*ChunkServer, *countingListener) {
+// plannedServer starts an unshaped ChunkServer that injects plan's faults
+// (nil = none), closed when t ends.
+func plannedServer(t *testing.T, v *dash.Video, plan *FaultPlan) *ChunkServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &countingListener{Listener: ln}
 	s := &ChunkServer{start: time.Now(), plan: plan}
 	if plan != nil {
 		s.faultRN = newFaultRand(plan.Seed)
 	}
-	s.front = newFront(v, cl, 0, s)
+	s.front = newFront(v, ln, 0, s)
 	t.Cleanup(func() { s.Close() })
-	return s, cl
+	return s
 }
 
 // countingSource serves generated bodies and counts the range requests
@@ -143,14 +128,15 @@ func TestPrimaryPipelinesRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl, src := &countingListener{Listener: ln}, &countingSource{}
-			primary := newFront(v, cl, tc.mbps, src)
+			src := &countingSource{}
+			primary := newFront(v, ln, tc.mbps, src)
 			defer primary.Close()
 			f, err := NewFetcher(v, primary.Addr(), tc.secondaries...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer f.Close()
+			writes := countWrites(t, f)
 			f.SegmentSize = seg
 			warmUp(t, f)
 			if tc.warm {
@@ -158,7 +144,7 @@ func TestPrimaryPipelinesRuns(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			reads0, reqs0 := cl.reads.Load(), src.requests.Load()
+			writes0, reqs0 := writes.Load(), src.requests.Load()
 			res, err := f.FetchChunk(1, 1, 10*time.Second)
 			if err != nil {
 				t.Fatal(err)
@@ -167,16 +153,16 @@ func TestPrimaryPipelinesRuns(t *testing.T) {
 			if res.SecondaryBytes != 0 {
 				t.Fatalf("the secondary carried %d bytes under a loose deadline", res.SecondaryBytes)
 			}
-			reads, reqs := cl.reads.Load()-reads0, src.requests.Load()-reqs0
-			t.Logf("%d range requests in %d reads", reqs, reads)
+			n, reqs := writes.Load()-writes0, src.requests.Load()-reqs0
+			t.Logf("%d range requests in %d writes", reqs, n)
 			if reqs != runSegs {
 				t.Errorf("%d range requests, want one per segment (%d)", reqs, runSegs)
 			}
-			if tc.writes > 0 && reads != tc.writes {
-				t.Errorf("%d request writes, want %d", reads, tc.writes)
+			if tc.writes > 0 && n != tc.writes {
+				t.Errorf("%d request writes, want %d", n, tc.writes)
 			}
-			if tc.writes == 0 && reads != reqs {
-				t.Errorf("%d request writes for %d requests, want one each", reads, reqs)
+			if tc.writes == 0 && n != reqs {
+				t.Errorf("%d request writes for %d requests, want one each", n, reqs)
 			}
 		})
 	}
@@ -216,23 +202,23 @@ func TestRunWindowRestartsCold(t *testing.T) {
 				}
 			}},
 		// The stall holds the chunk open past the doom test's progress gate;
-		// then the forecast collapses and the next doom test dooms it. The
-		// forecast is put back for the measured fetch.
+		// then the forecast collapses, and is held down until a doom test
+		// dooms the chunk: on a slow host the secondary's samples, landing
+		// after the collapse, would lift it again.
 		{"doomed", &FaultPlan{Script: map[int]FaultKind{third + 1: FaultStall}, StallFor: 250 * time.Millisecond},
 			func(t *testing.T, f *Fetcher, _ func()) {
 				f.Abort = AbortPolicy{Enabled: true, MinProgress: 0.05}
-				rate := f.PredictedRate()
-				collapse := time.AfterFunc(80*time.Millisecond, func() { seedForecast(f, 1000) })
-				defer collapse.Stop()
-				if _, err := f.FetchChunk(1, 1, time.Second); !errors.Is(err, ErrChunkDoomed) {
+				release := holdForecast(f, 1000, 80*time.Millisecond)
+				_, err := f.FetchChunk(1, 1, time.Second)
+				release()
+				if !errors.Is(err, ErrChunkDoomed) {
 					t.Fatalf("err = %v, want ErrChunkDoomed", err)
 				}
 				f.Abort = AbortPolicy{}
-				seedForecast(f, rate)
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ps, cl := countedServer(t, v, tc.plan)
+			ps := plannedServer(t, v, tc.plan)
 			ss, err := NewChunkServer(v, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -243,14 +229,15 @@ func TestRunWindowRestartsCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
+			writes := countWrites(t, f)
 			f.SegmentSize, f.Retry = seg, fastRetry()
 			idle := warmUp(t, f)
 			fetchMeasured(t, f, 10*time.Second)
 			tc.apply(t, f, idle)
-			reads0 := cl.reads.Load()
-			checkComplete(t, fetchMeasured(t, f, 10*time.Second))
-			if reads := cl.reads.Load() - reads0; reads != 6 {
-				t.Errorf("%d request writes after the %s, want 6 (a cold start)", reads, tc.name)
+			writes0 := writes.Load()
+			fetchUncapped(t, f)
+			if n := writes.Load() - writes0; n != 6 {
+				t.Errorf("%d request writes after the %s, want 6 (a cold start)", n, tc.name)
 			}
 		})
 	}
@@ -313,6 +300,51 @@ func fetchMeasured(t *testing.T, f *Fetcher, d time.Duration) *FetchResult {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// fetchUncapped fetches the measured chunk on a clock stopped where f's
+// clock stands, its forecast seeded far above any loopback rate. With no
+// time passing and no rate sample taken, neither the forecast nor the
+// delivered rate caps a run: the runs follow the carried window and the
+// delivered segments alone, 1, 1, 2, 4, 8 and 16 from a cold start. On
+// the running clock, a Holt-Winters trend driven below zero by noisy
+// loopback samples can cap one (runs of 1, 1, 1, 3, 6, 12 and 8 seen).
+// The I/O deadline, set on the stopped clock, is loosened to match.
+func fetchUncapped(t *testing.T, f *Fetcher) {
+	t.Helper()
+	now := f.clk.now()
+	f.SetClock(func() time.Time { return now })
+	f.Retry.IOTimeout = 10 * time.Second
+	seedForecast(f, 1e12)
+	checkComplete(t, fetchMeasured(t, f, 10*time.Second))
+}
+
+// holdForecast seeds f's forecast at rate every millisecond, from after
+// on, until the returned release, which returns after the last seed.
+func holdForecast(f *Fetcher, rate float64, after time.Duration) (release func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		select {
+		case <-time.After(after):
+		case <-quit:
+			return
+		}
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			seedForecast(f, rate)
+			select {
+			case <-tick.C:
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // seedForecast restarts f's service-rate forecast at rate bytes/s.
@@ -555,23 +587,24 @@ func TestPipelinedRunDoomReleases(t *testing.T) {
 func TestSegmentBudgetHoldsInsideARun(t *testing.T) {
 	v := dash.BigBuckBunny()
 	seg, _ := runSegSize(v)
-	ps, cl := countedServer(t, v, &FaultPlan{CorruptProb: 1, Levels: []int{1}})
+	ps := plannedServer(t, v, &FaultPlan{CorruptProb: 1, Levels: []int{1}})
 	f, err := NewFetcher(v, ps.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	counted := countWrites(t, f)
 	f.SegmentSize, f.Retry = seg, fastRetry()
 	f.Retry.SegmentBudget, f.Retry.RequeueBudget = 1, 1
 	if _, err := f.FetchChunk(0, 0, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	reads0 := cl.reads.Load()
+	writes0 := counted.Load()
 	res, err := f.FetchChunk(1, 1, 10*time.Second)
 	if !errors.Is(err, ErrChunkExhausted) {
 		t.Fatalf("err = %v, want ErrChunkExhausted", err)
 	}
-	corrupt, writes := ps.FaultStats().Corruptions, cl.reads.Load()-reads0
+	corrupt, writes := ps.FaultStats().Corruptions, counted.Load()-writes0
 	t.Logf("%d corrupt responses in %d request writes, %d requeues", corrupt, writes, res.Requeued)
 	if writes >= corrupt {
 		t.Errorf("%d request writes for %d requests: the chunk never ran a pipelined run", writes, corrupt)
@@ -588,15 +621,16 @@ func TestSegmentBudgetHoldsInsideARun(t *testing.T) {
 func TestRunResetRetriesOwedTogether(t *testing.T) {
 	v := dash.BigBuckBunny()
 	seg, warm := runSegSize(v)
-	ps, cl := countedServer(t, v, &FaultPlan{Script: map[int]FaultKind{warm + midRun: FaultReset}})
+	ps := plannedServer(t, v, &FaultPlan{Script: map[int]FaultKind{warm + midRun: FaultReset}})
 	f, err := NewFetcher(v, ps.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	writes := countWrites(t, f)
 	f.SegmentSize, f.Retry = seg, fastRetry()
 	warmUp(t, f)
-	reads0 := cl.reads.Load()
+	writes0 := writes.Load()
 	res := fetchMeasured(t, f, 10*time.Second)
 	checkComplete(t, res)
 	if res.Redials != 1 || res.Retries != 1 {
@@ -605,7 +639,7 @@ func TestRunResetRetriesOwedTogether(t *testing.T) {
 	if got := ps.FaultStats().Resets; got != 1 {
 		t.Errorf("server injected %d resets, want 1", got)
 	}
-	if reads := cl.reads.Load() - reads0; reads != 7 {
-		t.Errorf("%d request writes, want 7: the owed rest of the cut run in one", reads)
+	if n := writes.Load() - writes0; n != 7 {
+		t.Errorf("%d request writes, want 7: the owed rest of the cut run in one", n)
 	}
 }

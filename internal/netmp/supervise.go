@@ -185,7 +185,7 @@ type pathConn struct {
 	set    *OriginSet    // ranked origins with per-origin breakers
 	conn   net.Conn      // owned by the single worker goroutine using the path
 	r      *bufio.Reader // conn's reader: own, or a window lent to a pipelined attempt
-	own    *bufio.Reader // the path's 4 KiB reader; owner-goroutine only
+	own    *bufio.Reader // the path's 4 KiB reader from readerPool; owner-goroutine only, nil once released
 	req    []byte        // request-head scratch; owner-goroutine only
 	owed   []int         // the supervised run's unsettled segments; owner-goroutine only
 	rng    *rand.Rand    // jitter; owner-goroutine only
@@ -231,7 +231,7 @@ func dialOrigins(name string, addrs []string, pol BreakerPolicy) (*pathConn, err
 		conn, err := net.DialTimeout("tcp", o.addr, 5*time.Second)
 		if err == nil {
 			pc.conn = conn
-			pc.own = bufio.NewReader(conn)
+			pc.own = getReader(&readerPool, conn)
 			pc.r = pc.own
 			return pc, nil
 		}
@@ -446,6 +446,11 @@ func (pc *pathConn) redial(pol RetryPolicy) error {
 				// dropped with the old conn; the worker winds down at the
 				// ledger's doomed check instead.
 				pc.mu.Lock()
+				if pc.closed { // Close overtook the dial: no new conn to leak
+					pc.mu.Unlock()
+					conn.Close()
+					return errPathDown
+				}
 				pc.conn = conn
 				pc.unlend(true)
 				pc.own.Reset(conn)
@@ -483,6 +488,7 @@ func (pc *pathConn) emitRedial(origin string, ok bool, attempt int) {
 func (pc *pathConn) close() error {
 	pc.mu.Lock()
 	pc.closed = true
+	conn := pc.conn
 	pc.mu.Unlock()
-	return pc.conn.Close()
+	return conn.Close()
 }
