@@ -41,7 +41,7 @@ func run() int {
 		cacheMB  = flag.Int("cache-mb", 64, "chunk-store capacity in MiB")
 		shards   = flag.Int("cache-shards", 0, "cache shard count (0 = default)")
 		maxLevel = flag.Int("cache-max-level", -1, "highest rendition level admitted to the store (-1 = all)")
-		minSeen  = flag.Int("cache-min-seen", 1, "misses for a chunk before it is admitted (doorkeeper; 1 = admit first fill)")
+		minSeen  = flag.Int("cache-min-seen", 1, "demands for a chunk before it enters the main store; earlier fills wait in the admission window (doorkeeper; 1 = admit first fill)")
 
 		rateMbps = flag.Float64("rate-mbps", 0, "shaped rate of the client-facing downlink (0 = unshaped)")
 		fillers  = flag.Int("fill-fetchers", 2, "pooled origin fetchers bounding concurrent distinct-chunk fills")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -13,7 +14,7 @@ func TestPagedBodyBlocksAndRelease(t *testing.T) {
 	c := New(Config{CapacityBytes: 1 << 20, Shards: 1})
 	k := Key{Video: "v", Chunk: 1}
 	const size = 2*PageSize + 100
-	b, hit, err := c.FetchPaged(k, size, func(b *Body) error {
+	b, hit, err := c.FetchPaged(k, size, true, func(b *Body) error {
 		for off := int64(0); off < size; {
 			blk := b.Block(off, size-off)
 			for i := range blk {
@@ -40,7 +41,7 @@ func TestPagedBodyBlocksAndRelease(t *testing.T) {
 		t.Errorf("after Get and GetRange a body held by store and caller has %d refs", n)
 	}
 	b.Release()
-	if b2, hit, _ := c.FetchPaged(k, size, nil); !hit || b2 != b {
+	if b2, hit, _ := c.FetchPaged(k, size, true, nil); !hit || b2 != b {
 		t.Error("resident paged body not served as a hit")
 	} else {
 		b2.Release()
@@ -65,7 +66,7 @@ func TestFlatBodyIsNeverCopiedOrRecycled(t *testing.T) {
 	if !ok || &got[0] != &shared[0] {
 		t.Fatal("Get did not return the slice Put stored")
 	}
-	b, hit, err := c.FetchPaged(Key{Video: "v", Chunk: 63}, 1024, nil)
+	b, hit, err := c.FetchPaged(Key{Video: "v", Chunk: 63}, 1024, true, nil)
 	if err != nil || !hit || b.pages != nil || &b.Block(0, 1)[0] != &shared[0] {
 		t.Fatal("FetchPaged of a Put body is not that body")
 	}
@@ -74,17 +75,20 @@ func TestFlatBodyIsNeverCopiedOrRecycled(t *testing.T) {
 
 // TestBodyReferenceContract drives the store from several goroutines
 // through random interleavings of hits, misses that other goroutines
-// collapse onto, failed fills, Puts, evictions and out-of-order
+// collapse onto, failed fills, Puts, evictions, fills parked in the
+// admission window, window hits, promotions and drops, and out-of-order
 // Releases. After every step it checks that no page is both in the pool
 // and in a live body, that no live body has lost its count, that the
-// resident bytes fit the capacity, and that every body a goroutine holds
-// reads as it did when it was handed over.
+// resident bytes, main store and window together, fit the capacity, and
+// that every body a goroutine holds reads as it did when it was handed
+// over. At the end every page is in the main store, in the window or in
+// the pool.
 func TestBodyReferenceContract(t *testing.T) {
 	const (
 		workers  = 4
 		steps    = 400
 		keys     = 16
-		capacity = 6 * PageSize
+		capacity = 16 * PageSize // a window of one page: a third of the bodies fit it
 	)
 	var pmu sync.Mutex
 	pooled := map[*page]bool{}
@@ -144,6 +148,7 @@ func TestBodyReferenceContract(t *testing.T) {
 			t.Errorf("%v: a held body changed before its Release", b.key)
 		}
 	}
+	var windowUsed atomic.Bool
 	checkStore := func() {
 		for _, s := range c.shards {
 			s.mu.Lock()
@@ -152,8 +157,17 @@ func TestBodyReferenceContract(t *testing.T) {
 			}
 			s.mu.Unlock()
 		}
-		if st := c.Stats(); st.Bytes > capacity || st.Bytes < 0 || st.Entries < 0 {
-			t.Errorf("store holds %d bytes in %d entries; capacity %d", st.Bytes, st.Entries, capacity)
+		c.wmu.Lock()
+		for _, b := range c.windowed {
+			checkLive(b, nil)
+		}
+		resident, windowBytes := c.resident, c.windowBytes
+		c.wmu.Unlock()
+		if resident > capacity || resident < 0 || windowBytes > capacity/16 || windowBytes < 0 {
+			t.Errorf("store holds %d bytes, %d in the window; capacity %d", resident, windowBytes, capacity)
+		}
+		if windowBytes > 0 {
+			windowUsed.Store(true)
 		}
 	}
 
@@ -170,8 +184,8 @@ func TestBodyReferenceContract(t *testing.T) {
 			for step := 0; step < steps && !t.Failed(); step++ {
 				k := key(rng.Intn(keys))
 				switch op := rng.Intn(10); {
-				case op < 5: // a demand: hit, miss or collapse
-					b, _, err := c.FetchPaged(k, size(k), fill(rng))
+				case op < 5: // a demand or another range: hit, miss or collapse
+					b, _, err := c.FetchPaged(k, size(k), rng.Intn(3) != 0, fill(rng))
 					if err != nil {
 						if !errors.Is(err, boom) {
 							t.Errorf("FetchPaged: %v", err)
@@ -215,24 +229,36 @@ func TestBodyReferenceContract(t *testing.T) {
 	wg.Wait()
 
 	st := c.Stats()
-	if st.Hits == 0 || st.Collapsed == 0 || st.Evictions == 0 {
-		t.Errorf("the interleaving missed a case: %+v", st)
+	if st.Hits == 0 || st.Collapsed == 0 || st.Evictions == 0 || !windowUsed.Load() {
+		t.Errorf("the interleaving missed a case: %+v (window used: %v)", st, windowUsed.Load())
 	}
 	if st.Misses != st.Fills+st.Collapsed {
 		t.Errorf("misses %d != fills %d + collapsed %d", st.Misses, st.Fills, st.Collapsed)
 	}
-	// Every page handed out is now resident, held by the store alone, or
-	// back in the pool.
+	// Every page handed out is now resident, in the main store or the
+	// window and held by the store alone, or back in the pool; and the
+	// resident count is the bodies' bytes.
 	resident := map[*page]bool{}
+	var bytes int64
+	stored := func(b *Body) {
+		if n := b.refs.Load(); b.pages != nil && n != 1 {
+			t.Errorf("%v: resident body with %d references after every holder released", b.key, n)
+		}
+		for _, p := range b.pages {
+			resident[p] = true
+		}
+		bytes += b.size
+	}
 	for _, s := range c.shards {
 		for _, b := range s.entries {
-			if n := b.refs.Load(); b.pages != nil && n != 1 {
-				t.Errorf("%v: resident body with %d references after every holder released", b.key, n)
-			}
-			for _, p := range b.pages {
-				resident[p] = true
-			}
+			stored(b)
 		}
+	}
+	for _, b := range c.windowed {
+		stored(b)
+	}
+	if bytes != c.resident || bytes > capacity {
+		t.Errorf("bodies hold %d bytes, resident counts %d; capacity %d", bytes, c.resident, capacity)
 	}
 	for p := range handed {
 		if !pooled[p] && !resident[p] {

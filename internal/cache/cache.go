@@ -1,10 +1,23 @@
-// Package cache implements the edge-tier chunk cache: a sharded LRU
-// store of full chunk bodies with TinyLFU-flavoured admission (a
-// per-rendition level cap plus an optional seen-count doorkeeper) and
-// singleflight request collapsing, so N concurrent misses for the same
-// (video, chunk, rendition) key trigger exactly one origin fetch while
-// every waiter still gets the body — the exactly-once ledger contract
-// extended across sessions.
+// Package cache implements the edge-tier chunk cache: a sharded store of
+// full chunk bodies that admits by demand (TinyLFU, Einziger, Friedman &
+// Manes 2017), with a per-rendition level cap and singleflight request
+// collapsing, so N concurrent misses for the same (video, chunk,
+// rendition) key trigger exactly one origin fetch while every waiter
+// still gets the body — the exactly-once ledger contract extended across
+// sessions.
+//
+// Each shard counts demands per key in a fixed-size count-min sketch of
+// 4-bit counters, halved once the shard has seen sampleFactor times its
+// resident entries in demands. A completed fill enters the shard's LRU
+// only if its demand beats that of every body it would evict (and meets
+// the MinSeen doorkeeper); otherwise it waits in one cache-wide FIFO
+// admission window, at most CapacityBytes/16 and counted inside
+// CapacityBytes, where the rest of its fetch's ranges and the next
+// demand find it as a hit, and a demand that now wins promotes it. A
+// fill that wins fills its shard only to its share of the capacity
+// less the window's, so a refused fill displaces no resident body. A
+// body too large for the window, and every Put, is admitted by the
+// doorkeeper and recency alone, to the shard's whole share.
 //
 // Entries hold whole chunks; byte-range requests are served by slicing
 // (GetRange, Body.Block), which is what makes the collapsing effective:
@@ -47,9 +60,10 @@ type Config struct {
 	// renditions can be barred from displacing popular low ones).
 	// Negative = admit every level. Default -1.
 	MaxLevel int
-	// MinSeen is the doorkeeper threshold: a key is admitted to the
-	// store only once it has been requested MinSeen times (misses
-	// included). 0 or 1 admits on first miss. Default 1.
+	// MinSeen is the doorkeeper threshold: a key enters the main store
+	// only once its shard's sketch counts MinSeen demands for it; a fill
+	// it refuses waits in the admission window. 0 or 1 admits on first
+	// miss. Default 1.
 	MinSeen int
 }
 
@@ -80,9 +94,14 @@ type Stats struct {
 	Collapsed int64
 	// Fills counts origin fetches actually performed by singleflight
 	// leaders (successful or not).
-	Fills   int64
-	Entries int64
-	Bytes   int64
+	Fills int64
+	// Entries and Bytes are the bodies resident, main store and
+	// admission window together; Windowed and WindowBytes are the
+	// window's share.
+	Entries     int64
+	Bytes       int64
+	Windowed    int64
+	WindowBytes int64
 }
 
 // VideoStats is one video's request outcome tally, for the
@@ -105,6 +124,16 @@ type Cache struct {
 
 	vmu    sync.Mutex
 	videos map[string]*VideoStats
+
+	// wmu guards the admission window and resident. It is taken under a
+	// shard's lock, never the other way round, by every operation that
+	// changes the bytes the store holds.
+	wmu         sync.Mutex
+	window      Body // sentinel: window.next is the oldest body, window.prev the newest
+	windowed    map[Key]*Body
+	windowBytes int64
+	windowCap   int64 // CapacityBytes/16
+	resident    int64 // main store and window bytes, at most CapacityBytes
 
 	// cobs is the published telemetry handle (telemetry.go); nil = off.
 	cobs atomic.Pointer[cacheObs]
@@ -142,13 +171,15 @@ const poisonByte = 0xDB
 // returned. A flat body is not counted: Release is a no-op on it.
 type Body struct {
 	key Key
-	// prev and next link the shard's LRU list under its lock; once the
-	// body leaves the list, next chains one eviction pass's bodies.
+	// prev and next link the shard's LRU list under its lock, or the
+	// admission window under the cache's wmu; once the body leaves its
+	// list, next chains one store operation's evictions.
 	prev, next *Body
 	size       int64
 	flat       []byte
 	pages      []*page // nil for a flat body
 	refs       atomic.Int32
+	hash       uint32 // the key's sketch hash, set before the store sees the body
 }
 
 // retain adds n references to a filled body.
@@ -244,15 +275,18 @@ type shard struct {
 	entries map[Key]*Body
 	lru     Body // sentinel: lru.next is the most recent body, lru.prev the tail
 	bytes   int64
-	cap     int64
-	seen    map[Key]int // doorkeeper counts for not-yet-admitted keys
+	cap     int64 // CapacityBytes/Shards: a Put fills the shard to this
+	mainCap int64 // cap less the shard's share of the window: a fill that won the contest fills to this
+	demand  sketch
 	flights map[Key]*flight
 }
 
 // New builds a cache under cfg (zero value = defaults).
 func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
-	c := &Cache{cfg: cfg, videos: make(map[string]*VideoStats)}
+	c := &Cache{cfg: cfg, videos: make(map[string]*VideoStats),
+		windowed: make(map[Key]*Body), windowCap: cfg.CapacityBytes / 16}
+	c.window.next, c.window.prev = &c.window, &c.window
 	per := cfg.CapacityBytes / int64(cfg.Shards)
 	if per <= 0 {
 		per = 1
@@ -261,7 +295,7 @@ func New(cfg Config) *Cache {
 		s := &shard{
 			entries: make(map[Key]*Body),
 			cap:     per,
-			seen:    make(map[Key]int),
+			mainCap: (cfg.CapacityBytes - c.windowCap) / int64(cfg.Shards),
 			flights: make(map[Key]*flight),
 		}
 		s.lru.next, s.lru.prev = &s.lru, &s.lru
@@ -270,47 +304,63 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// shardFor maps a key to its shard by FNV-1a over the key fields.
-func (c *Cache) shardFor(k Key) *shard {
+// shardFor maps a key to its shard by FNV-1a over the key fields, and
+// to its sketch hash, the high half of that hash remixed.
+func (c *Cache) shardFor(k Key) (*shard, uint32) {
 	h := stats.FNVString(stats.FNVOffset, k.Video)
 	h = stats.FNVMix(stats.FNVMix(h, uint64(k.Level)), uint64(k.Chunk))
-	return c.shards[h%uint64(len(c.shards))]
+	return c.shards[h%uint64(len(c.shards))], uint32(h * 0x9E3779B97F4A7C15 >> 32)
 }
 
-func (s *shard) unlinkLocked(b *Body) {
+func unlink(b *Body) {
 	b.prev.next, b.next.prev = b.next, b.prev
 	b.prev, b.next = nil, nil
 }
 
-func (s *shard) pushFrontLocked(b *Body) {
-	b.prev, b.next = &s.lru, s.lru.next
-	b.next.prev, s.lru.next = b, b
+// linkAfter puts b in a list after at.
+func linkAfter(at, b *Body) {
+	b.prev, b.next = at, at.next
+	b.next.prev, at.next = b, b
 }
 
 // lookupLocked returns k's resident body with a reference for the
-// caller, refreshing its LRU position, or nil.
-func (s *shard) lookupLocked(k Key) *Body {
-	b, ok := s.entries[k]
+// caller, or nil. A body in the main store moves to the front of its
+// LRU list; one in the admission window keeps its place, unless demand
+// says the caller counted a demand for k, which may promote it. The
+// promotion's evictions go to ev.
+func (c *Cache) lookupLocked(s *shard, k Key, demand bool, ev *evictions) *Body {
+	if b, ok := s.entries[k]; ok {
+		if s.lru.next != b {
+			unlink(b)
+			linkAfter(&s.lru, b)
+		}
+		b.retain(1)
+		return b
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	b, ok := c.windowed[k]
 	if !ok {
 		return nil
 	}
-	if s.lru.next != b {
-		s.unlinkLocked(b)
-		s.pushFrontLocked(b)
-	}
 	b.retain(1)
+	if demand && c.winsLocked(s, b, b.size) {
+		// The store's reference moves with the body; the bytes stay resident.
+		c.unwindowLocked(b)
+		c.resident -= b.size
+		c.insertLocked(s, b, s.mainCap, ev)
+	}
 	return b
 }
 
 // Get returns the full cached body for k, or ok=false on a miss. A hit
 // refreshes the key's LRU position. A caller's body comes back as it was
 // stored; a filled one is copied out, its pages being recycled. Get alone
-// does not feed the doorkeeper — Fetch is the demand path; Get serves
-// probes.
+// counts no demand — Fetch is the demand path; Get serves probes.
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	s := c.shardFor(k)
+	s, _ := c.shardFor(k)
 	s.mu.Lock()
-	b := s.lookupLocked(k)
+	b := c.lookupLocked(s, k, false, nil)
 	s.mu.Unlock()
 	if b == nil {
 		return nil, false
@@ -324,9 +374,9 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 // the key is absent or the range exceeds the stored body. A caller's
 // body is sliced; a filled one is copied out.
 func (c *Cache) GetRange(k Key, from, to int64) ([]byte, bool) {
-	s := c.shardFor(k)
+	s, _ := c.shardFor(k)
 	s.mu.Lock()
-	b := s.lookupLocked(k)
+	b := c.lookupLocked(s, k, false, nil)
 	s.mu.Unlock()
 	if b == nil {
 		return nil, false
@@ -348,19 +398,21 @@ func (b *Body) bytes(from, to int64) []byte {
 	return b.appendRange(make([]byte, 0, to-from), from, to)
 }
 
-// Put inserts k's full body, subject to the admission policy, evicting
-// from the tail of the shard's LRU list until the body fits. It reports
+// Put inserts k's full body into the main store, subject to the level
+// cap and the doorkeeper but not to the demand contest, evicting from
+// the tail of the shard's LRU list until the body fits. It reports
 // whether the body was admitted. The store keeps body itself.
 func (c *Cache) Put(k Key, body []byte) bool {
-	s := c.shardFor(k)
-	if !c.admitLevel(k) || int64(len(body)) > s.cap {
-		return false
-	}
+	s, h := c.shardFor(k)
 	b := flatBody(k, body)
+	b.hash = h
+	var ev evictions
 	s.mu.Lock()
-	ok, old, evicted := c.admitLocked(s, b)
+	c.wmu.Lock()
+	ok, old := c.admitLocked(s, b, false, &ev)
+	c.wmu.Unlock()
 	s.mu.Unlock()
-	c.settle(old, evicted)
+	c.settle(old, ev.head)
 	return ok
 }
 
@@ -369,66 +421,150 @@ func (c *Cache) admitLevel(k Key) bool {
 	return c.cfg.MaxLevel < 0 || k.Level <= c.cfg.MaxLevel
 }
 
-// admitLocked stores b under its key if the admission policy lets it,
-// with a reference for the store. It unlinks the body it replaces and
-// evicts from the LRU tail until the shard fits; the caller drops their
-// store references outside the lock (settle).
-func (c *Cache) admitLocked(s *shard, b *Body) (ok bool, old, evicted *Body) {
-	if !c.admitLevel(b.key) || b.size > s.cap || !s.admitSeenLocked(b.key, c.cfg.MinSeen) {
-		return false, nil, nil
+// admitLocked stores b under its key in the main store, with a
+// reference for the store, if the level cap, the shard's budget and the
+// doorkeeper let it; with contest, only if it also wins winsLocked's
+// contest, and then within mainCap. It unlinks the body it replaces,
+// from the store or the window, and evicts until b fits; the caller
+// drops the store's references outside the locks (settle). Caller holds
+// s.mu and c.wmu.
+func (c *Cache) admitLocked(s *shard, b *Body, contest bool, ev *evictions) (ok bool, old *Body) {
+	if !c.admitLevel(b.key) || b.size > s.cap || !c.doorkeeperLocked(s, b) {
+		return false, nil
 	}
 	if old = s.entries[b.key]; old != nil {
-		s.unlinkLocked(old)
+		unlink(old)
+		delete(s.entries, b.key)
 		s.bytes -= old.size
+	} else if old = c.windowed[b.key]; old != nil {
+		c.unwindowLocked(old)
+	} else if contest && !c.winsLocked(s, b, 0) {
+		return false, nil
+	}
+	if old != nil {
+		c.resident -= old.size
 	}
 	b.retain(1)
+	if contest {
+		c.insertLocked(s, b, s.mainCap, ev)
+	} else {
+		c.insertLocked(s, b, s.cap, ev)
+	}
+	return true, old
+}
+
+// doorkeeperLocked reports whether b's key has been demanded MinSeen
+// times.
+func (c *Cache) doorkeeperLocked(s *shard, b *Body) bool {
+	return c.cfg.MinSeen <= 1 || s.demand.estimate(b.hash) >= c.cfg.MinSeen
+}
+
+// winsLocked is the TinyLFU contest: b may enter s's main store if the
+// doorkeeper lets it and its demand beats that of every body it would
+// evict from the LRU tail to fit mainCap and the capacity, counting
+// freeing bytes that b gives back elsewhere (the window's).
+func (c *Cache) winsLocked(s *shard, b *Body, freeing int64) bool {
+	if !c.doorkeeperLocked(s, b) {
+		return false
+	}
+	f := s.demand.estimate(b.hash)
+	need := max(s.bytes+b.size-s.mainCap, c.resident-freeing+b.size-c.cfg.CapacityBytes)
+	for v := s.lru.prev; need > 0 && v != &s.lru; v = v.prev {
+		if s.demand.estimate(v.hash) >= f {
+			return false
+		}
+		need -= v.size
+	}
+	return true
+}
+
+// insertLocked puts b at the front of s's LRU list, evicting the list's
+// tail until the shard's bytes fit cap, then whatever reserveLocked
+// takes.
+func (c *Cache) insertLocked(s *shard, b *Body, cap int64, ev *evictions) {
+	for s.bytes+b.size > cap && c.evictTailLocked(s, ev) {
+	}
+	c.reserveLocked(s, b.size, ev) // b.size ≤ s.cap: the other shards leave room
 	s.entries[b.key] = b
-	s.pushFrontLocked(b)
+	linkAfter(&s.lru, b)
 	s.bytes += b.size
-	delete(s.seen, b.key)
-	return true, old, s.evictLocked()
 }
 
-// admitSeenLocked applies the doorkeeper: true once the key has been
-// demanded at least minSeen times. The seen map is bounded: it resets
-// when it outgrows 8× the shard's resident entries (a cold restart of
-// the doorkeeper, not of the cache).
-func (s *shard) admitSeenLocked(k Key, minSeen int) bool {
-	if minSeen <= 1 {
-		return true
+// parkLocked puts a fill the main store refused at the back of the
+// admission window, with a reference for the store, dropping the
+// window's oldest bodies until it fits there. The capacity has its room
+// unless Puts filled the main store past mainCap. A body that cannot
+// fit is not stored.
+func (c *Cache) parkLocked(s *shard, b *Body, ev *evictions) {
+	for c.windowBytes+b.size > c.windowCap && c.dropOldestLocked(ev) {
 	}
-	if s.seen[k] >= minSeen {
-		return true
+	if !c.reserveLocked(s, b.size, ev) {
+		return
 	}
-	if len(s.seen) > 8*(len(s.entries)+64) {
-		s.seen = make(map[Key]int)
-	}
-	return false
+	b.retain(1)
+	c.windowed[b.key] = b
+	linkAfter(c.window.prev, b)
+	c.windowBytes += b.size
 }
 
-// noteSeen counts one demand for k toward the doorkeeper.
-func (s *shard) noteSeen(k Key) {
-	s.mu.Lock()
-	if _, resident := s.entries[k]; !resident {
-		s.seen[k]++
+// reserveLocked counts n more resident bytes once they fit the capacity,
+// evicting s's LRU tail first, then the window's oldest bodies. It
+// reports false, having counted nothing, when there is nothing left to
+// evict.
+func (c *Cache) reserveLocked(s *shard, n int64, ev *evictions) bool {
+	for c.resident+n > c.cfg.CapacityBytes {
+		if !c.evictTailLocked(s, ev) && !c.dropOldestLocked(ev) {
+			return false
+		}
 	}
-	s.mu.Unlock()
+	c.resident += n
+	return true
 }
 
-// evictLocked drops LRU-tail bodies until the shard fits its budget,
-// returning them chained through next, in eviction order, still holding
-// the store's reference.
-func (s *shard) evictLocked() *Body {
-	var head *Body
-	tail := &head
-	for s.bytes > s.cap && s.lru.prev != &s.lru {
-		b := s.lru.prev
-		s.unlinkLocked(b)
-		delete(s.entries, b.key)
-		s.bytes -= b.size
-		*tail, tail = b, &b.next
+// evictTailLocked evicts s's LRU tail, if it has one.
+func (c *Cache) evictTailLocked(s *shard, ev *evictions) bool {
+	b := s.lru.prev
+	if b == &s.lru {
+		return false
 	}
-	return head
+	unlink(b)
+	delete(s.entries, b.key)
+	s.bytes -= b.size
+	c.resident -= b.size
+	ev.add(b)
+	return true
+}
+
+// dropOldestLocked evicts the admission window's oldest body, if any.
+func (c *Cache) dropOldestLocked(ev *evictions) bool {
+	b := c.window.next
+	if b == &c.window {
+		return false
+	}
+	c.unwindowLocked(b)
+	c.resident -= b.size
+	ev.add(b)
+	return true
+}
+
+// unwindowLocked takes b out of the window; its bytes stay in resident.
+func (c *Cache) unwindowLocked(b *Body) {
+	unlink(b)
+	delete(c.windowed, b.key)
+	c.windowBytes -= b.size
+}
+
+// evictions chains the bodies one store operation evicts through next,
+// in eviction order, each still holding the store's reference.
+type evictions struct{ head, tail *Body }
+
+func (e *evictions) add(b *Body) {
+	if e.tail == nil {
+		e.head = b
+	} else {
+		e.tail.next = b
+	}
+	e.tail = b
 }
 
 // settle drops the store's references to a replaced body and to an
@@ -447,17 +583,18 @@ func (c *Cache) settle(old, evicted *Body) {
 	}
 }
 
-// Fetch returns k's body, collapsing concurrent misses: a hit returns
-// immediately; on a miss, exactly one caller (the leader) runs fill and
-// every concurrent caller for the same key waits for its outcome. A
-// failed fill caches nothing and propagates the leader's error to all
-// waiters; the next Fetch after the flight clears retries from scratch.
-// hit reports whether the body came from the store without waiting on
-// an origin fill (collapsed waiters report hit=false — they paid the
-// fill latency too). The store keeps the slice fill returns; a body
-// FetchPaged filled comes back copied out.
+// Fetch returns k's body, counting one demand for it and collapsing
+// concurrent misses: a hit returns immediately; on a miss, exactly one
+// caller (the leader) runs fill and every concurrent caller for the
+// same key waits for its outcome. A failed fill caches nothing and
+// propagates the leader's error to all waiters; the next Fetch after the
+// flight clears retries from scratch. hit reports whether the body came
+// from the store without waiting on an origin fill (collapsed waiters
+// report hit=false — they paid the fill latency too). The store keeps
+// the slice fill returns; a body FetchPaged filled comes back copied
+// out.
 func (c *Cache) Fetch(k Key, fill func() ([]byte, error)) (body []byte, hit bool, err error) {
-	b, hit, err := c.fetch(k, func() (*Body, error) {
+	b, hit, err := c.fetch(k, true, func() (*Body, error) {
 		body, err := fill()
 		if err != nil {
 			return nil, err
@@ -474,11 +611,13 @@ func (c *Cache) Fetch(k Key, fill func() ([]byte, error)) (body []byte, hit bool
 // FetchPaged is Fetch for a body the cache owns: on a miss the leader's
 // fill writes the chunk into size bytes of pages the cache hands it
 // (through Block) and returns; a fill that fails gives the pages back.
-// The body comes back with one reference held for the caller, who
-// Releases it once nothing reads it any more. Its length is the leader's
-// size, or that of whatever body is resident under k.
-func (c *Cache) FetchPaged(k Key, size int64, fill func(*Body) error) (body *Body, hit bool, err error) {
-	return c.fetch(k, func() (*Body, error) {
+// demand says whether the call counts as a demand for k: a caller that
+// serves a chunk as several range requests counts one of them. The body
+// comes back with one reference held for the caller, who Releases it
+// once nothing reads it any more. Its length is the leader's size, or
+// that of whatever body is resident under k.
+func (c *Cache) FetchPaged(k Key, size int64, demand bool, fill func(*Body) error) (body *Body, hit bool, err error) {
+	return c.fetch(k, demand, func() (*Body, error) {
 		b := newPagedBody(k, size)
 		if err := fill(b); err != nil {
 			b.Release()
@@ -489,14 +628,19 @@ func (c *Cache) FetchPaged(k Key, size int64, fill func(*Body) error) (body *Bod
 }
 
 // fetch is the demand path of Fetch and FetchPaged: a hit, a collapsed
-// wait on k's flight, or a fill led, admitted and published in one pass
+// wait on k's flight, or a fill led, placed and published in one pass
 // of the shard lock. fill returns its body with the leader's reference;
 // the body comes back with one for the caller.
-func (c *Cache) fetch(k Key, fill func() (*Body, error)) (*Body, bool, error) {
-	s := c.shardFor(k)
+func (c *Cache) fetch(k Key, demand bool, fill func() (*Body, error)) (*Body, bool, error) {
+	s, h := c.shardFor(k)
+	var ev evictions
 	s.mu.Lock()
-	if b := s.lookupLocked(k); b != nil {
+	if demand {
+		s.demand.add(h, len(s.entries))
+	}
+	if b := c.lookupLocked(s, k, demand, &ev); b != nil {
 		s.mu.Unlock()
+		c.settle(nil, ev.head)
 		c.hits.Add(1)
 		c.noteVideo(k.Video, true)
 		c.emitHit(k)
@@ -519,22 +663,38 @@ func (c *Cache) fetch(k Key, fill func() (*Body, error)) (*Body, bool, error) {
 	c.misses.Add(1)
 	c.noteVideo(k.Video, false)
 	c.emitMiss(k)
-	s.noteSeen(k)
 
 	c.fills.Add(1)
 	b, err := fill()
-	var old, evicted *Body
+	var old *Body
+	if err == nil {
+		b.hash = h
+	}
 	s.mu.Lock()
 	if err == nil {
-		_, old, evicted = c.admitLocked(s, b)
+		old = c.placeLocked(s, b, &ev)
 		b.retain(fl.waiters)
 	}
 	fl.body, fl.err = b, err
 	delete(s.flights, k)
 	s.mu.Unlock()
-	c.settle(old, evicted)
+	c.settle(old, ev.head)
 	close(fl.done)
 	return b, false, err
+}
+
+// placeLocked stores a completed fill: in the main store if the level
+// cap, the doorkeeper and the contest let it, else in the admission
+// window. A body too large for the window is admitted as Put admits.
+func (c *Cache) placeLocked(s *shard, b *Body, ev *evictions) (old *Body) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	contest := b.size <= c.windowCap
+	ok, old := c.admitLocked(s, b, contest, ev)
+	if !ok && contest && c.admitLevel(b.key) && b.size <= s.cap {
+		c.parkLocked(s, b, ev)
+	}
+	return old
 }
 
 // noteVideo tallies one request outcome against k's video.
@@ -562,14 +722,19 @@ func (c *Cache) Stats() Stats {
 		bytes += s.bytes
 		s.mu.Unlock()
 	}
+	c.wmu.Lock()
+	windowed, windowBytes := int64(len(c.windowed)), c.windowBytes
+	c.wmu.Unlock()
 	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Collapsed: c.collapsed.Load(),
-		Fills:     c.fills.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Evictions:   c.evictions.Load(),
+		Collapsed:   c.collapsed.Load(),
+		Fills:       c.fills.Load(),
+		Entries:     entries + windowed,
+		Bytes:       bytes + windowBytes,
+		Windowed:    windowed,
+		WindowBytes: windowBytes,
 	}
 }
 

@@ -93,18 +93,20 @@ func TestDoorkeeperMinSeen(t *testing.T) {
 	c := New(Config{MinSeen: 2, Shards: 1})
 	k := Key{Video: "v", Chunk: 1}
 	fill := func() ([]byte, error) { return body(64, 7), nil }
-	// First demand: miss, fill runs, but the doorkeeper bars admission.
+	// First demand: miss, fill runs, but the doorkeeper bars the main
+	// store; the body waits in the admission window.
 	if _, hit, err := c.Fetch(k, fill); hit || err != nil {
 		t.Fatalf("first fetch: hit=%v err=%v", hit, err)
 	}
-	if st := c.Stats(); st.Entries != 0 {
+	if st := c.Stats(); st.Entries-st.Windowed != 0 || st.Windowed != 1 {
 		t.Fatalf("admitted on first sight despite MinSeen=2: %+v", st)
 	}
-	// Second demand: the key has now been seen, so the fill is admitted.
-	if _, hit, err := c.Fetch(k, fill); hit || err != nil {
+	// Second demand: the window serves it, and the key, now seen twice,
+	// moves to the main store without a second fill.
+	if _, hit, err := c.Fetch(k, fill); !hit || err != nil {
 		t.Fatalf("second fetch: hit=%v err=%v", hit, err)
 	}
-	if st := c.Stats(); st.Entries != 1 {
+	if st := c.Stats(); st.Entries-st.Windowed != 1 || st.Fills != 1 {
 		t.Fatalf("not admitted on second sight: %+v", st)
 	}
 	// Third demand is a hit.
@@ -356,8 +358,10 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 
 	// The uncontended leader path end to end: flight registration, an
-	// instant fill, admission, eviction, flight close. Every call uses a
-	// fresh key so it is always a miss. The 16,384 calls before the count
+	// instant fill, the contest it loses (its key is new, as is every
+	// key the store holds), its park in the admission window, which
+	// drops its oldest body, flight close. Every call uses a fresh key so
+	// it is always a miss. The 16,384 calls before the count
 	// fill the store and let the shards' maps grow to the size that churn
 	// keeps them at; counted from empty, the first thousand calls read
 	// about 40 B of map growth more per call.
@@ -397,10 +401,23 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // TestChurnCountsPinned: 150 keys × 16 KiB through a 1 MiB single-shard
-// store (64 resident) — a cold sweep whose evictions are deterministic,
-// then a re-read of the resident LRU tail whose hits are too.
+// store — room for 64, a contest filling the main store to 60 and a
+// window of 4 — a cold sweep, then a re-read of its last 50 keys, each
+// fetch one demand. By hand:
+//   - Keys 0–59 fill a main store with room: 60 misses, all admitted.
+//   - Keys 60–149, demanded once, tie the LRU tail's one demand and lose
+//     the contest: 90 misses parked in the window, where keys 64–149
+//     each drop the oldest. 86 evictions; main holds 0–59, window
+//     146–149.
+//   - Keys 100–145, demanded twice, beat the tail (0–45, once each): 46
+//     misses that each evict one. Keys 146–149 are window hits whose
+//     second demand beats the tail too: each moves to the main store,
+//     evicting one of 46–49.
+//
+// 4 hits, 196 misses, 136 evictions. Recency alone (the contest off)
+// reads 50, 150, 86: the re-read finds keys 100–149 resident.
 func TestChurnCountsPinned(t *testing.T) {
-	const wantHits, wantMisses, wantEvictions = 50, 150, 86
+	const wantHits, wantMisses, wantEvictions = 4, 196, 136
 	c := New(Config{CapacityBytes: 1 << 20, Shards: 1})
 	b := body(16<<10, 1)
 	fetch := func(chunk int) {

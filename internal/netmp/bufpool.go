@@ -131,12 +131,14 @@ func (poisonSource) Read(p []byte) (int, error) {
 }
 
 // Test hooks, nil outside tests: testHookWindow sees every window as it
-// is lent (out) and as it goes back to windowPool; testHookBlock sees
+// is lent (out) and as it goes back to windowPool, before it is emptied,
+// with drop set when the give-back discards what it holds (a redial or
+// Close); testHookBlock sees
 // every body read into a segment block; testHookHold counts, by +1 and
 // -1, the segment blocks taken from and given back to segBufPool, and
 // the stored bodies' references the front takes and releases (stored).
 var (
-	testHookWindow func(w *bufio.Reader, out bool)
+	testHookWindow func(w *bufio.Reader, out, drop bool)
 	testHookBlock  func()
 	testHookHold   func(stored bool, delta int)
 )
@@ -152,7 +154,7 @@ func (pc *pathConn) lend() {
 	}
 	w := getReader(&windowPool, pc.conn)
 	if testHookWindow != nil {
-		testHookWindow(w, true)
+		testHookWindow(w, true, false)
 	}
 	pc.r = w
 }
@@ -166,10 +168,10 @@ func (pc *pathConn) unlend(drop bool) {
 	if w == pc.own || w.Buffered() > 0 && !drop {
 		return
 	}
-	emptyReader(w)
 	if testHookWindow != nil {
-		testHookWindow(w, false)
+		testHookWindow(w, false, drop)
 	}
+	emptyReader(w)
 	windowPool.Put(w)
 	pc.r = pc.own
 }

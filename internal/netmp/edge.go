@@ -183,12 +183,13 @@ func (e *EdgeServer) closeFetchers() error {
 // shared store, with a reference for the response, filling from origin
 // on a miss (singleflight-collapsed across every concurrent request for
 // the key, this edge's and its siblings' alike), and whether it was a
-// hit. The store is shared and caller-provided, so a body of the wrong
+// hit. The range that starts at byte 0 counts the chunk's one demand.
+// The store is shared and caller-provided, so a body of the wrong
 // length is a failed fill, not something to slice.
-func (e *EdgeServer) chunk(index, level int) (chunkBody, error) {
+func (e *EdgeServer) chunk(index, level int, from int64) (chunkBody, error) {
 	k := cache.Key{Video: e.name, Level: level, Chunk: index}
 	size := e.Video.ChunkSize(index, level)
-	body, hit, err := e.store.FetchPaged(k, size, func(b *cache.Body) error {
+	body, hit, err := e.store.FetchPaged(k, size, from == 0, func(b *cache.Body) error {
 		return e.fillFromOrigin(index, level, b)
 	})
 	if err != nil {

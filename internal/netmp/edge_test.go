@@ -317,6 +317,43 @@ func TestEdgeHoldsBodyUntilFlush(t *testing.T) {
 	}
 }
 
+// TestEdgeDoorkeeperParksInWindow: under MinSeen 2 a chunk's first fetch
+// through an edge is one origin fill, which the doorkeeper keeps out of
+// the main store; the fetch's other ranges find the body in the
+// admission window. The second fetch, the chunk's second demand, makes
+// no fill and moves it to the main store.
+func TestEdgeDoorkeeperParksInWindow(t *testing.T) {
+	v := wireVideo()
+	origin, err := NewChunkServer(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	store := cache.New(cache.Config{MinSeen: 2})
+	edge, err := NewEdgeServer(v, "wire", []string{origin.Addr()}, store, EdgePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	f, err := NewFetcher(v, edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.SegmentSize = 16 << 10
+	ranges := (v.ChunkSize(0, 0) + f.SegmentSize - 1) / f.SegmentSize
+	for i, want := range []struct{ fills, main int64 }{{1, 0}, {1, 1}} {
+		res, err := f.FetchChunk(0, 0, 10*time.Second)
+		if err != nil || !res.Verified || res.Retries != 0 {
+			t.Fatalf("fetch %d: %+v, %v", i+1, res, err)
+		}
+		if st := store.Stats(); st.Fills != want.fills || st.Entries-st.Windowed != want.main {
+			t.Errorf("after fetch %d of a %d-range chunk: %d fills, %d entries in the main store; want %d and %d",
+				i+1, ranges, st.Fills, st.Entries-st.Windowed, want.fills, want.main)
+		}
+	}
+}
+
 // TestEdgeFillAllocs is the allocation contract of a fill: under steady
 // churn through an edge, where every chunk is a miss and every fill
 // evicts, a fill writes its body into pages the store recycled and

@@ -70,9 +70,10 @@ type front struct {
 
 // bodySource is the seam between the front and what it serves: the
 // request loop validates a range request against the catalog and asks
-// the source for the chunk behind it. An error is answered 503.
+// the source for the chunk behind it, from the range's first byte. An
+// error is answered 503.
 type bodySource interface {
-	chunk(index, level int) (chunkBody, error)
+	chunk(index, level int, from int64) (chunkBody, error)
 }
 
 // chunkBody is one resolved chunk, as data the request loop can act on.
@@ -567,7 +568,7 @@ func (f *front) serve(ctx context.Context, conn net.Conn, tr *connTrack) {
 			f.reply(conn, tr, head416)
 			continue
 		}
-		body, err := f.src.chunk(index, level)
+		body, err := f.src.chunk(index, level, from)
 		if err != nil {
 			// A source that cannot produce the chunk (an edge whose origin
 			// set is exhausted) is the server's overload face: transient

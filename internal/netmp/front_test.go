@@ -91,7 +91,7 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 // is the origin's (no stored body, no cache state, no fault).
 type panicOnce struct{ done atomic.Bool }
 
-func (p *panicOnce) chunk(index, level int) (chunkBody, error) {
+func (p *panicOnce) chunk(int, int, int64) (chunkBody, error) {
 	if !p.done.Swap(true) {
 		panic("body source bug")
 	}
@@ -160,8 +160,8 @@ type faultingSource struct {
 	stall time.Duration
 }
 
-func (s faultingSource) chunk(index, level int) (chunkBody, error) {
-	b, err := s.bodySource.chunk(index, level)
+func (s faultingSource) chunk(index, level int, from int64) (chunkBody, error) {
+	b, err := s.bodySource.chunk(index, level, from)
 	b.fault, b.stall = s.fault, s.stall
 	return b, err
 }
@@ -543,8 +543,8 @@ type resetNth struct {
 	calls *atomic.Int64
 }
 
-func (s resetNth) chunk(index, level int) (chunkBody, error) {
-	b, err := s.bodySource.chunk(index, level)
+func (s resetNth) chunk(index, level int, from int64) (chunkBody, error) {
+	b, err := s.bodySource.chunk(index, level, from)
 	if s.calls.Add(1) == s.n {
 		b.fault = FaultReset
 	}

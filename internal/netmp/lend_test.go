@@ -18,8 +18,8 @@ import (
 )
 
 // windowWatch counts, through the test hooks, the windows lent and given
-// back, those given back holding bytes, and the bodies read into a
-// segment block. It must start before the test's servers and fetchers
+// back, those given back cleanly (no redial or Close dropping them) while
+// still holding bytes, and the bodies read into a segment block. It must start before the test's servers and fetchers
 // and outlive them, as its cleanup unhooks.
 type windowWatch struct {
 	mu                         sync.Mutex
@@ -28,7 +28,7 @@ type windowWatch struct {
 
 func watchWindows(t *testing.T) *windowWatch {
 	ww := &windowWatch{}
-	testHookWindow = func(w *bufio.Reader, out bool) {
+	testHookWindow = func(w *bufio.Reader, out, drop bool) {
 		ww.mu.Lock()
 		defer ww.mu.Unlock()
 		if out {
@@ -36,7 +36,7 @@ func watchWindows(t *testing.T) *windowWatch {
 			return
 		}
 		ww.back++
-		if w.Buffered() > 0 {
+		if !drop && w.Buffered() > 0 {
 			ww.holding++
 		}
 	}

@@ -96,7 +96,7 @@ func plannedServer(t *testing.T, v *dash.Video, plan *FaultPlan) *ChunkServer {
 // the front parsed.
 type countingSource struct{ requests atomic.Int64 }
 
-func (s *countingSource) chunk(int, int) (chunkBody, error) {
+func (s *countingSource) chunk(int, int, int64) (chunkBody, error) {
 	s.requests.Add(1)
 	return chunkBody{}, nil
 }

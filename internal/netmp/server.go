@@ -54,10 +54,11 @@ func newFaultRand(seed int64) *rand.Rand {
 }
 
 // chunk is the origin's body source: no stored body (the front
-// generates the bytes), no cache state, and the fault plan's verdict —
+// generates the bytes), no cache state, no use for the range's first
+// byte, and the fault plan's verdict —
 // read under faultMu because SetFaultProbs can install or mutate the
 // plan mid-run.
-func (s *ChunkServer) chunk(index, level int) (chunkBody, error) {
+func (s *ChunkServer) chunk(index, level int, _ int64) (chunkBody, error) {
 	s.faultMu.Lock()
 	defer s.faultMu.Unlock()
 	b := chunkBody{fault: s.nextFaultLocked(level)}

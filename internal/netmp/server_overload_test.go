@@ -264,9 +264,9 @@ type onFirstLookup struct {
 	fn   func()
 }
 
-func (s onFirstLookup) chunk(index, level int) (chunkBody, error) {
+func (s onFirstLookup) chunk(index, level int, from int64) (chunkBody, error) {
 	s.once.Do(s.fn)
-	return s.bodySource.chunk(index, level)
+	return s.bodySource.chunk(index, level, from)
 }
 
 // TestDrainFlushesQueuedRun drains a front while it answers a pipelined
