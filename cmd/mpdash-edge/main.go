@@ -68,7 +68,7 @@ func run() int {
 	store := cache.New(cache.Config{
 		CapacityBytes: int64(*cacheMB) << 20,
 		Shards:        *shards,
-		MaxLevel:      *maxLevel,
+		Levels:        *maxLevel + 1, // levels 0..max; -1 gives 0, every level
 		MinSeen:       *minSeen,
 	})
 	edge, err := netmp.NewEdgeServer(video, video.Name, originList, store, netmp.EdgePolicy{

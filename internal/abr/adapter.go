@@ -233,7 +233,3 @@ func (a *Adapter) OnChunkStart(st dash.PlayerState, meta dash.ChunkMeta, tr *mpt
 			WithNum("size", float64(meta.Size))
 	}, st)
 }
-
-// OnChunkDone implements dash.Adapter. Completion already deactivates the
-// scheduler (condition 1); nothing further is required.
-func (a *Adapter) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}

@@ -139,6 +139,3 @@ func (b *BBA) SelectLevel(st dash.PlayerState) int {
 	}
 	return next
 }
-
-// OnChunkDone implements dash.RateAdapter.
-func (b *BBA) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}

@@ -104,9 +104,6 @@ func (f *FastMPC) SelectLevel(st dash.PlayerState) int {
 	return int(f.table[bi][prev][ti])
 }
 
-// OnChunkDone implements dash.RateAdapter.
-func (f *FastMPC) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}
-
 func clampInt(x, lo, hi int) int {
 	if x < lo {
 		return lo

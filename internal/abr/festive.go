@@ -74,6 +74,3 @@ func (f *FESTIVE) SelectLevel(st dash.PlayerState) int {
 		return cur
 	}
 }
-
-// OnChunkDone implements dash.RateAdapter.
-func (f *FESTIVE) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}

@@ -32,6 +32,3 @@ func (g *GPAC) SelectLevel(st dash.PlayerState) int {
 	}
 	return l
 }
-
-// OnChunkDone implements dash.RateAdapter.
-func (g *GPAC) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}

@@ -108,9 +108,6 @@ func (m *MPC) SelectLevel(st dash.PlayerState) int {
 	return bestLevel
 }
 
-// OnChunkDone implements dash.RateAdapter.
-func (m *MPC) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}
-
 // DeadlineForOptimalRate is the §5.2.3 suggestion for MPC's MP-DASH
 // deadline: chunk size divided by the minimum throughput that sustains the
 // chosen bitrate (approximated by the bitrate itself).

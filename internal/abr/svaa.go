@@ -79,6 +79,3 @@ func (a *SVAA) SelectLevel(st dash.PlayerState) int {
 		return cur
 	}
 }
-
-// OnChunkDone implements dash.RateAdapter.
-func (a *SVAA) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}

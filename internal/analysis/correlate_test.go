@@ -79,13 +79,12 @@ func capturedSessionMPDash(t *testing.T, chunks int) (*dash.Report, *pcaplite.Tr
 
 type fixedLevelABR struct{ level int }
 
-func (f fixedLevelABR) Name() string                                   { return "fixed" }
-func (f fixedLevelABR) SelectLevel(dash.PlayerState) int               { return f.level }
-func (f fixedLevelABR) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}
+func (f fixedLevelABR) Name() string                     { return "fixed" }
+func (f fixedLevelABR) SelectLevel(dash.PlayerState) int { return f.level }
 
 func TestCorrelateMatchesPlayerAccounting(t *testing.T) {
 	rep, tr := capturedSession(t, 10)
-	cts, err := Correlate(tr, rep.Events)
+	cts, err := Correlate(tr, rep.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestCorrelateRoundTripsThroughBinaryFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cts, err := Correlate(parsed, rep.Events)
+	cts, err := Correlate(parsed, rep.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +161,7 @@ func TestCorrelateDecisionBit(t *testing.T) {
 	// must carry a zero decision bit — so the per-chunk on-fraction is
 	// below 1 for governed chunks that ran WiFi-only.
 	rep, tr := capturedSessionMPDash(t, 12)
-	cts, err := Correlate(tr, rep.Events)
+	cts, err := Correlate(tr, rep.Events())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 // 4-bit counters, halved once the shard has seen sampleFactor times its
 // resident entries in demands. A completed fill enters the shard's LRU
 // only if its demand beats that of every body it would evict (and meets
-// the MinSeen doorkeeper); otherwise it waits in one cache-wide FIFO
-// admission window, at most CapacityBytes/16 and counted inside
-// CapacityBytes, where the rest of its fetch's ranges and the next
+// the level cap and the MinSeen doorkeeper); otherwise it waits in one
+// cache-wide FIFO admission window, at most CapacityBytes/16 and counted
+// inside CapacityBytes, where the rest of its fetch's ranges and the next
 // demand find it as a hit, and a demand that now wins promotes it. A
 // fill that wins fills its shard only to its share of the capacity
 // less the window's, so a refused fill displaces no resident body. A
@@ -55,11 +55,13 @@ type Config struct {
 	CapacityBytes int64
 	// Shards is the number of independently locked shards. Default 16.
 	Shards int
-	// MaxLevel is the highest rendition level index admitted to the
-	// cache (the per-rendition admission policy: top-bitrate long-tail
-	// renditions can be barred from displacing popular low ones).
-	// Negative = admit every level. Default -1.
-	MaxLevel int
+	// Levels is how many rendition levels, from the lowest, the main
+	// store admits (the per-rendition admission policy: top-bitrate
+	// long-tail renditions can be barred from displacing popular low
+	// ones). A fill above the cap waits in the admission window and is
+	// never promoted, so the rest of its fetch's ranges still hit. 0 =
+	// every level.
+	Levels int
 	// MinSeen is the doorkeeper threshold: a key enters the main store
 	// only once its shard's sketch counts MinSeen demands for it; a fill
 	// it refuses waits in the admission window. 0 or 1 admits on first
@@ -73,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 16
-	}
-	if c.MaxLevel == 0 {
-		c.MaxLevel = -1
 	}
 	if c.MinSeen <= 0 {
 		c.MinSeen = 1
@@ -399,9 +398,10 @@ func (b *Body) bytes(from, to int64) []byte {
 }
 
 // Put inserts k's full body into the main store, subject to the level
-// cap and the doorkeeper but not to the demand contest, evicting from
-// the tail of the shard's LRU list until the body fits. It reports
-// whether the body was admitted. The store keeps body itself.
+// cap and the doorkeeper (admissibleLocked) but not to the demand
+// contest, evicting from the tail of the shard's LRU list until the body
+// fits. It reports whether the body was admitted. The store keeps body
+// itself.
 func (c *Cache) Put(k Key, body []byte) bool {
 	s, h := c.shardFor(k)
 	b := flatBody(k, body)
@@ -416,20 +416,15 @@ func (c *Cache) Put(k Key, body []byte) bool {
 	return ok
 }
 
-// admitLevel applies the per-rendition admission cap.
-func (c *Cache) admitLevel(k Key) bool {
-	return c.cfg.MaxLevel < 0 || k.Level <= c.cfg.MaxLevel
-}
-
 // admitLocked stores b under its key in the main store, with a
-// reference for the store, if the level cap, the shard's budget and the
-// doorkeeper let it; with contest, only if it also wins winsLocked's
+// reference for the store, if the shard's budget and admissibleLocked
+// let it; with contest, only if it also wins winsLocked's
 // contest, and then within mainCap. It unlinks the body it replaces,
 // from the store or the window, and evicts until b fits; the caller
 // drops the store's references outside the locks (settle). Caller holds
 // s.mu and c.wmu.
 func (c *Cache) admitLocked(s *shard, b *Body, contest bool, ev *evictions) (ok bool, old *Body) {
-	if !c.admitLevel(b.key) || b.size > s.cap || !c.doorkeeperLocked(s, b) {
+	if b.size > s.cap || !c.admissibleLocked(s, b) {
 		return false, nil
 	}
 	if old = s.entries[b.key]; old != nil {
@@ -453,18 +448,20 @@ func (c *Cache) admitLocked(s *shard, b *Body, contest bool, ev *evictions) (ok 
 	return true, old
 }
 
-// doorkeeperLocked reports whether b's key has been demanded MinSeen
-// times.
-func (c *Cache) doorkeeperLocked(s *shard, b *Body) bool {
-	return c.cfg.MinSeen <= 1 || s.demand.estimate(b.hash) >= c.cfg.MinSeen
+// admissibleLocked reports whether b may enter the main store at all:
+// its level is under the cap, and the doorkeeper has counted MinSeen
+// demands for its key.
+func (c *Cache) admissibleLocked(s *shard, b *Body) bool {
+	return (c.cfg.Levels <= 0 || b.key.Level < c.cfg.Levels) &&
+		(c.cfg.MinSeen <= 1 || s.demand.estimate(b.hash) >= c.cfg.MinSeen)
 }
 
-// winsLocked is the TinyLFU contest: b may enter s's main store if the
-// doorkeeper lets it and its demand beats that of every body it would
-// evict from the LRU tail to fit mainCap and the capacity, counting
+// winsLocked is the TinyLFU contest: b may enter s's main store if
+// admissibleLocked lets it and its demand beats that of every body it
+// would evict from the LRU tail to fit mainCap and the capacity, counting
 // freeing bytes that b gives back elsewhere (the window's).
 func (c *Cache) winsLocked(s *shard, b *Body, freeing int64) bool {
-	if !c.doorkeeperLocked(s, b) {
+	if !c.admissibleLocked(s, b) {
 		return false
 	}
 	f := s.demand.estimate(b.hash)
@@ -683,15 +680,15 @@ func (c *Cache) fetch(k Key, demand bool, fill func() (*Body, error)) (*Body, bo
 	return b, false, err
 }
 
-// placeLocked stores a completed fill: in the main store if the level
-// cap, the doorkeeper and the contest let it, else in the admission
-// window. A body too large for the window is admitted as Put admits.
+// placeLocked stores a completed fill: in the main store if
+// admissibleLocked and the contest let it, else in the admission window.
+// A body too large for the window is admitted as Put admits.
 func (c *Cache) placeLocked(s *shard, b *Body, ev *evictions) (old *Body) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	contest := b.size <= c.windowCap
 	ok, old := c.admitLocked(s, b, contest, ev)
-	if !ok && contest && c.admitLevel(b.key) && b.size <= s.cap {
+	if !ok && contest && b.size <= s.cap {
 		c.parkLocked(s, b, ev)
 	}
 	return old

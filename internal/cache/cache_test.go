@@ -61,20 +61,25 @@ func TestGetRangeSlicesAndBoundsChecks(t *testing.T) {
 }
 
 func TestMaxLevelAdmission(t *testing.T) {
-	c := New(Config{MaxLevel: 1})
+	c := New(Config{Levels: 2})
 	if !c.Put(Key{Video: "v", Level: 0}, body(10, 1)) {
-		t.Error("level 0 rejected under MaxLevel 1")
+		t.Error("level 0 rejected under Levels 2")
 	}
 	if !c.Put(Key{Video: "v", Level: 1}, body(10, 1)) {
-		t.Error("level 1 rejected under MaxLevel 1")
+		t.Error("level 1 rejected under Levels 2")
 	}
 	if c.Put(Key{Video: "v", Level: 2}, body(10, 1)) {
-		t.Error("level 2 admitted under MaxLevel 1")
+		t.Error("level 2 admitted under Levels 2")
 	}
-	// Negative = admit everything (the default).
+	// 0 = admit everything (the default).
 	all := New(Config{})
 	if !all.Put(Key{Video: "v", Level: 99}, body(10, 1)) {
 		t.Error("default config rejected a high level")
+	}
+	// The lowest level alone is a cap too: mpdash-edge -cache-max-level 0.
+	low := New(Config{Levels: 1})
+	if !low.Put(Key{Video: "v", Level: 0}, body(10, 1)) || low.Put(Key{Video: "v", Level: 1}, body(10, 1)) {
+		t.Error("Levels 1 does not admit exactly level 0")
 	}
 }
 

@@ -69,19 +69,63 @@ type ChunkMeta struct {
 	NominalBps float64
 }
 
-// ChunkResult records one completed chunk download.
+// ChunkResult records one chunk: its download, and what playback did
+// meanwhile. A Transport's Fetch fills Meta, Verdict and PathBytes.
 type ChunkResult struct {
+	// Meta is the chunk as delivered: a transport may lower its level,
+	// and sizes it as its origin does.
 	Meta          ChunkMeta
 	Start, End    time.Duration
 	ThroughputBps float64
+	// Verdict is how the fetch ended. The start-up chunk is never Late:
+	// no playback waits on it.
+	Verdict Verdict
 	// Stalled reports whether playback ran dry during this download.
 	Stalled bool
-	// StallTime is how long playback was frozen during this download.
+	// StallTime is how long playback was frozen during this download,
+	// one chunk duration for a Lost chunk.
 	StallTime time.Duration
-	// PathBytes is the per-path byte split of this chunk.
+	// PathBytes is the per-path byte split of this chunk; nil from a
+	// transport that keeps its own.
 	PathBytes map[string]int64
 	// BufferAfter is the buffer level right after the chunk was added.
 	BufferAfter time.Duration
+}
+
+// Verdict is how a chunk fetch ended.
+type Verdict int
+
+// Verdicts.
+const (
+	// Landed: the chunk arrived within its deadline, or had none.
+	Landed Verdict = iota
+	// Late: the chunk arrived after its deadline.
+	Late
+	// Lost: the chunk never arrived; playback skips it and stalls for
+	// its duration.
+	Lost
+)
+
+// Transport is what the playback loop runs over: a clock, the §3.2
+// estimate, and chunk fetches. NewPlayer builds the simulator's; a
+// socket stack brings its own (netmp.Streamer).
+type Transport interface {
+	// Now is the session clock.
+	Now() time.Duration
+	// Play lets playback run for d with no fetch in flight.
+	Play(d time.Duration)
+	// Estimate is the aggregate throughput estimate (bits/s) exposed to
+	// the rate adaptation (§3.2); 0 for none.
+	Estimate() float64
+	// Stopped reports whether the session ends before the next chunk.
+	Stopped() bool
+	// Fetch downloads the chunk meta names, chosen in state st, and
+	// returns its result's Meta, Verdict and PathBytes. An error ends
+	// the session.
+	Fetch(st PlayerState, meta ChunkMeta) (ChunkResult, error)
+	// Settle is handed each chunk's result once the loop has accounted
+	// it.
+	Settle(res ChunkResult)
 }
 
 // RateAdapter is a DASH rate-adaptation algorithm (FESTIVE, BBA, ...).
@@ -90,8 +134,6 @@ type RateAdapter interface {
 	Name() string
 	// SelectLevel picks the ladder index for the next chunk.
 	SelectLevel(st PlayerState) int
-	// OnChunkDone lets stateful algorithms update after each download.
-	OnChunkDone(st PlayerState, res ChunkResult)
 }
 
 // Adapter is the MP-DASH video adapter hook (§5): it owns the deadline
@@ -105,8 +147,6 @@ type Adapter interface {
 	// any data moves; the adapter decides whether to activate MP-DASH
 	// and with what deadline.
 	OnChunkStart(st PlayerState, meta ChunkMeta, tr *mptcp.Transfer)
-	// OnChunkDone is called when the chunk completes.
-	OnChunkDone(st PlayerState, res ChunkResult)
 }
 
 // EventKind classifies player log events.
@@ -140,211 +180,172 @@ func (k EventKind) String() string {
 }
 
 // Event is one entry of the player's event log (the input the paper's
-// multipath video analysis tool correlates with packet traces).
+// multipath video analysis tool correlates with packet traces);
+// Report.Events derives the log from the results.
 type Event struct {
 	Time  time.Duration
 	Kind  EventKind
 	Chunk int
 	Level int // ladder index
-	Note  string
 }
 
-// Player drives one playback session over a multipath connection.
+// Player runs the playback loop: it waits for buffer room, lets the
+// rate adaptation pick a level, fetches the chunk over its Transport, and
+// accounts the buffer, stalls and switches. The simulator and the socket
+// stack share it.
 type Player struct {
-	sim   *sim.Simulator
-	conn  *mptcp.Conn
+	tr    Transport
 	video *Video
 	abr   RateAdapter
-	// adapter may be nil (vanilla MPTCP).
-	adapter Adapter
 
 	// BufferCap defaults to DefaultBufferCap.
 	BufferCap time.Duration
-	// ChunkTimeout aborts a playback run if a single chunk takes this
-	// long (a safety net against dead links). Default 10 minutes.
-	ChunkTimeout time.Duration
 
 	buffer  time.Duration
-	playing bool
-
-	events  []Event
+	start   time.Duration // the session clock when Run began
 	results []ChunkResult
 }
 
-// NewPlayer constructs a player.
+// NewPlayer constructs a player over a simulated multipath connection.
 func NewPlayer(s *sim.Simulator, conn *mptcp.Conn, video *Video, abr RateAdapter, adapter Adapter) (*Player, error) {
 	if s == nil || conn == nil {
 		return nil, fmt.Errorf("dash: nil simulator or connection")
 	}
+	return NewPlayerOver(&simTransport{sim: s, conn: conn, adapter: adapter}, video, abr)
+}
+
+// NewPlayerOver constructs a player over tr.
+func NewPlayerOver(tr Transport, video *Video, abr RateAdapter) (*Player, error) {
 	if err := video.Validate(); err != nil {
 		return nil, err
 	}
 	if abr == nil {
 		return nil, fmt.Errorf("dash: nil rate adapter")
 	}
-	return &Player{
-		sim:          s,
-		conn:         conn,
-		video:        video,
-		abr:          abr,
-		adapter:      adapter,
-		BufferCap:    DefaultBufferCap,
-		ChunkTimeout: 10 * time.Minute,
-	}, nil
+	return &Player{tr: tr, video: video, abr: abr, BufferCap: DefaultBufferCap}, nil
 }
-
-// Events returns the playback event log.
-func (p *Player) Events() []Event { return p.events }
 
 // Results returns the per-chunk results.
 func (p *Player) Results() []ChunkResult { return p.results }
 
-// state snapshots the current player state.
-func (p *Player) state(chunk, lastLevel int, throughputs []float64) PlayerState {
-	st := PlayerState{
-		Now:              p.sim.Now(),
-		ChunkIndex:       chunk,
-		LastLevel:        lastLevel,
-		Buffer:           p.buffer,
-		BufferCap:        p.BufferCap,
-		Video:            p.video,
-		ChunkThroughputs: throughputs,
-	}
-	if p.adapter != nil {
-		st.TransportEstimateBps = p.adapter.TransportEstimate()
-	}
-	return st
-}
-
 // Run plays numChunks chunks (0 or negative means the whole video) and
-// returns the playback report.
+// returns the playback report. Playback is running once a chunk has
+// landed, so lastLevel >= 0 is the playing state. A transport error ends
+// the session: Run returns it with the report so far.
 func (p *Player) Run(numChunks int) (*Report, error) {
 	if numChunks <= 0 || numChunks > p.video.NumChunks {
 		numChunks = p.video.NumChunks
 	}
+	p.start = p.tr.Now()
 	lastLevel := -1
 	throughputs := make([]float64, 0, numChunks)
 	p.results = slices.Grow(p.results, numChunks)
-	p.events = slices.Grow(p.events, 2*numChunks) // a start and a done per chunk
-
-	for i := 0; i < numChunks; i++ {
+	var err error
+	for i := 0; i < numChunks && !p.tr.Stopped(); i++ {
 		// Wait for buffer room: fetch the next chunk only when a full
 		// chunk fits, producing the idle gaps of Fig. 1.
-		if p.playing && p.buffer > p.BufferCap-p.video.ChunkDuration {
+		if lastLevel >= 0 && p.buffer > p.BufferCap-p.video.ChunkDuration {
 			drain := p.buffer - (p.BufferCap - p.video.ChunkDuration)
-			p.advancePlayback(drain)
+			p.tr.Play(drain)
+			p.buffer = max(p.buffer-drain, 0)
 		}
 
-		st := p.state(i, lastLevel, throughputs)
-		level := p.abr.SelectLevel(st)
-		if level < 0 {
-			level = 0
+		st := PlayerState{
+			Now:                  p.tr.Now(),
+			ChunkIndex:           i,
+			LastLevel:            lastLevel,
+			Buffer:               p.buffer,
+			BufferCap:            p.BufferCap,
+			Video:                p.video,
+			ChunkThroughputs:     throughputs,
+			TransportEstimateBps: p.tr.Estimate(),
 		}
-		if level > p.video.HighestLevel() {
-			level = p.video.HighestLevel()
+		level := min(max(p.abr.SelectLevel(st), 0), p.video.HighestLevel())
+		start := p.tr.Now()
+		var res ChunkResult
+		if res, err = p.tr.Fetch(st, p.video.Chunk(i, level)); err != nil {
+			break
 		}
-		meta := ChunkMeta{
-			Index:      i,
-			Level:      level,
-			LevelID:    p.video.Levels[level].ID,
-			Size:       p.video.ChunkSize(i, level),
-			Duration:   p.video.ChunkDuration,
-			NominalBps: p.video.Levels[level].AvgBitrateMbps * 1e6,
+		res.Start, res.End = start, p.tr.Now()
+		dl := res.End - start
+		switch {
+		case res.Verdict == Lost:
+			res.Stalled, res.StallTime = true, p.video.ChunkDuration
+		case lastLevel < 0:
+			// The start-up chunk's deadline only engages every path.
+			res.Verdict = Landed
+		case p.buffer >= dl:
+			p.buffer -= dl
+		default:
+			res.Stalled, res.StallTime = true, dl-p.buffer
+			p.buffer = 0
 		}
-		if lastLevel >= 0 && level != lastLevel {
-			p.log(EventQualitySwitch, i, level, fmt.Sprintf("%d->%d", lastLevel, level))
-		}
-		p.log(EventChunkStart, i, level, "")
-
-		before := map[string]int64{}
-		for _, path := range p.conn.Paths() {
-			before[path.Name] = path.DeliveredBytes()
-		}
-
-		tr, err := p.conn.StartTransfer(meta.Size)
-		if err != nil {
-			return nil, fmt.Errorf("dash: chunk %d: %w", i, err)
-		}
-		if p.adapter != nil {
-			p.adapter.OnChunkStart(st, meta, tr)
-		}
-		start := p.sim.Now()
-		if !tr.RunUntilComplete(start + p.ChunkTimeout) {
-			return nil, fmt.Errorf("dash: chunk %d stuck after %v", i, p.ChunkTimeout)
-		}
-		// Drain events co-timed with the final byte so per-path byte
-		// accounting sees every segment of this chunk.
-		p.sim.AdvanceTo(p.sim.Now())
-		end := p.sim.Now()
-		dl := end - start
-
-		res := ChunkResult{
-			Meta:      meta,
-			Start:     start,
-			End:       end,
-			PathBytes: map[string]int64{},
-		}
-		if dl > 0 {
-			res.ThroughputBps = float64(meta.Size*8) / dl.Seconds()
-		}
-		for _, path := range p.conn.Paths() {
-			res.PathBytes[path.Name] = path.DeliveredBytes() - before[path.Name]
-		}
-
-		// Buffer accounting over the download interval.
-		if p.playing {
-			if p.buffer >= dl {
-				p.buffer -= dl
-			} else {
-				res.Stalled = true
-				res.StallTime = dl - p.buffer
-				p.log(EventStall, i, level, res.StallTime.String())
-				p.buffer = 0
-				p.playing = false
+		if res.Verdict != Lost {
+			// Playback drained the buffer over the download; the chunk
+			// refills it.
+			p.buffer = min(p.buffer+p.video.ChunkDuration, p.BufferCap)
+			res.BufferAfter = p.buffer
+			if dl > 0 {
+				res.ThroughputBps = float64(res.Meta.Size*8) / dl.Seconds()
+				throughputs = append(throughputs, res.ThroughputBps)
 			}
-		}
-		p.buffer += p.video.ChunkDuration
-		if p.buffer > p.BufferCap {
-			p.buffer = p.BufferCap
-		}
-		res.BufferAfter = p.buffer
-		if !p.playing {
-			p.playing = true
-			if i > 0 || res.Stalled {
-				p.log(EventResume, i, level, "")
-			}
-		}
-		p.log(EventChunkDone, i, level, "")
-
-		throughputs = append(throughputs, res.ThroughputBps)
-		stDone := p.state(i, level, throughputs)
-		p.abr.OnChunkDone(stDone, res)
-		if p.adapter != nil {
-			p.adapter.OnChunkDone(stDone, res)
+			lastLevel = res.Meta.Level // as delivered
 		}
 		p.results = append(p.results, res)
-		lastLevel = level
+		p.tr.Settle(res)
 	}
-	return buildReport(p.video, p.abr.Name(), p.results, p.events, p.conn), nil
+	return buildReport(p.video, p.abr.Name(), p.start, p.results), err
 }
 
-// advancePlayback moves virtual time forward by d with playback running,
-// draining the buffer.
-func (p *Player) advancePlayback(d time.Duration) {
-	p.sim.Advance(d)
-	if p.buffer >= d {
-		p.buffer -= d
-	} else {
-		p.buffer = 0
-	}
+// simChunkTimeout aborts a simulated session if a single chunk takes this
+// long: a safety net against dead links.
+const simChunkTimeout = 10 * time.Minute
+
+// simTransport fetches chunks over a simulated MPTCP connection, in
+// virtual time. Its chunks always land: the simulator sets no deadline
+// the player sees.
+type simTransport struct {
+	sim  *sim.Simulator
+	conn *mptcp.Conn
+	// adapter may be nil (vanilla MPTCP).
+	adapter Adapter
+	before  []int64 // per-path delivered bytes when the fetch began
 }
 
-func (p *Player) log(kind EventKind, chunk, level int, note string) {
-	p.events = append(p.events, Event{
-		Time:  p.sim.Now(),
-		Kind:  kind,
-		Chunk: chunk,
-		Level: level,
-		Note:  note,
-	})
+func (t *simTransport) Now() time.Duration   { return t.sim.Now() }
+func (t *simTransport) Play(d time.Duration) { t.sim.Advance(d) }
+func (t *simTransport) Stopped() bool        { return false }
+func (t *simTransport) Settle(ChunkResult)   {}
+
+func (t *simTransport) Estimate() float64 {
+	if t.adapter == nil {
+		return 0
+	}
+	return t.adapter.TransportEstimate()
+}
+
+func (t *simTransport) Fetch(st PlayerState, meta ChunkMeta) (ChunkResult, error) {
+	paths := t.conn.Paths()
+	t.before = t.before[:0]
+	for _, path := range paths {
+		t.before = append(t.before, path.DeliveredBytes())
+	}
+	tr, err := t.conn.StartTransfer(meta.Size)
+	if err != nil {
+		return ChunkResult{}, fmt.Errorf("dash: chunk %d: %w", meta.Index, err)
+	}
+	if t.adapter != nil {
+		t.adapter.OnChunkStart(st, meta, tr)
+	}
+	if !tr.RunUntilComplete(t.sim.Now() + simChunkTimeout) {
+		return ChunkResult{}, fmt.Errorf("dash: chunk %d stuck after %v", meta.Index, simChunkTimeout)
+	}
+	// Drain events co-timed with the final byte so per-path byte
+	// accounting sees every segment of this chunk.
+	t.sim.AdvanceTo(t.sim.Now())
+	d := ChunkResult{Meta: meta, PathBytes: make(map[string]int64, len(paths))}
+	for i, path := range paths {
+		d.PathBytes[path.Name] = path.DeliveredBytes() - t.before[i]
+	}
+	return d, nil
 }

@@ -12,9 +12,8 @@ import (
 // fixedABR always picks the same ladder index.
 type fixedABR struct{ level int }
 
-func (f fixedABR) Name() string                         { return "fixed" }
-func (f fixedABR) SelectLevel(PlayerState) int          { return f.level }
-func (f fixedABR) OnChunkDone(PlayerState, ChunkResult) {}
+func (f fixedABR) Name() string                { return "fixed" }
+func (f fixedABR) SelectLevel(PlayerState) int { return f.level }
 
 // greedyABR picks the highest level the effective estimate sustains.
 type greedyABR struct{}
@@ -27,7 +26,6 @@ func (greedyABR) SelectLevel(st PlayerState) int {
 	}
 	return l
 }
-func (greedyABR) OnChunkDone(PlayerState, ChunkResult) {}
 
 func playerRig(t *testing.T, wifiMbps, lteMbps float64, abr RateAdapter) (*sim.Simulator, *mptcp.Conn, *Player) {
 	t.Helper()
@@ -191,7 +189,7 @@ func TestEventLogConsistency(t *testing.T) {
 	}
 	starts, dones, switches := 0, 0, 0
 	var lastT time.Duration
-	for _, e := range rep.Events {
+	for _, e := range rep.Events() {
 		if e.Time < lastT {
 			t.Fatalf("event log not time-ordered at %v", e.Time)
 		}
@@ -211,8 +209,8 @@ func TestEventLogConsistency(t *testing.T) {
 	if switches != rep.QualitySwitches {
 		t.Errorf("event switches %d != report %d", switches, rep.QualitySwitches)
 	}
-	if p.Events() == nil || p.Results() == nil {
-		t.Error("accessors returned nil")
+	if p.Results() == nil {
+		t.Error("Results returned nil")
 	}
 }
 

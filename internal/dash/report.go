@@ -1,10 +1,6 @@
 package dash
 
-import (
-	"time"
-
-	"mpdash/internal/mptcp"
-)
+import "time"
 
 // Report aggregates one playback session the way the paper reports its
 // experiments: stalls, playback bitrate, per-path (cellular) data usage,
@@ -14,6 +10,7 @@ type Report struct {
 	VideoName string
 	Algorithm string
 
+	// Chunks counts the chunks played; a Lost one is not.
 	Chunks int
 	// AvgBitrateMbps is the mean nominal encoding bitrate over all chunks.
 	AvgBitrateMbps float64
@@ -22,8 +19,8 @@ type Report struct {
 	// Stalls and StallTime cover the whole session.
 	Stalls    int
 	StallTime time.Duration
-	// StartupDelay is the time from the first chunk's request to its
-	// completion — when playback can begin.
+	// StartupDelay is the time from the session's start to the first
+	// chunk landing — when playback can begin.
 	StartupDelay time.Duration
 	// QualitySwitches counts chunk-boundary level changes.
 	QualitySwitches int
@@ -31,32 +28,39 @@ type Report struct {
 	PathBytes map[string]int64
 	// SteadyStatePathBytes covers the last 80% of chunks.
 	SteadyStatePathBytes map[string]int64
-	// Results and Events carry the raw per-chunk data for analysis.
+	// Results carries the raw per-chunk data for analysis.
 	Results []ChunkResult
-	Events  []Event
 }
 
 // steadyStart returns the first chunk index of the last-80% window.
 func steadyStart(n int) int { return n / 5 }
 
-func buildReport(v *Video, algo string, results []ChunkResult, events []Event, conn *mptcp.Conn) *Report {
+// buildReport folds a session's results. A Lost chunk counts only as its
+// stall; start-up delay runs from start, the session clock when Run
+// began, to the first chunk that landed.
+func buildReport(v *Video, algo string, start time.Duration, results []ChunkResult) *Report {
 	r := &Report{
 		VideoName:            v.Name,
 		Algorithm:            algo,
-		Chunks:               len(results),
 		PathBytes:            map[string]int64{},
 		SteadyStatePathBytes: map[string]int64{},
 		Results:              results,
-		Events:               events,
 	}
-	if len(results) == 0 {
-		return r
-	}
-	r.StartupDelay = results[0].End - results[0].Start
 	ss := steadyStart(len(results))
 	var sumAll, sumSS float64
 	last := -1
 	for i, res := range results {
+		if res.Stalled {
+			r.Stalls++
+			r.StallTime += res.StallTime
+		}
+		if res.Verdict == Lost {
+			continue
+		}
+		if r.Chunks == 0 {
+			r.StartupDelay = res.End - start
+		}
+		r.Chunks++
 		sumAll += res.Meta.NominalBps
 		if i >= ss {
 			sumSS += res.Meta.NominalBps
@@ -65,10 +69,6 @@ func buildReport(v *Video, algo string, results []ChunkResult, events []Event, c
 			r.QualitySwitches++
 		}
 		last = res.Meta.Level
-		if res.Stalled {
-			r.Stalls++
-			r.StallTime += res.StallTime
-		}
 		for name, b := range res.PathBytes {
 			r.PathBytes[name] += b
 			if i >= ss {
@@ -76,11 +76,44 @@ func buildReport(v *Video, algo string, results []ChunkResult, events []Event, c
 			}
 		}
 	}
-	r.AvgBitrateMbps = sumAll / float64(len(results)) / 1e6
+	if r.Chunks == 0 {
+		return r
+	}
+	r.AvgBitrateMbps = sumAll / float64(r.Chunks) / 1e6
 	if n := len(results) - ss; n > 0 {
 		r.SteadyStateAvgBitrateMbps = sumSS / float64(n) / 1e6
 	}
 	return r
+}
+
+// Events is the session's event log, in time order: per chunk a start
+// when its fetch began, then, when it ended, a stall if playback ran dry,
+// and for a chunk that landed a resume if playback (re)started, a quality
+// switch if its level differs from the last one played, and a done.
+func (r *Report) Events() []Event {
+	events := make([]Event, 0, 2*len(r.Results))
+	last := -1
+	for _, res := range r.Results {
+		at := func(t time.Duration, k EventKind) {
+			events = append(events, Event{Time: t, Kind: k, Chunk: res.Meta.Index, Level: res.Meta.Level})
+		}
+		at(res.Start, EventChunkStart)
+		if res.Stalled {
+			at(res.End, EventStall)
+		}
+		if res.Verdict == Lost {
+			continue
+		}
+		if res.Stalled || (last < 0 && res.Meta.Index > 0) {
+			at(res.End, EventResume)
+		}
+		if last >= 0 && res.Meta.Level != last {
+			at(res.End, EventQualitySwitch)
+		}
+		at(res.End, EventChunkDone)
+		last = res.Meta.Level
+	}
+	return events
 }
 
 // QoEWeights parameterize the standard linear QoE model (Yin et al.):

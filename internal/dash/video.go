@@ -86,6 +86,14 @@ func (v *Video) ChunkSize(index, level int) int64 {
 	return int64(nominal * factor)
 }
 
+// Chunk describes chunk index at ladder index level, sized by the VBR
+// model.
+func (v *Video) Chunk(index, level int) ChunkMeta {
+	l := v.Levels[level]
+	return ChunkMeta{Index: index, Level: level, LevelID: l.ID, Size: v.ChunkSize(index, level),
+		Duration: v.ChunkDuration, NominalBps: l.AvgBitrateMbps * 1e6}
+}
+
 // NominalChunkSize returns bitrate × duration without VBR variation.
 func (v *Video) NominalChunkSize(level int) int64 {
 	if level < 0 || level >= len(v.Levels) {

@@ -203,9 +203,8 @@ func TestAbortDisabledRidesOut(t *testing.T) {
 // loop from rate-adaptation behaviour.
 type pinnedABR struct{ level int }
 
-func (p pinnedABR) Name() string                                   { return "pinned" }
-func (p pinnedABR) SelectLevel(dash.PlayerState) int               { return p.level }
-func (p pinnedABR) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}
+func (p pinnedABR) Name() string                     { return "pinned" }
+func (p pinnedABR) SelectLevel(dash.PlayerState) int { return p.level }
 
 // TestStreamDowngradeOnDoomedChunks drives the full cross-layer loop: a
 // link too slow for the pinned top rendition dooms every steady-state

@@ -280,9 +280,8 @@ func TestChunkExhaustedWhenEverythingCorrupts(t *testing.T) {
 // fixedABR always selects the same level.
 type fixedABR int
 
-func (l fixedABR) Name() string                                   { return "fixed" }
-func (l fixedABR) SelectLevel(dash.PlayerState) int               { return int(l) }
-func (l fixedABR) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}
+func (l fixedABR) Name() string                     { return "fixed" }
+func (l fixedABR) SelectLevel(dash.PlayerState) int { return int(l) }
 
 func TestStreamLifelineRefetchAtLowestLevel(t *testing.T) {
 	// Every request for the top level corrupts on both paths; the lowest

@@ -354,6 +354,43 @@ func TestEdgeDoorkeeperParksInWindow(t *testing.T) {
 	}
 }
 
+// TestEdgeLevelCapParksInWindow: a fill above the store's level cap waits
+// in the admission window and is never promoted, so a multi-range chunk
+// costs one origin fill however often it is fetched. (Refused outright,
+// every range of it made a fill of its own.)
+func TestEdgeLevelCapParksInWindow(t *testing.T) {
+	v := miniVideo()
+	origin, err := NewChunkServer(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	store := cache.New(cache.Config{Levels: 2})
+	edge, err := NewEdgeServer(v, "mini", []string{origin.Addr()}, store, EdgePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	f, err := NewFetcher(v, edge.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.SegmentSize = 4 << 10
+	top := v.HighestLevel()
+	ranges := (v.ChunkSize(0, top) + f.SegmentSize - 1) / f.SegmentSize
+	for i := 1; i <= 3; i++ {
+		res, err := f.FetchChunk(0, top, 10*time.Second)
+		if err != nil || !res.Verified || res.Retries != 0 {
+			t.Fatalf("fetch %d: %+v, %v", i, res, err)
+		}
+		if st := store.Stats(); st.Fills != 1 || st.Windowed != 1 || st.Entries != 1 {
+			t.Errorf("after fetch %d of a %d-range level-%d chunk: %d fills, %d entries, %d windowed; want 1, 1, 1",
+				i, ranges, top, st.Fills, st.Entries, st.Windowed)
+		}
+	}
+}
+
 // TestEdgeFillAllocs is the allocation contract of a fill: under steady
 // churn through an edge, where every chunk is a miss and every fill
 // evicts, a fill writes its body into pages the store recycled and

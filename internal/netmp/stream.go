@@ -11,19 +11,21 @@ import (
 	"mpdash/internal/obs"
 )
 
-// Streamer is a real-time DASH playback loop over the multi-socket
-// Fetcher: the wall clock drains the buffer, a dash.RateAdapter picks
-// levels, and each chunk gets an MP-DASH deadline (core.ChunkDeadline:
-// duration- or rate-based with the §5.1 extension) that the fetcher
+// Streamer is a transport for dash.Player: it runs the player's loop in
+// wall time over the multi-socket Fetcher. It adds what a socket stack
+// needs and the simulator does not: each chunk gets an MP-DASH deadline
+// (core.ChunkDeadline: duration- or rate-based with the §5.1 extension,
+// 1 ms for the start-up chunk so every path helps) that the fetcher
 // enforces by engaging secondary sockets only under pressure. It is the
 // end-to-end userspace analogue of the kernel prototype.
 //
-// The loop degrades rather than dies: a chunk that exhausts its retry
-// budget is refetched once at the lowest level (smallest payload, best
-// odds) before being counted as a stall and skipped, and the session
-// continues on one path when the other is down. Only ErrAllPathsDown —
-// or a fatal protocol error — ends a session early, and even then the
-// partial result is returned alongside the error.
+// A session degrades rather than dies: a doomed chunk is re-requested at
+// a rendition that still fits its window, a chunk that exhausts its
+// retry budget is refetched once at the lowest level (smallest payload,
+// best odds) before it is lost, and the session continues on one path
+// when the other is down. Only ErrAllPathsDown — or a fatal protocol
+// error — ends a session early, and even then the partial result is
+// returned alongside the error.
 type Streamer struct {
 	Fetcher *Fetcher
 	ABR     dash.RateAdapter
@@ -139,203 +141,179 @@ func (s *Streamer) Stream(n int) (*StreamResult, error) {
 		return nil, fmt.Errorf("netmp: streamer needs a fetcher and an ABR")
 	}
 	video := s.Fetcher.Video
-	if n <= 0 || n > video.NumChunks {
-		n = video.NumChunks
+	t := &session{s: s, f: s.Fetcher, start: s.Fetcher.clk.now(), res: StreamResult{AllVerified: true}}
+	p, err := dash.NewPlayerOver(t, video, s.ABR)
+	if err != nil {
+		return nil, err
 	}
-	bufferCap := 8 * video.ChunkDuration
-	phi := time.Duration(core.PhiFrac * float64(bufferCap))
+	p.BufferCap = 8 * video.ChunkDuration
+	rep, err := p.Run(n)
+	res := &t.res
+	res.Chunks, res.Stalls, res.StallTime = rep.Chunks, rep.Stalls, rep.StallTime
+	res.QualitySwitches, res.StartupDelay = rep.QualitySwitches, rep.StartupDelay
+	if res.Chunks > 0 {
+		res.AvgLevel = float64(t.levels) / float64(res.Chunks)
+	}
+	res.Wall = t.f.clk.now().Sub(t.start)
+	res.FaultsSurvived = res.Retries + res.Requeued
+	res.DegradedTime = t.f.DegradedFor()
+	return res, err
+}
 
-	res := &StreamResult{AllVerified: true}
-	clk := s.Fetcher.clk
-	start := clk.now()
-	var buffer time.Duration
-	playing := false
-	lastLevel := -1
-	var throughputs []float64
-	var levelSum float64
+// session is one Stream call's transport: the player's clock is the
+// fetcher's, a buffer wait sleeps, and each chunk is fetched under its
+// MP-DASH deadline with the downgrade and the lifeline. The transport
+// estimate is 0: the socket stack exposes none yet, so the ABR sees the
+// player's own.
+type session struct {
+	s      *Streamer
+	f      *Fetcher
+	start  time.Time
+	res    StreamResult
+	ct     *obs.Trace   // the chunk in flight's trace
+	fr     *FetchResult // the chunk in flight's landed fetch
+	levels int          // delivered levels of the chunks played, summed
+}
 
-	finish := func() {
-		res.Wall = clk.now().Sub(start)
-		if res.Chunks > 0 {
-			res.AvgLevel = levelSum / float64(res.Chunks)
-		}
-		res.FaultsSurvived = res.Retries + res.Requeued
-		res.DegradedTime = s.Fetcher.DegradedFor()
+func (t *session) Now() time.Duration   { return t.f.clk.now().Sub(t.start) }
+func (t *session) Play(d time.Duration) { time.Sleep(d) }
+func (t *session) Estimate() float64    { return 0 }
+
+func (t *session) Stopped() bool {
+	t.res.Stopped = t.s.stop.Load()
+	return t.res.Stopped
+}
+
+// Fetch fetches one chunk under its deadline. Φ sits at core.PhiFrac of
+// the buffer cap.
+func (t *session) Fetch(st dash.PlayerState, meta dash.ChunkMeta) (dash.ChunkResult, error) {
+	s, f, res := t.s, t.f, &t.res
+	video, i, level := st.Video, meta.Index, meta.Level
+	phi := time.Duration(core.PhiFrac * float64(st.BufferCap))
+	deadline, ext := core.ChunkDeadline(s.RateBased, f.chunkSize(i, level), meta.NominalBps, meta.Duration, st.Buffer, phi)
+	if ext > 0 {
+		s.sobs.emitExtend(i, level, ext, st.Buffer, phi)
+	}
+	if st.LastLevel < 0 {
+		// Startup: no buffer cushion; fetch as fast as possible by
+		// declaring a minimal deadline so the secondary path helps.
+		deadline = time.Millisecond
 	}
 
-	for i := 0; i < n; i++ {
-		if s.stop.Load() {
-			res.Stopped = true
-			finish()
-			return res, nil
-		}
-		// Wait for buffer room (playback drains in real time).
-		if playing && buffer > bufferCap-video.ChunkDuration {
-			wait := buffer - (bufferCap - video.ChunkDuration)
-			time.Sleep(wait)
-			buffer -= wait
-		}
+	// One trace per chunk: opened with the selected rendition and the
+	// deadline, installed on the fetcher so the workers' spans attach,
+	// and finished by Settle with the chunk's terminal verdict.
+	ct := s.Tracer.StartTrace(s.TraceSession, i, level)
+	ct.SetDeadline(deadline)
+	f.SetTrace(ct)
+	t.ct = ct
 
-		st := dash.PlayerState{
-			Now:              clk.now().Sub(start),
-			ChunkIndex:       i,
-			LastLevel:        lastLevel,
-			Buffer:           buffer,
-			BufferCap:        bufferCap,
-			Video:            video,
-			ChunkThroughputs: throughputs,
+	dlStart := f.clk.now()
+	fr, err := f.FetchChunk(i, level, deadline)
+	// Doomed-chunk downgrade loop: an abort means even best-case
+	// all-path delivery could not land this rendition in time, so
+	// re-request at the highest rendition the predictor says still
+	// fits what is left of the window — the lowest when nothing fits
+	// (the stall, if any, falls out of the player's buffer math). The
+	// loop terminates because the fetcher never dooms level 0 and
+	// fitLevel only ever moves down.
+	for err != nil && errors.Is(err, ErrChunkDoomed) {
+		res.Aborts++
+		res.AbortWastedBytes += fr.PrimaryBytes + fr.SecondaryBytes
+		absorbFaults(res, fr)
+		window := deadline - f.clk.now().Sub(dlStart)
+		if window < time.Millisecond {
+			window = time.Millisecond
 		}
-		level := s.ABR.SelectLevel(st)
-		if level < 0 {
-			level = 0
+		aggRate := f.PredictedRate() * float64(f.livePaths())
+		next := fitLevel(video, f.Sizes, i, level-1, aggRate, window)
+		if next < 0 {
+			next = 0
 		}
-		if level > video.HighestLevel() {
-			level = video.HighestLevel()
+		res.Downgrades++
+		s.sobs.emitDowngrade(i, level, next, aggRate, window)
+		ct.MarkBad(obs.CatDowngrade)
+		dsp := ct.StartSpan(obs.CatDowngrade, "downgrade")
+		level = next
+		fr, err = f.FetchChunk(i, level, window)
+		dsp.End()
+	}
+	if err != nil && errors.Is(err, ErrChunkExhausted) && level != 0 {
+		// Lifeline: one refetch at the lowest level before declaring
+		// the chunk lost.
+		absorbFaults(res, fr)
+		res.Refetches++
+		s.sobs.emitRefetch(i, level)
+		rsp := ct.StartSpan(obs.CatRefetch, "refetch")
+		level = 0
+		fr, err = f.FetchChunk(i, level, deadline)
+		rsp.End()
+	}
+	meta = video.Chunk(i, level)
+	meta.Size = f.chunkSize(i, level)
+	if err != nil {
+		absorbFaults(res, fr)
+		if errors.Is(err, ErrChunkExhausted) {
+			res.LostChunks++
+			return dash.ChunkResult{Meta: meta, Verdict: dash.Lost}, nil
 		}
+		ct.Finish(obs.TraceFailed)
+		f.SetTrace(nil)
+		return dash.ChunkResult{}, fmt.Errorf("netmp: chunk %d: %w", i, err)
+	}
+	res.PrimaryBytes += fr.PrimaryBytes
+	res.SecondaryBytes += fr.SecondaryBytes
+	absorbCounters(res, fr)
+	if !fr.Verified {
+		res.AllVerified = false
+	}
+	t.fr = fr
+	if fr.MissedBy > 0 {
+		return dash.ChunkResult{Meta: meta, Verdict: dash.Late}, nil
+	}
+	return dash.ChunkResult{Meta: meta}, nil
+}
 
-		size := s.Fetcher.chunkSize(i, level)
-		deadline, ext := core.ChunkDeadline(s.RateBased, size, video.Levels[level].AvgBitrateMbps*1e6, video.ChunkDuration, buffer, phi)
-		if ext > 0 {
-			s.sobs.emitExtend(i, level, ext, buffer, phi)
-		}
-		if !playing {
-			// Startup: no buffer cushion; fetch as fast as possible by
-			// declaring a minimal deadline so the secondary path helps.
-			deadline = time.Millisecond
-		}
-
-		// One trace per chunk: opened with the selected rendition and the
-		// deadline, installed on the fetcher so the workers' spans attach,
-		// and finished below with the chunk's terminal verdict.
-		ct := s.Tracer.StartTrace(s.TraceSession, i, level)
-		ct.SetDeadline(deadline)
-		s.Fetcher.SetTrace(ct)
-
-		dlStart := clk.now()
-		fr, err := s.Fetcher.FetchChunk(i, level, deadline)
-		// Doomed-chunk downgrade loop: an abort means even best-case
-		// all-path delivery could not land this rendition in time, so
-		// re-request at the highest rendition the predictor says still
-		// fits what is left of the window — the lowest when nothing fits
-		// (the stall, if any, falls out of the buffer math below). The
-		// loop terminates because the fetcher never dooms level 0 and
-		// fitLevel only ever moves down.
-		for err != nil && errors.Is(err, ErrChunkDoomed) {
-			res.Aborts++
-			res.AbortWastedBytes += fr.PrimaryBytes + fr.SecondaryBytes
-			absorbFaults(res, fr)
-			window := deadline - clk.now().Sub(dlStart)
-			if window < time.Millisecond {
-				window = time.Millisecond
-			}
-			aggRate := s.Fetcher.PredictedRate() * float64(s.Fetcher.livePaths())
-			next := fitLevel(video, s.Fetcher.Sizes, i, level-1, aggRate, window)
-			if next < 0 {
-				next = 0
-			}
-			res.Downgrades++
-			s.sobs.emitDowngrade(i, level, next, aggRate, window)
-			ct.MarkBad(obs.CatDowngrade)
-			dsp := ct.StartSpan(obs.CatDowngrade, "downgrade")
-			level = next
-			size = s.Fetcher.chunkSize(i, level)
-			fr, err = s.Fetcher.FetchChunk(i, level, window)
-			dsp.End()
-		}
-		if err != nil && errors.Is(err, ErrChunkExhausted) && level != 0 {
-			// Lifeline: one refetch at the lowest level before declaring
-			// the chunk lost.
-			absorbFaults(res, fr)
-			res.Refetches++
-			s.sobs.emitRefetch(i, level)
-			rsp := ct.StartSpan(obs.CatRefetch, "refetch")
-			level = 0
-			size = s.Fetcher.chunkSize(i, level)
-			fr, err = s.Fetcher.FetchChunk(i, level, deadline)
-			rsp.End()
-		}
-		if err != nil {
-			absorbFaults(res, fr)
-			if errors.Is(err, ErrChunkExhausted) {
-				// Chunk lost even at the lowest level: account a stall of
-				// one chunk duration and move on.
-				res.LostChunks++
-				res.Stalls++
-				res.StallTime += video.ChunkDuration
-				s.sobs.emitLost(i)
-				s.sobs.emitStall(i, video.ChunkDuration)
-				ct.Event(obs.CatStall, "stall")
-				ct.Finish(obs.TraceLost)
-				s.Fetcher.SetTrace(nil)
-				if s.OnChunk != nil {
-					s.OnChunk(i, true)
-				}
-				continue
-			}
-			ct.Finish(obs.TraceFailed)
-			s.Fetcher.SetTrace(nil)
-			finish()
-			return res, fmt.Errorf("netmp: chunk %d: %w", i, err)
-		}
-		dl := clk.now().Sub(dlStart)
-
-		res.PrimaryBytes += fr.PrimaryBytes
-		res.SecondaryBytes += fr.SecondaryBytes
-		absorbCounters(res, fr)
-		if !fr.Verified {
-			res.AllVerified = false
-		}
-		missed := playing && fr.MissedBy > 0
-		if missed {
-			ct.SetOverrun(fr.MissedBy)
-			res.DeadlineMisses++
-			// A late chunk's payload bought no on-time video: charge it
-			// to the per-path waste split the swarm's cellular-byte
-			// accounting reads.
-			res.WastedPrimaryBytes += fr.PrimaryBytes
-			res.WastedSecondaryBytes += fr.SecondaryBytes
-		}
+// Settle charges a late chunk's payload as waste, reports the chunk to
+// OnChunk, telemetry and its trace, and finishes the trace.
+func (t *session) Settle(r dash.ChunkResult) {
+	s, res, ct, i := t.s, &t.res, t.ct, r.Meta.Index
+	if r.Verdict == dash.Lost {
+		s.sobs.emitLost(i)
+		s.sobs.emitStall(i, r.StallTime)
+		ct.Event(obs.CatStall, "stall")
+		ct.Finish(obs.TraceLost)
+		t.f.SetTrace(nil)
 		if s.OnChunk != nil {
-			s.OnChunk(i, missed)
+			s.OnChunk(i, true)
 		}
-		if dl > 0 {
-			throughputs = append(throughputs, float64(size*8)/dl.Seconds())
-		}
-		if playing {
-			if buffer >= dl {
-				buffer -= dl
-			} else {
-				res.Stalls++
-				res.StallTime += dl - buffer
-				s.sobs.emitStall(i, dl-buffer)
-				ct.Event(obs.CatStall, "stall")
-				buffer = 0
-			}
-		}
-		buffer += video.ChunkDuration
-		if buffer > bufferCap {
-			buffer = bufferCap
-		}
-		s.sobs.setBuffer(buffer)
-		if missed {
-			ct.Finish(obs.TraceMissed)
-		} else {
-			ct.Finish(obs.TraceOK)
-		}
-		s.Fetcher.SetTrace(nil)
-		if !playing {
-			res.StartupDelay = clk.now().Sub(start)
-		}
-		playing = true
-		if lastLevel >= 0 && level != lastLevel {
-			res.QualitySwitches++
-		}
-		lastLevel = level
-		levelSum += float64(level)
-		res.Chunks++
+		return
 	}
-	finish()
-	return res, nil
+	missed := r.Verdict == dash.Late
+	if missed {
+		ct.SetOverrun(t.fr.MissedBy)
+		res.DeadlineMisses++
+		// A late chunk's payload bought no on-time video: charge it
+		// to the per-path waste split the swarm's cellular-byte
+		// accounting reads.
+		res.WastedPrimaryBytes += t.fr.PrimaryBytes
+		res.WastedSecondaryBytes += t.fr.SecondaryBytes
+	}
+	if s.OnChunk != nil {
+		s.OnChunk(i, missed)
+	}
+	if r.Stalled {
+		s.sobs.emitStall(i, r.StallTime)
+		ct.Event(obs.CatStall, "stall")
+	}
+	s.sobs.setBuffer(r.BufferAfter)
+	if missed {
+		ct.Finish(obs.TraceMissed)
+	} else {
+		ct.Finish(obs.TraceOK)
+	}
+	t.f.SetTrace(nil)
+	t.levels += r.Meta.Level
 }
 
 // absorbCounters folds one fetch's fault and origin-tier counters

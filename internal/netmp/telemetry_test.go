@@ -240,5 +240,3 @@ type constABR int
 func (c constABR) SelectLevel(dash.PlayerState) int { return int(c) }
 
 func (constABR) Name() string { return "const" }
-
-func (constABR) OnChunkDone(dash.PlayerState, dash.ChunkResult) {}
