@@ -21,47 +21,48 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"time"
 
+	"mpdash/cmd/internal/cli"
 	"mpdash/internal/cache"
 	"mpdash/internal/dash"
 	"mpdash/internal/netmp"
-	"mpdash/internal/obs"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpdash-edge", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		origins   = flag.String("origins", "", "comma-separated ranked origin addresses (required)")
-		videoName = flag.String("video", "Big Buck Bunny", "video from the Table 3 catalogue (must match the origins)")
+		origins   = fs.String("origins", "", "comma-separated ranked origin addresses (required)")
+		videoName = fs.String("video", "Big Buck Bunny", "video from the Table 3 catalogue (must match the origins)")
 
-		cacheMB  = flag.Int("cache-mb", 64, "chunk-store capacity in MiB")
-		shards   = flag.Int("cache-shards", 0, "cache shard count (0 = default)")
-		maxLevel = flag.Int("cache-max-level", -1, "highest rendition level admitted to the store (-1 = all)")
-		minSeen  = flag.Int("cache-min-seen", 1, "demands for a chunk before it enters the main store; earlier fills wait in the admission window (doorkeeper; 1 = admit first fill)")
+		cacheMB  = fs.Int("cache-mb", 64, "chunk-store capacity in MiB")
+		shards   = fs.Int("cache-shards", 0, "cache shard count (0 = default)")
+		maxLevel = fs.Int("cache-max-level", -1, "highest rendition level admitted to the store (-1 = all)")
+		minSeen  = fs.Int("cache-min-seen", 1, "demands for a chunk before it enters the main store; earlier fills wait in the admission window (doorkeeper; 1 = admit first fill)")
 
-		rateMbps = flag.Float64("rate-mbps", 0, "shaped rate of the client-facing downlink (0 = unshaped)")
-		fillers  = flag.Int("fill-fetchers", 2, "pooled origin fetchers bounding concurrent distinct-chunk fills")
-		fillSecs = flag.Float64("fill-window", 15, "deadline window in seconds for each whole-chunk origin fill")
+		rateMbps = fs.Float64("rate-mbps", 0, "shaped rate of the client-facing downlink (0 = unshaped)")
+		fillers  = fs.Int("fill-fetchers", 2, "pooled origin fetchers bounding concurrent distinct-chunk fills")
+		fillSecs = fs.Float64("fill-window", 15, "deadline window in seconds for each whole-chunk origin fill")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and pprof on this address (empty = off)")
-		journalPath = flag.String("journal", "", "stream the structured event journal to this JSONL file (- = stderr)")
-		quiet       = flag.Bool("quiet", false, "suppress informational output (errors still print)")
+		telemetry = cli.AddTelemetry(fs, stdout)
 	)
-	flag.Parse()
-
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 	originList := netmp.SplitOrigins(*origins)
 	if len(originList) == 0 {
-		fmt.Fprintln(os.Stderr, "need -origins (comma-separated ranked origin addresses)")
+		fmt.Fprintln(stderr, "need -origins (comma-separated ranked origin addresses)")
 		return 2
 	}
 
 	video, err := dash.Lookup(*videoName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -77,35 +78,26 @@ func run() int {
 		FillWindow:   time.Duration(*fillSecs * float64(time.Second)),
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer edge.Close()
 
-	infof := func(format string, a ...any) {
-		if !*quiet {
-			fmt.Printf(format, a...)
-		}
+	infof := telemetry.Infof
+	tel, closeTel, err := telemetry.Open()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-
-	if *metricsAddr != "" || *journalPath != "" {
-		tel, closeTel, err := obs.Open(*journalPath, *metricsAddr, infof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer closeTel()
-		store.Instrument(tel)
-		edge.Instrument(tel)
-	}
+	defer closeTel()
+	store.Instrument(tel)
+	edge.Instrument(tel)
 
 	infof("edge for %q: %s (cache %d MiB over %v)\n", video.Name, edge.Addr(), *cacheMB, originList)
 	infof("\nfetch with:\n  mpdash-netfetch -wifi %s -lte %s\n", edge.Addr(), edge.Addr())
 	infof("\nCtrl-C to stop\n")
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
+	cli.WaitInterrupt()
 	st := store.Stats()
 	infof("\nserved %d payload bytes, %d from origins", edge.ServedBytes(), edge.OriginBytes())
 	if s := edge.ServedBytes(); s > 0 {

@@ -12,13 +12,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"mpdash"
+	"mpdash/cmd/internal/cli"
 	"mpdash/internal/field"
 )
 
@@ -34,11 +34,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		location = fs.String("location", "", "run a single location by name")
 		jsonOut  = fs.String("json", "", "also write the study as JSON to this file ('-' for stdout)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
 	}
 	out := stdout
 	if *jsonOut == "-" {

@@ -27,66 +27,61 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"time"
 
+	"mpdash/cmd/internal/cli"
 	"mpdash/internal/abr"
 	"mpdash/internal/netmp"
-	"mpdash/internal/obs"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpdash-netfetch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wifiAddrs = flag.String("wifi", "", "preferred-path origin address(es), comma-separated in preference order (required)")
-		lteAddrs  = flag.String("lte", "", "secondary-path origin address(es), comma-separated in preference order (required)")
-		chunks    = flag.Int("chunks", 10, "chunks to play")
-		rateBase  = flag.Bool("rate", true, "rate-based deadlines (false = duration-based)")
+		wifiAddrs = fs.String("wifi", "", "preferred-path origin address(es), comma-separated in preference order (required)")
+		lteAddrs  = fs.String("lte", "", "secondary-path origin address(es), comma-separated in preference order (required)")
+		chunks    = fs.Int("chunks", 10, "chunks to play")
+		rateBase  = fs.Bool("rate", true, "rate-based deadlines (false = duration-based)")
 
-		ioTimeoutMs = flag.Int("io-timeout-ms", 2000, "per-I/O deadline on path sockets")
-		retryBaseMs = flag.Int("retry-base-ms", 50, "base retry backoff")
-		retryMaxMs  = flag.Int("retry-max-ms", 2000, "backoff ceiling")
-		segBudget   = flag.Int("segment-budget", 3, "attempts per segment per path before requeueing")
-		maxRedials  = flag.Int("max-redials", 5, "consecutive failed redials before a path is declared down")
+		ioTimeoutMs = fs.Int("io-timeout-ms", 2000, "per-I/O deadline on path sockets")
+		retryBaseMs = fs.Int("retry-base-ms", 50, "base retry backoff")
+		retryMaxMs  = fs.Int("retry-max-ms", 2000, "backoff ceiling")
+		segBudget   = fs.Int("segment-budget", 3, "attempts per segment per path before requeueing")
+		maxRedials  = fs.Int("max-redials", 5, "consecutive failed redials before a path is declared down")
 
-		brkWindow     = flag.Int("breaker-window", 16, "per-origin breaker rolling sample window")
-		brkErrRate    = flag.Float64("breaker-error-rate", 0.5, "windowed error rate that opens an origin breaker")
-		brkCooldownMs = flag.Int("breaker-cooldown-ms", 1000, "open-breaker cooldown before a half-open probe")
+		brkWindow     = fs.Int("breaker-window", 16, "per-origin breaker rolling sample window")
+		brkErrRate    = fs.Float64("breaker-error-rate", 0.5, "windowed error rate that opens an origin breaker")
+		brkCooldownMs = fs.Int("breaker-cooldown-ms", 1000, "open-breaker cooldown before a half-open probe")
 
-		hedge         = flag.Bool("hedge", true, "hedge slow segments to a backup origin when one exists")
-		hedgeFactor   = flag.Float64("hedge-factor", 2, "pace multiple of the predicted service time that arms a hedge")
-		hedgeBudgetKB = flag.Int64("hedge-budget-kb", 4096, "session budget of payload bytes wasted on hedge losers")
+		hedge         = fs.Bool("hedge", true, "hedge slow segments to a backup origin when one exists")
+		hedgeFactor   = fs.Float64("hedge-factor", 2, "pace multiple of the predicted service time that arms a hedge")
+		hedgeBudgetKB = fs.Int64("hedge-budget-kb", 4096, "session budget of payload bytes wasted on hedge losers")
 
-		abort            = flag.Bool("abort", false, "abort doomed chunks (predicted deadline miss even with all paths engaged) and downgrade the rendition")
-		abortFactor      = flag.Float64("abort-factor", 1, "doom-test scale: abort when best-case finish exceeds this multiple of the remaining window")
-		abortMinProgress = flag.Float64("abort-min-progress", 0.25, "fraction of the deadline window that must elapse before the first doom evaluation")
+		abort            = fs.Bool("abort", false, "abort doomed chunks (predicted deadline miss even with all paths engaged) and downgrade the rendition")
+		abortFactor      = fs.Float64("abort-factor", 1, "doom-test scale: abort when best-case finish exceeds this multiple of the remaining window")
+		abortMinProgress = fs.Float64("abort-min-progress", 0.25, "fraction of the deadline window that must elapse before the first doom evaluation")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and pprof on this address (e.g. 127.0.0.1:9090; empty = off)")
-		journalPath = flag.String("journal", "", "stream the structured event journal to this JSONL file (- = stderr)")
-		tracePath   = flag.String("trace", "", "write kept per-chunk span traces to this JSONL file (enables tracing)")
-		traceChrome = flag.String("trace-chrome", "", "additionally write kept traces as Chrome trace-event JSON (load in chrome://tracing or Perfetto)")
-		traceSample = flag.Float64("trace-sample", 1, "head-sample fraction of healthy traces kept (bad traces are always kept)")
-		quiet       = flag.Bool("quiet", false, "suppress informational output (errors still print)")
+		telemetry = cli.AddTelemetry(fs, stdout)
+		tracing   = cli.AddTracing(fs, 1)
 	)
-	flag.Parse()
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 	wifi := netmp.SplitOrigins(*wifiAddrs)
 	lte := netmp.SplitOrigins(*lteAddrs)
 	if len(wifi) == 0 || len(lte) == 0 {
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
-
-	infof := func(format string, a ...any) {
-		if !*quiet {
-			fmt.Printf(format, a...)
-		}
-	}
+	infof := telemetry.Infof
 
 	video, sizes, err := netmp.FetchManifest(wifi[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	infof("manifest: %d chunks × %v, %d levels (top %.2f Mbps)\n",
@@ -100,7 +95,7 @@ func run() int {
 	}
 	f, err := netmp.NewFetcherOrigins(video, brk, wifi, lte)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer f.Close()
@@ -125,46 +120,24 @@ func run() int {
 
 	st := &netmp.Streamer{Fetcher: f, ABR: abr.NewGPAC(), RateBased: *rateBase}
 
-	if *metricsAddr != "" || *journalPath != "" {
-		tel, closeTel, err := obs.Open(*journalPath, *metricsAddr, infof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer closeTel()
-		st.Instrument(tel)
+	tel, closeTel, err := telemetry.Open()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-
-	var tracer *obs.Tracer
-	if *tracePath != "" || *traceChrome != "" {
-		tracer = obs.NewTracer(obs.TraceConfig{HeadSampleRate: *traceSample})
-		st.Tracer = tracer
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "\ninterrupt: finishing in-flight chunk, then stopping")
-		st.Stop()
-		<-sig // second interrupt: hard exit
-		os.Exit(1)
-	}()
+	defer closeTel()
+	st.Instrument(tel)
+	st.Tracer = tracing.Tracer(0)
+	cli.OnInterrupt(stderr, "finishing in-flight chunk, then stopping", st.Stop)
 
 	res, err := st.Stream(*chunks)
-	if tracer != nil {
-		// Export even after a failed session: the bad traces are the
-		// interesting ones.
-		if terr := tracer.Export(*tracePath, *traceChrome); terr != nil {
-			fmt.Fprintln(os.Stderr, "mpdash-netfetch:", terr)
-		} else {
-			ts := tracer.Stats()
-			infof("traces: kept %d of %d (%d bad, %d sampled)\n",
-				ts.Kept, ts.Finished, ts.KeptBad, ts.KeptSampled)
-		}
+	// Export even after a failed session: the bad traces are the
+	// interesting ones.
+	if terr := tracing.Export(st.Tracer, infof); terr != nil {
+		fmt.Fprintln(stderr, "mpdash-netfetch:", terr)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		if res == nil {
 			return 1
 		}

@@ -21,50 +21,51 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"time"
 
+	"mpdash/cmd/internal/cli"
 	"mpdash/internal/dash"
 	"mpdash/internal/netmp"
-	"mpdash/internal/obs"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpdash-netserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wifiMbps  = flag.Float64("wifi-mbps", 4.0, "shaped rate of the WiFi-role listener")
-		lteMbps   = flag.Float64("lte-mbps", 12.0, "shaped rate of the LTE-role listener")
-		videoName = flag.String("video", "Big Buck Bunny", "video from the Table 3 catalogue")
+		wifiMbps  = fs.Float64("wifi-mbps", 4.0, "shaped rate of the WiFi-role listener")
+		lteMbps   = fs.Float64("lte-mbps", 12.0, "shaped rate of the LTE-role listener")
+		videoName = fs.String("video", "Big Buck Bunny", "video from the Table 3 catalogue")
 
-		faultPath   = flag.String("fault-path", "wifi", "listener the fault plan applies to: wifi, lte, or both")
-		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault probability draws (deterministic replay)")
-		resetProb   = flag.Float64("reset-prob", 0, "per-request probability of a connection reset")
-		stallProb   = flag.Float64("stall-prob", 0, "per-request probability of a mid-body stall")
-		closeProb   = flag.Float64("close-prob", 0, "per-request probability of a premature close")
-		corruptProb = flag.Float64("corrupt-prob", 0, "per-request probability of payload corruption")
-		stallMs     = flag.Int("stall-ms", 2000, "duration of injected stalls")
-		blackouts   = flag.String("blackouts", "", "blackout windows as start:duration[,start:duration...] e.g. 8s:3s,40s:5s")
+		faultPath   = fs.String("fault-path", "wifi", "listener the fault plan applies to: wifi, lte, or both")
+		faultSeed   = fs.Int64("fault-seed", 1, "seed for the fault probability draws (deterministic replay)")
+		resetProb   = fs.Float64("reset-prob", 0, "per-request probability of a connection reset")
+		stallProb   = fs.Float64("stall-prob", 0, "per-request probability of a mid-body stall")
+		closeProb   = fs.Float64("close-prob", 0, "per-request probability of a premature close")
+		corruptProb = fs.Float64("corrupt-prob", 0, "per-request probability of payload corruption")
+		stallMs     = fs.Int("stall-ms", 2000, "duration of injected stalls")
+		blackouts   = fs.String("blackouts", "", "blackout windows as start:duration[,start:duration...] e.g. 8s:3s,40s:5s")
 
-		maxConns   = flag.Int("max-conns", 0, "per-listener concurrent connection cap; excess get 503 (0 = unlimited)")
-		maxReqConn = flag.Int("max-requests-per-conn", 0, "requests served per connection before it is closed (0 = unlimited)")
+		maxConns   = fs.Int("max-conns", 0, "per-listener concurrent connection cap; excess get 503 (0 = unlimited)")
+		maxReqConn = fs.Int("max-requests-per-conn", 0, "requests served per connection before it is closed (0 = unlimited)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and pprof on this address (e.g. 127.0.0.1:9091; empty = off)")
-		journalPath = flag.String("journal", "", "stream the structured event journal to this JSONL file (- = stderr)")
-		quiet       = flag.Bool("quiet", false, "suppress informational output (errors still print)")
+		telemetry = cli.AddTelemetry(fs, stdout)
 	)
-	flag.Parse()
-
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 	video, err := dash.Lookup(*videoName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
 	windows, err := netmp.ParseBlackouts(*blackouts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	var plan *netmp.FaultPlan
@@ -87,19 +88,19 @@ func run() int {
 		wifiPlan = nil
 	case "both":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -fault-path %q (want wifi, lte, or both)\n", *faultPath)
+		fmt.Fprintf(stderr, "unknown -fault-path %q (want wifi, lte, or both)\n", *faultPath)
 		return 2
 	}
 
 	wifiSrv, err := netmp.NewChunkServerWithFaults(video, *wifiMbps, wifiPlan)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer wifiSrv.Close()
 	lteSrv, err := netmp.NewChunkServerWithFaults(video, *lteMbps, ltePlan)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer lteSrv.Close()
@@ -107,22 +108,15 @@ func run() int {
 	wifiSrv.SetLimits(limits)
 	lteSrv.SetLimits(limits)
 
-	infof := func(format string, a ...any) {
-		if !*quiet {
-			fmt.Printf(format, a...)
-		}
+	infof := telemetry.Infof
+	tel, closeTel, err := telemetry.Open()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-
-	if *metricsAddr != "" || *journalPath != "" {
-		tel, closeTel, err := obs.Open(*journalPath, *metricsAddr, infof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer closeTel()
-		wifiSrv.Instrument(tel)
-		lteSrv.Instrument(tel)
-	}
+	defer closeTel()
+	wifiSrv.Instrument(tel)
+	lteSrv.Instrument(tel)
 
 	infof("serving %q\n", video.Name)
 	infof("wifi path: %s (%.1f Mbps)%s\n", wifiSrv.Addr(), *wifiMbps, planTag(wifiPlan))
@@ -130,9 +124,7 @@ func run() int {
 	infof("\nfetch with:\n  mpdash-netfetch -wifi %s -lte %s\n", wifiSrv.Addr(), lteSrv.Addr())
 	infof("\nCtrl-C to stop\n")
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
+	cli.WaitInterrupt()
 	// Graceful drain: stop accepting, let in-flight bodies finish.
 	infof("\ndraining...\n")
 	wifiSrv.Drain()

@@ -216,19 +216,6 @@ func TestMPCStartupAndEmptyHistory(t *testing.T) {
 	}
 }
 
-func TestMPCDeadlineForOptimalRate(t *testing.T) {
-	m := NewMPC()
-	meta := dash.ChunkMeta{Size: 1_000_000, NominalBps: 4e6, Duration: 4 * time.Second}
-	d := m.DeadlineForOptimalRate(meta)
-	if d < 1900*time.Millisecond || d > 2100*time.Millisecond {
-		t.Errorf("deadline = %v, want ≈2s", d)
-	}
-	meta.NominalBps = 0
-	if m.DeadlineForOptimalRate(meta) != meta.Duration {
-		t.Error("zero-bitrate fallback wrong")
-	}
-}
-
 func TestDeadlinePolicyString(t *testing.T) {
 	if DurationBased.String() != "duration" || RateBased.String() != "rate" {
 		t.Error("policy strings wrong")

@@ -1,8 +1,6 @@
 package abr
 
 import (
-	"time"
-
 	"mpdash/internal/dash"
 	"mpdash/internal/stats"
 )
@@ -106,14 +104,4 @@ func (m *MPC) SelectLevel(st dash.PlayerState) int {
 	}
 	walk(0, st.Buffer.Seconds(), st.LastLevel, 0)
 	return bestLevel
-}
-
-// DeadlineForOptimalRate is the §5.2.3 suggestion for MPC's MP-DASH
-// deadline: chunk size divided by the minimum throughput that sustains the
-// chosen bitrate (approximated by the bitrate itself).
-func (m *MPC) DeadlineForOptimalRate(meta dash.ChunkMeta) time.Duration {
-	if meta.NominalBps <= 0 {
-		return meta.Duration
-	}
-	return time.Duration(float64(meta.Size*8) / meta.NominalBps * float64(time.Second))
 }

@@ -487,3 +487,33 @@ func TestPacketPathAllocFree(t *testing.T) {
 		t.Errorf("256,000 delivered segments allocated %v times, want 0", n)
 	}
 }
+
+func TestCoupledCCThroughputAtMostDecoupled(t *testing.T) {
+	// RFC 6356's goal: the coupled flow is no more aggressive than
+	// independent flows. Over two equal paths the coupled aggregate
+	// should be at most the decoupled aggregate (and still positive).
+	run := func(coupled bool) int64 {
+		s, c := twoPathCfg(t, Config{CoupledCC: coupled})
+		tr, err := c.StartTransfer(8_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.RunUntilComplete(120_000_000_000) {
+			t.Fatal("transfer stuck")
+		}
+		var sum int64
+		for _, p := range c.Paths() {
+			sum += p.DeliveredBytes()
+		}
+		_ = s
+		return sum * int64(1e9) / int64(tr.Duration())
+	}
+	decoupled := run(false)
+	coupledBps := run(true)
+	if coupledBps <= 0 {
+		t.Fatal("coupled made no progress")
+	}
+	if float64(coupledBps) > float64(decoupled)*1.10 {
+		t.Errorf("coupled rate %d exceeds decoupled %d", coupledBps, decoupled)
+	}
+}

@@ -4,20 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 )
 
-// This file implements the wire formats the paper's kernel patch adds:
-//
-//   - the MPTCP DSS (Data Sequence Signal) option with one reserved flag
-//     bit repurposed to carry the client's MP-DASH decision about the
-//     cellular subflow to the server (§3.2, §6), and
-//   - the MP_DASH_ENABLE socket-option payload conveying the chunk size S
-//     and deadline D from user space to the kernel (§3.2).
-//
-// The in-process simulator moves this information through function calls,
-// but the codecs are exercised by the real-socket fetcher (internal/netmp)
-// and keep the reproduction honest about what crosses the wire.
+// This file implements the wire format the paper's kernel patch adds: the
+// MPTCP DSS (Data Sequence Signal) option with one reserved flag bit
+// repurposed to carry the client's MP-DASH decision about the cellular
+// subflow to the server (§3.2, §6). The in-process simulator moves the
+// decision through function calls; mpdash-pcap and internal/analysis
+// decode it from captured traces.
 
 // MPTCPOptionKind is the IANA TCP option kind for MPTCP.
 const MPTCPOptionKind = 30
@@ -88,42 +82,4 @@ func DecodeDSSOption(b []byte) (DSSOption, error) {
 		DataLen:              binary.BigEndian.Uint16(b[12:14]),
 		MPDashCellularEnable: b[3]&dssFlagMPDashEnable != 0,
 	}, nil
-}
-
-// EnableRequest is the MP_DASH_ENABLE socket-option payload: "convey the
-// data size S and the deadline D from the user space to the kernel. Upon
-// the reception of this information, MP-DASH is activated for the next S
-// bytes of data" (§3.2).
-type EnableRequest struct {
-	// Size is S, in bytes.
-	Size int64
-	// Deadline is D, the download window from now.
-	Deadline time.Duration
-}
-
-// enableRequestLen is size(8) + deadline-microseconds(8).
-const enableRequestLen = 16
-
-// Encode serializes the request.
-func (r EnableRequest) Encode() []byte {
-	b := make([]byte, enableRequestLen)
-	binary.BigEndian.PutUint64(b[0:8], uint64(r.Size))
-	binary.BigEndian.PutUint64(b[8:16], uint64(r.Deadline.Microseconds()))
-	return b
-}
-
-// DecodeEnableRequest parses an MP_DASH_ENABLE payload.
-func DecodeEnableRequest(b []byte) (EnableRequest, error) {
-	if len(b) < enableRequestLen {
-		return EnableRequest{}, fmt.Errorf("%w: %d bytes", ErrShortOption, len(b))
-	}
-	size := int64(binary.BigEndian.Uint64(b[0:8]))
-	us := int64(binary.BigEndian.Uint64(b[8:16]))
-	if size <= 0 {
-		return EnableRequest{}, fmt.Errorf("%w: size %d", ErrBadOption, size)
-	}
-	if us < 0 {
-		return EnableRequest{}, fmt.Errorf("%w: negative deadline", ErrBadOption)
-	}
-	return EnableRequest{Size: size, Deadline: time.Duration(us) * time.Microsecond}, nil
 }

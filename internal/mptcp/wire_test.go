@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestDSSOptionRoundTrip(t *testing.T) {
@@ -75,43 +74,5 @@ func TestDecodeDSSOptionErrors(t *testing.T) {
 	badSub[2] = 0x30
 	if _, err := DecodeDSSOption(badSub); !errors.Is(err, ErrBadOption) {
 		t.Errorf("bad subtype: %v", err)
-	}
-}
-
-func TestEnableRequestRoundTrip(t *testing.T) {
-	r := EnableRequest{Size: 1_234_567, Deadline: 8*time.Second + 250*time.Millisecond}
-	got, err := DecodeEnableRequest(r.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != r {
-		t.Errorf("round trip %+v -> %+v", r, got)
-	}
-}
-
-func TestEnableRequestErrors(t *testing.T) {
-	if _, err := DecodeEnableRequest([]byte{1, 2, 3}); !errors.Is(err, ErrShortOption) {
-		t.Errorf("short: %v", err)
-	}
-	zero := EnableRequest{Size: 0, Deadline: time.Second}.Encode()
-	if _, err := DecodeEnableRequest(zero); !errors.Is(err, ErrBadOption) {
-		t.Errorf("zero size: %v", err)
-	}
-}
-
-func TestEnableRequestProperty(t *testing.T) {
-	f := func(size int64, ms uint32) bool {
-		if size <= 0 {
-			size = 1 - size // force positive
-		}
-		if size <= 0 {
-			return true // overflow corner, skip
-		}
-		r := EnableRequest{Size: size, Deadline: time.Duration(ms) * time.Millisecond}
-		got, err := DecodeEnableRequest(r.Encode())
-		return err == nil && got == r
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

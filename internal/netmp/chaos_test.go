@@ -192,6 +192,9 @@ func TestPreferredPathDeathMidChunk(t *testing.T) {
 	if f.DegradedFor() == 0 {
 		t.Error("degraded interval not tracked")
 	}
+	if allocs := testing.AllocsPerRun(100, func() { f.DegradedFor() }); allocs != 0 {
+		t.Errorf("DegradedFor allocates %.0f objects per call, want 0", allocs)
+	}
 
 	// Subsequent chunks run single-path from the start.
 	res2, err := f.FetchChunk(1, 0, 3*time.Second)

@@ -237,8 +237,10 @@ func (f *Fetcher) PathStats() []PathStats {
 // session's degraded interval.
 func (f *Fetcher) DegradedFor() time.Duration {
 	var d time.Duration
-	for _, ps := range f.PathStats() {
-		d += ps.DownFor
+	for _, pc := range f.paths {
+		pc.mu.Lock()
+		d += pc.downForLocked()
+		pc.mu.Unlock()
 	}
 	return d
 }

@@ -87,15 +87,6 @@ func (s *OriginSet) CurrentState() BreakerState {
 	return o.breaker.State()
 }
 
-// States returns every origin's breaker state in rank order.
-func (s *OriginSet) States() []BreakerState {
-	out := make([]BreakerState, len(s.origins))
-	for i, o := range s.origins {
-		out[i] = o.breaker.State()
-	}
-	return out
-}
-
 // pick selects the origin for the next dial: the highest-ranked origin
 // whose breaker admits traffic (Allow — half-open probe slots are
 // consumed here). Picking a different origin than the current one counts

@@ -372,9 +372,7 @@ func (pc *pathConn) stats() PathStats {
 		Reconnects:  pc.reconnects,
 		Bytes:       pc.bytes,
 		WastedBytes: pc.wasted,
-	}
-	if pc.state == PathDown && !pc.downAt.IsZero() {
-		st.DownFor = pc.clk.now().Sub(pc.downAt)
+		DownFor:     pc.downForLocked(),
 	}
 	pc.mu.Unlock()
 	if pc.set != nil {
@@ -384,6 +382,15 @@ func (pc *pathConn) stats() PathStats {
 		st.Origins = pc.set.Stats()
 	}
 	return st
+}
+
+// downForLocked is how long the path has been down, zero while it
+// lives. The caller holds pc.mu.
+func (pc *pathConn) downForLocked() time.Duration {
+	if pc.state == PathDown && !pc.downAt.IsZero() {
+		return pc.clk.now().Sub(pc.downAt)
+	}
+	return 0
 }
 
 // counters snapshots the cumulative fault counters — the per-fetch

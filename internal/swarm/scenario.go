@@ -397,20 +397,6 @@ func LoadScenario(path string) (*Scenario, error) {
 	return s, nil
 }
 
-// LoadChaos reads and strictly decodes a chaos timeline file: a JSON
-// array of events, the schema of a scenario's "chaos" stanza.
-func LoadChaos(path string) ([]ChaosEvent, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("swarm: chaos: %w", err)
-	}
-	var events []ChaosEvent
-	if err := decodeStrict(b, &events); err != nil {
-		return nil, fmt.Errorf("swarm: chaos %s: %w", path, err)
-	}
-	return events, nil
-}
-
 func decodeScenario(b []byte) (*Scenario, error) {
 	var s Scenario
 	if err := decodeStrict(b, &s); err != nil {

@@ -134,6 +134,34 @@ func TestLoadScenarioStrict(t *testing.T) {
 	}
 }
 
+// TestLoadChaosStrict: a scenario's chaos stanza is decoded strictly — a
+// misspelled key (a drop that would do nothing) or a stanza that is not
+// an array fails the load.
+func TestLoadChaosStrict(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"misspelled.json": `{"sessions": 4, "chaos": [{"at": "4s", "kind": "capacity_drop", "wifi_factr": 0.25}]}`,
+		"object.json":     `{"sessions": 4, "chaos": {"at": "4s", "kind": "capacity_restore"}}`,
+		"trailing.json":   `{"sessions": 4, "chaos": [{"at": "4s", "kind": "capacity_restore"}]} []`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadScenario(path); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: got %v, want an error naming the file", name, err)
+		}
+	}
+	path := filepath.Join(dir, "ok.json")
+	if err := os.WriteFile(path, []byte(`{"sessions": 4, "chaos": [{"at": "4s", "kind": "capacity_drop", "wifi_factor": 0.25}]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadScenario(path)
+	if err != nil || len(s.Chaos) != 1 || s.Chaos[0].WiFiFactor != 0.25 {
+		t.Errorf("valid chaos stanza: %+v, %v", s, err)
+	}
+}
+
 // FuzzDecodeScenario: the scenario decoder never panics, and a scenario
 // it accepts that validates (after defaults) also plans, without a panic,
 // into one spec per session. Seeded with every committed scenario, a
