@@ -7,8 +7,8 @@
 // mpdash-netfetch -journal or obs.Journal.StreamTo) and renders the
 // per-chunk decision timeline: every subflow engage/stand-down with the
 // throughput estimate that drove it, adapter Φ/Ω actions, breaker and
-// hedge activity, edge-cache hits/misses/collapses and the hint headers
-// the client folded in, and each chunk's outcome against its deadline.
+// hedge activity, edge-cache hits/misses/collapses, and each chunk's
+// outcome against its deadline.
 // Chaos
 // timeline events (chaos.*) render as == CHAOS == markers, and audit
 // and session-panic events surface as loud one-liners, so a chaos run's

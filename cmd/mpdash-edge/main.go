@@ -3,8 +3,8 @@
 // protocol the origins speak, answers hits from a sharded in-process
 // chunk cache, collapses concurrent misses for the same chunk into one
 // origin fill (singleflight), and stamps every response with an
-// "X-MPDash-Cache: hit|miss" header that cache-aware clients fold into
-// their multipath engage and hedge decisions.
+// "X-MPDash-Cache: hit|miss" header; a client's trace spans name the
+// misses' origin-fill time.
 //
 // With -metrics-addr the process serves /metrics (cache_* hit/miss/
 // eviction/collapse counters, per-edge served- and origin-byte

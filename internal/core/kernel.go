@@ -8,11 +8,6 @@ import "time"
 // sockets), abr.Adapter and netmp.Streamer — only gather inputs and
 // apply the answer.
 
-// HitDamp is the ceiling on cache-hint demand shrinkage: even a certain
-// hit keeps 30% of the demand in the pressure test, so a mispredicted
-// edge eviction degrades to a late engage, not a miss.
-const HitDamp = 0.7
-
 // Engage is Algorithm 1 lines 13–21, generalized to N paths in cost order
 // (§4 "Optimality"): feed data from low-cost to high-cost interfaces and
 // turn on the minimal prefix of secondaries whose predicted capacity
@@ -41,20 +36,6 @@ func Engage(need, windowSec float64, est []float64) int {
 		capacity += e * windowSec
 	}
 	return on
-}
-
-// DemandFactor is the cache-aware damping of Engage's need: bytes an edge
-// serves from its store arrive far faster than the origin-path estimate
-// predicts, so the expected hit fraction is discounted as
-// 1 − HitDamp·hitProb. hitProb is clamped to [0, 1].
-func DemandFactor(hitProb float64) float64 {
-	if hitProb <= 0 {
-		return 1
-	}
-	if hitProb > 1 {
-		hitProb = 1
-	}
-	return 1 - HitDamp*hitProb
 }
 
 // PhiFrac places the deadline-extension threshold Φ at this fraction of

@@ -37,28 +37,6 @@ func TestEngageTable(t *testing.T) {
 	}
 }
 
-func TestDemandFactorBounds(t *testing.T) {
-	// keep computes 1 − HitDamp·hitProb at run time, as the kernel does
-	// (constant folding would round differently), with HitDamp's pinned
-	// value: a certain hit keeps 30% of the demand.
-	damp := 0.7
-	keep := func(hitProb float64) float64 { return 1 - damp*hitProb }
-	cases := []struct {
-		hitProb, want float64
-	}{
-		{0, 1},           // no hint: demand untouched
-		{-1, 1},          // nonsense probability: untouched
-		{1, keep(1)},     // certain hit
-		{0.5, keep(0.5)}, // partial
-		{5, keep(1)},     // probability clamps to 1
-	}
-	for _, c := range cases {
-		if got := DemandFactor(c.hitProb); got != c.want {
-			t.Errorf("DemandFactor(%v) = %v, want %v", c.hitProb, got, c.want)
-		}
-	}
-}
-
 func TestChunkDeadline(t *testing.T) {
 	const size, nominal = 2_000_000, 4e6 // 16 Mbit at 4 Mbps = 4 s
 	dur := 3 * time.Second
@@ -142,7 +120,6 @@ func TestKernelAndTickAllocFree(t *testing.T) {
 	var sink int
 	if n := testing.AllocsPerRun(100, func() {
 		sink += Engage(4e7, 4, est)
-		sink += int(DemandFactor(0.5) * 10)
 		d, _ := ChunkDeadline(true, 2_000_000, 4e6, 4*time.Second, 30*time.Second, 24*time.Second)
 		sink += int(d)
 	}); n != 0 {

@@ -5,9 +5,9 @@ package netmp
 // shared cache.Cache and proxies misses to the ranked origin set through
 // a pool of supervised Fetchers — so every origin fill rides the
 // breaker/failover/hedge machinery the clients already exercise. Each
-// 206 response carries an "X-MPDash-Cache: hit|miss" header, the hint
-// the client-side scheduler folds into its engage and hedge decisions
-// (see cachehint.go).
+// 206 response carries an "X-MPDash-Cache: hit|miss" header; the
+// fetcher opens a cache/origin-fill trace span for each miss it reads
+// (readRange), so deadline-miss attribution can name the backhaul.
 //
 // Misses are filled whole-chunk: an MP-DASH client splits a chunk into
 // disjoint range requests across two paths, and the cache's singleflight

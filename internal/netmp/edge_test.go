@@ -12,6 +12,7 @@ import (
 
 	"mpdash/internal/cache"
 	"mpdash/internal/dash"
+	"mpdash/internal/obs"
 )
 
 // edgeRig stands up origin → edge → store for one video.
@@ -46,6 +47,17 @@ func TestEdgeValidation(t *testing.T) {
 	}
 }
 
+// originFills lists the paths of rec's cache/origin-fill spans.
+func originFills(rec *obs.TraceRecord) []string {
+	var paths []string
+	for _, sp := range rec.Spans {
+		if sp.Category == obs.CatCache && sp.Name == "origin-fill" {
+			paths = append(paths, sp.Path)
+		}
+	}
+	return paths
+}
+
 func TestEdgeServesVerifiedChunksAndHints(t *testing.T) {
 	// Hedging off end to end: the byte ledgers below are exact only when
 	// no duplicate (loser) requests can be issued.
@@ -57,9 +69,21 @@ func TestEdgeServesVerifiedChunksAndHints(t *testing.T) {
 	}
 	defer f.Close()
 	f.Hedge.Disabled = true
+	// One trace per fetch, every one kept: session 1 the cold fetch,
+	// session 2 the warm one.
+	tr := obs.NewTracer(obs.TraceConfig{HeadSampleRate: 1})
+	fetch := func(session int) (*FetchResult, error) {
+		ct := tr.StartTrace(session, 0, 0)
+		f.SetTrace(ct)
+		defer func() {
+			f.SetTrace(nil)
+			ct.Finish(obs.TraceOK)
+		}()
+		return f.FetchChunk(0, 0, 10*time.Second)
+	}
 
 	size := video.ChunkSize(0, 0)
-	res, err := f.FetchChunk(0, 0, 10*time.Second)
+	res, err := fetch(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +102,8 @@ func TestEdgeServesVerifiedChunksAndHints(t *testing.T) {
 		t.Errorf("origin served %d bytes, want %d", got, size)
 	}
 
-	// Warm fetch: served from the store, hint header says hit, and the
-	// client's per-chunk knowledge goes exact.
-	res, err = f.FetchChunk(0, 0, 10*time.Second)
+	// Warm fetch: served from the store, the header says hit.
+	res, err = fetch(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +116,33 @@ func TestEdgeServesVerifiedChunksAndHints(t *testing.T) {
 	if got := edge.OriginBytes(); got != size {
 		t.Errorf("warm fetch pulled origin bytes: %d", got)
 	}
-	if p := f.chint.hitProb(0); p != 1 {
-		t.Errorf("hit-hinted chunk probability = %v, want 1", p)
-	}
-	if !f.cacheHot(0) {
-		t.Error("hit-hinted chunk not hot")
-	}
 	if got := edge.ServedBytes(); got != 2*size {
 		t.Errorf("edge served %d bytes, want %d", got, 2*size)
+	}
+
+	// The miss header opens a cache/origin-fill span on the path that
+	// read it; hit headers open none.
+	recs := tr.Records()
+	if len(recs) != 2 {
+		t.Fatalf("kept %d traces, want 2", len(recs))
+	}
+	for _, rec := range recs {
+		fills := originFills(rec)
+		switch rec.Session {
+		case 1:
+			if len(fills) == 0 {
+				t.Error("cold fetch's trace holds no cache/origin-fill span")
+			}
+			for _, p := range fills {
+				if p != "primary" && p != "secondary" {
+					t.Errorf("cold fetch's origin-fill span on path %q", p)
+				}
+			}
+		case 2:
+			if len(fills) != 0 {
+				t.Errorf("warm fetch's trace holds origin-fill spans on %v", fills)
+			}
+		}
 	}
 }
 

@@ -100,11 +100,6 @@ type Fetcher struct {
 
 	firstByte atomic.Bool // an instrumented chunk awaits its first byte (noteFirstByte)
 
-	// chint is the cache-hint memory fed by X-MPDash-Cache response
-	// headers (cachehint.go); a session that never sees the header keeps
-	// hit probability 0, and its engage and hedge decisions are untouched.
-	chint cacheHintState
-
 	// tref names the in-flight chunk's span trace (tracing.go); shared
 	// with every pathConn so the supervisor can attach redial spans.
 	tref traceRef
@@ -628,7 +623,6 @@ func (f *Fetcher) FetchChunk(index, level int, d time.Duration) (*FetchResult, e
 
 	start := f.clk.now()
 	dlAt := start.Add(time.Duration(alpha * float64(d)))
-	f.chint.beginChunk(index)
 	res := &FetchResult{Size: size, Verified: true}
 	fo := f.obsHandles()
 	if fo != nil {
@@ -839,11 +833,6 @@ func (f *Fetcher) driveSecondary(w *secondary) {
 	engaged := false
 	for v := st.view(); !v.stopped; v = st.view() {
 		need := float64(v.remaining) * float64(j.segSize)
-		// Cache-aware service-time hint: a chunk the edge will serve from
-		// its store moves far faster than the path rate history suggests,
-		// so the demand shrinks with the hit probability. A known miss (or
-		// no edge at all) leaves it untouched.
-		need *= core.DemandFactor(f.chint.hitProb(j.index))
 		on, reason, rate, window := true, "primary-down", 0.0, 0.0
 		if rank := liveCount(cheaper); rank > 0 {
 			var n int
@@ -1119,18 +1108,14 @@ func (f *Fetcher) readRange(pc *pathConn, index, level int, from, want int64, t0
 	if contentLength > want {
 		return 0, false, fmt.Errorf("netmp: %s 206 of %d bytes for a %d-byte range", pc.name, contentLength, want)
 	}
-	if cacheState != "" {
-		hit := cacheState == "hit"
-		f.noteCacheHeader(pc, index, level, hit)
-		if !hit {
-			// The edge is (or was) filling this chunk from origin: the
-			// whole request rode that fill, so the span is backdated to
-			// the request write — that interval is origin time, and the
-			// miss-budget walker attributes it to the cache category.
-			csp := f.curTrace().StartSpanAt(obs.CatCache, "origin-fill", t0)
-			csp.SetPath(pc.name)
-			defer csp.End()
-		}
+	if cacheState == "miss" {
+		// The edge is (or was) filling this chunk from origin: the whole
+		// request rode that fill, so the span is backdated to the request
+		// write — that interval is origin time, and the miss-budget walker
+		// attributes it to the cache category.
+		csp := f.curTrace().StartSpanAt(obs.CatCache, "origin-fill", t0)
+		csp.SetPath(pc.name)
+		defer csp.End()
 	}
 	r := pc.r
 	var bp *[]byte // the segment block, taken on first use

@@ -153,12 +153,9 @@ type segOutcome struct {
 
 // hedgeBackup returns the origin a hedge of pc's claimed run of n would
 // go to, or nil: only a lone segment hedges, and only while hedging is on,
-// affordable and has a healthy backup origin. A cache-hot chunk's slow
-// first bytes are the edge's singleflight fill; a duplicate request would
-// join that fill, not beat it, so hedging is suppressed above the hot
-// threshold.
+// affordable and has a healthy backup origin.
 func (f *Fetcher) hedgeBackup(pc *pathConn, n int) *origin {
-	if n != 1 || f.Hedge.Disabled || f.cacheHot(f.job.index) || f.hedge.wasted.Load() >= f.Hedge.withDefaults().BudgetBytes {
+	if n != 1 || f.Hedge.Disabled || f.hedge.wasted.Load() >= f.Hedge.withDefaults().BudgetBytes {
 		return nil
 	}
 	if b, ok := pc.set.backup(); ok {

@@ -165,8 +165,6 @@ func describe(e Event) string {
 		return fmt.Sprintf("cache miss COLLAPSED %s: waiting on the in-flight fill", e.Str["video"])
 	case "cache.evict":
 		return fmt.Sprintf("cache evict %s", e.Str["video"])
-	case "cache.hint":
-		return fmt.Sprintf("%s cache hint %s (prior %.2f)", e.Path, e.Str["state"], e.Num["prior"])
 	case "board.seed":
 		return fmt.Sprintf("board seed %s: est=%s", e.Str["key"], fmtRate(e.Num["rate_bps"]))
 	case "board.drop":
