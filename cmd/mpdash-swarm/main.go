@@ -24,10 +24,8 @@
 // (BENCH_swarm.json by default); render it later with
 // mpdash-analyze -swarm BENCH_swarm.json. The run is then held to its
 // pass bar: ledger violations, panics and audit violations always fail
-// it, a scenario's "gates" stanza adds its bounds, and -baseline
-// REPORT requires a graceful-degradation run to strictly beat an
-// abort-off run of the same scenario. One row prints per checked
-// quantity, and a failed row exits 1.
+// it, and a scenario's "gates" stanza adds its bounds. One row prints
+// per checked quantity, and a failed row exits 1.
 //
 // Usage:
 //
@@ -35,7 +33,7 @@
 //	mpdash-swarm -scenario scenarios/zipf-cache.json -metrics-addr 127.0.0.1:9090
 //	mpdash-swarm -scenario scenarios/chaos-crash.json -audit -journal chaos.jsonl
 //	mpdash-swarm -scenario scenarios/chaos-crash.json -validate
-//	mpdash-swarm -scenario scenarios/linkdrop.json -abort -board -baseline BENCH_drop_base.json
+//	mpdash-swarm -scenario scenarios/linkdrop.json -abort -board
 package main
 
 import (
@@ -64,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		auditOn  = fs.Bool("audit", false, "run the runtime invariant auditor (ledger, goroutine leaks, playback monotonicity, abort pairing, waste bound); violations fail the run")
 		validate = fs.Bool("validate", false, "validate the scenario and exit without running")
-		baseline = fs.String("baseline", "", "report of a baseline run (same scenario and sessions, graceful degradation off) that this run must strictly beat on deadline-miss rate AND wasted cellular bytes")
 
 		out          = fs.String("out", "BENCH_swarm.json", "population report output path (empty = skip)")
 		keepSessions = fs.Bool("session-detail", false, "include per-session outcomes in the report")
@@ -101,13 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "scenario %q: valid (%d sessions, %d chaos events)\n",
 			sw.Scenario.Name, sw.Scenario.Sessions, len(sw.Scenario.Chaos))
 		return 0
-	}
-	var base *swarm.Report
-	if *baseline != "" {
-		if base, err = swarm.ReadReport(*baseline); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 	}
 	sw.KeepSessions = *keepSessions
 	infof := telemetry.Infof
@@ -174,12 +164,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		infof("report: %s\n", *out)
 	}
 	// The pass bar: ledger violations, panics and audit violations fail
-	// every run; the scenario's gates stanza and -baseline add their rows.
+	// every run; the scenario's gates stanza adds its rows.
 	rows, ok := rep.Judge(sw.Scenario.Gates)
-	if base != nil {
-		cmpRows, cmpOK := rep.Compare(base)
-		rows, ok = append(rows, cmpRows...), ok && cmpOK
-	}
 	if err := swarm.WriteGateRows(stdout, rows, telemetry.Quiet()); err != nil {
 		fmt.Fprintln(stderr, "mpdash-swarm:", err)
 		return 1

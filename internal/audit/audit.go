@@ -16,9 +16,11 @@
 //     matched by its rendition-downgrade (and no downgrade appears
 //     without an abort) — an unpaired half means the cross-layer abort
 //     contract broke;
-//   - bounded waste: bytes that bought no on-time video stay a bounded
-//     fraction of all bytes moved — unbounded wasted-byte growth is the
-//     signature of an abort/hedge feedback loop.
+//   - bounded waste: bytes that bought no on-time video — bytes of
+//     failed or corrupt attempts, aborted and failed chunks' partials,
+//     late chunks' payload and hedge losers — stay a bounded fraction of
+//     all bytes moved; unbounded wasted-byte growth is the signature of
+//     an abort/hedge feedback loop.
 //
 // The auditor is deliberately dependency-light (only internal/obs) so
 // any layer can wire it: Watch goes on obs.Telemetry.OnEmit, Playback

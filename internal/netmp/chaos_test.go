@@ -383,7 +383,7 @@ func TestStreamLostChunkWhenLowestAlsoFails(t *testing.T) {
 		t.Errorf("played chunks = %d, want 0", res.Chunks)
 	}
 	if res.WastedBytes == 0 {
-		t.Error("no waste accounted for discarded partial chunks")
+		t.Error("no waste accounted for the corrupt attempts")
 	}
 }
 

@@ -79,6 +79,8 @@ type StreamResult struct {
 	// retry budget ran out.
 	Requeued int64
 	// WastedBytes counts payload discarded from failed/corrupt attempts.
+	// It, the two per-path waste counts below and HedgeWastedBytes are
+	// disjoint: a byte that bought no on-time video is in one of them.
 	WastedBytes int64
 	// FaultsSurvived totals the transient faults the session absorbed
 	// without losing a chunk (retries plus requeues).
@@ -339,7 +341,6 @@ func absorbFaults(res *StreamResult, fr *FetchResult) {
 		return
 	}
 	absorbCounters(res, fr)
-	res.WastedBytes += fr.PrimaryBytes + fr.SecondaryBytes
 	res.WastedPrimaryBytes += fr.PrimaryBytes
 	res.WastedSecondaryBytes += fr.SecondaryBytes
 }

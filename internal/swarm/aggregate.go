@@ -87,7 +87,9 @@ type Report struct {
 	AbortWastedBytes    int64 `json:"abort_wasted_bytes"`
 	WastedCellularBytes int64 `json:"wasted_cellular_bytes"`
 	// WastedBytes is the all-path population total of payload that
-	// bought no on-time video — the auditor's unbounded-waste input.
+	// bought no on-time video, each byte once: bytes of failed or corrupt
+	// attempts, aborted and failed chunks' partials, late chunks' payload
+	// and hedge losers. It is the auditor's unbounded-waste input.
 	WastedBytes int64 `json:"wasted_bytes"`
 
 	// Resilience totals (PRs 1–3 machinery under population load).
@@ -99,6 +101,8 @@ type Report struct {
 	HedgesIssued    int64 `json:"hedges_issued"`
 	HedgesWon       int64 `json:"hedges_won"`
 	HedgesCancelled int64 `json:"hedges_cancelled"`
+	// HedgeWastedBytes is the payload spent on hedge-race losers.
+	HedgeWastedBytes int64 `json:"hedge_wasted_bytes"`
 	// LedgerViolations counts sessions whose byte-for-byte verification
 	// failed — must be zero on a correct run.
 	LedgerViolations int `json:"ledger_violations"`
@@ -194,7 +198,7 @@ func aggregate(scn *Scenario, outs []SessionOutcome, srv ServerReport, wall time
 		r.Downgrades += res.Downgrades
 		r.AbortWastedBytes += res.AbortWastedBytes
 		r.WastedCellularBytes += o.WastedCellularBytes
-		r.WastedBytes += res.WastedBytes
+		r.WastedBytes += res.WastedBytes + res.WastedPrimaryBytes + res.WastedSecondaryBytes + res.HedgeWastedBytes
 		r.FaultsSurvived += res.FaultsSurvived
 		r.Retries += res.Retries
 		r.Redials += res.Redials
@@ -203,6 +207,7 @@ func aggregate(scn *Scenario, outs []SessionOutcome, srv ServerReport, wall time
 		r.HedgesIssued += res.HedgesIssued
 		r.HedgesWon += res.HedgesWon
 		r.HedgesCancelled += res.HedgesCancelled
+		r.HedgeWastedBytes += res.HedgeWastedBytes
 		if !res.AllVerified {
 			r.LedgerViolations++
 		}
@@ -302,8 +307,8 @@ func (r *Report) Summary() string {
 		r.RebufferRatio.P50, r.RebufferRatio.P95, r.RebufferRatio.P99, r.Stalls, r.LostChunks)
 	fmt.Fprintf(&b, "  deadlines    %d/%d chunks missed (%.2f%%), avg level %.2f\n",
 		r.DeadlineMisses, r.Chunks, 100*r.DeadlineMissRate, r.AvgLevel)
-	fmt.Fprintf(&b, "  bytes        %.1f MB total, %.1f%% cellular\n",
-		float64(r.BytesTotal)/1e6, 100*r.CellularByteShare)
+	fmt.Fprintf(&b, "  bytes        %.1f MB total, %.1f%% cellular; %.1f MB bought no on-time video\n",
+		float64(r.BytesTotal)/1e6, 100*r.CellularByteShare, float64(r.WastedBytes)/1e6)
 	if r.Aborts > 0 || r.WastedCellularBytes > 0 {
 		fmt.Fprintf(&b, "  degradation  %d aborts, %d downgrades, %.2f MB abandoned, %.2f MB wasted cellular\n",
 			r.Aborts, r.Downgrades, float64(r.AbortWastedBytes)/1e6, float64(r.WastedCellularBytes)/1e6)
@@ -311,8 +316,8 @@ func (r *Report) Summary() string {
 	fmt.Fprintf(&b, "  resilience   %d faults survived (retries %d, requeued %d), redials %d, failovers %d\n",
 		r.FaultsSurvived, r.Retries, r.Requeued, r.Redials, r.Failovers)
 	if r.HedgesIssued > 0 {
-		fmt.Fprintf(&b, "  hedging      issued %d, won %d, cancelled %d\n",
-			r.HedgesIssued, r.HedgesWon, r.HedgesCancelled)
+		fmt.Fprintf(&b, "  hedging      issued %d, won %d, cancelled %d, %.2f MB on losers\n",
+			r.HedgesIssued, r.HedgesWon, r.HedgesCancelled, float64(r.HedgeWastedBytes)/1e6)
 	}
 	fmt.Fprintf(&b, "  server tier  %d origins, served %.1f MB, rejected %d, capped %d, accept retries %d, faults injected %d\n",
 		r.Server.Origins, float64(r.Server.ServedBytes)/1e6, r.Server.RejectedConns,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mpdash/internal/audit"
 	"mpdash/internal/netmp"
 )
 
@@ -92,5 +93,35 @@ func TestAggregateAndReportRoundTrip(t *testing.T) {
 		if !strings.Contains(sum, want) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
+	}
+}
+
+// TestWastedBytesCountsEveryKindOnce: the report's waste is fault bytes,
+// failed and late payload and hedge losers, each byte once, and the
+// auditor's waste bound sees hedge losers alone.
+func TestWastedBytesCountsEveryKindOnce(t *testing.T) {
+	scn := tinyScenario(2).withDefaults()
+	out := func(res *netmp.StreamResult) SessionOutcome {
+		return SessionOutcome{Video: "tiny-a", Profile: "wifi", Result: res,
+			TotalBytes: res.PrimaryBytes + res.SecondaryBytes}
+	}
+	rep := aggregate(&scn, []SessionOutcome{
+		out(&netmp.StreamResult{Chunks: 4, AllVerified: true, PrimaryBytes: 1000,
+			WastedBytes: 10, WastedPrimaryBytes: 100, WastedSecondaryBytes: 20, HedgeWastedBytes: 3}),
+		out(&netmp.StreamResult{Chunks: 4, AllVerified: true, PrimaryBytes: 1000, HedgeWastedBytes: 7}),
+	}, ServerReport{}, time.Second, 2)
+	if rep.WastedBytes != 10+100+20+3+7 || rep.HedgeWastedBytes != 10 {
+		t.Errorf("wasted %d (hedge %d), want 140 (hedge 10)", rep.WastedBytes, rep.HedgeWastedBytes)
+	}
+
+	// Hedge losers alone, over the auditor's bound, trip it.
+	rep = aggregate(&scn, []SessionOutcome{
+		out(&netmp.StreamResult{Chunks: 4, AllVerified: true, PrimaryBytes: 4 << 20, HedgeWastedBytes: 3 << 20}),
+	}, ServerReport{}, time.Second, 1)
+	a := audit.New(audit.Config{SettleTimeout: time.Millisecond, GoroutineSlack: 1 << 20})
+	a.CheckTotals(rep.LedgerViolations, rep.WastedBytes, rep.BytesTotal)
+	res := a.Finish()
+	if len(res.Violations) != 1 || res.Violations[0].Invariant != audit.InvWaste {
+		t.Errorf("hedge waste of 3 MiB over 4 MiB delivered: %s", res.Summary())
 	}
 }

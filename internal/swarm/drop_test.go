@@ -142,8 +142,9 @@ func TestSwarmCapacityDropWithGracefulDegradation(t *testing.T) {
 }
 
 func TestSwarmCapacityDropAbortOffStillCompletes(t *testing.T) {
-	// The baseline leg of the CI comparison: same collapse, mechanism
-	// off. Sessions must still complete (ride-it-out), with zero aborts.
+	// Same collapse, mechanism off (CI's linkdrop step and the off arm of
+	// abort's gate): sessions must still complete (ride-it-out), with
+	// zero aborts.
 	sw, err := New(dropScenario(12, false))
 	if err != nil {
 		t.Fatal(err)

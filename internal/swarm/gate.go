@@ -3,8 +3,7 @@ package swarm
 // A run's pass bar. A scenario states it in its "gates" stanza;
 // mpdash-swarm checks the stanza against the finished run's report,
 // prints one row per checked quantity, and exits non-zero when a row
-// fails. -baseline adds the two-run rule of a graceful-degradation
-// comparison (Compare).
+// fails.
 
 import (
 	"fmt"
@@ -68,7 +67,6 @@ const (
 // GateRow is one checked (or, with verdictInfo, reported) quantity.
 type GateRow struct {
 	Metric  string
-	Base    float64 // the baseline run's value; comparison rows only
 	Value   float64
 	Limit   string // the bound that applied, e.g. "≤ 0.1"
 	Verdict string
@@ -174,52 +172,6 @@ func (r *Report) Judge(g *Gates) ([]GateRow, bool) {
 	return b.rows, b.ok
 }
 
-// Compare holds a graceful-degradation run (abort + congestion board
-// on) against a baseline run of the same scenario with the mechanism
-// off: the report must strictly reduce BOTH the deadline-miss rate AND
-// the wasted cellular bytes, with zero ledger violations and zero panics
-// in either run — proving the aborts bought on-time video rather than
-// just discarding traffic. A baseline metric already at zero cannot
-// strictly improve; holding it at zero passes. A baseline of another
-// scenario or population size fails: it proves nothing.
-func (r *Report) Compare(base *Report) ([]GateRow, bool) {
-	b := rowBuilder{ok: true}
-	mustFall := func(metric string, baseV, v float64, note string) {
-		pass := v < baseV
-		if baseV <= 0 {
-			pass = v <= 0
-		}
-		b.add(GateRow{Metric: metric, Base: baseV, Value: v, Limit: "< base",
-			Verdict: verdictIf(pass), Note: note})
-	}
-	bothZero := func(metric string, baseV, v int, note string) {
-		b.add(GateRow{Metric: metric, Base: float64(baseV), Value: float64(v), Limit: "= 0",
-			Verdict: verdictIf(baseV == 0 && v == 0), Note: note})
-	}
-	info := func(metric string, baseV, v int) {
-		b.add(GateRow{Metric: metric, Base: float64(baseV), Value: float64(v), Verdict: verdictInfo})
-	}
-	mustFall("deadline_miss_rate", base.DeadlineMissRate, r.DeadlineMissRate,
-		"population deadline misses must fall")
-	mustFall("wasted_cellular_bytes", float64(base.WastedCellularBytes), float64(r.WastedCellularBytes),
-		"cellular bytes buying no on-time video must fall")
-	bothZero("ledger_violations", base.LedgerViolations, r.LedgerViolations,
-		"byte-for-byte verification, both runs")
-	bothZero("panicked", base.Panicked, r.Panicked, "")
-	info("aborts", base.Aborts, r.Aborts)
-	info("downgrades", base.Downgrades, r.Downgrades)
-	if base.Scenario != r.Scenario || base.Sessions != r.Sessions {
-		b.add(GateRow{Metric: "sessions", Base: float64(base.Sessions), Value: float64(r.Sessions),
-			Limit: "same run", Verdict: verdictFail,
-			Note: fmt.Sprintf("baseline is scenario %q, report %q", base.Scenario, r.Scenario)})
-	}
-	if r.Chunks == 0 || base.Chunks == 0 {
-		b.add(GateRow{Metric: "chunks", Base: float64(base.Chunks), Value: float64(r.Chunks),
-			Limit: "> 0", Verdict: verdictFail, Note: "a run moved no traffic"})
-	}
-	return b.rows, b.ok
-}
-
 // WriteGateRows writes the rows as an aligned table, then a one-line
 // verdict count. With failuresOnly, only FAIL rows are listed, and the
 // table is left out when none failed.
@@ -241,15 +193,10 @@ func WriteGateRows(w io.Writer, rows []GateRow, failuresOnly bool) error {
 	}
 	if len(shown) > 0 {
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "METRIC\tBASE\tVALUE\tΔ\tLIMIT\tVERDICT\tNOTE")
+		fmt.Fprintln(tw, "METRIC\tVALUE\tLIMIT\tVERDICT\tNOTE")
 		for _, r := range shown {
-			base, delta := "-", "-"
-			if r.Base != 0 {
-				base = fmt.Sprintf("%.4g", r.Base)
-				delta = fmt.Sprintf("%+.1f%%", 100*(r.Value-r.Base)/r.Base)
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%.4g\t%s\t%s\t%s\t%s\n",
-				r.Metric, base, r.Value, delta, r.Limit, r.Verdict, r.Note)
+			fmt.Fprintf(tw, "%s\t%.4g\t%s\t%s\t%s\n",
+				r.Metric, r.Value, r.Limit, r.Verdict, r.Note)
 		}
 		if err := tw.Flush(); err != nil {
 			return err
