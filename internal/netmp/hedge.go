@@ -306,6 +306,9 @@ func (f *Fetcher) hedgeFetch(o *origin, pol RetryPolicy, index, level int, from,
 	if err == nil && !verified {
 		err = errCorruptPayload
 	}
+	// A cancel surfaces here as the closed connection's read error, so a
+	// backup that lost a hedge race is charged a failure, like one that
+	// failed outright: enough of them open its breaker.
 	o.recordOutcome(err)
 	return n, err
 }
